@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -61,13 +60,6 @@ def _write(text: str, out: str | None) -> None:
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker-pool width for sweeps",
-    )
     common.add_argument("--out", default=None, help="write data to this path instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     return common
@@ -173,7 +165,7 @@ def _cmd_srt(args) -> int:
         if args.points < 2:
             raise _UsageError("--points must be at least 2")
         grid = np.linspace(0.0, 1.0, args.points)
-        points = tradeoff_sweep(grid, chi=args.phase, tol=args.tol, jobs=args.jobs)
+        points = tradeoff_sweep(grid, chi=args.phase, tol=args.tol)
         lines = ["a,J_lambda,J_mu,bound,slack"]
         for point in points:
             lines.append(

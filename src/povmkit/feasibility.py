@@ -22,6 +22,7 @@ from .errors import (
     InternalConsistencyError,
     NoSignalingError,
 )
+from .operators import DEFAULT_TOL
 from .tables import ProbabilityTable
 
 #: Bland's-rule pivot tolerance of the simplex solver.
@@ -56,7 +57,7 @@ class MarginalSet:
     abp: ProbabilityTable
     apb: ProbabilityTable
     apbp: ProbabilityTable
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         for name in ("ab", "abp", "apb", "apbp"):
@@ -66,14 +67,14 @@ class MarginalSet:
         return (self.ab, self.abp, self.apb, self.apbp)
 
     @classmethod
-    def from_tables(cls, tables, tol: float = 1e-9) -> "MarginalSet":
+    def from_tables(cls, tables, tol: float = DEFAULT_TOL) -> "MarginalSet":
         tables = tuple(tables)
         if len(tables) != 4:
             raise DimensionMismatchError("exactly four tables are required")
         return cls(*tables, tol=tol)
 
     @classmethod
-    def from_quadrivariate(cls, joint: ProbabilityTable, tol: float = 1e-9) -> "MarginalSet":
+    def from_quadrivariate(cls, joint: ProbabilityTable, tol: float = DEFAULT_TOL) -> "MarginalSet":
         """Extract the four setting-pair tables from a joint over (A, A', B, B')."""
         if joint.values.shape != (2, 2, 2, 2):
             raise DimensionMismatchError(
@@ -98,7 +99,7 @@ class NoSignalingReport:
     tol: float
 
 
-def check_no_signaling(marginals: MarginalSet, tol: float = 1e-9) -> NoSignalingReport:
+def check_no_signaling(marginals: MarginalSet, tol: float = DEFAULT_TOL) -> NoSignalingReport:
     """Compare each variable's marginal between its two containing tables."""
     ab, abp, apb, apbp = (t.values for t in marginals.tables())
     discrepancies = {
@@ -248,7 +249,7 @@ class JointDecision:
     certificate: tuple[tuple[int, int, int, int], float] | None = None
 
 
-def joint_exists(marginals: MarginalSet, tol: float = 1e-9) -> JointDecision:
+def joint_exists(marginals: MarginalSet, tol: float = DEFAULT_TOL) -> JointDecision:
     """Decide whether a joint distribution reproduces all four marginals.
 
     Runs the phase-1 linear program on the rank-reduced marginal equations

@@ -28,55 +28,94 @@ from .tables import ProbabilityTable
 RECONSTRUCTION_TOL = 1e-8
 
 
+def _coerce_stack(elements) -> np.ndarray:
+    """Coerce a sequence of square matrices of one dimension to a read-only (K, d, d) stack."""
+    arrays = [as_operator(e, name=f"element {k}") for k, e in enumerate(elements)]
+    if not arrays:
+        raise ValidationError("measure must contain at least one element")
+    if any(arr.shape != arrays[0].shape for arr in arrays):
+        raise DimensionMismatchError("elements do not share a common dimension")
+    stack = np.stack(arrays)
+    stack.setflags(write=False)
+    return stack
+
+
+def _stack_violations(
+    stack: np.ndarray, tol: float, projective: bool = False
+) -> dict[tuple, list[str]]:
+    """Violations of every invalid measure in a ``(..., K, d, d)`` stack.
+
+    Maps the batch index of each invalid measure (``()`` for a single
+    ``(K, d, d)`` measure) to its violation messages, in C order; valid
+    measures are absent.  Every predicate reads ``not (defect <= tol)`` so a
+    NaN defect is a violation.  Non-finite elements are reported as such and
+    left out of the per-element checks.
+    """
+    n_elements, dim = stack.shape[-3], stack.shape[-1]
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    clean = np.where(finite[..., None, None], stack, 0.0)
+    adjoint = np.conj(np.swapaxes(clean, -1, -2))
+    herm = np.abs(clean - adjoint).max(axis=(-2, -1))
+    lowest = np.linalg.eigvalsh((clean + adjoint) / 2.0)[..., 0]
+    completeness = np.abs(stack.sum(axis=-3) - np.eye(dim)).max(axis=(-2, -1))
+
+    not_hermitian = finite & ~(herm <= tol)
+    not_positive = finite & ~not_hermitian & ~(lowest >= -tol)
+    incomplete = ~(completeness <= tol)
+    bad = (~finite | not_hermitian | not_positive).any(axis=-1) | incomplete
+    if projective:
+        idempotence = np.abs(clean @ clean - clean).max(axis=(-2, -1))
+        overlaps = np.abs(np.einsum("...jab,...kba->...jk", clean, clean))
+        not_projector = finite & ~(idempotence <= tol)
+        not_orthogonal = ~(overlaps <= tol) & finite[..., :, None] & finite[..., None, :]
+        not_orthogonal = np.triu(not_orthogonal, k=1)
+        bad |= not_projector.any(axis=-1) | not_orthogonal.any(axis=(-2, -1))
+
+    found = {}
+    for index in map(tuple, np.argwhere(bad)):
+        lines = []
+        for k in range(n_elements):
+            at = index + (k,)
+            if not finite[at]:
+                lines.append(f"element {k} has non-finite entries")
+            elif not_hermitian[at]:
+                lines.append(f"element {k} is not Hermitian (defect {herm[at]:.3e})")
+            elif not_positive[at]:
+                lines.append(f"element {k} is not positive (eigenvalue {lowest[at]:.3e})")
+        if incomplete[index]:
+            lines.append(
+                f"elements do not sum to identity (defect {completeness[index]:.3e})"
+            )
+        if projective:
+            for k in np.flatnonzero(not_projector[index]):
+                lines.append(
+                    f"element {k} is not a projector (defect {idempotence[index + (k,)]:.3e})"
+                )
+            for j, k in np.argwhere(not_orthogonal[index]):
+                lines.append(
+                    f"elements {j} and {k} are not orthogonal "
+                    f"(Tr = {overlaps[index + (j, k)]:.3e})"
+                )
+        found[index] = lines
+    return found
+
+
 def povm_violations(elements, tol: float = DEFAULT_TOL) -> list[str]:
     """List every way ``elements`` fails to form a POVM (empty when valid)."""
-    violations: list[str] = []
-    arrays = []
-    for k, element in enumerate(elements):
-        try:
-            arrays.append(as_operator(element, name=f"element {k}"))
-        except DimensionMismatchError as exc:
-            return [str(exc)]
-    if not arrays:
-        return ["measure must contain at least one element"]
-    dim = arrays[0].shape[0]
-    if any(arr.shape[0] != dim for arr in arrays):
-        return ["elements do not share a common dimension"]
-
-    for k, arr in enumerate(arrays):
-        herm_defect = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm_defect > tol:
-            violations.append(f"element {k} is not Hermitian (defect {herm_defect:.3e})")
-            continue
-        spectrum = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
-        if spectrum[0] < -tol:
-            violations.append(
-                f"element {k} is not positive (eigenvalue {spectrum[0]:.3e})"
-            )
-    total = np.sum(arrays, axis=0)
-    completeness = float(np.max(np.abs(total - np.eye(dim))))
-    if completeness > tol:
-        violations.append(f"elements do not sum to identity (defect {completeness:.3e})")
-    return violations
+    try:
+        stack = _coerce_stack(elements)
+    except (DimensionMismatchError, ValidationError) as exc:
+        return [str(exc)]
+    return _stack_violations(stack, tol).get((), [])
 
 
 def pvm_violations(elements, tol: float = DEFAULT_TOL) -> list[str]:
     """POVM violations plus projector and pairwise-orthogonality defects."""
-    violations = povm_violations(elements, tol)
-    if any("square" in line or "common dimension" in line for line in violations):
-        return violations
-    arrays = [as_operator(e) for e in elements]
-    for k, arr in enumerate(arrays):
-        defect = float(np.max(np.abs(arr @ arr - arr)))
-        if defect > tol:
-            violations.append(f"element {k} is not a projector (defect {defect:.3e})")
-    for j, k in itertools.combinations(range(len(arrays)), 2):
-        overlap = abs(complex(np.trace(arrays[j] @ arrays[k])))
-        if overlap > tol:
-            violations.append(
-                f"elements {j} and {k} are not orthogonal (Tr = {overlap:.3e})"
-            )
-    return violations
+    try:
+        stack = _coerce_stack(elements)
+    except (DimensionMismatchError, ValidationError) as exc:
+        return [str(exc)]
+    return _stack_violations(stack, tol, projective=True).get((), [])
 
 
 class PovmMeasure:
@@ -96,38 +135,35 @@ class PovmMeasure:
         Validation tolerance.
     """
 
-    _VALIDATOR = staticmethod(povm_violations)
+    _PROJECTIVE = False
 
     def __init__(self, elements, labels=None, index_shape=None, *, tol: float = DEFAULT_TOL):
-        arrays = tuple(as_operator(e, name=f"element {k}") for k, e in enumerate(elements))
-        if not arrays:
-            raise ValidationError("measure must contain at least one element")
-        dim = arrays[0].shape[0]
-        if any(arr.shape[0] != dim for arr in arrays):
-            raise DimensionMismatchError("elements do not share a common dimension")
+        stack = _coerce_stack(elements)
+        n_elements = stack.shape[0]
 
         if index_shape is not None:
             index_shape = tuple(int(n) for n in index_shape)
-            if any(n <= 0 for n in index_shape) or int(np.prod(index_shape)) != len(arrays):
+            if any(n <= 0 for n in index_shape) or int(np.prod(index_shape)) != n_elements:
                 raise ValidationError(
-                    f"index_shape {index_shape} does not match {len(arrays)} elements"
+                    f"index_shape {index_shape} does not match {n_elements} elements"
                 )
 
         if labels is None:
             if index_shape is None:
-                labels = tuple(range(len(arrays)))
+                labels = tuple(range(n_elements))
             else:
                 labels = tuple(itertools.product(*(range(n) for n in index_shape)))
         else:
             labels = tuple(labels)
-            if len(labels) != len(arrays):
+            if len(labels) != n_elements:
                 raise ValidationError("one label is required per element")
 
-        violations = self._VALIDATOR(arrays, tol)
+        violations = _stack_violations(stack, tol, self._PROJECTIVE).get(())
         if violations:
             raise ValidationError("; ".join(violations))
 
-        self.elements = arrays
+        self._stack = stack
+        self.elements = tuple(stack)
         self.labels = labels
         self.index_shape = index_shape
         self.tol = float(tol)
@@ -154,9 +190,7 @@ class PovmMeasure:
 
     def stack(self) -> np.ndarray:
         """All elements as one read-only array of shape (K, d, d)."""
-        out = np.stack(self.elements)
-        out.setflags(write=False)
-        return out
+        return self._stack
 
     def axis_label_tuples(self) -> tuple[tuple, ...]:
         """Per-axis outcome labels, reconstructed from the flat label tuples."""
@@ -199,7 +233,7 @@ class PovmMeasure:
         if list(keep) != sorted(keep):
             raise DimensionMismatchError("keep axes must be in ascending order")
 
-        grid = np.stack(self.elements).reshape(*self.index_shape, self.dim, self.dim)
+        grid = self._stack.reshape(*self.index_shape, self.dim, self.dim)
         drop = tuple(ax for ax in range(ndim) if ax not in keep)
         summed = grid.sum(axis=drop) if drop else grid
         new_shape = tuple(self.index_shape[ax] for ax in keep)
@@ -219,7 +253,7 @@ class PovmMeasure:
 class PvmMeasure(PovmMeasure):
     """POVM whose elements are mutually orthogonal projectors."""
 
-    _VALIDATOR = staticmethod(pvm_violations)
+    _PROJECTIVE = True
 
     def is_maximal(self, tol: float | None = None) -> bool:
         """True when every projector is rank one."""

@@ -28,6 +28,26 @@ from .operators import DEFAULT_TOL
 DECOMPOSITION_TOL = 1e-8
 
 
+def _stochastic_violation(matrices: np.ndarray, tol: float) -> tuple[int, str] | None:
+    """First matrix of an ``(N, I, J)`` stack with a negative entry or a column sum off 1.
+
+    Returns its batch index and message, or None when every matrix passes.
+    Predicates read ``not (defect <= tol)`` so NaN entries fail.
+    """
+    lowest = matrices.min(axis=(1, 2))
+    column_sums = matrices.sum(axis=1)
+    imbalance = np.abs(column_sums - 1.0).max(axis=1)
+    negative = ~(lowest >= -tol)
+    unbalanced = ~(imbalance <= max(tol, tol * matrices.shape[1]))
+    bad = np.flatnonzero(negative | unbalanced)
+    if bad.size == 0:
+        return None
+    n = int(bad[0])
+    if negative[n]:
+        return n, f"nonideality matrix has negative entry {lowest[n]:.3e}"
+    return n, f"columns must sum to 1, got {column_sums[n].tolist()}"
+
+
 @dataclass(frozen=True, eq=False)
 class NonidealityMatrix:
     """Column-stochastic nonnegative matrix relating two measures.
@@ -49,15 +69,9 @@ class NonidealityMatrix:
         arr = np.array(self.matrix, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError("nonideality matrix must be a non-empty 2-D array")
-        if float(arr.min()) < -self.tol:
-            raise ValidationError(
-                f"nonideality matrix has negative entry {arr.min():.3e}"
-            )
-        column_sums = arr.sum(axis=0)
-        if float(np.max(np.abs(column_sums - 1.0))) > max(self.tol, self.tol * arr.shape[0]):
-            raise ValidationError(
-                f"columns must sum to 1, got {column_sums.tolist()}"
-            )
+        failure = _stochastic_violation(arr[None], self.tol)
+        if failure is not None:
+            raise ValidationError(failure[1])
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
         if self.row_labels and len(self.row_labels) != arr.shape[0]:
@@ -146,6 +160,33 @@ def _stochastic_least_squares(gram: np.ndarray, cross: np.ndarray) -> np.ndarray
     return np.clip(x, 0.0, None).reshape(n_rows, n_cols)
 
 
+def _solve_stack(
+    observed: np.ndarray, target: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Nonideality matrices of an ``(N, I, d, d)`` stack of observed measures.
+
+    All observed measures share one ``(J, d, d)`` target, so the Gram matrix
+    and its pseudo-inverse are computed once.  Rows whose unconstrained Gram
+    solve leaves the column-stochastic set fall back to the constrained
+    program one at a time.  Returns the ``(N, I, J)`` matrices, the ``(N,)``
+    Hilbert-Schmidt residuals and whether the targets are linearly independent.
+    """
+    gram = np.real(np.einsum("jab,kba->jk", target, target))
+    unique = int(np.linalg.matrix_rank(gram)) == target.shape[0]
+    cross = np.real(np.einsum("niab,jba->nij", observed, target))
+
+    candidates = cross @ np.linalg.pinv(gram, hermitian=True)
+    feasible = (candidates.min(axis=(1, 2)) >= -tol) & (
+        np.abs(candidates.sum(axis=1) - 1.0).max(axis=1) <= tol
+    )
+    for n in np.flatnonzero(~feasible):
+        candidates[n] = _stochastic_least_squares(gram, cross[n])
+
+    misfit = observed - np.einsum("nij,jab->niab", candidates, target)
+    residuals = np.linalg.norm(misfit.reshape(misfit.shape[0], -1), axis=1)
+    return candidates, residuals, unique
+
+
 def solve_nonideality(
     observed: PovmMeasure, target: PovmMeasure, tol: float = DEFAULT_TOL
 ) -> NonidealityMatrix:
@@ -169,32 +210,23 @@ def solve_nonideality(
         raise DimensionMismatchError(
             f"observed dimension {observed.dim} does not match target dimension {target.dim}"
         )
-    observed_stack = observed.stack()
-    target_stack = target.stack()
-    gram = np.real(np.einsum("jab,kba->jk", target_stack, target_stack))
-    cross = np.real(np.einsum("iab,jba->ij", observed_stack, target_stack))
-
-    rank = int(np.linalg.matrix_rank(gram))
-    unique = rank == target.n_outcomes
-
-    candidate = cross @ np.linalg.pinv(gram, hermitian=True)
-    feasible = (
-        float(candidate.min()) >= -tol
-        and float(np.max(np.abs(candidate.sum(axis=0) - 1.0))) <= tol
-    )
-    if not feasible:
-        candidate = _stochastic_least_squares(gram, cross)
-
-    misfit = observed_stack - np.einsum("ij,jab->iab", candidate, target_stack)
-    residual = float(np.linalg.norm(misfit))
+    matrices, residuals, unique = _solve_stack(observed.stack()[None], target.stack(), tol)
     return NonidealityMatrix(
-        candidate,
+        matrices[0],
         row_labels=tuple(observed.labels),
         col_labels=tuple(target.labels),
-        residual=residual,
+        residual=float(residuals[0]),
         unique=unique,
         tol=tol,
     )
+
+
+def _row_entropy(matrices: np.ndarray) -> np.ndarray:
+    """Average row entropy of each matrix in an ``(..., I, J)`` stack."""
+    clipped = np.clip(matrices, 0.0, None)
+    row_sums = clipped.sum(axis=-1)
+    entropy = xlogy(row_sums, row_sums).sum(axis=-1) - xlogy(clipped, clipped).sum(axis=(-2, -1))
+    return np.maximum(entropy, 0.0) / matrices.shape[-2]
 
 
 def nonideality_entropy(lam) -> float:
@@ -208,10 +240,7 @@ def nonideality_entropy(lam) -> float:
     matrix = lam.matrix if isinstance(lam, NonidealityMatrix) else np.asarray(lam, dtype=float)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValidationError("nonideality entropy requires a non-empty 2-D matrix")
-    clipped = np.clip(matrix, 0.0, None)
-    row_sums = clipped.sum(axis=1)
-    entropy = xlogy(row_sums, row_sums).sum() - xlogy(clipped, clipped).sum()
-    return float(max(entropy, 0.0) / matrix.shape[0])
+    return float(_row_entropy(matrix))
 
 
 def _require_maximal_pvm(measure: PovmMeasure, name: str, tol: float) -> None:

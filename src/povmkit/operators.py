@@ -3,7 +3,7 @@
 All operators are plain ``numpy`` arrays of shape ``(d, d)``; the helpers in
 this module validate shape and algebraic properties under a configurable
 tolerance.  Every value returned here is a read-only array, safe to share
-between parallel sweeps.
+between callers.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import numpy as np
 
 from .feasibility import MarginalSet
 from .measures import PvmMeasure
-from .operators import State
+from .operators import DEFAULT_TOL, State
 from .tables import ProbabilityTable
 
 
@@ -49,7 +49,7 @@ def random_basis_pvm(dim: int, rng: np.random.Generator) -> PvmMeasure:
     return PvmMeasure(elements)
 
 
-def random_no_signaling_marginals(rng: np.random.Generator, tol: float = 1e-9) -> MarginalSet:
+def random_no_signaling_marginals(rng: np.random.Generator, tol: float = DEFAULT_TOL) -> MarginalSet:
     """Uniform-ish sample of the full no-signaling polytope of 2x2x2 boxes.
 
     Single-variable means are drawn first; each pair correlator is then drawn
@@ -77,7 +77,7 @@ def random_no_signaling_marginals(rng: np.random.Generator, tol: float = 1e-9) -
     )
 
 
-def pr_box_marginals(tol: float = 1e-9) -> MarginalSet:
+def pr_box_marginals(tol: float = DEFAULT_TOL) -> MarginalSet:
     """Extremal no-signaling box reaching the algebraic CHSH maximum of 4."""
     correlated = ProbabilityTable([[0.5, 0.0], [0.0, 0.5]], tol=tol)
     anticorrelated = ProbabilityTable([[0.0, 0.5], [0.5, 0.0]], tol=tol)
@@ -87,7 +87,7 @@ def pr_box_marginals(tol: float = 1e-9) -> MarginalSet:
 
 
 def mix_marginals(
-    first: MarginalSet, second: MarginalSet, weight: float, tol: float = 1e-9
+    first: MarginalSet, second: MarginalSet, weight: float, tol: float = DEFAULT_TOL
 ) -> MarginalSet:
     """Entrywise convex combination ``weight * first + (1 - weight) * second``.
 

@@ -121,7 +121,7 @@ def marginals_to_dict(marginals: MarginalSet) -> dict:
     }
 
 
-def marginals_from_dict(data: dict, tol: float = 1e-9) -> MarginalSet:
+def marginals_from_dict(data: dict, tol: float = DEFAULT_TOL) -> MarginalSet:
     missing = [key for key in _MARGINAL_KEYS if key not in data]
     if missing:
         raise ValidationError(f"marginals object is missing tables {missing}")

@@ -15,7 +15,6 @@ representation yields identical entropy curves.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -23,8 +22,14 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import InternalConsistencyError, ValidationError
-from .measures import PovmMeasure, PvmMeasure
-from .nonideality import NonidealityMatrix, check_martens, solve_nonideality
+from .measures import PovmMeasure, PvmMeasure, _stack_violations
+from .nonideality import (
+    NonidealityMatrix,
+    _row_entropy,
+    _solve_stack,
+    _stochastic_violation,
+    martens_bound,
+)
 from .operators import DEFAULT_TOL
 
 #: Agreement required between the generic solver pipeline and the closed-form
@@ -48,11 +53,23 @@ class SrtConfig:
         object.__setattr__(self, "phase", float(self.phase))
 
 
+_P_PLUS = np.diag([1.0, 0.0]).astype(complex)
+_P_MINUS = np.diag([0.0, 1.0]).astype(complex)
+_P_PLUS.setflags(write=False)
+_P_MINUS.setflags(write=False)
+_BIVARIATE_LABELS = (("+", "1"), ("+", "2"), ("-", "1"), ("-", "2"))
+
+
+def _interference_projectors(chi: float) -> tuple[np.ndarray, np.ndarray]:
+    phase = np.exp(1j * float(chi))
+    q1_vec = np.array([1.0, phase]) / np.sqrt(2.0)
+    q2_vec = np.array([1.0, -phase]) / np.sqrt(2.0)
+    return np.outer(q1_vec, q1_vec.conj()), np.outer(q2_vec, q2_vec.conj())
+
+
 def path_pvm(tol: float = DEFAULT_TOL) -> PvmMeasure:
     """Which-path observable: projectors onto the two interferometer paths."""
-    p_plus = np.diag([1.0, 0.0]).astype(complex)
-    p_minus = np.diag([0.0, 1.0]).astype(complex)
-    return PvmMeasure([p_plus, p_minus], labels=("+", "-"), tol=tol)
+    return PvmMeasure([_P_PLUS, _P_MINUS], labels=("+", "-"), tol=tol)
 
 
 def interference_pvm(chi: float = 0.0, tol: float = DEFAULT_TOL) -> PvmMeasure:
@@ -61,12 +78,24 @@ def interference_pvm(chi: float = 0.0, tol: float = DEFAULT_TOL) -> PvmMeasure:
     Projectors onto ``(|+> +- exp(i chi)|->) / sqrt(2)``; both overlap each
     path projector with weight one half for every phase.
     """
-    phase = np.exp(1j * float(chi))
-    q1_vec = np.array([1.0, phase]) / np.sqrt(2.0)
-    q2_vec = np.array([1.0, -phase]) / np.sqrt(2.0)
-    q1 = np.outer(q1_vec, q1_vec.conj())
-    q2 = np.outer(q2_vec, q2_vec.conj())
-    return PvmMeasure([q1, q2], labels=("1", "2"), tol=tol)
+    return PvmMeasure(_interference_projectors(chi), labels=("1", "2"), tol=tol)
+
+
+def _bivariate_stack(absorbers: np.ndarray, chi: float) -> np.ndarray:
+    """Unvalidated ``(N, 4, 2, 2)`` bivariate elements for N transmissivities.
+
+    Cells in ``_BIVARIATE_LABELS`` order: the two detector elements
+    ``0.5 (P+ + a P- +- sqrt(a) (Q1 - Q2))`` and the absorption element
+    ``(1 - a) P-`` split evenly over the ``'-'`` row.
+    """
+    a = np.asarray(absorbers, dtype=float)[:, None, None]
+    q1, q2 = _interference_projectors(chi)
+    q_diff = q1 - q2
+    root = np.sqrt(a)
+    m1 = 0.5 * (_P_PLUS + a * _P_MINUS + root * q_diff)
+    m2 = 0.5 * (_P_PLUS + a * _P_MINUS - root * q_diff)
+    half_m3 = 0.5 * ((1.0 - a) * _P_MINUS)
+    return np.stack([m1, m2, half_m3, half_m3], axis=1)
 
 
 def srt_povm(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
@@ -76,16 +105,8 @@ def srt_povm(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
     absorbed neutrons.  At ``a = 1`` the family reduces to the interference
     PVM plus a zero element, at ``a = 0`` to a split path measurement.
     """
-    a = config.absorber
-    p = path_pvm(tol)
-    q = interference_pvm(config.phase, tol)
-    p_plus, p_minus = p.elements
-    q_diff = q.elements[0] - q.elements[1]
-    root = np.sqrt(a)
-    m1 = 0.5 * (p_plus + a * p_minus + root * q_diff)
-    m2 = 0.5 * (p_plus + a * p_minus - root * q_diff)
-    m3 = (1.0 - a) * p_minus
-    return PovmMeasure([m1, m2, m3], labels=("1", "2", "3"), tol=tol)
+    m1, m2, absorbed_1, absorbed_2 = _bivariate_stack([config.absorber], config.phase)[0]
+    return PovmMeasure([m1, m2, absorbed_1 + absorbed_2], labels=("1", "2", "3"), tol=tol)
 
 
 def srt_bivariate(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
@@ -96,11 +117,12 @@ def srt_bivariate(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
     split evenly over the ``m = '-'`` row.  The ``n``-marginal is a smeared
     interference observable and the ``m``-marginal a smeared path observable.
     """
-    povm = srt_povm(config, tol)
-    m1, m2, m3 = povm.elements
-    elements = [m1, m2, 0.5 * m3, 0.5 * m3]
-    labels = (("+", "1"), ("+", "2"), ("-", "1"), ("-", "2"))
-    return PovmMeasure(elements, labels=labels, index_shape=(2, 2), tol=tol)
+    return PovmMeasure(
+        _bivariate_stack([config.absorber], config.phase)[0],
+        labels=_BIVARIATE_LABELS,
+        index_shape=(2, 2),
+        tol=tol,
+    )
 
 
 def path_nonideality_matrix(absorber: float) -> NonidealityMatrix:
@@ -123,23 +145,25 @@ def interference_nonideality_matrix(absorber: float) -> NonidealityMatrix:
     )
 
 
+def _path_entropy(a):
+    return 0.5 * (xlogy(1.0 + a, 1.0 + a) - xlogy(a, a))
+
+
+def _interference_entropy(a):
+    root = np.sqrt(a)
+    return 0.5 * (
+        2.0 * np.log(2.0) - xlogy(1.0 + root, 1.0 + root) - xlogy(1.0 - root, 1.0 - root)
+    )
+
+
 def path_nonideality_entropy(absorber: float) -> float:
     """Closed-form row entropy of the path smearing matrix."""
-    a = float(absorber)
-    return float(0.5 * (xlogy(1.0 + a, 1.0 + a) - xlogy(a, a)))
+    return float(_path_entropy(float(absorber)))
 
 
 def interference_nonideality_entropy(absorber: float) -> float:
     """Closed-form row entropy of the interference smearing matrix."""
-    root = np.sqrt(float(absorber))
-    return float(
-        0.5
-        * (
-            2.0 * np.log(2.0)
-            - xlogy(1.0 + root, 1.0 + root)
-            - xlogy(1.0 - root, 1.0 - root)
-        )
-    )
+    return float(_interference_entropy(float(absorber)))
 
 
 class TradeoffPoint(NamedTuple):
@@ -152,49 +176,18 @@ class TradeoffPoint(NamedTuple):
     slack: float
 
 
-def _tradeoff_point(absorber: float, chi: float, tol: float) -> TradeoffPoint:
-    config = SrtConfig(absorber, chi)
-    bivariate = srt_bivariate(config, tol)
-    path_marginal = bivariate.marginal(keep=0)
-    interference_marginal = bivariate.marginal(keep=1)
-    target_path = path_pvm(tol)
-    target_interference = interference_pvm(chi, tol)
-
-    lam = solve_nonideality(path_marginal, target_path, tol)
-    mu = solve_nonideality(interference_marginal, target_interference, tol)
-    report = check_martens(lam, mu, target_path, target_interference, tol)
-
-    drift = max(
-        abs(report.j_lambda - path_nonideality_entropy(absorber)),
-        abs(report.j_mu - interference_nonideality_entropy(absorber)),
-    )
-    if drift > PIPELINE_AGREEMENT_TOL:
-        raise InternalConsistencyError(
-            f"solver pipeline drifted {drift:.3e} from the closed-form entropies "
-            f"at absorber={absorber!r}"
-        )
-    return TradeoffPoint(
-        absorber=absorber,
-        j_lambda=report.j_lambda,
-        j_mu=report.j_mu,
-        bound=report.bound,
-        slack=report.slack,
-    )
-
-
 def tradeoff_sweep(
-    grid: Iterable[float],
-    chi: float = 0.0,
-    *,
-    tol: float = DEFAULT_TOL,
-    jobs: int | None = None,
+    grid: Iterable[float], chi: float = 0.0, *, tol: float = DEFAULT_TOL
 ) -> list[TradeoffPoint]:
     """Entropy trade-off across a grid of absorber settings.
 
-    Each grid point is evaluated through the generic pipeline (bivariate
-    arrangement, decomposition solver, row entropy) and cross-checked against
-    the closed-form entropies; disagreement beyond ``PIPELINE_AGREEMENT_TOL``
-    raises.  Output order follows the input grid regardless of scheduling.
+    The whole grid goes through the generic pipeline at once: one validation
+    of the stacked bivariate arrangements, their two marginals as index sums,
+    one stacked decomposition solve per marginal and the row entropies.  Every
+    point is checked as the single-point chain would check it (measure
+    validity, nonideality-matrix validity, Martens slack, and agreement with
+    the closed-form entropies within ``PIPELINE_AGREEMENT_TOL``); the first
+    failing absorber setting is named in the error.  Output follows grid order.
 
     Parameters
     ----------
@@ -202,14 +195,59 @@ def tradeoff_sweep(
         Absorber transmissivities, each in [0, 1].
     chi : float
         Interferometer phase; the entropies are phase-independent.
-    jobs : int, optional
-        Worker-pool width for the sweep; ``None`` or 1 runs serially.
     """
-    values = [float(a) for a in grid]
-    for a in values:
-        if not 0.0 <= a <= 1.0:
-            raise ValidationError(f"grid value {a!r} outside [0, 1]")
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            return list(pool.map(lambda a: _tradeoff_point(a, chi, tol), values))
-    return [_tradeoff_point(a, chi, tol) for a in values]
+    values = np.fromiter(grid, dtype=float)
+    outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if outside.size:
+        raise ValidationError(f"grid value {float(values[outside[0]])!r} outside [0, 1]")
+    if values.size == 0:
+        return []
+
+    target_path = path_pvm(tol)
+    target_interference = interference_pvm(chi, tol)
+    bound = martens_bound(target_path, target_interference, tol)
+
+    stack = _bivariate_stack(values, chi)
+    invalid = _stack_violations(stack, tol)
+    if invalid:
+        (n,), lines = next(iter(invalid.items()))
+        raise ValidationError(f"absorber={float(values[n])!r}: " + "; ".join(lines))
+    cells = stack.reshape(values.size, 2, 2, 2, 2)
+
+    entropies = []
+    for marginal, target in (
+        (cells.sum(axis=2), target_path),
+        (cells.sum(axis=1), target_interference),
+    ):
+        matrices, _, _ = _solve_stack(marginal, target.stack(), tol)
+        failure = _stochastic_violation(matrices, tol)
+        if failure is not None:
+            n, message = failure
+            raise ValidationError(f"absorber={float(values[n])!r}: {message}")
+        entropies.append(_row_entropy(matrices))
+    j_lambda, j_mu = entropies
+    slack = j_lambda + j_mu - bound
+
+    violated = np.flatnonzero(~(slack >= -tol))
+    if violated.size:
+        n = violated[0]
+        raise InternalConsistencyError(
+            f"joint-measurement bound violated (slack {slack[n]:.3e}) "
+            f"at absorber={float(values[n])!r}; "
+            "the matrices do not come from one bivariate arrangement"
+        )
+    drift = np.maximum(
+        np.abs(j_lambda - _path_entropy(values)),
+        np.abs(j_mu - _interference_entropy(values)),
+    )
+    drifted = np.flatnonzero(~(drift <= PIPELINE_AGREEMENT_TOL))
+    if drifted.size:
+        n = drifted[0]
+        raise InternalConsistencyError(
+            f"solver pipeline drifted {drift[n]:.3e} from the closed-form entropies "
+            f"at absorber={float(values[n])!r}"
+        )
+    return [
+        TradeoffPoint(a, jl, jm, bound, s)
+        for a, jl, jm, s in zip(values.tolist(), j_lambda.tolist(), j_mu.tolist(), slack.tolist())
+    ]

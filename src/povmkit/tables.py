@@ -14,8 +14,8 @@ class ProbabilityTable:
     Parameters
     ----------
     values : array_like
-        Probabilities; every entry must be >= -tol and the total must equal 1
-        within tolerance.
+        Probabilities; every entry must be finite and >= -tol, and the total
+        must equal 1 within tolerance.
     axis_labels : sequence of sequences, optional
         One label tuple per axis, each matching that axis' length.
     tol : float
@@ -26,6 +26,8 @@ class ProbabilityTable:
         arr = np.array(values, dtype=float)
         if arr.size == 0:
             raise ValidationError("probability table must not be empty")
+        if not np.isfinite(arr).all():
+            raise ValidationError("probability table has non-finite entries")
         if float(arr.min()) < -tol:
             raise ValidationError(
                 f"probability table has negative entry {arr.min():.3e}"

@@ -213,3 +213,10 @@ def test_config_validation():
         make_config(-0.2, 0.5)
     with pytest.raises(DimensionMismatchError):
         AspectConfig(0.5, 0.5, 0.0, 0.0, 0.0, 0.0, State.maximally_mixed(2))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+def test_non_finite_polarization_angle_rejected(theta):
+    with pytest.raises(ValidationError, match="non-finite"):
+        polarization_pvm(theta)

@@ -65,6 +65,26 @@ class TestMeasureValidation:
         assert any("orthogonal" in line for line in report)
         assert any("identity" in line for line in report)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_element_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            PovmMeasure([np.full((2, 2), bad)])
+        with pytest.raises(ValidationError, match="non-finite"):
+            PvmMeasure([P0, np.where(P1 > 0, bad, 0.0)])
+
+    def test_non_finite_element_reported(self):
+        from povmkit import povm_violations
+
+        report = povm_violations([np.full((2, 2), np.nan)])
+        assert report[0] == "element 0 has non-finite entries"
+        # The completeness defect is NaN, which no tolerance accepts.
+        assert any("sum to identity" in line for line in report)
+
+    def test_nan_tolerance_accepts_nothing(self):
+        from povmkit import povm_violations
+
+        assert povm_violations([P0, P1], tol=np.nan)
+
     def test_index_shape_must_match(self):
         with pytest.raises(ValidationError):
             PovmMeasure([np.eye(2)], index_shape=(2, 2))

@@ -36,6 +36,10 @@ class TestMatrixValidation:
         with pytest.raises(ValidationError):
             NonidealityMatrix([[1.2, 0.0], [-0.2, 1.0]])
 
+    def test_nan_entries_rejected(self):
+        with pytest.raises(ValidationError):
+            NonidealityMatrix([[np.nan, 0.0], [1.0, 1.0]])
+
     def test_labels_must_match(self):
         with pytest.raises(ValidationError):
             NonidealityMatrix(np.eye(2), row_labels=("only-one",))
@@ -96,6 +100,20 @@ class TestSolver:
         result = solve_nonideality(halves, halves)
         assert not result.unique
         assert result.is_exact
+
+    def test_dependent_targets_take_the_constrained_path(self):
+        # The third target element is the sum of the first two, so the Gram
+        # matrix is singular and its minimum-norm solve is not stochastic.
+        # The expected entries are the solver's output before the Gram
+        # solve was stacked, pinned to the last bit.
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        target = PovmMeasure([0.5 * p0, 0.5 * p1, 0.5 * np.eye(2)])
+        result = solve_nonideality(path_pvm(), target)
+        assert not result.unique
+        assert not result.is_exact
+        assert result.residual == 0.5
+        expected = [[0.9999999999999999, 0.0, 0.5000000000000002], [0.0, 1.0000000000000002, 0.5]]
+        assert result.matrix.tolist() == expected
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from povmkit import ValidationError
+from povmkit import InternalConsistencyError, ValidationError
+from povmkit import srt
 from povmkit.srt import (
     SrtConfig,
     interference_nonideality_entropy,
@@ -159,9 +160,30 @@ class TestTradeoffSweep:
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
             tradeoff_sweep([0.5, 1.2])
+        for bad in (np.nan, -0.1, np.inf):
+            with pytest.raises(ValidationError, match="outside"):
+                tradeoff_sweep([0.5, bad])
 
-    def test_parallel_matches_serial(self):
-        grid = np.linspace(0.0, 1.0, 11)
-        serial = tradeoff_sweep(grid)
-        parallel = tradeoff_sweep(grid, jobs=4)
-        assert serial == parallel
+    def test_non_finite_phase_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            tradeoff_sweep([0.5], chi=np.nan)
+
+    def test_empty_grid(self):
+        assert tradeoff_sweep([]) == []
+
+    def test_drift_names_the_first_failing_absorber(self, monkeypatch):
+        path_entropy = srt._path_entropy
+
+        def shifted(a):
+            return path_entropy(a) + 1e-6 * (np.asarray(a) >= 0.5)
+
+        monkeypatch.setattr(srt, "_path_entropy", shifted)
+        with pytest.raises(InternalConsistencyError, match=r"drifted.*absorber=0\.5\b"):
+            tradeoff_sweep([0.25, 0.5, 0.75])
+
+    def test_slack_violation_names_the_first_failing_absorber(self, monkeypatch):
+        # J_lambda + J_mu is ln 2 at the endpoints and about 0.894 at a = 0.5,
+        # so a bound of 0.8 holds in the interior and fails at a = 1.
+        monkeypatch.setattr(srt, "martens_bound", lambda *args: 0.8)
+        with pytest.raises(InternalConsistencyError, match=r"slack.*absorber=1\.0\b"):
+            tradeoff_sweep([0.5, 1.0])

@@ -14,6 +14,12 @@ def test_validation():
         ProbabilityTable([])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entries_rejected(bad):
+    with pytest.raises(ValidationError, match="non-finite"):
+        ProbabilityTable([bad, 1.0])
+
+
 def test_axis_labels_checked():
     ProbabilityTable([[0.5, 0.0], [0.0, 0.5]], axis_labels=(("+", "-"), ("1", "2")))
     with pytest.raises(ValidationError):
