@@ -29,15 +29,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
-from .measures import PovmMeasure, PvmMeasure, born_probabilities
+from .errors import DimensionMismatchError, InternalConsistencyError, ValidationError
+from .measures import PovmMeasure, PvmMeasure, _stack_violations
 from .operators import DEFAULT_TOL, State, tensor
 from .tables import ProbabilityTable
 
 #: The four limiting mirror settings of the standard experiments, paired with
-#: the quadrivariate axes that carry the informative outcomes there.
+#: the quadrivariate axes summed out there; the other two axes carry the
+#: informative outcomes.
 STANDARD_GAMMA_PAIRS = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
-_STANDARD_KEPT_AXES = ((0, 2), (0, 3), (1, 2), (1, 3))
+_STANDARD_DROPPED_AXES = ((1, 3), (1, 2), (0, 3), (0, 2))
 
 #: Sign placements of the eight CHSH combinations: every pattern
 #: ``(s1, s2, s3, s4)`` over the correlators (E11, E12, E21, E22) whose sign
@@ -49,12 +50,67 @@ CHSH_SIGN_PATTERNS = tuple(
 )
 
 
+_SIGN_LABELS = ("+", "-")
+_ARM_LABELS = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
+_ANGLE_NAMES = ("theta1", "theta1p", "theta2", "theta2p")
+
+
+def _finite_angles(angles, names: Sequence[str]) -> np.ndarray:
+    values = np.array([float(a) for a in angles])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(f"angle {names[bad[0]]} is non-finite: {float(values[bad[0]])!r}")
+    return values
+
+
+def _polarization_stack(angles, names: Sequence[str]) -> np.ndarray:
+    """Unvalidated ``(N, 2, 2, 2)`` projector pairs ``(E+, E-)`` for N plane angles."""
+    theta = _finite_angles(angles, names)
+    c, s = np.cos(theta), np.sin(theta)
+    vectors = np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
+    return (vectors[..., :, None] * vectors[..., None, :]).astype(complex)
+
+
+def _arm_stacks(gammas, angles, names: Sequence[str], tol: float) -> np.ndarray:
+    """Validated arm POVMs of shape ``(A, G, 4, 2, 2)`` in ``_ARM_LABELS`` order.
+
+    ``gammas`` has shape ``(A, G)``: G mirror settings for each of A arms;
+    ``angles`` lists ``theta, theta'`` per arm.  One stacked validation covers
+    the analyzer projectors of all angles, one more every arm POVM.
+    """
+    projectors = _polarization_stack(angles, names)
+    direct, reflected = projectors[0::2, None], projectors[1::2, None]
+    g = np.asarray(gammas, dtype=float)
+    w = g[..., None, None]
+    zero = np.zeros(g.shape + (2, 2), dtype=complex)
+    arms = np.stack([zero, w * direct[:, :, 0], (1.0 - w) * reflected[:, :, 0],
+                     w * direct[:, :, 1] + (1.0 - w) * reflected[:, :, 1]], axis=-3)
+    for stack, projective in ((projectors, True), (arms, False)):
+        invalid = _stack_violations(stack, tol, projective)
+        if invalid:
+            index, lines = next(iter(invalid.items()))
+            where = (f"angle {names[index[0]]}" if projective
+                     else f"arm {index[0] + 1} at gamma={float(g[index])!r}")
+            raise ValidationError(f"{where}: " + "; ".join(lines))
+    return arms
+
+
+def _born_products(rho: State, arm1: np.ndarray, arm2: np.ndarray, tol: float) -> np.ndarray:
+    """``p[..., m1, n1, m2, n2] = Tr(rho E1_i (x) E2_j)`` for broadcast ``(..., 4, 2, 2)`` arms."""
+    if rho.dim != 4:
+        raise DimensionMismatchError(f"two-photon state must have dimension 4, got {rho.dim}")
+    r = rho.matrix.reshape(2, 2, 2, 2)
+    probs = np.real(np.einsum("...ica,...jdb,abcd->...ij", arm1, arm2, r))
+    if not probs.min() >= -tol:
+        raise InternalConsistencyError(
+            f"probability {probs.min():.3e} below -tol from validated inputs"
+        )
+    return probs.reshape(probs.shape[:-2] + (2, 2, 2, 2))
+
+
 def polarization_pvm(theta: float, tol: float = DEFAULT_TOL) -> PvmMeasure:
     """Linear-polarization observable at plane angle ``theta`` (radians)."""
-    c, s = np.cos(float(theta)), np.sin(float(theta))
-    plus = np.outer([c, s], [c, s]).astype(complex)
-    minus = np.outer([-s, c], [-s, c]).astype(complex)
-    return PvmMeasure([plus, minus], labels=("+", "-"), tol=tol)
+    return PvmMeasure(_polarization_stack([theta], ("theta",))[0], labels=_SIGN_LABELS, tol=tol)
 
 
 def arm_povm(
@@ -70,17 +126,8 @@ def arm_povm(
     g = float(gamma)
     if not 0.0 <= g <= 1.0:
         raise ValidationError(f"mirror transmissivity must lie in [0, 1], got {gamma!r}")
-    direct = polarization_pvm(theta, tol)
-    reflected = polarization_pvm(theta_p, tol)
-    zero = np.zeros((2, 2), dtype=complex)
-    elements = [
-        zero,
-        g * direct.elements[0],
-        (1.0 - g) * reflected.elements[0],
-        g * direct.elements[1] + (1.0 - g) * reflected.elements[1],
-    ]
-    labels = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
-    return PovmMeasure(elements, labels=labels, index_shape=(2, 2), tol=tol)
+    elements = _arm_stacks([[g]], [theta, theta_p], ("theta", "theta_p"), tol)[0, 0]
+    return PovmMeasure(elements, labels=_ARM_LABELS, index_shape=(2, 2), tol=tol)
 
 
 def bell_state(tol: float = DEFAULT_TOL) -> State:
@@ -109,8 +156,9 @@ class AspectConfig:
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
             object.__setattr__(self, name, value)
-        for name in ("theta1", "theta1p", "theta2", "theta2p"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        angles = _finite_angles([getattr(self, name) for name in _ANGLE_NAMES], _ANGLE_NAMES)
+        for name, value in zip(_ANGLE_NAMES, angles.tolist()):
+            object.__setattr__(self, name, value)
         if self.state.dim != 4:
             raise DimensionMismatchError(
                 f"two-photon state must have dimension 4, got {self.state.dim}"
@@ -118,27 +166,28 @@ class AspectConfig:
 
 
 def quadrivariate_povm(config: AspectConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
-    """Product POVM of the two arm arrangements, indexed ``(m1, n1, m2, n2)``."""
+    """Product POVM of the two arm arrangements, indexed ``(m1, n1, m2, n2)``.
+
+    Built only on request; the joint tables use the product structure instead.
+    """
     arm1 = arm_povm(config.gamma1, config.theta1, config.theta1p, tol)
     arm2 = arm_povm(config.gamma2, config.theta2, config.theta2p, tol)
-    elements = []
-    labels = []
-    for e1, l1 in zip(arm1.elements, arm1.labels):
-        for e2, l2 in zip(arm2.elements, arm2.labels):
-            elements.append(tensor(e1, e2))
-            labels.append(l1 + l2)
-    return PovmMeasure(
-        elements, labels=tuple(labels), index_shape=(2, 2, 2, 2), tol=tol
-    )
+    elements = [tensor(e1, e2) for e1 in arm1.elements for e2 in arm2.elements]
+    labels = tuple(l1 + l2 for l1 in arm1.labels for l2 in arm2.labels)
+    return PovmMeasure(elements, labels=labels, index_shape=(2, 2, 2, 2), tol=tol)
 
 
 def joint_probabilities(config: AspectConfig, tol: float = DEFAULT_TOL) -> ProbabilityTable:
     """Outcome distribution of the full arrangement on the configured state.
 
-    Because the quadrivariate POVM factorizes over the arms, the bivariate
+    The quadrivariate POVM factorizes over the arms, so the table is one
+    contraction of the two arm POVMs with the state, and the bivariate
     marginal seen in one arm never depends on the mirror setting of the other.
     """
-    return born_probabilities(quadrivariate_povm(config, tol), config.state, tol)
+    angles = [getattr(config, name) for name in _ANGLE_NAMES]
+    arms = _arm_stacks([[config.gamma1], [config.gamma2]], angles, _ANGLE_NAMES, tol)
+    probs = _born_products(config.state, arms[0, 0], arms[1, 0], tol)
+    return ProbabilityTable(probs, axis_labels=(_SIGN_LABELS,) * 4, tol=tol)
 
 
 def correlator(table: ProbabilityTable) -> float:
@@ -206,20 +255,15 @@ def standard_composite(
     D'; the composite therefore pairs the settings as (A, B), (A, B'),
     (A', B), (A', B') with A, A' the first arm's angles and B, B' the second's.
     Unlike a single arrangement, these four tables come from four distinct
-    experiments and need not admit any joint distribution.
+    experiments and need not admit any joint distribution.  All four come from
+    one contraction over the (2, 2) grid of mirror limits.
     """
     rho = bell_state(tol) if state is None else state
-    tables = []
-    for (gamma1, gamma2), kept in zip(STANDARD_GAMMA_PAIRS, _STANDARD_KEPT_AXES):
-        config = AspectConfig(
-            gamma1=gamma1,
-            gamma2=gamma2,
-            theta1=theta1,
-            theta1p=theta1p,
-            theta2=theta2,
-            theta2p=theta2p,
-            state=rho,
-        )
-        tables.append(joint_probabilities(config, tol).marginal(keep=kept))
-    tables = tuple(tables)
+    # Mirror limits (1, 0) per arm: the grid's C order is STANDARD_GAMMA_PAIRS.
+    arms = _arm_stacks([(1.0, 0.0)] * 2, [theta1, theta1p, theta2, theta2p], _ANGLE_NAMES, tol)
+    grid = _born_products(rho, arms[0][:, None], arms[1][None, :], tol)
+    tables = tuple(
+        ProbabilityTable(joint.sum(axis=drop), axis_labels=(_SIGN_LABELS,) * 2, tol=tol)
+        for joint, drop in zip(grid.reshape(4, 2, 2, 2, 2), _STANDARD_DROPPED_AXES)
+    )
     return CompositeResult(tables=tables, chsh=chsh_value(tables))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -208,6 +209,12 @@ def _chsh_report_dict(report) -> dict:
     }
 
 
+def _chsh_csv_lines(report) -> list[str]:
+    return ["signs,value"] + [
+        f"\"{' '.join(f'{s:+d}' for s in signs)}\",{_fmt(value)}" for signs, value in report.values
+    ]
+
+
 def _cmd_aspect(args) -> int:
     angles = _parse_angles(args.angles)
     state = _load_state(args.state, args.tol)
@@ -217,10 +224,7 @@ def _cmd_aspect(args) -> int:
         if args.fmt == "json":
             _write(serialize.dump_json(_chsh_report_dict(result.chsh)), args.out)
         else:
-            lines = ["signs,value"]
-            for signs, value in result.chsh.values:
-                lines.append(f"\"{' '.join(f'{s:+d}' for s in signs)}\",{_fmt(value)}")
-            lines.append(f"max_abs,{_fmt(result.chsh.max_abs)}")
+            lines = _chsh_csv_lines(result.chsh) + [f"max_abs,{_fmt(result.chsh.max_abs)}"]
             _write("\n".join(lines), args.out)
         print(f"|S| = {result.chsh.max_abs:.9f} over the four limiting arrangements", file=sys.stderr)
         return EX_OK
@@ -249,7 +253,7 @@ def _cmd_aspect(args) -> int:
             _write("\n".join(lines), args.out)
         return EX_OK
 
-    marginals = MarginalSet.from_quadrivariate(joint, tol=max(args.tol, 1e-9))
+    marginals = MarginalSet.from_quadrivariate(joint, tol=args.tol)
     if args.emit == "marginals":
         if args.fmt == "json":
             _write(serialize.dump_json(serialize.marginals_to_dict(marginals)), args.out)
@@ -266,19 +270,14 @@ def _cmd_aspect(args) -> int:
     if args.fmt == "json":
         _write(serialize.dump_json(_chsh_report_dict(report)), args.out)
     else:
-        lines = ["signs,value"]
-        for signs, value in report.values:
-            lines.append(f"\"{' '.join(f'{s:+d}' for s in signs)}\",{_fmt(value)}")
-        _write("\n".join(lines), args.out)
+        _write("\n".join(_chsh_csv_lines(report)), args.out)
     return EX_OK
 
 
 def _cmd_fine(args) -> int:
-    marginals = serialize.marginals_from_dict(
-        serialize.load_json(args.marginals), tol=max(args.tol, 1e-9)
-    )
+    marginals = serialize.marginals_from_dict(serialize.load_json(args.marginals), tol=args.tol)
     try:
-        decision = joint_exists(marginals, tol=max(args.tol, 1e-9))
+        decision = joint_exists(marginals, tol=args.tol)
     except NoSignalingError as exc:
         _write(serialize.dump_json({"decision": "no-signaling-violation", "detail": str(exc)}), args.out)
         return 3
@@ -326,6 +325,8 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EX_USAGE
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise _UsageError(f"--tol must be a finite number greater than 0, got {args.tol!r}")
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

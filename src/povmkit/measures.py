@@ -70,6 +70,8 @@ def _stack_violations(
         not_orthogonal = ~(overlaps <= tol) & finite[..., :, None] & finite[..., None, :]
         not_orthogonal = np.triu(not_orthogonal, k=1)
         bad |= not_projector.any(axis=-1) | not_orthogonal.any(axis=(-2, -1))
+    if not bad.any():
+        return {}
 
     found = {}
     for index in map(tuple, np.argwhere(bad)):

@@ -215,8 +215,43 @@ def test_config_validation():
         AspectConfig(0.5, 0.5, 0.0, 0.0, 0.0, 0.0, State.maximally_mixed(2))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
 def test_non_finite_polarization_angle_rejected(theta):
-    with pytest.raises(ValidationError, match="non-finite"):
+    with pytest.raises(ValidationError, match="angle theta is non-finite"):
         polarization_pvm(theta)
+    with pytest.raises(ValidationError, match="angle theta_p is non-finite"):
+        arm_povm(0.5, 0.0, theta)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("position", range(4))
+def test_non_finite_arrangement_angle_named_before_any_trig(position, value):
+    # Rejected up front, so numpy never warns about cos(inf).
+    angles = [0.1, 0.2, 0.3, 0.4]
+    angles[position] = value
+    name = ("theta1", "theta1p", "theta2", "theta2p")[position]
+    with pytest.raises(ValidationError, match=f"angle {name} is non-finite"):
+        make_config(0.5, 0.5, angles=angles)
+    with pytest.raises(ValidationError, match=f"angle {name} is non-finite"):
+        standard_composite(*angles)
+
+
+def test_standard_composite_requires_two_photon_state():
+    with pytest.raises(DimensionMismatchError, match="dimension 4"):
+        standard_composite(*TSIRELSON_ANGLES, state=State.maximally_mixed(2))
+
+
+def test_born_kernel_rejects_negative_probability():
+    # Validated inputs cannot produce one; a corrupted state must not pass.
+    from types import SimpleNamespace
+
+    from povmkit import InternalConsistencyError
+    from povmkit.aspect import _arm_stacks, _born_products
+
+    names = ("theta1", "theta1p", "theta2", "theta2p")
+    arms = _arm_stacks([[1.0], [1.0]], [0.0, 0.0, 0.0, 0.0], names, 1e-9)
+    corrupted = SimpleNamespace(dim=4, matrix=np.diag([-0.5, 0.5, 0.5, 0.5]).astype(complex))
+    with pytest.raises(InternalConsistencyError, match="below -tol"):
+        _born_products(corrupted, arms[0, 0], arms[1, 0], 1e-9)

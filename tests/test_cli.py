@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,101 @@ class TestAspect:
         lines = out.strip().splitlines()
         assert lines[0] == "signs,value"
         assert len(lines) == 9
+
+
+    @pytest.mark.parametrize("angles", ["inf,0,0,0", "0,nan,0,0", "0,0,inf,0", "0,0,0,-inf"])
+    @pytest.mark.parametrize(
+        "mode",
+        [("standard-composite",), ("--gamma1", "0.5", "--gamma2", "0.5", "--emit", "chsh")],
+        ids=["standard-composite", "fixed"],
+    )
+    def test_non_finite_angles_exit_65_with_one_line(self, capsys, angles, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "aspect", *mode, "--angles", angles)
+        assert code == 65
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: angle theta")
+        assert "non-finite" in err
+
+    def test_chsh_csv_matches_json_report(self, capsys):
+        for argv, extra in (
+            (("aspect", "standard-composite"), 1),
+            (("aspect", "--gamma1", "0.3", "--gamma2", "0.6", "--emit", "chsh"), 0),
+        ):
+            _, out_json, _ = run(capsys, *argv, "--angles", TSIRELSON_ANGLE_ARG)
+            _, out_csv, _ = run(capsys, *argv, "--angles", TSIRELSON_ANGLE_ARG, "--format", "csv")
+            report = json.loads(out_json)
+            lines = out_csv.splitlines()
+            assert lines[0] == "signs,value"
+            assert len(lines) == 9 + extra
+            for line, entry in zip(lines[1:9], report["values"]):
+                signs, value = line.rsplit(",", 1)
+                assert signs == '"' + " ".join(f"{s:+d}" for s in entry["signs"]) + '"'
+                assert float(value) == entry["value"]
+            if extra:
+                assert lines[9] == f"max_abs,{report['max_abs']!r}"
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "0.0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("aspect", "standard-composite", "--angles", TSIRELSON_ANGLE_ARG),
+            ("srt", "sweep", "--points", "3"),
+            ("fine", "--marginals", "missing.json"),
+        ],
+        ids=["aspect", "srt", "fine"],
+    )
+    def test_invalid_tol_rejected(self, capsys, argv, tol):
+        code, out, err = run(capsys, *argv, f"--tol={tol}")
+        assert code == 65
+        assert out == ""
+        assert err.startswith("error: --tol must be a finite number greater than 0")
+
+    def test_negative_tol_as_separate_argument(self, capsys):
+        code, _, err = run(capsys, "srt", "sweep", "--points", "3", "--tol", "-1")
+        assert code == 65
+        assert "--tol" in err
+
+    def test_strict_tol_reaches_fine(self, capsys, tmp_path):
+        # Single-variable marginals disagree by 1e-11: consistent at the
+        # default tolerance, a no-signaling violation at --tol 1e-12.
+        data = {
+            "AB": [[0.25 + 1e-11, 0.25], [0.25 - 1e-11, 0.25]],
+            "ABp": [[0.25, 0.25], [0.25, 0.25]],
+            "ApB": [[0.25, 0.25], [0.25, 0.25]],
+            "ApBp": [[0.25, 0.25], [0.25, 0.25]],
+        }
+        path = tmp_path / "nearly.json"
+        serialize.dump_json(data, path)
+        code, out, _ = run(capsys, "fine", "--marginals", str(path))
+        assert code == 0
+        assert json.loads(out)["decision"] == "feasible"
+        code, out, _ = run(capsys, "fine", "--marginals", str(path), "--tol", "1e-12")
+        assert code == 3
+        assert json.loads(out)["decision"] == "no-signaling-violation"
+
+    def test_strict_tol_reaches_marginal_set(self, capsys, monkeypatch):
+        from povmkit import cli
+
+        seen = []
+        original = cli.MarginalSet.from_quadrivariate
+
+        def spy(joint, tol):
+            seen.append(tol)
+            return original(joint, tol=tol)
+
+        monkeypatch.setattr(cli.MarginalSet, "from_quadrivariate", staticmethod(spy))
+        code, _, _ = run(
+            capsys,
+            "aspect", "--gamma1", "0.4", "--gamma2", "0.9", "--angles", TSIRELSON_ANGLE_ARG,
+            "--emit", "marginals", "--tol", "1e-12",
+        )
+        assert code == 0
+        assert seen == [1e-12]
 
 
 class TestFine:

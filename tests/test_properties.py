@@ -4,18 +4,25 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from povmkit import (
+    AspectConfig,
+    State,
     SrtConfig,
+    bell_state,
+    born_probabilities,
     check_martens,
+    joint_probabilities,
     interference_pvm,
     path_pvm,
     povm_violations,
     pvm_violations,
+    quadrivariate_povm,
     solve_nonideality,
     srt_bivariate,
+    standard_composite,
     tradeoff_sweep,
 )
 from povmkit.measures import _stack_violations
@@ -177,3 +184,56 @@ def test_batch_keys_follow_c_order(projective):
     batch = np.stack([[valid, broken, valid], [broken, valid, broken]])
     found = _stack_violations(batch, TOL, projective)
     assert list(found) == [(0, 1), (1, 0), (1, 2)]
+
+
+# -- (c) the product Born rule against the explicit 16x16 measure ----------
+
+transmissivities = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+angle = st.floats(min_value=-2.0 * np.pi, max_value=2.0 * np.pi, allow_nan=False)
+
+
+@st.composite
+def two_photon_states(draw):
+    """The singlet, or ``G G^dag / Tr`` from a drawn complex 4 x rank block."""
+    rank = draw(st.integers(min_value=0, max_value=4))
+    if rank == 0:
+        return bell_state()
+    entries = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=32, max_size=32))
+    block = (np.array(entries[:16]) + 1j * np.array(entries[16:])).reshape(4, 4)[:, :rank]
+    gram = block @ block.conj().T
+    trace = float(np.real(np.trace(gram)))
+    assume(trace > 1e-3)
+    return State(gram / trace)
+
+
+@PROPERTY_SETTINGS
+@given(
+    gamma1=transmissivities,
+    gamma2=transmissivities,
+    angles=st.tuples(angle, angle, angle, angle),
+    state=two_photon_states(),
+)
+def test_joint_probabilities_match_quadrivariate_born_rule(gamma1, gamma2, angles, state):
+    config = AspectConfig(gamma1, gamma2, *angles, state=state)
+    got = joint_probabilities(config)
+    want = born_probabilities(quadrivariate_povm(config), state)
+    assert got.shape == want.shape == (2, 2, 2, 2)
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12
+    assert got.axis_labels == want.axis_labels
+
+
+@PROPERTY_SETTINGS
+@given(angles=st.tuples(angle, angle, angle, angle), state=two_photon_states())
+def test_standard_composite_matches_four_explicit_arrangements(angles, state):
+    result = standard_composite(*angles, state=state)
+    kept = ((0, 2), (0, 3), (1, 2), (1, 3))
+    limits = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
+    assert len(result.tables) == 4
+    for table, (gamma1, gamma2), axes in zip(result.tables, limits, kept):
+        config = AspectConfig(gamma1, gamma2, *angles, state=state)
+        want = born_probabilities(quadrivariate_povm(config), state).marginal(keep=axes)
+        assert np.max(np.abs(table.values - want.values)) <= 1e-12
+        assert table.axis_labels == want.axis_labels
