@@ -102,6 +102,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _join_angles(argv: list[str]) -> list[str]:
+    """Spell ``--angles VALUE`` as ``--angles=VALUE``, so that argparse does not
+    take a value with a leading minus sign, such as ``-0.5,0,0,0``, for an option."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--angles" and not token.startswith("--"):
+            joined[-1] = f"--angles={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def _parse_angles(text: str | None) -> tuple[float, float, float, float]:
     if text is None:
         raise _UsageError("--angles is required")
@@ -321,7 +333,7 @@ def main(argv=None) -> int:
         return EX_USAGE
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_angles(argv))
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EX_USAGE

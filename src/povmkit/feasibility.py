@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .aspect import ChshReport, chsh_value
 from .errors import (
@@ -33,7 +32,8 @@ LP_OPT_TOL = 1e-10
 #: sitting on the feasibility boundary.
 BOUNDARY_TOL = 1e-9
 
-_VARIABLE_NAMES = ("A", "A'", "B", "B'")
+#: Joint axes (A, A', B, B') kept by each of the four tables, in table order.
+_TABLE_AXES = ((0, 2), (0, 3), (1, 2), (1, 3))
 
 
 def _coerce_2x2(table, tol: float) -> ProbabilityTable:
@@ -80,13 +80,7 @@ class MarginalSet:
             raise DimensionMismatchError(
                 f"expected a (2, 2, 2, 2) joint table, got shape {joint.values.shape}"
             )
-        return cls(
-            ab=joint.marginal(keep=(0, 2)),
-            abp=joint.marginal(keep=(0, 3)),
-            apb=joint.marginal(keep=(1, 2)),
-            apbp=joint.marginal(keep=(1, 3)),
-            tol=tol,
-        )
+        return cls(*(joint.marginal(keep=axes) for axes in _TABLE_AXES), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -192,43 +186,30 @@ def phase1_simplex(
     return float(max(objective[-1], 0.0)), x
 
 
-def _marginal_equations(marginals: MarginalSet) -> tuple[np.ndarray, np.ndarray]:
+def _equation_matrix() -> np.ndarray:
     """All 16 marginal equations plus normalization over the flat joint.
 
-    Joint variables are indexed ``x[a, a', b, b']`` in C order.
+    Joint variables are indexed ``x[a, a', b, b']`` in C order; row ``4 t + 2 i + j``
+    sums the joint entries where table ``t`` of :meth:`MarginalSet.tables` reads
+    outcome ``(i, j)``.
     """
-    rows = []
-    rhs = []
-    index = np.arange(16).reshape(2, 2, 2, 2)
-    blocks = (
-        (marginals.ab, (0, 2)),
-        (marginals.abp, (0, 3)),
-        (marginals.apb, (1, 2)),
-        (marginals.apbp, (1, 3)),
-    )
-    for table, axes in blocks:
-        for i in range(2):
-            for j in range(2):
-                selector = [slice(None)] * 4
-                selector[axes[0]] = i
-                selector[axes[1]] = j
-                row = np.zeros(16)
-                row[index[tuple(selector)].reshape(-1)] = 1.0
-                rows.append(row)
-                rhs.append(float(table.values[i, j]))
-    rows.append(np.ones(16))
-    rhs.append(1.0)
-    return np.array(rows), np.array(rhs)
+    outcomes = np.indices((2, 2, 2, 2)).reshape(4, 16)
+    rows = [
+        (outcomes[first] == i) & (outcomes[second] == j)
+        for first, second in _TABLE_AXES
+        for i in range(2)
+        for j in range(2)
+    ]
+    matrix = np.vstack(rows + [np.ones(16, dtype=bool)]).astype(float)
+    matrix.setflags(write=False)
+    return matrix
 
 
-def _independent_rows(a: np.ndarray) -> np.ndarray:
-    """Indices of a maximal linearly independent subset of rows of ``a``."""
-    _, r, pivots = scipy.linalg.qr(a.T, pivoting=True)
-    diagonal = np.abs(np.diag(r))
-    if diagonal.size == 0 or diagonal[0] == 0.0:
-        return np.array([], dtype=int)
-    rank = int(np.sum(diagonal > diagonal[0] * 1e-12))
-    return np.sort(pivots[:rank])
+_EQUATIONS = _equation_matrix()
+#: A maximal linearly independent row subset of ``_EQUATIONS`` (rank 9): the
+#: sorted pivots of a column-pivoted QR of its transpose.
+_KEEP = (1, 3, 5, 6, 7, 9, 12, 13, 16)
+_REDUCED = _EQUATIONS.take(_KEEP, axis=0)
 
 
 @dataclass(frozen=True)
@@ -272,10 +253,10 @@ def joint_exists(marginals: MarginalSet, tol: float = DEFAULT_TOL) -> JointDecis
     chsh_feasible = report.max_abs <= 2.0 + tol
     boundary = abs(report.max_abs - 2.0) <= max(tol, BOUNDARY_TOL)
 
-    equations, rhs = _marginal_equations(marginals)
-    keep = _independent_rows(equations)
-    optimum, x = phase1_simplex(equations[keep], rhs[keep])
-    residual = float(np.max(np.abs(equations @ x - rhs)))
+    rhs = np.ones(17)
+    rhs[:16] = np.stack([t.values for t in marginals.tables()]).reshape(-1)
+    optimum, x = phase1_simplex(_REDUCED, rhs.take(_KEEP))
+    residual = float(np.max(np.abs(_EQUATIONS @ x - rhs)))
     lp_feasible = optimum <= LP_OPT_TOL and residual <= tol
 
     if lp_feasible != chsh_feasible and not boundary:

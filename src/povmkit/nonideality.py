@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     DimensionMismatchError,
@@ -26,6 +25,9 @@ from .operators import DEFAULT_TOL
 #: Residual above which a solved decomposition is flagged as *not* an exact
 #: nonideal-measurement relation.  Repo convention, configurable per call.
 DECOMPOSITION_TOL = 1e-8
+#: Iteration cap of the active-set program behind the constrained solve; a
+#: program still moving after this many steps raises instead of returning.
+QP_MAX_ITERATIONS = 200
 
 
 def _stochastic_violation(matrices: np.ndarray, tol: float) -> tuple[int, str] | None:
@@ -118,7 +120,7 @@ def _stochastic_least_squares(gram: np.ndarray, cross: np.ndarray) -> np.ndarray
 
     x = np.full(n_vars, 1.0 / n_rows)
     active: set[int] = set()
-    for _ in range(200):
+    for _ in range(QP_MAX_ITERATIONS):
         free = np.array(sorted(set(range(n_vars)) - active), dtype=int)
         kkt = np.zeros((free.size + n_cols, free.size + n_cols))
         kkt[: free.size, : free.size] = hessian[np.ix_(free, free)]
@@ -157,6 +159,10 @@ def _stochastic_least_squares(gram: np.ndarray, cross: np.ndarray) -> np.ndarray
             # Full step taken with no blocking bound; loop once more to
             # confirm stationarity or release an active bound.
             continue
+    else:
+        raise InternalConsistencyError(
+            f"constrained decomposition did not converge in {QP_MAX_ITERATIONS} active-set steps"
+        )
     return np.clip(x, 0.0, None).reshape(n_rows, n_cols)
 
 
@@ -221,11 +227,17 @@ def solve_nonideality(
     )
 
 
+def _xlogx(x) -> np.ndarray:
+    """Elementwise ``x * log(x)`` for ``x >= 0``, taking ``0 * log(0)`` as 0."""
+    x = np.asarray(x, dtype=float)
+    return x * np.log(x + (x == 0))
+
+
 def _row_entropy(matrices: np.ndarray) -> np.ndarray:
     """Average row entropy of each matrix in an ``(..., I, J)`` stack."""
     clipped = np.clip(matrices, 0.0, None)
     row_sums = clipped.sum(axis=-1)
-    entropy = xlogy(row_sums, row_sums).sum(axis=-1) - xlogy(clipped, clipped).sum(axis=(-2, -1))
+    entropy = _xlogx(row_sums).sum(axis=-1) - _xlogx(clipped).sum(axis=(-2, -1))
     return np.maximum(entropy, 0.0) / matrices.shape[-2]
 
 

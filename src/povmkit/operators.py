@@ -153,6 +153,8 @@ class State:
 
     def __post_init__(self):
         arr = as_operator(self.matrix, name="state")
+        if not np.isfinite(arr).all():
+            raise ValidationError("state has non-finite entries")
         if not is_hermitian(arr, self.tol):
             raise ValidationError("state is not Hermitian within tolerance")
         eigenvalues = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
@@ -173,6 +175,8 @@ class State:
     def pure(cls, vector, tol: float = DEFAULT_TOL) -> "State":
         """Build the projector state ``|v><v| / <v|v>`` from a state vector."""
         vec = np.asarray(vector, dtype=complex).reshape(-1)
+        if not np.isfinite(vec).all():
+            raise ValidationError("state vector has non-finite entries")
         norm = np.linalg.norm(vec)
         if norm == 0:
             raise ValidationError("cannot normalize the zero vector")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import InternalConsistencyError, ValidationError
 from .measures import PovmMeasure, PvmMeasure, _stack_violations
@@ -28,6 +27,7 @@ from .nonideality import (
     _row_entropy,
     _solve_stack,
     _stochastic_violation,
+    _xlogx,
     martens_bound,
 )
 from .operators import DEFAULT_TOL
@@ -146,24 +146,22 @@ def interference_nonideality_matrix(absorber: float) -> NonidealityMatrix:
 
 
 def _path_entropy(a):
-    return 0.5 * (xlogy(1.0 + a, 1.0 + a) - xlogy(a, a))
+    return 0.5 * (_xlogx(1.0 + a) - _xlogx(a))
 
 
 def _interference_entropy(a):
     root = np.sqrt(a)
-    return 0.5 * (
-        2.0 * np.log(2.0) - xlogy(1.0 + root, 1.0 + root) - xlogy(1.0 - root, 1.0 - root)
-    )
+    return 0.5 * (2.0 * np.log(2.0) - _xlogx(1.0 + root) - _xlogx(1.0 - root))
 
 
 def path_nonideality_entropy(absorber: float) -> float:
     """Closed-form row entropy of the path smearing matrix."""
-    return float(_path_entropy(float(absorber)))
+    return float(_path_entropy(SrtConfig(absorber).absorber))
 
 
 def interference_nonideality_entropy(absorber: float) -> float:
     """Closed-form row entropy of the interference smearing matrix."""
-    return float(_interference_entropy(float(absorber)))
+    return float(_interference_entropy(SrtConfig(absorber).absorber))
 
 
 class TradeoffPoint(NamedTuple):

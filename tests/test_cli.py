@@ -232,6 +232,14 @@ class TestAspect:
         assert err.startswith("error: angle theta")
         assert "non-finite" in err
 
+    def test_negative_leading_angle_in_either_spelling(self, capsys):
+        # argparse would take a separate "-0.5,..." for an option.
+        separate = run(capsys, "aspect", "standard-composite", "--angles", "-0.5,0,0,0")
+        joined = run(capsys, "aspect", "standard-composite", "--angles=-0.5,0,0,0")
+        assert separate[0] == 0
+        assert separate == joined
+        assert json.loads(separate[1])["max_abs"] == pytest.approx(2.0)
+
     def test_chsh_csv_matches_json_report(self, capsys):
         for argv, extra in (
             (("aspect", "standard-composite"), 1),

@@ -14,6 +14,7 @@ from povmkit import (
     phase1_simplex,
     standard_composite,
 )
+from povmkit import feasibility
 from povmkit.sampling import (
     mix_marginals,
     pr_box_marginals,
@@ -99,6 +100,30 @@ class TestSimplex:
         b = np.array([-1.0])
         optimum, _ = phase1_simplex(a, b)
         assert optimum > 0.5
+
+
+class TestEquationStructure:
+    def test_kept_rows_span_every_equation(self):
+        rank = np.linalg.matrix_rank(feasibility._EQUATIONS)
+        assert rank == 9
+        assert np.linalg.matrix_rank(feasibility._EQUATIONS[list(feasibility._KEEP)]) == rank
+
+    def test_kept_rows_are_the_pivoted_qr_selection(self):
+        # The rows a column-pivoted QR of the transpose picks, so the simplex
+        # sees the same reduced system as a per-call rank reduction would.
+        import scipy.linalg
+
+        _, r, pivots = scipy.linalg.qr(feasibility._EQUATIONS.T, pivoting=True)
+        diagonal = np.abs(np.diag(r))
+        rank = int(np.sum(diagonal > diagonal[0] * 1e-12))
+        assert feasibility._KEEP == tuple(sorted(int(k) for k in pivots[:rank]))
+
+    def test_rows_follow_table_order(self, rng):
+        raw = rng.random((2, 2, 2, 2))
+        raw /= raw.sum()
+        marginals = MarginalSet.from_quadrivariate(ProbabilityTable(raw))
+        expected = [t.values.reshape(-1) for t in marginals.tables()] + [[raw.sum()]]
+        assert np.allclose(feasibility._EQUATIONS @ raw.reshape(-1), np.concatenate(expected))
 
 
 class TestJointExists:

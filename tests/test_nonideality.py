@@ -3,6 +3,7 @@ import pytest
 
 from povmkit import (
     DimensionMismatchError,
+    InternalConsistencyError,
     NonidealityMatrix,
     PovmMeasure,
     PvmMeasure,
@@ -22,6 +23,7 @@ from povmkit.srt import (
     path_pvm,
     srt_bivariate,
 )
+from povmkit import nonideality
 from povmkit.sampling import random_basis_pvm
 
 LN2 = np.log(2.0)
@@ -119,6 +121,15 @@ class TestSolver:
         with pytest.raises(DimensionMismatchError):
             solve_nonideality(random_basis_pvm(2, rng), random_basis_pvm(3, rng))
 
+    def test_unconverged_constrained_path_raises(self, monkeypatch):
+        # The dependent-target case above needs several active-set steps; a
+        # cap below that must surface as an error, not a silent result.
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        target = PovmMeasure([0.5 * p0, 0.5 * p1, 0.5 * np.eye(2)])
+        monkeypatch.setattr(nonideality, "QP_MAX_ITERATIONS", 1)
+        with pytest.raises(InternalConsistencyError, match="did not converge"):
+            solve_nonideality(path_pvm(), target)
+
     def test_constrained_path_still_feasible(self, rng):
         # Observed measures that are not smeared versions of the target push
         # the solver onto the constrained path; invariants must still hold.
@@ -167,6 +178,17 @@ class TestSolver:
 
 
 class TestEntropy:
+    def test_xlogx_matches_scipy_xlogy(self, rng):
+        # numpy's vectorized log and the C library's log differ by at most
+        # one ulp of log(x) on a fraction of a percent of inputs; the product
+        # with x carries that to at most two ulps of x log x.
+        from scipy.special import xlogy
+
+        x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 2.0, size=100000)])
+        got = nonideality._xlogx(x)
+        assert got[0] == 0.0 and got[1] == 0.0
+        np.testing.assert_array_max_ulp(got, xlogy(x, x), maxulp=2)
+
     def test_identity_has_zero_entropy(self):
         assert nonideality_entropy(np.eye(3)) == 0.0
 

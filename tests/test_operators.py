@@ -127,6 +127,21 @@ class TestState:
         with pytest.raises(ValidationError):
             State(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: State(np.full((2, 2), np.nan)),
+            lambda: State(np.array([[np.inf, 0.0], [0.0, 0.0]])),
+            lambda: State.pure([np.inf, 0.0]),
+            lambda: State.pure([1.0, np.nan]),
+        ],
+        ids=["nan-matrix", "inf-matrix", "inf-vector", "nan-vector"],
+    )
+    def test_non_finite_entries_rejected_by_name(self, build):
+        with pytest.raises(ValidationError, match="non-finite"):
+            build()
+
     def test_trace_distance_of_orthogonal_pure_states(self):
         assert trace_distance(State.pure([1, 0]), State.pure([0, 1])) == pytest.approx(1.0)
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from povmkit import (
     AspectConfig,
+    MarginalSet,
+    ProbabilityTable,
     State,
     SrtConfig,
     bell_state,
@@ -16,6 +18,7 @@ from povmkit import (
     check_martens,
     joint_probabilities,
     interference_pvm,
+    joint_exists,
     path_pvm,
     povm_violations,
     pvm_violations,
@@ -26,6 +29,7 @@ from povmkit import (
     tradeoff_sweep,
 )
 from povmkit.measures import _stack_violations
+from povmkit.sampling import mix_marginals, pr_box_marginals, random_no_signaling_marginals
 
 #: Derandomized so every run draws the same examples; no example database.
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -237,3 +241,35 @@ def test_standard_composite_matches_four_explicit_arrangements(angles, state):
         want = born_probabilities(quadrivariate_povm(config), state).marginal(keep=axes)
         assert np.max(np.abs(table.values - want.values)) <= 1e-12
         assert table.axis_labels == want.axis_labels
+
+
+# -- (d) joint_exists witnesses against their input tables ------------------
+
+joint_weights = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=16, max_size=16)
+
+
+@PROPERTY_SETTINGS
+@given(
+    weights=joint_weights,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    pr_weight=st.floats(min_value=0.0, max_value=1.0),
+    explicit=st.booleans(),
+)
+def test_witness_reproduces_its_four_tables(weights, seed, pr_weight, explicit):
+    # Explicit joints are always feasible; PR-box mixtures of random
+    # no-signaling boxes land on both sides of |S| = 2.
+    if explicit:
+        raw = np.array(weights).reshape(2, 2, 2, 2)
+        assume(raw.sum() > 0.0)
+        marginals = MarginalSet.from_quadrivariate(ProbabilityTable(raw / raw.sum()))
+    else:
+        box = random_no_signaling_marginals(np.random.default_rng(seed))
+        marginals = mix_marginals(pr_box_marginals(), box, pr_weight)
+    decision = joint_exists(marginals, tol=TOL)
+    assert decision.feasible or not explicit
+    if decision.feasible:
+        witness = decision.joint.values
+        assert witness.min() >= 0.0
+        for table, axes in zip(marginals.tables(), ((0, 2), (0, 3), (1, 2), (1, 3))):
+            dropped = tuple(ax for ax in range(4) if ax not in axes)
+            assert np.max(np.abs(witness.sum(axis=dropped) - table.values)) <= TOL

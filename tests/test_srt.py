@@ -25,6 +25,15 @@ def test_config_rejects_out_of_range_absorber():
         SrtConfig(1.0 + 1e-6)
 
 
+@pytest.mark.parametrize("absorber", [-0.5, 1.5, float("nan")])
+@pytest.mark.parametrize("entropy", [path_nonideality_entropy, interference_nonideality_entropy])
+def test_closed_form_entropies_reject_out_of_range_absorber(entropy, absorber):
+    # x log x is taken as 0 for x = 0 only; outside [0, 1] a closed form
+    # would print a number the model does not back.
+    with pytest.raises(ValidationError, match="absorber"):
+        entropy(absorber)
+
+
 class TestObservables:
     @pytest.mark.parametrize("chi", PHASES)
     def test_path_interference_overlaps_are_half(self, chi):
