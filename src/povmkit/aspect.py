@@ -32,13 +32,13 @@ import numpy as np
 from .errors import DimensionMismatchError, InternalConsistencyError, ValidationError
 from .measures import PovmMeasure, PvmMeasure, _stack_violations
 from .operators import DEFAULT_TOL, State, tensor
-from .tables import ProbabilityTable
+from .tables import ProbabilityTable, _split_axes
 
 #: The four limiting mirror settings of the standard experiments, paired with
-#: the quadrivariate axes summed out there; the other two axes carry the
-#: informative outcomes.
+#: the axes of (A, A', B, B') that carry their informative outcomes: the
+#: setting pairs (A, B), (A, B'), (A', B), (A', B').
 STANDARD_GAMMA_PAIRS = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
-_STANDARD_DROPPED_AXES = ((1, 3), (1, 2), (0, 3), (0, 2))
+_SETTING_PAIR_AXES = ((0, 2), (0, 3), (1, 2), (1, 3))
 
 #: Sign placements of the eight CHSH combinations: every pattern
 #: ``(s1, s2, s3, s4)`` over the correlators (E11, E12, E21, E22) whose sign
@@ -126,8 +126,9 @@ def arm_povm(
     g = float(gamma)
     if not 0.0 <= g <= 1.0:
         raise ValidationError(f"mirror transmissivity must lie in [0, 1], got {gamma!r}")
+    # _arm_stacks has validated the arm, so it is not checked a second time.
     elements = _arm_stacks([[g]], [theta, theta_p], ("theta", "theta_p"), tol)[0, 0]
-    return PovmMeasure(elements, labels=_ARM_LABELS, index_shape=(2, 2), tol=tol)
+    return PovmMeasure.__new__(PovmMeasure)._init_valid(elements, _ARM_LABELS, (2, 2), tol)
 
 
 def bell_state(tol: float = DEFAULT_TOL) -> State:
@@ -263,7 +264,8 @@ def standard_composite(
     arms = _arm_stacks([(1.0, 0.0)] * 2, [theta1, theta1p, theta2, theta2p], _ANGLE_NAMES, tol)
     grid = _born_products(rho, arms[0][:, None], arms[1][None, :], tol)
     tables = tuple(
-        ProbabilityTable(joint.sum(axis=drop), axis_labels=(_SIGN_LABELS,) * 2, tol=tol)
-        for joint, drop in zip(grid.reshape(4, 2, 2, 2, 2), _STANDARD_DROPPED_AXES)
+        ProbabilityTable(joint.sum(axis=_split_axes(keep, joint.shape)[1]),
+                         axis_labels=(_SIGN_LABELS,) * 2, tol=tol)
+        for joint, keep in zip(grid.reshape(4, 2, 2, 2, 2), _SETTING_PAIR_AXES)
     )
     return CompositeResult(tables=tables, chsh=chsh_value(tables))

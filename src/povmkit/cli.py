@@ -35,6 +35,7 @@ EX_USAGE = 64
 EX_DATAERR = 65
 
 _COMMANDS = ("measure", "martens", "srt", "aspect", "fine")
+_ANGLES_SPELLINGS = frozenset("--angles"[:n] for n in range(3, 9))
 
 
 class _UsageError(Exception):
@@ -104,11 +105,13 @@ def _build_parser() -> _Parser:
 
 def _join_angles(argv: list[str]) -> list[str]:
     """Spell ``--angles VALUE`` as ``--angles=VALUE``, so that argparse does not
-    take a value with a leading minus sign, such as ``-0.5,0,0,0``, for an option."""
+    take a value with a leading minus sign, such as ``-0.5,0,0,0``, for an option.
+    Its abbreviations ``--a`` to ``--angle`` are joined alike; where one stands for
+    another option, as ``--a`` for ``srt --absorber``, the joined form means the same."""
     joined = []
     for token in argv:
-        if joined and joined[-1] == "--angles" and not token.startswith("--"):
-            joined[-1] = f"--angles={token}"
+        if joined and joined[-1] in _ANGLES_SPELLINGS and not token.startswith("--"):
+            joined[-1] = f"{joined[-1]}={token}"
         else:
             joined.append(token)
     return joined
@@ -258,9 +261,8 @@ def _cmd_aspect(args) -> int:
             _write(serialize.dump_json(serialize.table_to_dict(joint)), args.out)
         else:
             lines = ["m1,n1,m2,n2,p"]
-            labels = joint.axis_labels or tuple((0, 1) for _ in range(4))
             for idx in np.ndindex(*joint.shape):
-                outcome = ",".join(str(labels[ax][i]) for ax, i in enumerate(idx))
+                outcome = ",".join(str(joint.axis_labels[ax][i]) for ax, i in enumerate(idx))
                 lines.append(f"{outcome},{_fmt(joint.values[idx])}")
             _write("\n".join(lines), args.out)
         return EX_OK

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aspect import ChshReport, chsh_value
+from .aspect import _SETTING_PAIR_AXES, ChshReport, chsh_value
 from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
@@ -32,16 +32,13 @@ LP_OPT_TOL = 1e-10
 #: sitting on the feasibility boundary.
 BOUNDARY_TOL = 1e-9
 
-#: Joint axes (A, A', B, B') kept by each of the four tables, in table order.
-_TABLE_AXES = ((0, 2), (0, 3), (1, 2), (1, 3))
-
 
 def _coerce_2x2(table, tol: float) -> ProbabilityTable:
-    if isinstance(table, ProbabilityTable):
-        if table.shape != (2, 2):
-            raise DimensionMismatchError(f"expected a 2x2 table, got shape {table.shape}")
-        return table
-    return ProbabilityTable(table, tol=tol)
+    if not isinstance(table, ProbabilityTable):
+        table = ProbabilityTable(table, tol=tol)
+    if table.shape != (2, 2):
+        raise DimensionMismatchError(f"expected a 2x2 table, got shape {table.shape}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ class MarginalSet:
             raise DimensionMismatchError(
                 f"expected a (2, 2, 2, 2) joint table, got shape {joint.values.shape}"
             )
-        return cls(*(joint.marginal(keep=axes) for axes in _TABLE_AXES), tol=tol)
+        return cls(*(joint.marginal(keep=axes) for axes in _SETTING_PAIR_AXES), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -196,7 +193,7 @@ def _equation_matrix() -> np.ndarray:
     outcomes = np.indices((2, 2, 2, 2)).reshape(4, 16)
     rows = [
         (outcomes[first] == i) & (outcomes[second] == j)
-        for first, second in _TABLE_AXES
+        for first, second in _SETTING_PAIR_AXES
         for i in range(2)
         for j in range(2)
     ]

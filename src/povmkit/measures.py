@@ -1,8 +1,10 @@
 """POVM and PVM measures, the generalized Born rule, instrument models and tomography.
 
 A measure is an ordered family of positive operators summing to the identity.
-Validation is eager: an invalid measure cannot exist as a value, which lets
-every downstream computation presume the decomposition-of-identity property.
+Values are validated where they enter: public constructors, deserialization
+and the stacked kernels that build measures from raw parameters.  An invalid
+measure cannot exist as a value, so every downstream computation presumes the
+decomposition-of-identity property; a marginal inherits validity unchecked.
 Multi-outcome-variable arrangements (bivariate, quadrivariate) are stored flat
 together with an ``index_shape``; marginalization is an index sum.
 """
@@ -21,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import DEFAULT_TOL, State, as_operator, is_unitary, partial_trace
-from .tables import ProbabilityTable
+from .tables import ProbabilityTable, _split_axes
 
 #: Tolerance on the residual ``born(measure, rho) - probabilities`` accepted by
 #: state reconstruction.
@@ -29,15 +31,13 @@ RECONSTRUCTION_TOL = 1e-8
 
 
 def _coerce_stack(elements) -> np.ndarray:
-    """Coerce a sequence of square matrices of one dimension to a read-only (K, d, d) stack."""
+    """Coerce a sequence of square matrices of one dimension to a (K, d, d) stack."""
     arrays = [as_operator(e, name=f"element {k}") for k, e in enumerate(elements)]
     if not arrays:
         raise ValidationError("measure must contain at least one element")
     if any(arr.shape != arrays[0].shape for arr in arrays):
         raise DimensionMismatchError("elements do not share a common dimension")
-    stack = np.stack(arrays)
-    stack.setflags(write=False)
-    return stack
+    return np.stack(arrays)
 
 
 def _stack_violations(
@@ -102,6 +102,19 @@ def _stack_violations(
     return found
 
 
+def _per_axis_labels(labels: tuple, index_shape) -> tuple[tuple, ...]:
+    """Per-axis labels read off C-ordered tuple labels, else ``range`` per axis."""
+    if index_shape is None:
+        return (labels,)
+    ndim = len(index_shape)
+    if not all(isinstance(label, tuple) and len(label) == ndim for label in labels):
+        return tuple(tuple(range(size)) for size in index_shape)
+    return tuple(
+        tuple(labels[i * np.prod(index_shape[axis + 1:], dtype=int)][axis] for i in range(size))
+        for axis, size in enumerate(index_shape)
+    )
+
+
 def povm_violations(elements, tol: float = DEFAULT_TOL) -> list[str]:
     """List every way ``elements`` fails to form a POVM (empty when valid)."""
     try:
@@ -163,13 +176,19 @@ class PovmMeasure:
         violations = _stack_violations(stack, tol, self._PROJECTIVE).get(())
         if violations:
             raise ValidationError("; ".join(violations))
+        self._init_valid(stack, labels, index_shape, tol)
 
+    def _init_valid(self, stack: np.ndarray, labels: tuple, index_shape, tol) -> "PovmMeasure":
+        """Set the fields from a stack known to be valid, with no check; returns self."""
+        stack.setflags(write=False)
         self._stack = stack
         self.elements = tuple(stack)
         self.labels = labels
         self.index_shape = index_shape
         self.tol = float(tol)
         self._label_index = {label: k for k, label in enumerate(labels)}
+        self._axis_labels = _per_axis_labels(labels, index_shape)
+        return self
 
     @property
     def dim(self) -> int:
@@ -195,61 +214,27 @@ class PovmMeasure:
         return self._stack
 
     def axis_label_tuples(self) -> tuple[tuple, ...]:
-        """Per-axis outcome labels, reconstructed from the flat label tuples."""
-        if self.index_shape is None:
-            return (self.labels,)
-        ndim = len(self.index_shape)
-        structured = all(
-            isinstance(label, tuple) and len(label) == ndim for label in self.labels
-        )
-        labels_grid = np.empty(len(self.labels), dtype=object)
-        labels_grid[:] = self.labels
-        labels_grid = labels_grid.reshape(self.index_shape)
-        axes = []
-        for axis, size in enumerate(self.index_shape):
-            if structured:
-                picks = []
-                for i in range(size):
-                    index = [0] * ndim
-                    index[axis] = i
-                    picks.append(labels_grid[tuple(index)][axis])
-                axes.append(tuple(picks))
-            else:
-                axes.append(tuple(range(size)))
-        return tuple(axes)
+        """Per-axis outcome labels, one tuple per axis of ``index_shape``."""
+        return self._axis_labels
 
     def marginal(self, keep) -> "PovmMeasure":
         """Sum the multi-index elements over every axis not kept.
 
         ``keep`` is an axis index or ascending tuple of axis indices into
-        ``index_shape``.  The marginal of a POVM is again a POVM.
+        ``index_shape``.  The marginal of a POVM is a POVM and is not re-checked.
         """
         if self.index_shape is None:
             raise ValidationError("marginal requires a multi-index measure")
-        if isinstance(keep, (int, np.integer)):
-            keep = (int(keep),)
-        keep = tuple(int(ax) for ax in keep)
-        ndim = len(self.index_shape)
-        if any(ax < 0 or ax >= ndim for ax in keep) or len(set(keep)) != len(keep):
-            raise DimensionMismatchError(f"invalid axes {keep} for shape {self.index_shape}")
-        if list(keep) != sorted(keep):
-            raise DimensionMismatchError("keep axes must be in ascending order")
-
+        keep, drop = _split_axes(keep, self.index_shape)
         grid = self._stack.reshape(*self.index_shape, self.dim, self.dim)
-        drop = tuple(ax for ax in range(ndim) if ax not in keep)
-        summed = grid.sum(axis=drop) if drop else grid
-        new_shape = tuple(self.index_shape[ax] for ax in keep)
-        elements = summed.reshape(-1, self.dim, self.dim)
-
-        axis_labels = self.axis_label_tuples()
-        new_labels = []
-        for multi in itertools.product(*(range(n) for n in new_shape)):
-            parts = tuple(axis_labels[ax][i] for ax, i in zip(keep, multi))
-            new_labels.append(parts[0] if len(parts) == 1 else parts)
-        out_index_shape = new_shape if len(new_shape) > 1 else None
-        return PovmMeasure(
-            elements, labels=tuple(new_labels), index_shape=out_index_shape, tol=self.tol
-        )
+        elements = grid.sum(axis=drop).reshape(-1, self.dim, self.dim)
+        axis_labels = tuple(self._axis_labels[ax] for ax in keep)
+        marginal = PovmMeasure.__new__(PovmMeasure)
+        if len(keep) == 1:
+            return marginal._init_valid(elements, axis_labels[0], None, self.tol)
+        index_shape = tuple(self.index_shape[ax] for ax in keep)
+        labels = tuple(itertools.product(*axis_labels))
+        return marginal._init_valid(elements, labels, index_shape, self.tol)
 
 
 class PvmMeasure(PovmMeasure):

@@ -8,6 +8,19 @@ from .errors import DimensionMismatchError, ValidationError
 from .operators import DEFAULT_TOL
 
 
+def _split_axes(keep, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Checked ``keep`` (an axis or ascending axes of ``shape``) and the axes it drops."""
+    if isinstance(keep, (int, np.integer)):
+        keep = (int(keep),)
+    keep = tuple(int(ax) for ax in keep)
+    ndim = len(shape)
+    if any(ax < 0 or ax >= ndim for ax in keep) or len(set(keep)) != len(keep):
+        raise DimensionMismatchError(f"invalid axes {keep} for shape {shape}")
+    if list(keep) != sorted(keep):
+        raise DimensionMismatchError("keep axes must be in ascending order")
+    return keep, tuple(ax for ax in range(ndim) if ax not in keep)
+
+
 class ProbabilityTable:
     """Nonnegative table of any index shape summing to one.
 
@@ -35,16 +48,21 @@ class ProbabilityTable:
         total = float(arr.sum())
         if abs(total - 1.0) > max(tol, tol * arr.size):
             raise ValidationError(f"probability table sums to {total!r}, not 1")
-        arr.setflags(write=False)
-        self.values = arr
-        self.tol = float(tol)
         if axis_labels is not None:
             axis_labels = tuple(tuple(axis) for axis in axis_labels)
             if len(axis_labels) != arr.ndim or any(
                 len(axis) != size for axis, size in zip(axis_labels, arr.shape)
             ):
                 raise ValidationError("axis_labels do not match the table shape")
+        self._init_valid(arr, axis_labels, tol)
+
+    def _init_valid(self, arr: np.ndarray, axis_labels, tol: float) -> "ProbabilityTable":
+        """Set the fields from values known to be valid, with no check; returns self."""
+        arr.setflags(write=False)
+        self.values = arr
+        self.tol = float(tol)
         self.axis_labels = axis_labels
+        return self
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -57,18 +75,10 @@ class ProbabilityTable:
         return f"ProbabilityTable(shape={self.shape})"
 
     def marginal(self, keep) -> "ProbabilityTable":
-        """Sum out all axes not listed in ``keep`` (given in ascending order)."""
-        if isinstance(keep, (int, np.integer)):
-            keep = (int(keep),)
-        keep = tuple(int(ax) for ax in keep)
-        ndim = self.values.ndim
-        if any(ax < 0 or ax >= ndim for ax in keep) or len(set(keep)) != len(keep):
-            raise DimensionMismatchError(f"invalid axes {keep} for shape {self.shape}")
-        if list(keep) != sorted(keep):
-            raise DimensionMismatchError("keep axes must be in ascending order")
-        drop = tuple(ax for ax in range(ndim) if ax not in keep)
-        summed = self.values.sum(axis=drop) if drop else self.values
+        """Sum out all axes not listed in ``keep`` (ascending); the result inherits validity."""
+        keep, drop = _split_axes(keep, self.shape)
+        summed = np.asarray(self.values.sum(axis=drop))
         labels = None
         if self.axis_labels is not None:
             labels = tuple(self.axis_labels[ax] for ax in keep)
-        return ProbabilityTable(summed, axis_labels=labels, tol=self.tol)
+        return ProbabilityTable.__new__(ProbabilityTable)._init_valid(summed, labels, self.tol)

@@ -240,6 +240,22 @@ class TestAspect:
         assert separate == joined
         assert json.loads(separate[1])["max_abs"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("spelling", ["--a", "--an", "--ang", "--angl", "--angle"])
+    def test_abbreviated_angles_in_either_spelling(self, capsys, spelling):
+        separate = run(capsys, "aspect", "standard-composite", spelling, "-0.5,0,0,0")
+        joined = run(capsys, "aspect", "standard-composite", f"{spelling}=-0.5,0,0,0")
+        full = run(capsys, "aspect", "standard-composite", "--angles=-0.5,0,0,0")
+        assert separate[0] == 0
+        assert separate == joined == full
+
+    @pytest.mark.parametrize("spelling", ["--angles", "--ang"])
+    def test_angles_followed_by_an_option_still_missing(self, capsys, spelling, tmp_path):
+        code, out, err = run(capsys, "aspect", "standard-composite", spelling,
+                             "--out", str(tmp_path / "x"))
+        assert code == 65
+        assert out == ""
+        assert "expected one argument" in err
+
     def test_chsh_csv_matches_json_report(self, capsys):
         for argv, extra in (
             (("aspect", "standard-composite"), 1),

@@ -55,6 +55,14 @@ class TestMarginalSet:
         with pytest.raises(DimensionMismatchError):
             MarginalSet.from_quadrivariate(ProbabilityTable(np.full((2, 2), 0.25)))
 
+    @pytest.mark.parametrize("raw", [[0.25] * 4, np.full((1, 4), 0.25), np.full((2, 2, 1), 0.25)])
+    def test_raw_arrays_shape_checked(self, raw):
+        good = np.full((2, 2), 0.25)
+        with pytest.raises(DimensionMismatchError, match="expected a 2x2 table"):
+            MarginalSet(raw, raw, raw, raw)
+        with pytest.raises(DimensionMismatchError, match="expected a 2x2 table"):
+            MarginalSet(good, good, good, raw)
+
 
 class TestNoSignaling:
     def test_quantum_marginals_pass(self):

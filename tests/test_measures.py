@@ -112,6 +112,31 @@ class TestMarginal:
         with pytest.raises(ValidationError):
             PovmMeasure([np.eye(2)]).marginal(keep=0)
 
+    def test_marginal_of_a_valid_measure_at_the_tolerance_edge(self):
+        # Each element's lowest eigenvalue is -eps, inside tol = 1e-9; summing
+        # two of them gives -2 eps, which a re-check at tol would reject.
+        eps = 0.9e-9
+        low, high = 0.5 * P0 - eps * P1, (0.5 + eps) * P1
+        measure = PovmMeasure([low, low, high, high], index_shape=(2, 2))
+        marg = measure.marginal(keep=0)
+        assert marg.labels == (0, 1)
+        assert np.array_equal(marg.elements[0], 2.0 * low)
+        assert np.array_equal(marg.elements[1], 2.0 * high)
+        assert not marg.stack().flags.writeable
+
+    def test_axis_labels_stored_per_axis(self):
+        labels = tuple(itertools.product("ab", "xyz", "uv"))
+        measure = PovmMeasure([np.eye(2) / 12] * 12, labels=labels, index_shape=(2, 3, 2))
+        assert measure.axis_label_tuples() == (("a", "b"), ("x", "y", "z"), ("u", "v"))
+        marg = measure.marginal(keep=(0, 2))
+        assert marg.index_shape == (2, 2)
+        assert marg.labels == (("a", "u"), ("a", "v"), ("b", "u"), ("b", "v"))
+        assert marg.axis_label_tuples() == (("a", "b"), ("u", "v"))
+        # Labels that are not one tuple entry per axis fall back to positions.
+        flat = PovmMeasure([np.eye(2) / 4] * 4, labels="pqrs", index_shape=(2, 2))
+        assert flat.axis_label_tuples() == ((0, 1), (0, 1))
+        assert flat.marginal(keep=1).labels == (0, 1)
+
 
 class TestBornRule:
     def test_single_element_identity(self, rng):

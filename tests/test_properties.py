@@ -1,5 +1,7 @@
 """Property tests of the stacked kernels against their per-point references."""
 
+import itertools
+import math
 import re
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from povmkit import (
     AspectConfig,
     MarginalSet,
+    PovmMeasure,
     ProbabilityTable,
     State,
     SrtConfig,
@@ -29,7 +32,13 @@ from povmkit import (
     tradeoff_sweep,
 )
 from povmkit.measures import _stack_violations
-from povmkit.sampling import mix_marginals, pr_box_marginals, random_no_signaling_marginals
+from povmkit.sampling import (
+    mix_marginals,
+    pr_box_marginals,
+    random_density_matrix,
+    random_no_signaling_marginals,
+    random_unitary,
+)
 
 #: Derandomized so every run draws the same examples; no example database.
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -273,3 +282,102 @@ def test_witness_reproduces_its_four_tables(weights, seed, pr_weight, explicit):
         for table, axes in zip(marginals.tables(), ((0, 2), (0, 3), (1, 2), (1, 3))):
             dropped = tuple(ax for ax in range(4) if ax not in axes)
             assert np.max(np.abs(witness.sum(axis=dropped) - table.values)) <= TOL
+
+
+# -- (e) a marginal of a valid measure or table is valid ----------------------
+
+index_shapes = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3).map(tuple)
+
+
+def ascending_keep(data, ndim):
+    return tuple(sorted(data.draw(st.sets(st.integers(min_value=0, max_value=ndim - 1)))))
+
+
+def drawn_labels(data, shape):
+    """Default positions, per-axis names, or flat names that carry no axis structure."""
+    kind = data.draw(st.sampled_from(["default", "structured", "flat"]))
+    if kind == "default":
+        return None
+    if kind == "structured":
+        return tuple(itertools.product(*(
+            tuple(f"{chr(97 + axis)}{i}" for i in range(size)) for axis, size in enumerate(shape)
+        )))
+    return tuple(f"o{k}" for k in range(math.prod(shape)))
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    shape=index_shapes,
+    dim=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    completeness_edge=st.sampled_from([-0.9 * TOL, 0.0, 0.9 * TOL]),
+    edge_state=st.booleans(),
+)
+def test_measure_marginal_is_a_povm_and_commutes_with_born_rule(
+    data, shape, dim, seed, completeness_edge, edge_state
+):
+    rng = np.random.default_rng(seed)
+    n = math.prod(shape)
+    # Before one common random rotation, every element is a random POVM
+    # element on the first dim - 1 basis vectors plus a weight on the last
+    # one.  Drawn weights sit at -0.9 tol, so their sums in a marginal go
+    # below -tol along that one direction; the largest weight takes up the
+    # rest and a completeness defect.
+    weights = rng.random(n) + 0.1
+    weights /= weights.sum()
+    keeper = int(np.argmax(weights))
+    edge = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    edge[keeper] = False
+    weights[edge] = -0.9 * TOL
+    weights[keeper] += 1.0 + completeness_edge - weights.sum()
+    elements = np.zeros((n, dim, dim), dtype=complex)
+    elements[:, -1, -1] = weights
+    if dim > 1:
+        elements[:, :-1, :-1] = random_measure(rng, n, dim - 1, projective=False)
+    u = random_unitary(dim, rng)
+    elements = u @ elements @ u.conj().T
+    measure = PovmMeasure(elements, labels=drawn_labels(data, shape), index_shape=shape, tol=TOL)
+
+    keep = ascending_keep(data, len(shape))
+    marg = measure.marginal(keep)
+    # A marginal element sums at most n elements, so its defects stay within n tol.
+    assert not povm_violations(list(marg.elements), tol=n * TOL)
+    rho = State.pure(u[:, -1]) if edge_state else random_density_matrix(dim, rng)
+    got = born_probabilities(marg, rho, tol=n * TOL)
+    want = born_probabilities(measure, rho).marginal(keep)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got.values - want.values), initial=0.0) <= 1e-12
+    assert got.axis_labels == want.axis_labels
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    shape=index_shapes,
+    total_edge=st.sampled_from([-0.9, 0.0, 0.9]),
+)
+def test_table_marginal_never_raises(data, shape, total_edge):
+    n = math.prod(shape)
+    weights = np.array(data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n
+    )))
+    assume(weights.sum() > 0.0)
+    values = weights / weights.sum()
+    # Drawn entries sit at -0.9 tol and the total is off by up to 0.9 tol per
+    # entry, inside the bounds of the whole table but not of every marginal.
+    keeper = int(np.argmax(values))
+    edge = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    edge[keeper] = False
+    values[edge] = -0.9 * TOL
+    values[keeper] += 1.0 + total_edge * TOL * n - values.sum()
+    values = values.reshape(shape)
+    axis_labels = tuple(tuple(f"{axis}:{i}" for i in range(size)) for axis, size in enumerate(shape))
+    table = ProbabilityTable(values, axis_labels=axis_labels, tol=TOL)
+
+    keep = ascending_keep(data, len(shape))
+    marg = table.marginal(keep)
+    dropped = tuple(ax for ax in range(len(shape)) if ax not in keep)
+    assert np.array_equal(marg.values, values.sum(axis=dropped))
+    assert marg.axis_labels == tuple(axis_labels[ax] for ax in keep)
+    assert marg.tol == TOL

@@ -48,6 +48,16 @@ def test_marginal_axis_checks():
         table.marginal(keep=5)
 
 
+def test_marginal_of_a_valid_table_at_the_tolerance_edge():
+    # The total is off by 1.5e-8, inside the 16-entry bound tol * 16 but not
+    # inside tol * 4, which a re-check of the 2x2 marginal would apply.
+    table = ProbabilityTable(np.full((2, 2, 2, 2), (1.0 + 1.5e-8) / 16))
+    marg = table.marginal(keep=(0, 2))
+    assert marg.shape == (2, 2)
+    assert marg.values.sum() == pytest.approx(1.0 + 1.5e-8, abs=1e-15)
+    assert not marg.values.flags.writeable
+
+
 def test_values_read_only():
     table = ProbabilityTable([0.5, 0.5])
     with pytest.raises(ValueError):
