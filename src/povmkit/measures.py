@@ -2,9 +2,13 @@
 
 A measure is an ordered family of positive operators summing to the identity.
 Values are validated where they enter: public constructors, deserialization
-and the stacked kernels that build measures from raw parameters.  An invalid
-measure cannot exist as a value, so every downstream computation presumes the
-decomposition-of-identity property; a marginal inherits validity unchecked.
+and the stacked kernels that build measures from raw parameters.  One stacked
+validator checks whole ``(..., K, d, d)`` stacks at once; the positivity test
+of qubit elements takes the closed-form lowest eigenvalue of a 2x2 Hermitian
+matrix, and other dimensions use ``eigvalsh``.  An invalid measure cannot
+exist as a value, so every downstream computation presumes the
+decomposition-of-identity property; a marginal inherits validity unchecked,
+at the tolerance its sums accumulate.
 Multi-outcome-variable arrangements (bivariate, quadrivariate) are stored flat
 together with an ``index_shape``; marginalization is an index sum.
 """
@@ -12,6 +16,7 @@ together with an ``index_shape``; marginalization is an index sum.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -40,6 +45,20 @@ def _coerce_stack(elements) -> np.ndarray:
     return np.stack(arrays)
 
 
+def _lowest_eigenvalues(hermitian: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of each matrix in a ``(..., d, d)`` Hermitian stack.
+
+    Qubits take the closed form ``(a + d)/2 - hypot((a - d)/2, |b|)`` of
+    ``[[a, b], [b*, d]]``, accurate to a few ulps of the matrix norm;
+    every other dimension goes through ``eigvalsh``.
+    """
+    if hermitian.shape[-1] != 2:
+        return np.linalg.eigvalsh(hermitian)[..., 0]
+    a = np.real(hermitian[..., 0, 0])
+    d = np.real(hermitian[..., 1, 1])
+    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(hermitian[..., 0, 1]))
+
+
 def _stack_violations(
     stack: np.ndarray, tol: float, projective: bool = False
 ) -> dict[tuple, list[str]]:
@@ -56,7 +75,7 @@ def _stack_violations(
     clean = np.where(finite[..., None, None], stack, 0.0)
     adjoint = np.conj(np.swapaxes(clean, -1, -2))
     herm = np.abs(clean - adjoint).max(axis=(-2, -1))
-    lowest = np.linalg.eigvalsh((clean + adjoint) / 2.0)[..., 0]
+    lowest = _lowest_eigenvalues((clean + adjoint) / 2.0)
     completeness = np.abs(stack.sum(axis=-3) - np.eye(dim)).max(axis=(-2, -1))
 
     not_hermitian = finite & ~(herm <= tol)
@@ -221,20 +240,23 @@ class PovmMeasure:
         """Sum the multi-index elements over every axis not kept.
 
         ``keep`` is an axis index or ascending tuple of axis indices into
-        ``index_shape``.  The marginal of a POVM is a POVM and is not re-checked.
+        ``index_shape``.  The marginal of a POVM is a POVM and is not
+        re-checked; it carries the tolerance its sums accumulate, ``tol``
+        times the number of elements summed into each marginal element.
         """
         if self.index_shape is None:
             raise ValidationError("marginal requires a multi-index measure")
         keep, drop = _split_axes(keep, self.index_shape)
         grid = self._stack.reshape(*self.index_shape, self.dim, self.dim)
         elements = grid.sum(axis=drop).reshape(-1, self.dim, self.dim)
+        tol = self.tol * math.prod(self.index_shape[ax] for ax in drop)
         axis_labels = tuple(self._axis_labels[ax] for ax in keep)
         marginal = PovmMeasure.__new__(PovmMeasure)
         if len(keep) == 1:
-            return marginal._init_valid(elements, axis_labels[0], None, self.tol)
+            return marginal._init_valid(elements, axis_labels[0], None, tol)
         index_shape = tuple(self.index_shape[ax] for ax in keep)
         labels = tuple(itertools.product(*axis_labels))
-        return marginal._init_valid(elements, labels, index_shape, self.tol)
+        return marginal._init_valid(elements, labels, index_shape, tol)
 
 
 class PvmMeasure(PovmMeasure):
@@ -305,20 +327,24 @@ def born_probabilities(measure: PovmMeasure, rho: State, tol: float = DEFAULT_TO
     """Outcome distribution ``p_k = Tr(rho M_k)`` of a measure on a state.
 
     The result is indexed like the measure (flat, or reshaped to its
-    ``index_shape``) and carries the measure's outcome labels per axis.
+    ``index_shape``) and carries the measure's outcome labels per axis.  It
+    is checked at ``max(tol, measure.tol)``: a measure valid at its own
+    tolerance (a marginal's is accumulated) yields its probabilities.
 
     Raises
     ------
     DimensionMismatchError
         If the state dimension differs from the measure dimension.
     InternalConsistencyError
-        If any probability falls below ``-tol``, which signals corrupted
-        inputs since validated measures and states cannot produce one.
+        If any probability falls below ``-max(tol, measure.tol)``, which
+        signals corrupted inputs since validated measures and states cannot
+        produce one.
     """
     if rho.dim != measure.dim:
         raise DimensionMismatchError(
             f"state dimension {rho.dim} does not match measure dimension {measure.dim}"
         )
+    tol = max(tol, measure.tol)
     probs = np.real(np.einsum("ij,kji->k", rho.matrix, measure.stack()))
     if float(probs.min()) < -tol:
         raise InternalConsistencyError(
@@ -335,10 +361,9 @@ def povm_from_instrument(model: InstrumentModel) -> PovmMeasure:
     For each pointer element ``E`` the object-space element is the apparatus
     partial trace of ``(I (x) rho_a) U^dag (I (x) E) U``.  Probabilities of the
     returned measure on any object state agree with the full-space computation
-    on the final object-apparatus state.
+    on the final object-apparatus state.  The model checked its coupling's
+    unitarity at construction.
     """
-    if not is_unitary(model.coupling, model.tol):
-        raise ValidationError("coupling is not unitary within tolerance")
     dims = (model.object_dim, model.apparatus_dim)
     identity = np.eye(model.object_dim)
     weighted = np.kron(identity, model.apparatus_state.matrix)

@@ -5,6 +5,9 @@ element decomposes as ``M_i = sum_j lambda_ij N_j`` with a column-stochastic
 nonnegative matrix ``lambda``.  This module solves for that matrix, quantifies
 the smearing with an average row entropy, and checks the state-independent
 complementarity bound on joint nonideal measurements of two maximal PVMs.
+The Gram solve is batched: a stack of problems, each many observed measures
+against one target, goes through one batched pseudo-inverse, with the
+constrained program as a per-measure fallback.
 """
 
 from __future__ import annotations
@@ -87,8 +90,8 @@ class NonidealityMatrix:
 
     @property
     def is_exact(self) -> bool:
-        """True when the decomposition residual is below the exactness threshold."""
-        return self.residual <= DECOMPOSITION_TOL
+        """True when the residual is within ``max(tol, DECOMPOSITION_TOL)``."""
+        return self.residual <= max(self.tol, DECOMPOSITION_TOL)
 
 
 def apply_nonideality(target: PovmMeasure, matrix, labels=None, *, tol: float = DEFAULT_TOL) -> PovmMeasure:
@@ -168,28 +171,30 @@ def _stochastic_least_squares(gram: np.ndarray, cross: np.ndarray) -> np.ndarray
 
 def _solve_stack(
     observed: np.ndarray, target: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Nonideality matrices of an ``(N, I, d, d)`` stack of observed measures.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonideality matrices of ``(..., N, I, d, d)`` stacks of observed measures.
 
-    All observed measures share one ``(J, d, d)`` target, so the Gram matrix
-    and its pseudo-inverse are computed once.  Rows whose unconstrained Gram
+    Each leading index ``...`` is one problem: its N observed measures share
+    one ``(..., J, d, d)`` target, so every problem's Gram matrix and
+    pseudo-inverse come from one batched call.  Rows whose unconstrained Gram
     solve leaves the column-stochastic set fall back to the constrained
-    program one at a time.  Returns the ``(N, I, J)`` matrices, the ``(N,)``
-    Hilbert-Schmidt residuals and whether the targets are linearly independent.
+    program one at a time.  Returns the ``(..., N, I, J)`` matrices, the
+    ``(..., N)`` Hilbert-Schmidt residuals and, per problem, whether the
+    targets are linearly independent.
     """
-    gram = np.real(np.einsum("jab,kba->jk", target, target))
-    unique = int(np.linalg.matrix_rank(gram)) == target.shape[0]
-    cross = np.real(np.einsum("niab,jba->nij", observed, target))
+    gram = np.real(np.einsum("...jab,...kba->...jk", target, target))
+    unique = np.linalg.matrix_rank(gram, hermitian=True) == target.shape[-3]
+    cross = np.real(np.einsum("...niab,...jba->...nij", observed, target))
 
-    candidates = cross @ np.linalg.pinv(gram, hermitian=True)
-    feasible = (candidates.min(axis=(1, 2)) >= -tol) & (
-        np.abs(candidates.sum(axis=1) - 1.0).max(axis=1) <= tol
+    candidates = cross @ np.linalg.pinv(gram, hermitian=True)[..., None, :, :]
+    feasible = (candidates.min(axis=(-2, -1)) >= -tol) & (
+        np.abs(candidates.sum(axis=-2) - 1.0).max(axis=-1) <= tol
     )
-    for n in np.flatnonzero(~feasible):
-        candidates[n] = _stochastic_least_squares(gram, cross[n])
+    for index in map(tuple, np.argwhere(~feasible)):
+        candidates[index] = _stochastic_least_squares(gram[index[:-1]], cross[index])
 
-    misfit = observed - np.einsum("nij,jab->niab", candidates, target)
-    residuals = np.linalg.norm(misfit.reshape(misfit.shape[0], -1), axis=1)
+    misfit = observed - np.einsum("...nij,...jab->...niab", candidates, target)
+    residuals = np.linalg.norm(misfit.reshape(*misfit.shape[:-3], -1), axis=-1)
     return candidates, residuals, unique
 
 
@@ -222,7 +227,7 @@ def solve_nonideality(
         row_labels=tuple(observed.labels),
         col_labels=tuple(target.labels),
         residual=float(residuals[0]),
-        unique=unique,
+        unique=bool(unique),
         tol=tol,
     )
 

@@ -120,6 +120,38 @@ class TestMeasureValidate:
         assert report["valid"] is False
         assert any("identity" in v for v in report["violations"])
 
+    @pytest.mark.parametrize(
+        ("elements", "expected"),
+        [
+            (
+                [[[0.5, 0.6j], [-0.6j, 0.5]], [[0.5, -0.6j], [0.6j, 0.5]]],
+                [
+                    "element 0 is not positive (eigenvalue -1.000e-01)",
+                    "element 1 is not positive (eigenvalue -1.000e-01)",
+                ],
+            ),
+            (
+                [[[np.nan, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, -0.25]], [[0.0, 0.0], [0.0, 1.25]]],
+                [
+                    "element 0 has non-finite entries",
+                    "element 1 is not positive (eigenvalue -2.500e-01)",
+                    "elements do not sum to identity (defect nan)",
+                ],
+            ),
+        ],
+        ids=["non-positive", "nan-and-non-positive"],
+    )
+    def test_invalid_qubit_report_is_pinned(self, capsys, tmp_path, elements, expected):
+        # Qubit spectra take a closed form; the report must read as the
+        # eigvalsh route printed it, byte for byte.
+        path = tmp_path / "measure.json"
+        data = {"elements": [serialize.matrix_to_dict(np.array(e)) for e in elements]}
+        serialize.dump_json(data, path)
+        code, out, _ = run(capsys, "measure", "validate", str(path))
+        assert code == 1
+        lines = ",\n".join(f'    "{line}"' for line in expected)
+        assert out == '{\n  "valid": false,\n  "violations": [\n' + lines + "\n  ]\n}\n"
+
 
 class TestMartens:
     def test_report_matches_closed_forms(self, capsys, tmp_path):

@@ -159,6 +159,29 @@ class TestBornRule:
         with pytest.raises(DimensionMismatchError):
             born_probabilities(PvmMeasure([P0, P1]), random_density_matrix(3, rng))
 
+    def test_marginal_at_the_tolerance_edge_takes_both_routes(self):
+        # Each marginal element sums two elements at eigenvalue -eps, so the
+        # marginal carries tolerance 2 tol and its Born rule returns the
+        # same -2 eps as the marginal of the Born table.
+        eps = 0.9e-9
+        low, high = 0.5 * P0 - eps * P1, (0.5 + eps) * P1
+        measure = PovmMeasure([low, low, high, high], index_shape=(2, 2))
+        marg = measure.marginal(keep=0)
+        assert marg.tol == 2e-9
+        rho = State.pure([0.0, 1.0])
+        direct = born_probabilities(marg, rho)
+        via_table = born_probabilities(measure, rho).marginal(keep=0)
+        assert np.array_equal(direct.values, via_table.values)
+        assert direct.values[0] == pytest.approx(-2 * eps, rel=1e-12)
+
+    def test_measure_tolerance_bounds_the_negative_probability_guard(self):
+        # Valid at its own tolerance of 1e-6, so a probability of -5e-7 is
+        # inside what the measure promises, whatever the call's tol.
+        measure = PovmMeasure([P0 - 5e-7 * P1, (1 + 5e-7) * P1], tol=1e-6)
+        table = born_probabilities(measure, State.pure([0.0, 1.0]))
+        assert table.values[0] == pytest.approx(-5e-7, rel=1e-12)
+        assert table.tol == 1e-6
+
     def test_relabeling_invariance(self, rng):
         pvm = random_basis_pvm(3, rng)
         rho = random_density_matrix(3, rng)

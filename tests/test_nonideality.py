@@ -46,6 +46,13 @@ class TestMatrixValidation:
         with pytest.raises(ValidationError):
             NonidealityMatrix(np.eye(2), row_labels=("only-one",))
 
+    def test_is_exact_honours_its_own_tolerance(self):
+        assert NonidealityMatrix(np.eye(2), residual=5e-8, tol=1e-7).is_exact
+        assert not NonidealityMatrix(np.eye(2), residual=5e-8).is_exact
+        # DECOMPOSITION_TOL stays the floor below a looser matrix tolerance.
+        assert NonidealityMatrix(np.eye(2), residual=1e-8, tol=1e-12).is_exact
+        assert not NonidealityMatrix(np.eye(2), residual=2e-7, tol=1e-7).is_exact
+
 
 class TestSolver:
     def test_identity_for_matching_measures(self, rng):

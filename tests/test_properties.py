@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from povmkit import (
     standard_composite,
     tradeoff_sweep,
 )
-from povmkit.measures import _stack_violations
+from povmkit.measures import _lowest_eigenvalues, _stack_violations
 from povmkit.sampling import (
     mix_marginals,
     pr_box_marginals,
@@ -344,7 +345,7 @@ def test_measure_marginal_is_a_povm_and_commutes_with_born_rule(
     # A marginal element sums at most n elements, so its defects stay within n tol.
     assert not povm_violations(list(marg.elements), tol=n * TOL)
     rho = State.pure(u[:, -1]) if edge_state else random_density_matrix(dim, rng)
-    got = born_probabilities(marg, rho, tol=n * TOL)
+    got = born_probabilities(marg, rho)
     want = born_probabilities(measure, rho).marginal(keep)
     assert got.shape == want.shape
     assert np.max(np.abs(got.values - want.values), initial=0.0) <= 1e-12
@@ -381,3 +382,64 @@ def test_table_marginal_never_raises(data, shape, total_edge):
     assert np.array_equal(marg.values, values.sum(axis=dropped))
     assert marg.axis_labels == tuple(axis_labels[ax] for ax in keep)
     assert marg.tol == TOL
+
+
+# -- (f) the closed-form qubit spectrum against eigvalsh ---------------------
+
+QUBIT_KINDS = ("general", "degenerate", "diagonal", "rank-one")
+exponent = st.integers(min_value=-12, max_value=3)
+
+
+def qubit_hermitian_stack(rng, kind, exponents):
+    """``(n, 2, 2)`` Hermitian matrices of one kind; row k of ``exponents``
+    scales the entries a, d and b of ``[[a, b], [b*, d]]`` by powers of ten."""
+    scale = 10.0 ** np.asarray(exponents, dtype=float)
+    n = len(scale)
+    a, d = rng.normal(size=n) * scale[:, 0], rng.normal(size=n) * scale[:, 1]
+    b = (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale[:, 2]
+    if kind == "degenerate":
+        d, b = a, 0.0 * b
+    elif kind == "diagonal":
+        b = 0.0 * b
+    h = np.zeros((n, 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1], h[:, 0, 1], h[:, 1, 0] = a, d, b, np.conj(b)
+    if kind == "rank-one":
+        v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        h = a[:, None, None] * v[:, :, None] * v[:, None, :].conj()
+    return h
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(QUBIT_KINDS),
+    exponents=st.lists(st.tuples(exponent, exponent, exponent), min_size=1, max_size=8),
+    non_finite=st.lists(st.sampled_from([None, np.nan, np.inf]), min_size=8, max_size=8),
+)
+def test_qubit_closed_form_spectrum_matches_eigvalsh(seed, kind, exponents, non_finite):
+    rng = np.random.default_rng(seed)
+    h = qubit_hermitian_stack(rng, kind, exponents)
+    got = _lowest_eigenvalues(h)
+    want = np.linalg.eigvalsh(h)[:, 0]
+    bound = 1e-12 * np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
+    assert np.all(np.abs(got - want) <= bound)
+
+    # As elements of one measure, non-finite entries are masked out of the
+    # spectrum, with no floating-point warning, and reported by name.
+    elements = h.copy()
+    for k, value in enumerate(non_finite[: len(elements)]):
+        if value is not None:
+            elements[k, k % 2, (k // 2) % 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = _stack_violations(elements, TOL).get((), [])
+    assert_same_report(found, reference_violations(list(elements), TOL, False))
+
+
+def test_lowest_eigenvalues_beyond_qubits_is_eigvalsh():
+    rng = np.random.default_rng(8)
+    for dim in (1, 3, 4):
+        raw = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+        h = raw + np.conj(np.swapaxes(raw, -1, -2))
+        assert np.array_equal(_lowest_eigenvalues(h), np.linalg.eigvalsh(h)[:, 0])

@@ -190,6 +190,22 @@ class TestTradeoffSweep:
         with pytest.raises(InternalConsistencyError, match=r"drifted.*absorber=0\.5\b"):
             tradeoff_sweep([0.25, 0.5, 0.75])
 
+    def test_stochastic_failure_names_the_path_marginal_first(self, monkeypatch):
+        # Both marginals are solved in one batched call; a failing path matrix
+        # is reported before a failing interference matrix at a lower index.
+        solve = srt._solve_stack
+
+        def corrupted(observed, target, tol):
+            matrices, residuals, unique = solve(observed, target, tol)
+            for problem, elements in enumerate(target):
+                n = 2 if np.array_equal(elements, path_pvm().stack()) else 0
+                matrices[problem, n, 0, 0] -= 1e-3
+            return matrices, residuals, unique
+
+        monkeypatch.setattr(srt, "_solve_stack", corrupted)
+        with pytest.raises(ValidationError, match=r"absorber=0\.75\b.*columns must sum"):
+            tradeoff_sweep([0.25, 0.5, 0.75])
+
     def test_slack_violation_names_the_first_failing_absorber(self, monkeypatch):
         # J_lambda + J_mu is ln 2 at the endpoints and about 0.894 at a = 0.5,
         # so a bound of 0.8 holds in the interior and fails at a = 1.
