@@ -63,12 +63,13 @@ def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric tolerance")
     common.add_argument("--out", default=None, help="write data to this path instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     return common
 
 
 def _build_parser() -> _Parser:
     common = _common_parser()
+    formatted = argparse.ArgumentParser(add_help=False, parents=[common])
+    formatted.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     parser = _Parser(prog="povmkit", description=__doc__)
     subparsers = parser.add_subparsers(dest="command")
 
@@ -76,7 +77,7 @@ def _build_parser() -> _Parser:
     measure.add_argument("action", choices=("validate",))
     measure.add_argument("file")
 
-    martens = subparsers.add_parser("martens", parents=[common])
+    martens = subparsers.add_parser("martens", parents=[formatted])
     martens.add_argument("--bivariate", required=True, help="bivariate measure JSON")
     martens.add_argument("--pvm1", required=True, help="first-axis target PVM JSON")
     martens.add_argument("--pvm2", required=True, help="second-axis target PVM JSON")
@@ -89,7 +90,7 @@ def _build_parser() -> _Parser:
     srt.add_argument("--state", default=None, help="state JSON for --emit probabilities")
     srt.add_argument("--points", type=int, default=101, help="sweep grid size")
 
-    aspect = subparsers.add_parser("aspect", parents=[common])
+    aspect = subparsers.add_parser("aspect", parents=[formatted])
     aspect.add_argument("mode", nargs="?", choices=("standard-composite",))
     aspect.add_argument("--gamma1", type=float, default=None)
     aspect.add_argument("--gamma2", type=float, default=None)
@@ -139,17 +140,13 @@ def _load_state(spec: str, tol: float):
 def _cmd_measure(args) -> int:
     data = serialize.load_json(args.file)
     try:
-        elements = [serialize.matrix_from_dict(e) for e in data.get("elements", [])]
-    except (TypeError, PovmkitError) as exc:
+        elements = serialize._elements_from_dict(data)
+    except PovmkitError as exc:
         print(f"unreadable measure file: {exc}", file=sys.stderr)
         return 1
     violations = povm_violations(elements, tol=args.tol)
-    if violations:
-        report = {"valid": False, "violations": violations}
-        _write(serialize.dump_json(report), args.out)
-        return 1
-    _write(serialize.dump_json({"valid": True, "violations": []}), args.out)
-    return EX_OK
+    _write(serialize.dump_json({"valid": not violations, "violations": violations}), args.out)
+    return 1 if violations else EX_OK
 
 
 def _cmd_martens(args) -> int:
@@ -158,9 +155,9 @@ def _cmd_martens(args) -> int:
         raise _UsageError("--bivariate must carry a two-axis index_shape")
     pvm1 = serialize.measure_from_dict(serialize.load_json(args.pvm1), pvm=True, tol=args.tol)
     pvm2 = serialize.measure_from_dict(serialize.load_json(args.pvm2), pvm=True, tol=args.tol)
-    lam = solve_nonideality(bivariate.marginal(keep=0), pvm1, tol=args.tol)
-    mu = solve_nonideality(bivariate.marginal(keep=1), pvm2, tol=args.tol)
-    report = check_martens(lam, mu, pvm1, pvm2, tol=args.tol)
+    lam = solve_nonideality(bivariate.marginal(keep=0), pvm1)
+    mu = solve_nonideality(bivariate.marginal(keep=1), pvm2)
+    report = check_martens(lam, mu, pvm1, pvm2)
     fields = {
         "J_lambda": report.j_lambda,
         "J_mu": report.j_mu,
@@ -168,9 +165,7 @@ def _cmd_martens(args) -> int:
         "slack": report.slack,
     }
     if args.fmt == "csv":
-        lines = ["J_lambda,J_mu,bound,slack",
-                 ",".join(_fmt(fields[k]) for k in ("J_lambda", "J_mu", "bound", "slack"))]
-        _write("\n".join(lines), args.out)
+        _write(",".join(fields) + "\n" + ",".join(map(_fmt, fields.values())), args.out)
     else:
         _write(serialize.dump_json(fields), args.out)
     return EX_OK
@@ -207,7 +202,7 @@ def _cmd_srt(args) -> int:
         if args.state is None:
             raise _UsageError("--emit probabilities requires --state")
         rho = _load_state(args.state, args.tol)
-        table = born_probabilities(srt_povm(config, args.tol), rho, args.tol)
+        table = born_probabilities(srt_povm(config, args.tol), rho)
         _write(serialize.dump_json(serialize.table_to_dict(table)), args.out)
     return EX_OK
 
@@ -228,6 +223,16 @@ def _chsh_csv_lines(report) -> list[str]:
     return ["signs,value"] + [
         f"\"{' '.join(f'{s:+d}' for s in signs)}\",{_fmt(value)}" for signs, value in report.values
     ]
+
+
+def _cells_csv(header: str, tables) -> str:
+    """``header``, then per ``(prefix, values, axis_labels)`` one row per cell: keys, value."""
+    lines = [header]
+    for prefix, values, axis_labels in tables:
+        for idx, value in np.ndenumerate(values):
+            keys = (*prefix, *(axis_labels[ax][i] for ax, i in enumerate(idx)))
+            lines.append(",".join(map(str, keys)) + f",{_fmt(value)}")
+    return "\n".join(lines)
 
 
 def _cmd_aspect(args) -> int:
@@ -260,24 +265,19 @@ def _cmd_aspect(args) -> int:
         if args.fmt == "json":
             _write(serialize.dump_json(serialize.table_to_dict(joint)), args.out)
         else:
-            lines = ["m1,n1,m2,n2,p"]
-            for idx in np.ndindex(*joint.shape):
-                outcome = ",".join(str(joint.axis_labels[ax][i]) for ax, i in enumerate(idx))
-                lines.append(f"{outcome},{_fmt(joint.values[idx])}")
-            _write("\n".join(lines), args.out)
+            _write(_cells_csv("m1,n1,m2,n2,p", [((), joint.values, joint.axis_labels)]), args.out)
         return EX_OK
 
-    marginals = MarginalSet.from_quadrivariate(joint, tol=args.tol)
+    marginals = MarginalSet.from_quadrivariate(joint)
     if args.emit == "marginals":
         if args.fmt == "json":
             _write(serialize.dump_json(serialize.marginals_to_dict(marginals)), args.out)
         else:
-            lines = ["table,row,col,p"]
-            for key, table in zip(("AB", "ABp", "ApB", "ApBp"), marginals.tables()):
-                for i in range(2):
-                    for j in range(2):
-                        lines.append(f"{key},{i},{j},{_fmt(table.values[i, j])}")
-            _write("\n".join(lines), args.out)
+            cells = [
+                ((key,), table.values, (range(2), range(2)))
+                for key, table in zip(serialize._MARGINAL_KEYS, marginals.tables())
+            ]
+            _write(_cells_csv("table,row,col,p", cells), args.out)
         return EX_OK
 
     report = chsh_value(marginals.tables())
@@ -291,7 +291,7 @@ def _cmd_aspect(args) -> int:
 def _cmd_fine(args) -> int:
     marginals = serialize.marginals_from_dict(serialize.load_json(args.marginals), tol=args.tol)
     try:
-        decision = joint_exists(marginals, tol=args.tol)
+        decision = joint_exists(marginals)
     except NoSignalingError as exc:
         _write(serialize.dump_json({"decision": "no-signaling-violation", "detail": str(exc)}), args.out)
         return 3

@@ -71,13 +71,13 @@ class MarginalSet:
         return cls(*tables, tol=tol)
 
     @classmethod
-    def from_quadrivariate(cls, joint: ProbabilityTable, tol: float = DEFAULT_TOL) -> "MarginalSet":
-        """Extract the four setting-pair tables from a joint over (A, A', B, B')."""
+    def from_quadrivariate(cls, joint: ProbabilityTable) -> "MarginalSet":
+        """Extract the four setting-pair tables, and the ``tol``, of a joint over (A, A', B, B')."""
         if joint.values.shape != (2, 2, 2, 2):
             raise DimensionMismatchError(
                 f"expected a (2, 2, 2, 2) joint table, got shape {joint.values.shape}"
             )
-        return cls(*(joint.marginal(keep=axes) for axes in _SETTING_PAIR_AXES), tol=tol)
+        return cls(*(joint.marginal(keep=axes) for axes in _SETTING_PAIR_AXES), tol=joint.tol)
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ class NoSignalingReport:
     tol: float
 
 
-def check_no_signaling(marginals: MarginalSet, tol: float = DEFAULT_TOL) -> NoSignalingReport:
-    """Compare each variable's marginal between its two containing tables."""
+def check_no_signaling(marginals: MarginalSet) -> NoSignalingReport:
+    """Compare each variable's marginal between its two containing tables, at ``marginals.tol``."""
     ab, abp, apb, apbp = (t.values for t in marginals.tables())
     discrepancies = {
         "A": float(np.max(np.abs(ab.sum(axis=1) - abp.sum(axis=1)))),
@@ -103,8 +103,8 @@ def check_no_signaling(marginals: MarginalSet, tol: float = DEFAULT_TOL) -> NoSi
     return NoSignalingReport(
         discrepancies=discrepancies,
         max_discrepancy=worst,
-        passed=worst <= tol,
-        tol=tol,
+        passed=worst <= marginals.tol,
+        tol=marginals.tol,
     )
 
 
@@ -227,11 +227,11 @@ class JointDecision:
     certificate: tuple[tuple[int, int, int, int], float] | None = None
 
 
-def joint_exists(marginals: MarginalSet, tol: float = DEFAULT_TOL) -> JointDecision:
+def joint_exists(marginals: MarginalSet) -> JointDecision:
     """Decide whether a joint distribution reproduces all four marginals.
 
     Runs the phase-1 linear program on the rank-reduced marginal equations
-    and cross-asserts the decision against the CHSH characterization.
+    and cross-asserts the decision against the CHSH characterization at ``marginals.tol``.
 
     Raises
     ------
@@ -240,7 +240,8 @@ def joint_exists(marginals: MarginalSet, tol: float = DEFAULT_TOL) -> JointDecis
     InternalConsistencyError
         If the two decision routes disagree away from the boundary band.
     """
-    signaling = check_no_signaling(marginals, tol)
+    tol = marginals.tol
+    signaling = check_no_signaling(marginals)
     if not signaling.passed:
         raise NoSignalingError(
             f"single-variable marginals disagree by {signaling.max_discrepancy:.3e}; "

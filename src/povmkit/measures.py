@@ -264,10 +264,9 @@ class PvmMeasure(PovmMeasure):
 
     _PROJECTIVE = True
 
-    def is_maximal(self, tol: float | None = None) -> bool:
-        """True when every projector is rank one."""
-        tol = self.tol if tol is None else tol
-        return all(abs(complex(np.trace(e)) - 1.0) <= tol for e in self.elements)
+    def is_maximal(self) -> bool:
+        """True when every projector is rank one, within the measure's ``tol``."""
+        return all(abs(complex(np.trace(e)) - 1.0) <= self.tol for e in self.elements)
 
 
 def tetrahedral_qubit_povm(tol: float = DEFAULT_TOL) -> PovmMeasure:
@@ -323,20 +322,20 @@ class InstrumentModel:
             raise ValidationError("coupling is not unitary within tolerance")
 
 
-def born_probabilities(measure: PovmMeasure, rho: State, tol: float = DEFAULT_TOL) -> ProbabilityTable:
+def born_probabilities(measure: PovmMeasure, rho: State) -> ProbabilityTable:
     """Outcome distribution ``p_k = Tr(rho M_k)`` of a measure on a state.
 
     The result is indexed like the measure (flat, or reshaped to its
     ``index_shape``) and carries the measure's outcome labels per axis.  It
-    is checked at ``max(tol, measure.tol)``: a measure valid at its own
-    tolerance (a marginal's is accumulated) yields its probabilities.
+    is checked at, and carries, ``max(measure.tol, rho.tol)``: a measure valid
+    at its own tolerance (a marginal's is accumulated) yields its probabilities.
 
     Raises
     ------
     DimensionMismatchError
         If the state dimension differs from the measure dimension.
     InternalConsistencyError
-        If any probability falls below ``-max(tol, measure.tol)``, which
+        If any probability falls below ``-max(measure.tol, rho.tol)``, which
         signals corrupted inputs since validated measures and states cannot
         produce one.
     """
@@ -344,7 +343,7 @@ def born_probabilities(measure: PovmMeasure, rho: State, tol: float = DEFAULT_TO
         raise DimensionMismatchError(
             f"state dimension {rho.dim} does not match measure dimension {measure.dim}"
         )
-    tol = max(tol, measure.tol)
+    tol = max(measure.tol, rho.tol)
     probs = np.real(np.einsum("ij,kji->k", rho.matrix, measure.stack()))
     if float(probs.min()) < -tol:
         raise InternalConsistencyError(
@@ -383,27 +382,25 @@ def povm_from_instrument(model: InstrumentModel) -> PovmMeasure:
     )
 
 
-def is_complete(measure: PovmMeasure, tol: float = DEFAULT_TOL) -> bool:
+def is_complete(measure: PovmMeasure) -> bool:
     """True when the elements span the full operator space of their dimension.
 
     Elements are flattened to vectors and the rank is computed with singular
-    values thresholded at ``tol``; completeness requires rank ``d**2``.
+    values thresholded at ``measure.tol``; completeness requires rank ``d**2``.
     """
     d = measure.dim
     frame = measure.stack().reshape(measure.n_outcomes, d * d)
-    rank = int(np.linalg.matrix_rank(frame, tol=tol))
+    rank = int(np.linalg.matrix_rank(frame, tol=measure.tol))
     return rank == d * d
 
 
-def reconstruct_state(
-    measure: PovmMeasure, probabilities: ProbabilityTable, tol: float = DEFAULT_TOL
-) -> State:
+def reconstruct_state(measure: PovmMeasure, probabilities: ProbabilityTable) -> State:
     """Recover the density operator from a complete measure's outcome distribution.
 
     Linear inversion on the flattened operator frame (least-squares
     pseudo-inverse) followed by Hermitization.  No positivity projection is
-    applied: probabilities that fail to produce a density operator within
-    tolerance raise instead of being silently repaired.
+    applied: probabilities that fail to produce a density operator within the
+    inputs' larger ``tol`` raise instead of being silently repaired.
 
     Raises
     ------
@@ -413,7 +410,7 @@ def reconstruct_state(
         If the inverted matrix violates positivity or unit trace beyond
         tolerance, or cannot reproduce the given probabilities.
     """
-    if not is_complete(measure, tol):
+    if not is_complete(measure):
         raise IncompleteMeasureError(
             "measure elements do not span operator space; inversion is underdetermined"
         )
@@ -423,6 +420,7 @@ def reconstruct_state(
             f"{p.size} probabilities given for {measure.n_outcomes} outcomes"
         )
     d = measure.dim
+    tol = max(measure.tol, probabilities.tol)
     # Tr(rho M) is linear in row-major vec(rho) with coefficient row vec(M^T).
     frame = np.swapaxes(measure.stack(), 1, 2).reshape(measure.n_outcomes, d * d)
     solution, *_ = np.linalg.lstsq(frame, p.astype(complex), rcond=None)

@@ -26,7 +26,7 @@ from .measures import PovmMeasure, PvmMeasure
 from .operators import DEFAULT_TOL
 
 #: Residual above which a solved decomposition is flagged as *not* an exact
-#: nonideal-measurement relation.  Repo convention, configurable per call.
+#: nonideal-measurement relation; the floor of ``NonidealityMatrix.is_exact``.
 DECOMPOSITION_TOL = 1e-8
 #: Iteration cap of the active-set program behind the constrained solve; a
 #: program still moving after this many steps raises instead of returning.
@@ -169,21 +169,16 @@ def _stochastic_least_squares(gram: np.ndarray, cross: np.ndarray) -> np.ndarray
     return np.clip(x, 0.0, None).reshape(n_rows, n_cols)
 
 
-def _solve_stack(
-    observed: np.ndarray, target: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_stack(observed: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray:
     """Nonideality matrices of ``(..., N, I, d, d)`` stacks of observed measures.
 
     Each leading index ``...`` is one problem: its N observed measures share
     one ``(..., J, d, d)`` target, so every problem's Gram matrix and
     pseudo-inverse come from one batched call.  Rows whose unconstrained Gram
     solve leaves the column-stochastic set fall back to the constrained
-    program one at a time.  Returns the ``(..., N, I, J)`` matrices, the
-    ``(..., N)`` Hilbert-Schmidt residuals and, per problem, whether the
-    targets are linearly independent.
+    program one at a time.  Returns the ``(..., N, I, J)`` matrices.
     """
     gram = np.real(np.einsum("...jab,...kba->...jk", target, target))
-    unique = np.linalg.matrix_rank(gram, hermitian=True) == target.shape[-3]
     cross = np.real(np.einsum("...niab,...jba->...nij", observed, target))
 
     candidates = cross @ np.linalg.pinv(gram, hermitian=True)[..., None, :, :]
@@ -192,15 +187,10 @@ def _solve_stack(
     )
     for index in map(tuple, np.argwhere(~feasible)):
         candidates[index] = _stochastic_least_squares(gram[index[:-1]], cross[index])
-
-    misfit = observed - np.einsum("...nij,...jab->...niab", candidates, target)
-    residuals = np.linalg.norm(misfit.reshape(*misfit.shape[:-3], -1), axis=-1)
-    return candidates, residuals, unique
+    return candidates
 
 
-def solve_nonideality(
-    observed: PovmMeasure, target: PovmMeasure, tol: float = DEFAULT_TOL
-) -> NonidealityMatrix:
+def solve_nonideality(observed: PovmMeasure, target: PovmMeasure) -> NonidealityMatrix:
     """Find the nonideality matrix expressing ``observed`` in terms of ``target``.
 
     Minimizes ``sum_i || M_i - sum_j lambda_ij N_j ||**2`` in Hilbert-Schmidt
@@ -214,20 +204,25 @@ def solve_nonideality(
     Returns
     -------
     NonidealityMatrix
-        With ``residual`` the Hilbert-Schmidt misfit and ``unique`` False when
-        linearly dependent targets left the minimum-norm choice arbitrary.
+        Checked at the larger ``tol`` of the two measures, with ``residual`` the
+        Hilbert-Schmidt misfit and ``unique`` False when linearly dependent
+        targets left the minimum-norm choice arbitrary.
     """
     if observed.dim != target.dim:
         raise DimensionMismatchError(
             f"observed dimension {observed.dim} does not match target dimension {target.dim}"
         )
-    matrices, residuals, unique = _solve_stack(observed.stack()[None], target.stack(), tol)
+    tol = max(observed.tol, target.tol)
+    targets = target.stack()
+    matrix = _solve_stack(observed.stack()[None], targets, tol)[0]
+    misfit = observed.stack() - np.einsum("ij,jab->iab", matrix, targets)
+    gram = np.real(np.einsum("jab,kba->jk", targets, targets))
     return NonidealityMatrix(
-        matrices[0],
+        matrix,
         row_labels=tuple(observed.labels),
         col_labels=tuple(target.labels),
-        residual=float(residuals[0]),
-        unique=bool(unique),
+        residual=float(np.linalg.norm(misfit)),
+        unique=bool(np.linalg.matrix_rank(gram, hermitian=True) == target.n_outcomes),
         tol=tol,
     )
 
@@ -260,24 +255,24 @@ def nonideality_entropy(lam) -> float:
     return float(_row_entropy(matrix))
 
 
-def _require_maximal_pvm(measure: PovmMeasure, name: str, tol: float) -> None:
+def _require_maximal_pvm(measure: PovmMeasure, name: str) -> None:
     if not isinstance(measure, PvmMeasure):
         raise UnsupportedMeasureError(f"{name} must be a PVM")
-    if not measure.is_maximal(tol):
+    if not measure.is_maximal():
         raise UnsupportedMeasureError(
             f"{name} is not maximal (an element has rank above one); "
             "only maximal PVMs are supported"
         )
 
 
-def martens_bound(pvm1: PvmMeasure, pvm2: PvmMeasure, tol: float = DEFAULT_TOL) -> float:
+def martens_bound(pvm1: PvmMeasure, pvm2: PvmMeasure) -> float:
     """State-independent lower bound on joint-smearing entropies of two maximal PVMs.
 
     Returns ``-ln(max_{mn} Tr(P_m Q_n))``.  Identical PVMs give 0; mutually
-    unbiased qubit PVMs give ``ln 2``.
+    unbiased qubit PVMs give ``ln 2``.  Each PVM is checked at its own ``tol``.
     """
-    _require_maximal_pvm(pvm1, "pvm1", tol)
-    _require_maximal_pvm(pvm2, "pvm2", tol)
+    _require_maximal_pvm(pvm1, "pvm1")
+    _require_maximal_pvm(pvm2, "pvm2")
     if pvm1.dim != pvm2.dim:
         raise DimensionMismatchError("PVMs must act on the same space")
     overlaps = np.real(np.einsum("mab,nba->mn", pvm1.stack(), pvm2.stack()))
@@ -305,21 +300,20 @@ def check_martens(
     mu: NonidealityMatrix,
     pvm1: PvmMeasure,
     pvm2: PvmMeasure,
-    tol: float = DEFAULT_TOL,
 ) -> MartensReport:
     """Evaluate the complementarity inequality for one bivariate arrangement.
 
     ``lam`` must relate the first marginal to ``pvm1`` and ``mu`` the second
-    marginal to ``pvm2``.  The returned slack is nonnegative (within ``tol``)
-    whenever the two matrices really come from the marginals of one bivariate
-    POVM; a violation indicates the precondition does not hold and raises.
+    marginal to ``pvm2``.  The slack is nonnegative (within the inputs' largest
+    ``tol``) whenever the two matrices really come from the marginals of one
+    bivariate POVM; a violation indicates the precondition does not hold and raises.
     """
     report = MartensReport(
         j_lambda=nonideality_entropy(lam),
         j_mu=nonideality_entropy(mu),
-        bound=martens_bound(pvm1, pvm2, tol),
+        bound=martens_bound(pvm1, pvm2),
     )
-    if report.slack < -tol:
+    if report.slack < -max(lam.tol, mu.tol, pvm1.tol, pvm2.tol):
         raise InternalConsistencyError(
             f"joint-measurement bound violated (slack {report.slack:.3e}); "
             "the matrices do not come from one bivariate arrangement"

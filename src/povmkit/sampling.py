@@ -86,17 +86,17 @@ def pr_box_marginals(tol: float = DEFAULT_TOL) -> MarginalSet:
     )
 
 
-def mix_marginals(
-    first: MarginalSet, second: MarginalSet, weight: float, tol: float = DEFAULT_TOL
-) -> MarginalSet:
+def mix_marginals(first: MarginalSet, second: MarginalSet, weight: float) -> MarginalSet:
     """Entrywise convex combination ``weight * first + (1 - weight) * second``.
 
     No-signaling is preserved under mixing, so interpolating a random box
     toward the extremal one yields samples on both sides of the CHSH boundary.
+    The mixture carries the larger of the two sets' ``tol``.
     """
     w = float(weight)
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {weight!r}")
+    tol = max(first.tol, second.tol)
     tables = [
         ProbabilityTable(w * a.values + (1.0 - w) * b.values, tol=tol)
         for a, b in zip(first.tables(), second.tables())

@@ -38,8 +38,8 @@ def matrix_to_dict(matrix) -> dict:
 def matrix_from_dict(data: dict) -> np.ndarray:
     try:
         dim = int(data["dim"])
-        entries = data["entries"]
-    except (KeyError, TypeError) as exc:
+        entries = list(data["entries"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"matrix object must carry 'dim' and 'entries': {exc}")
     if dim <= 0 or len(entries) != dim * dim:
         raise ValidationError(
@@ -68,11 +68,16 @@ def measure_to_dict(measure: PovmMeasure) -> dict:
     }
 
 
+def _elements_from_dict(data: dict) -> list[np.ndarray]:
+    """Unvalidated element matrices of a measure object; none when it has no 'elements'."""
+    elements = data.get("elements", []) if isinstance(data, dict) else None
+    if not isinstance(elements, list):
+        raise ValidationError("a measure must be a JSON object whose 'elements' is a list")
+    return [matrix_from_dict(e) for e in elements]
+
+
 def measure_from_dict(data: dict, *, pvm: bool = False, tol: float = DEFAULT_TOL) -> PovmMeasure:
-    try:
-        elements = [matrix_from_dict(e) for e in data["elements"]]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"measure object must carry 'elements': {exc}")
+    elements = _elements_from_dict(data)
     labels = data.get("labels")
     if labels is not None:
         labels = tuple(_label_from_json(label) for label in labels)

@@ -208,7 +208,7 @@ def tradeoff_sweep(
         return []
 
     target_interference = interference_pvm(chi, tol)
-    bound = martens_bound(_PATH_PVM, target_interference, tol)
+    bound = martens_bound(_PATH_PVM, target_interference)
 
     stack = _bivariate_stack(values, chi)
     invalid = _stack_violations(stack, tol)
@@ -221,7 +221,7 @@ def tradeoff_sweep(
     # so in C order every path matrix is checked before any interference one.
     marginals = np.stack([cells.sum(axis=2), cells.sum(axis=1)])
     targets = np.stack([_PATH_PVM.stack(), target_interference.stack()])
-    matrices, _, _ = _solve_stack(marginals, targets, tol)
+    matrices = _solve_stack(marginals, targets, tol)
     failure = _stochastic_violation(matrices.reshape(-1, 2, 2), tol)
     if failure is not None:
         n, message = failure

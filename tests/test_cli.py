@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 
@@ -152,6 +153,19 @@ class TestMeasureValidate:
         lines = ",\n".join(f'    "{line}"' for line in expected)
         assert out == '{\n  "valid": false,\n  "violations": [\n' + lines + "\n  ]\n}\n"
 
+    @pytest.mark.parametrize(
+        "data",
+        [[1, 2], {"elements": 5}, {"elements": [{"dim": "two", "entries": []}]}],
+        ids=["not-an-object", "elements-not-a-list", "non-integer-dim"],
+    )
+    def test_unreadable_file_exits_1_without_traceback(self, capsys, tmp_path, data):
+        path = tmp_path / "measure.json"
+        serialize.dump_json(data, path)
+        code, out, err = run(capsys, "measure", "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("unreadable measure file: ")
+
 
 class TestMartens:
     def test_report_matches_closed_forms(self, capsys, tmp_path):
@@ -288,6 +302,32 @@ class TestAspect:
         assert out == ""
         assert "expected one argument" in err
 
+    def test_table_csv_matches_json(self, capsys):
+        argv = ("aspect", "--gamma1", "0.4", "--gamma2", "0.9", "--angles", TSIRELSON_ANGLE_ARG)
+        _, out_json, _ = run(capsys, *argv, "--emit", "joint")
+        _, out_csv, _ = run(capsys, *argv, "--emit", "joint", "--format", "csv")
+        joint = json.loads(out_json)
+        want = [
+            (",".join(outcome), value)
+            for outcome, value in zip(itertools.product("+-", repeat=4), joint["values"])
+        ]
+        lines = out_csv.splitlines()
+        assert lines[0] == "m1,n1,m2,n2,p"
+        assert [(keys, float(p)) for keys, p in (ln.rsplit(",", 1) for ln in lines[1:])] == want
+
+        _, out_json, _ = run(capsys, *argv, "--emit", "marginals")
+        _, out_csv, _ = run(capsys, *argv, "--emit", "marginals", "--format", "csv")
+        tables = json.loads(out_json)
+        want = [
+            (f"{key},{i},{j}", tables[key][i][j])
+            for key in ("AB", "ABp", "ApB", "ApBp")
+            for i in range(2)
+            for j in range(2)
+        ]
+        lines = out_csv.splitlines()
+        assert lines[0] == "table,row,col,p"
+        assert [(keys, float(p)) for keys, p in (ln.rsplit(",", 1) for ln in lines[1:])] == want
+
     def test_chsh_csv_matches_json_report(self, capsys):
         for argv, extra in (
             (("aspect", "standard-composite"), 1),
@@ -305,6 +345,29 @@ class TestAspect:
                 assert float(value) == entry["value"]
             if extra:
                 assert lines[9] == f"max_abs,{report['max_abs']!r}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "validate", "measure.json"),
+        ("srt", "sweep", "--points", "3"),
+        ("srt", "--absorber", "0.5", "--emit", "povm"),
+        ("fine", "--marginals", "marginals.json"),
+    ],
+    ids=["measure", "srt-sweep", "srt-emit", "fine"],
+)
+def test_format_only_where_it_is_honoured(capsys, tmp_path, monkeypatch, argv):
+    # Only martens and aspect write CSV; elsewhere --format is a usage error.
+    monkeypatch.chdir(tmp_path)
+    serialize.dump_json(serialize.measure_to_dict(path_pvm()), "measure.json")
+    serialize.dump_json({key: np.full((2, 2), 0.25).tolist()
+                         for key in ("AB", "ABp", "ApB", "ApBp")}, "marginals.json")
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 class TestTolerance:
@@ -350,12 +413,12 @@ class TestTolerance:
     def test_strict_tol_reaches_marginal_set(self, capsys, monkeypatch):
         from povmkit import cli
 
-        seen = []
+        built = []
         original = cli.MarginalSet.from_quadrivariate
 
-        def spy(joint, tol):
-            seen.append(tol)
-            return original(joint, tol=tol)
+        def spy(joint):
+            built.append(original(joint))
+            return built[-1]
 
         monkeypatch.setattr(cli.MarginalSet, "from_quadrivariate", staticmethod(spy))
         code, _, _ = run(
@@ -364,7 +427,7 @@ class TestTolerance:
             "--emit", "marginals", "--tol", "1e-12",
         )
         assert code == 0
-        assert seen == [1e-12]
+        assert [marginals.tol for marginals in built] == [1e-12]
 
 
 class TestFine:

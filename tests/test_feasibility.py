@@ -196,6 +196,23 @@ class TestJointExists:
         exact = joint_exists(mix_marginals(extremal, noise, 0.5))
         assert exact.boundary
 
+    def test_no_signaling_checked_at_the_set_tolerance(self):
+        # The A-marginals of AB and AB' differ by 1e-11.
+        tables = [
+            [[0.25 + 1e-11, 0.25], [0.25 - 1e-11, 0.25]],
+            np.full((2, 2), 0.25),
+            np.full((2, 2), 0.25),
+            np.full((2, 2), 0.25),
+        ]
+        assert joint_exists(MarginalSet(*tables)).feasible
+        with pytest.raises(NoSignalingError):
+            joint_exists(MarginalSet(*tables, tol=1e-12))
+
+    def test_mixture_carries_the_larger_tolerance(self):
+        strict = pr_box_marginals(tol=1e-12)
+        assert mix_marginals(strict, strict, 0.5).tol == 1e-12
+        assert mix_marginals(strict, pr_box_marginals(tol=1e-7), 0.5).tol == 1e-7
+
     def test_no_signaling_violation_raises(self):
         biased_06 = ProbabilityTable([[0.3, 0.3], [0.2, 0.2]])
         biased_04 = ProbabilityTable([[0.2, 0.2], [0.3, 0.3]])

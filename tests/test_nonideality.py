@@ -271,8 +271,24 @@ class TestMartensBound:
         with pytest.raises(UnsupportedMeasureError):
             martens_bound(povm, povm)
 
+    def test_maximality_checked_at_each_pvm_tolerance(self):
+        # Accepted at tol 1e-6, the PVM stays maximal at that tolerance.
+        loose = PvmMeasure([np.diag([1.0 + 1e-7, 0.0]), np.diag([0.0, 1.0])], tol=1e-6)
+        assert loose.is_maximal()
+        assert martens_bound(loose, interference_pvm(tol=1e-6)) == pytest.approx(LN2, abs=1e-6)
+
 
 class TestCheckMartens:
+    def test_marginal_tolerance_carries_through(self):
+        # A bivariate marginal sums two elements, so it carries 2 tol, and
+        # the matrices solved from it and the report are checked at that.
+        bivariate = srt_bivariate(SrtConfig(0.5), tol=1e-7)
+        lam = solve_nonideality(bivariate.marginal(keep=0), path_pvm())
+        mu = solve_nonideality(bivariate.marginal(keep=1), interference_pvm())
+        assert lam.tol == mu.tol == 2e-7
+        report = check_martens(lam, mu, path_pvm(), interference_pvm())
+        assert report.slack > 0.1
+
     @pytest.mark.parametrize(
         "absorber,expected_slack",
         [(1.0, 0.0), (0.0, 0.0)],

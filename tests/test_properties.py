@@ -275,7 +275,7 @@ def test_witness_reproduces_its_four_tables(weights, seed, pr_weight, explicit):
     else:
         box = random_no_signaling_marginals(np.random.default_rng(seed))
         marginals = mix_marginals(pr_box_marginals(), box, pr_weight)
-    decision = joint_exists(marginals, tol=TOL)
+    decision = joint_exists(marginals)
     assert decision.feasible or not explicit
     if decision.feasible:
         witness = decision.joint.values

@@ -196,11 +196,11 @@ class TestTradeoffSweep:
         solve = srt._solve_stack
 
         def corrupted(observed, target, tol):
-            matrices, residuals, unique = solve(observed, target, tol)
+            matrices = solve(observed, target, tol)
             for problem, elements in enumerate(target):
                 n = 2 if np.array_equal(elements, path_pvm().stack()) else 0
                 matrices[problem, n, 0, 0] -= 1e-3
-            return matrices, residuals, unique
+            return matrices
 
         monkeypatch.setattr(srt, "_solve_stack", corrupted)
         with pytest.raises(ValidationError, match=r"absorber=0\.75\b.*columns must sum"):
