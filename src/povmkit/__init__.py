@@ -8,6 +8,8 @@ an exact joint-distribution feasibility decision for four bivariate
 dichotomic distributions, cross-checked against the CHSH characterization.
 """
 
+from types import ModuleType as _ModuleType
+
 from .aspect import (
     CHSH_SIGN_PATTERNS,
     STANDARD_GAMMA_PAIRS,
@@ -94,74 +96,8 @@ from .tables import ProbabilityTable
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AspectConfig",
-    "CHSH_SIGN_PATTERNS",
-    "ChshReport",
-    "CompositeResult",
-    "DECOMPOSITION_TOL",
-    "DEFAULT_TOL",
-    "DimensionMismatchError",
-    "IncompleteMeasureError",
-    "InfeasibleProbabilitiesError",
-    "InstrumentModel",
-    "InternalConsistencyError",
-    "JointDecision",
-    "MarginalSet",
-    "MartensReport",
-    "NoSignalingError",
-    "NoSignalingReport",
-    "NonidealityMatrix",
-    "PovmMeasure",
-    "PovmkitError",
-    "ProbabilityTable",
-    "PvmMeasure",
-    "STANDARD_GAMMA_PAIRS",
-    "SrtConfig",
-    "State",
-    "TradeoffPoint",
-    "UncertaintyComparison",
-    "UnsupportedMeasureError",
-    "ValidationError",
-    "apply_nonideality",
-    "arm_povm",
-    "as_operator",
-    "bell_state",
-    "born_probabilities",
-    "check_martens",
-    "check_no_signaling",
-    "chsh_value",
-    "commutator_bound",
-    "correlator",
-    "interference_nonideality_entropy",
-    "interference_nonideality_matrix",
-    "interference_pvm",
-    "is_complete",
-    "is_hermitian",
-    "is_positive",
-    "is_projector",
-    "is_unitary",
-    "joint_exists",
-    "joint_probabilities",
-    "martens_bound",
-    "nonideality_entropy",
-    "partial_trace",
-    "path_nonideality_entropy",
-    "path_nonideality_matrix",
-    "path_pvm",
-    "phase1_simplex",
-    "polarization_pvm",
-    "povm_from_instrument",
-    "povm_violations",
-    "pvm_violations",
-    "quadrivariate_povm",
-    "reconstruct_state",
-    "solve_nonideality",
-    "srt_bivariate",
-    "srt_povm",
-    "standard_composite",
-    "tensor",
-    "tetrahedral_qubit_povm",
-    "trace_distance",
-    "tradeoff_sweep",
-]
+#: Every public name imported above; the submodules themselves are left out.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -32,13 +32,16 @@ import numpy as np
 from .errors import DimensionMismatchError, InternalConsistencyError, ValidationError
 from .measures import PovmMeasure, PvmMeasure, _stack_violations
 from .operators import DEFAULT_TOL, State, tensor
-from .tables import ProbabilityTable, _split_axes
+from .tables import ProbabilityTable
 
 #: The four limiting mirror settings of the standard experiments, paired with
 #: the axes of (A, A', B, B') that carry their informative outcomes: the
 #: setting pairs (A, B), (A, B'), (A', B), (A', B').
 STANDARD_GAMMA_PAIRS = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
 _SETTING_PAIR_AXES = ((0, 2), (0, 3), (1, 2), (1, 3))
+#: The axes each setting pair's table sums out of a joint over (A, A', B, B').
+_SETTING_PAIR_DROP = tuple(tuple(ax for ax in range(4) if ax not in keep)
+                           for keep in _SETTING_PAIR_AXES)
 
 #: Sign placements of the eight CHSH combinations: every pattern
 #: ``(s1, s2, s3, s4)`` over the correlators (E11, E12, E21, E22) whose sign
@@ -263,9 +266,15 @@ def standard_composite(
     # Mirror limits (1, 0) per arm: the grid's C order is STANDARD_GAMMA_PAIRS.
     arms = _arm_stacks([(1.0, 0.0)] * 2, [theta1, theta1p, theta2, theta2p], _ANGLE_NAMES, tol)
     grid = _born_products(rho, arms[0][:, None], arms[1][None, :], tol)
-    tables = tuple(
-        ProbabilityTable(joint.sum(axis=_split_axes(keep, joint.shape)[1]),
-                         axis_labels=(_SIGN_LABELS,) * 2, tol=tol)
-        for joint, keep in zip(grid.reshape(4, 2, 2, 2, 2), _SETTING_PAIR_AXES)
-    )
+    sums = np.stack([joint.sum(axis=drop)
+                     for joint, drop in zip(grid.reshape(4, 2, 2, 2, 2), _SETTING_PAIR_DROP)])
+    labels = (_SIGN_LABELS,) * 2
+    # The constructor's checks on all four tables at once; a rejected stack goes
+    # through the constructor, so the first failing table raises its own error.
+    if (np.isfinite(sums).all() and sums.min() >= -tol
+            and np.abs(sums.sum(axis=(1, 2)) - 1.0).max() <= max(tol, 4 * tol)):
+        tables = tuple(ProbabilityTable.__new__(ProbabilityTable)._init_valid(t, labels, tol)
+                       for t in sums)
+    else:
+        tables = tuple(ProbabilityTable(t, axis_labels=labels, tol=tol) for t in sums)
     return CompositeResult(tables=tables, chsh=chsh_value(tables))

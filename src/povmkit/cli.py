@@ -35,6 +35,9 @@ EX_USAGE = 64
 EX_DATAERR = 65
 
 _COMMANDS = ("measure", "martens", "srt", "aspect", "fine")
+#: The one choice of each optional positional ``mode``, checked after parsing so
+#: that a value following an unrecognized option is reported with it.
+_MODES = {"srt": "sweep", "aspect": "standard-composite"}
 _ANGLES_SPELLINGS = frozenset("--angles"[:n] for n in range(3, 9))
 
 
@@ -83,7 +86,7 @@ def _build_parser() -> _Parser:
     martens.add_argument("--pvm2", required=True, help="second-axis target PVM JSON")
 
     srt = subparsers.add_parser("srt", parents=[common])
-    srt.add_argument("mode", nargs="?", choices=("sweep",))
+    srt.add_argument("mode", nargs="?", metavar="{sweep}")
     srt.add_argument("--absorber", type=float, default=None)
     srt.add_argument("--phase", type=float, default=0.0)
     srt.add_argument("--emit", choices=("povm", "bivariate", "probabilities"), default=None)
@@ -91,7 +94,7 @@ def _build_parser() -> _Parser:
     srt.add_argument("--points", type=int, default=101, help="sweep grid size")
 
     aspect = subparsers.add_parser("aspect", parents=[formatted])
-    aspect.add_argument("mode", nargs="?", choices=("standard-composite",))
+    aspect.add_argument("mode", nargs="?", metavar="{standard-composite}")
     aspect.add_argument("--gamma1", type=float, default=None)
     aspect.add_argument("--gamma2", type=float, default=None)
     aspect.add_argument("--angles", default=None, help="theta1,theta1p,theta2,theta2p in radians")
@@ -335,7 +338,16 @@ def main(argv=None) -> int:
         return EX_USAGE
     parser = _build_parser()
     try:
-        args = parser.parse_args(_join_angles(argv))
+        argv = _join_angles(argv)
+        args, extras = parser.parse_known_args(argv)
+        mode = getattr(args, "mode", None)
+        if mode not in (None, _MODES.get(args.command)):
+            if not extras:
+                choice = _MODES[args.command]
+                raise _UsageError(f"argument mode: invalid choice: {mode!r} (choose from {choice!r})")
+            extras = sorted(extras + [mode], key=argv.index)
+        if extras:
+            raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EX_USAGE

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aspect import _SETTING_PAIR_AXES, ChshReport, chsh_value
+from .aspect import _SETTING_PAIR_AXES, _SETTING_PAIR_DROP, ChshReport, chsh_value
 from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
@@ -77,7 +77,8 @@ class MarginalSet:
             raise DimensionMismatchError(
                 f"expected a (2, 2, 2, 2) joint table, got shape {joint.values.shape}"
             )
-        return cls(*(joint.marginal(keep=axes) for axes in _SETTING_PAIR_AXES), tol=joint.tol)
+        pairs = zip(_SETTING_PAIR_AXES, _SETTING_PAIR_DROP)
+        return cls(*(joint._sum_out(keep, drop) for keep, drop in pairs), tol=joint.tol)
 
 
 @dataclass(frozen=True)

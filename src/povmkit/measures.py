@@ -54,9 +54,30 @@ def _lowest_eigenvalues(hermitian: np.ndarray) -> np.ndarray:
     """
     if hermitian.shape[-1] != 2:
         return np.linalg.eigvalsh(hermitian)[..., 0]
-    a = np.real(hermitian[..., 0, 0])
-    d = np.real(hermitian[..., 1, 1])
+    a = hermitian[..., 0, 0].real
+    d = hermitian[..., 1, 1].real
     return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(hermitian[..., 0, 1]))
+
+
+def _stack_accepts(stack: np.ndarray, tol: float, projective: bool) -> bool:
+    """True when a non-empty, finite stack passes every check of ``_stack_violations``.
+
+    Each test bounds the extreme of one defect over the whole stack, computed as
+    the per-measure check computes it, so acceptance here means no violation there.
+    """
+    if stack.size == 0 or not np.isfinite(stack).all():
+        return False
+    adjoint = stack.conj().swapaxes(-1, -2)
+    if not (np.abs(stack - adjoint).max() <= tol
+            and _lowest_eigenvalues((stack + adjoint) / 2.0).min() >= -tol
+            and np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1])).max() <= tol):
+        return False
+    if not projective:
+        return True
+    overlaps = np.abs(np.einsum("...jab,...kba->...jk", stack, stack))
+    off_diagonal = 1.0 - np.eye(stack.shape[-3])
+    return bool(np.abs(stack @ stack - stack).max() <= tol
+                and (overlaps * off_diagonal).max() <= tol)
 
 
 def _stack_violations(
@@ -68,8 +89,11 @@ def _stack_violations(
     ``(K, d, d)`` measure) to its violation messages, in C order; valid
     measures are absent.  Every predicate reads ``not (defect <= tol)`` so a
     NaN defect is a violation.  Non-finite elements are reported as such and
-    left out of the per-element checks.
+    left out of the per-element checks.  Whole-stack reductions decide first;
+    the per-measure reports are built only for a stack they reject.
     """
+    if _stack_accepts(stack, tol, projective):
+        return {}
     n_elements, dim = stack.shape[-3], stack.shape[-1]
     finite = np.isfinite(stack).all(axis=(-2, -1))
     clean = np.where(finite[..., None, None], stack, 0.0)
@@ -89,8 +113,6 @@ def _stack_violations(
         not_orthogonal = ~(overlaps <= tol) & finite[..., :, None] & finite[..., None, :]
         not_orthogonal = np.triu(not_orthogonal, k=1)
         bad |= not_projector.any(axis=-1) | not_orthogonal.any(axis=(-2, -1))
-    if not bad.any():
-        return {}
 
     found = {}
     for index in map(tuple, np.argwhere(bad)):

@@ -31,6 +31,9 @@ DECOMPOSITION_TOL = 1e-8
 #: Iteration cap of the active-set program behind the constrained solve; a
 #: program still moving after this many steps raises instead of returning.
 QP_MAX_ITERATIONS = 200
+#: Bound multipliers at or above ``-KKT_TOL`` stop the active-set program, whose
+#: exit point must meet its KKT conditions within ``max(tol, KKT_TOL)``.
+KKT_TOL = 1e-10
 
 
 def _stochastic_violation(matrices: np.ndarray, tol: float) -> tuple[int, str] | None:
@@ -105,13 +108,14 @@ def apply_nonideality(target: PovmMeasure, matrix, labels=None, *, tol: float = 
     return PovmMeasure(elements, labels=labels, tol=tol)
 
 
-def _stochastic_least_squares(gram: np.ndarray, cross: np.ndarray) -> np.ndarray:
+def _stochastic_least_squares(gram: np.ndarray, cross: np.ndarray, tol: float) -> np.ndarray:
     """Minimize the decomposition misfit over column-stochastic nonnegative matrices.
 
     Primal active-set iteration on the quadratic program with Hessian
     ``I (x) gram``, equality constraints fixing each column sum to one, and
     nonnegativity bounds.  Problem sizes here are tiny (at most a few dozen
-    unknowns), so dense KKT solves are exact enough.
+    unknowns), so dense KKT solves are exact enough.  The exit point must meet
+    the KKT conditions within ``max(tol, KKT_TOL)``, or the solve raises.
     """
     n_rows, n_cols = cross.shape
     n_vars = n_rows * n_cols
@@ -141,7 +145,7 @@ def _stochastic_least_squares(gram: np.ndarray, cross: np.ndarray) -> np.ndarray
                 break
             bound_multipliers = gradient + eq.T @ multipliers
             worst = min(active, key=lambda k: bound_multipliers[k])
-            if bound_multipliers[worst] >= -1e-10:
+            if bound_multipliers[worst] >= -KKT_TOL:
                 break
             active.remove(worst)
             continue
@@ -166,6 +170,15 @@ def _stochastic_least_squares(gram: np.ndarray, cross: np.ndarray) -> np.ndarray
         raise InternalConsistencyError(
             f"constrained decomposition did not converge in {QP_MAX_ITERATIONS} active-set steps"
         )
+    bound_multipliers = gradient + eq.T @ multipliers
+    primal = np.maximum(-x.min(), np.abs(eq @ x - 1.0).max())
+    stationarity = np.abs(bound_multipliers[free]).max(initial=0.0)
+    slackness = np.maximum(-bound_multipliers.min(), np.abs(x * bound_multipliers).max())
+    if not np.max([primal, stationarity, slackness]) <= max(tol, KKT_TOL):
+        raise InternalConsistencyError(
+            f"constrained decomposition stopped off its KKT conditions (primal {primal:.3e}, "
+            f"stationarity {stationarity:.3e}, complementary slackness {slackness:.3e})"
+        )
     return np.clip(x, 0.0, None).reshape(n_rows, n_cols)
 
 
@@ -186,7 +199,7 @@ def _solve_stack(observed: np.ndarray, target: np.ndarray, tol: float) -> np.nda
         np.abs(candidates.sum(axis=-2) - 1.0).max(axis=-1) <= tol
     )
     for index in map(tuple, np.argwhere(~feasible)):
-        candidates[index] = _stochastic_least_squares(gram[index[:-1]], cross[index])
+        candidates[index] = _stochastic_least_squares(gram[index[:-1]], cross[index], tol)
     return candidates
 
 

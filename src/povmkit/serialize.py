@@ -78,12 +78,19 @@ def _elements_from_dict(data: dict) -> list[np.ndarray]:
 
 def measure_from_dict(data: dict, *, pvm: bool = False, tol: float = DEFAULT_TOL) -> PovmMeasure:
     elements = _elements_from_dict(data)
-    labels = data.get("labels")
+    labels, index_shape = data.get("labels"), data.get("index_shape")
+    if not isinstance(labels, (list, type(None))):
+        raise ValidationError("measure 'labels' must be a list")
+    if index_shape is not None and not (
+        isinstance(index_shape, list) and all(type(n) is int for n in index_shape)
+    ):
+        raise ValidationError("measure 'index_shape' must be a list of integers")
     if labels is not None:
         labels = tuple(_label_from_json(label) for label in labels)
-    index_shape = data.get("index_shape")
-    if index_shape is not None:
-        index_shape = tuple(int(n) for n in index_shape)
+        try:
+            hash(labels)
+        except TypeError:
+            raise ValidationError("measure labels must be numbers, strings or flat lists") from None
     cls = PvmMeasure if pvm else PovmMeasure
     return cls(elements, labels=labels, index_shape=index_shape, tol=tol)
 

@@ -76,7 +76,10 @@ class ProbabilityTable:
 
     def marginal(self, keep) -> "ProbabilityTable":
         """Sum out all axes not listed in ``keep`` (ascending); the result inherits validity."""
-        keep, drop = _split_axes(keep, self.shape)
+        return self._sum_out(*_split_axes(keep, self.shape))
+
+    def _sum_out(self, keep: tuple, drop: tuple) -> "ProbabilityTable":
+        """The marginal on checked axes ``keep``, summing out ``drop``; it inherits validity."""
         summed = np.asarray(self.values.sum(axis=drop))
         labels = None
         if self.axis_labels is not None:

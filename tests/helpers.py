@@ -18,3 +18,69 @@ def make_config(gamma1, gamma2, state=None, angles=TSIRELSON_ANGLES):
         theta2p=angles[3],
         state=bell_state() if state is None else state,
     )
+
+
+def _oracle_lowest_eigenvalues(hermitian):
+    if hermitian.shape[-1] != 2:
+        return np.linalg.eigvalsh(hermitian)[..., 0]
+    a = np.real(hermitian[..., 0, 0])
+    d = np.real(hermitian[..., 1, 1])
+    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(hermitian[..., 0, 1]))
+
+
+def oracle_stack_violations(stack, tol, projective=False):
+    """Per-measure stacked validation with no whole-stack accept pass.
+
+    A frozen copy of the masks-and-messages path of
+    ``povmkit.measures._stack_violations``, kept here as the oracle that the
+    library's accept-first validator must equal on every stack.
+    """
+    n_elements, dim = stack.shape[-3], stack.shape[-1]
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    clean = np.where(finite[..., None, None], stack, 0.0)
+    adjoint = np.conj(np.swapaxes(clean, -1, -2))
+    herm = np.abs(clean - adjoint).max(axis=(-2, -1))
+    lowest = _oracle_lowest_eigenvalues((clean + adjoint) / 2.0)
+    completeness = np.abs(stack.sum(axis=-3) - np.eye(dim)).max(axis=(-2, -1))
+
+    not_hermitian = finite & ~(herm <= tol)
+    not_positive = finite & ~not_hermitian & ~(lowest >= -tol)
+    incomplete = ~(completeness <= tol)
+    bad = (~finite | not_hermitian | not_positive).any(axis=-1) | incomplete
+    if projective:
+        idempotence = np.abs(clean @ clean - clean).max(axis=(-2, -1))
+        overlaps = np.abs(np.einsum("...jab,...kba->...jk", clean, clean))
+        not_projector = finite & ~(idempotence <= tol)
+        not_orthogonal = ~(overlaps <= tol) & finite[..., :, None] & finite[..., None, :]
+        not_orthogonal = np.triu(not_orthogonal, k=1)
+        bad |= not_projector.any(axis=-1) | not_orthogonal.any(axis=(-2, -1))
+    if not bad.any():
+        return {}
+
+    found = {}
+    for index in map(tuple, np.argwhere(bad)):
+        lines = []
+        for k in range(n_elements):
+            at = index + (k,)
+            if not finite[at]:
+                lines.append(f"element {k} has non-finite entries")
+            elif not_hermitian[at]:
+                lines.append(f"element {k} is not Hermitian (defect {herm[at]:.3e})")
+            elif not_positive[at]:
+                lines.append(f"element {k} is not positive (eigenvalue {lowest[at]:.3e})")
+        if incomplete[index]:
+            lines.append(
+                f"elements do not sum to identity (defect {completeness[index]:.3e})"
+            )
+        if projective:
+            for k in np.flatnonzero(not_projector[index]):
+                lines.append(
+                    f"element {k} is not a projector (defect {idempotence[index + (k,)]:.3e})"
+                )
+            for j, k in np.argwhere(not_orthogonal[index]):
+                lines.append(
+                    f"elements {j} and {k} are not orthogonal "
+                    f"(Tr = {overlaps[index + (j, k)]:.3e})"
+                )
+        found[index] = lines
+    return found

@@ -255,3 +255,35 @@ def test_born_kernel_rejects_negative_probability():
     corrupted = SimpleNamespace(dim=4, matrix=np.diag([-0.5, 0.5, 0.5, 0.5]).astype(complex))
     with pytest.raises(InternalConsistencyError, match="below -tol"):
         _born_products(corrupted, arms[0, 0], arms[1, 0], 1e-9)
+
+
+def test_composite_tables_reject_as_their_constructor(monkeypatch):
+    # The four tables are checked as one stack; when it fails, the first
+    # failing table (the second here, ahead of the negative third) raises the
+    # constructor's own error.
+    from povmkit import aspect
+
+    uniform = np.full((2, 2), 0.25)
+    off_total = uniform + np.array([[1e-6, 0.0], [0.0, 0.0]])
+    negative = np.array([[0.5 + 1e-6, -1e-6], [0.25, 0.25]])
+    grid = np.zeros((4, 2, 2, 2, 2))
+    for g, (table, axes) in enumerate(zip((uniform, off_total, negative, uniform),
+                                          aspect._SETTING_PAIR_AXES)):
+        for (a, b), value in np.ndenumerate(table):
+            cell = [0, 0, 0, 0]
+            cell[axes[0]], cell[axes[1]] = a, b
+            grid[(g, *cell)] = value
+    monkeypatch.setattr(aspect, "_born_products", lambda *args: grid.reshape((2,) * 6))
+    with pytest.raises(ValidationError) as composite:
+        standard_composite(*TSIRELSON_ANGLES)
+    with pytest.raises(ValidationError) as constructor:
+        ProbabilityTable(off_total)
+    assert str(composite.value) == str(constructor.value)
+
+
+def test_composite_tables_are_read_only_and_labelled():
+    result = standard_composite(*TSIRELSON_ANGLES, tol=1e-10)
+    for table in result.tables:
+        assert not table.values.flags.writeable
+        assert table.axis_labels == (("+", "-"), ("+", "-"))
+        assert table.tol == 1e-10

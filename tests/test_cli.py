@@ -468,3 +468,46 @@ def test_outputs_do_not_mutate_inputs(capsys, tmp_path):
     before = path.read_text()
     run(capsys, "measure", "validate", str(path))
     assert path.read_text() == before
+
+
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [
+        (("srt", "--absorber", "0.5", "--emit", "povm", "--format", "csv"), "--format csv"),
+        (("aspect", "--emit", "chsh", "--bogus", "1"), "--bogus 1"),
+        (("srt", "--format", "csv", "sweep"), "--format csv sweep"),
+    ],
+)
+def test_unknown_option_value_is_not_taken_for_the_mode(capsys, argv, unknown):
+    code, out, err = run(capsys, *argv)
+    assert code == 65
+    assert out == ""
+    assert err == f"error: unrecognized arguments: {unknown}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, choice",
+    [(("srt", "bogus"), "sweep"), (("aspect", "bogus", "--angles", "0,0,0,0"), "standard-composite")],
+)
+def test_invalid_mode_is_named(capsys, argv, choice):
+    code, out, err = run(capsys, *argv)
+    assert code == 65
+    assert out == ""
+    assert err == f"error: argument mode: invalid choice: 'bogus' (choose from '{choice}')\n"
+
+
+@pytest.mark.parametrize("field, value", [("labels", 5), ("index_shape", ["a"])])
+def test_martens_rejects_malformed_measure_fields(capsys, tmp_path, field, value):
+    data = serialize.measure_to_dict(srt_bivariate(SrtConfig(0.5)))
+    data[field] = value
+    serialize.dump_json(data, tmp_path / "bivariate.json")
+    serialize.dump_json(serialize.measure_to_dict(path_pvm()), tmp_path / "pvm1.json")
+    serialize.dump_json(serialize.measure_to_dict(interference_pvm()), tmp_path / "pvm2.json")
+    code, out, err = run(
+        capsys,
+        "martens", "--bivariate", str(tmp_path / "bivariate.json"),
+        "--pvm1", str(tmp_path / "pvm1.json"), "--pvm2", str(tmp_path / "pvm2.json"),
+    )
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

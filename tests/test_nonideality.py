@@ -137,6 +137,19 @@ class TestSolver:
         with pytest.raises(InternalConsistencyError, match="did not converge"):
             solve_nonideality(path_pvm(), target)
 
+    def test_constrained_exit_off_kkt_raises(self, monkeypatch):
+        # A KKT solve that returns no step stops the program at its starting
+        # point, the uniform matrix: feasible, but not stationary.
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        target = PovmMeasure([0.5 * p0, 0.5 * p1, 0.5 * np.eye(2)])
+
+        def no_step(matrix, rhs, rcond=None):
+            return np.zeros(matrix.shape[1]), np.zeros(0), 0, np.zeros(0)
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_step)
+        with pytest.raises(InternalConsistencyError, match="KKT conditions"):
+            solve_nonideality(path_pvm(), target)
+
     def test_constrained_path_still_feasible(self, rng):
         # Observed measures that are not smeared versions of the target push
         # the solver onto the constrained path; invariants must still hold.

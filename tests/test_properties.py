@@ -41,6 +41,8 @@ from povmkit.sampling import (
     random_unitary,
 )
 
+from helpers import oracle_stack_violations
+
 #: Derandomized so every run draws the same examples; no example database.
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -443,3 +445,88 @@ def test_lowest_eigenvalues_beyond_qubits_is_eigvalsh():
         raw = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
         h = raw + np.conj(np.swapaxes(raw, -1, -2))
         assert np.array_equal(_lowest_eigenvalues(h), np.linalg.eigvalsh(h)[:, 0])
+
+
+# -- (g) the accept-first validator against the per-element oracle ----------
+
+EDGE_KINDS = ("none", "non-hermitian", "negative", "incomplete", "non-projector",
+              "non-orthogonal", "nan", "inf")
+#: Each defect sits just inside or just outside the tolerance, on either side.
+EDGE_SCALES = (-1.1, -0.9, 0.9, 1.1)
+
+
+def edge_base(rng, n_elements, dim, projective, spare):
+    """A valid measure: computational-basis projectors plus ``spare`` zero
+    elements, or a random positive family whitened to sum to the identity."""
+    if projective:
+        basis = [np.diag(np.eye(dim)[k]).astype(complex) for k in range(dim)]
+        return np.stack(basis + [np.zeros((dim, dim), dtype=complex)] * spare)
+    return random_measure(rng, n_elements, dim, False)
+
+
+def edge_defect(rng, elements, kind, scale, tol, projective):
+    """Move one predicate of ``elements`` to ``scale * tol``, keeping the
+    others within about half the tolerance where the family allows it."""
+    out = elements.copy()
+    t = scale * tol
+    n_elements, dim = out.shape[0], out.shape[-1]
+    k = int(rng.integers(n_elements))
+    if kind == "non-hermitian" and dim > 1:
+        # An anti-Hermitian part: Hermitian defect |t|, completeness |t| / 2.
+        out[k, 0, 1] += t / 2.0
+        out[k, 1, 0] -= t / 2.0
+    elif kind == "negative" and n_elements > 1:
+        # Lowest eigenvalue -t; the shift moves to another element.
+        shift = np.linalg.eigvalsh(out[k])[0] + t
+        out[k] -= shift * np.eye(dim)
+        out[(k + 1) % n_elements] += shift * np.eye(dim)
+    elif kind == "incomplete":
+        out[k, 0, 0] += t
+    elif kind == "non-projector" and projective and n_elements == dim + 2:
+        # Projector 0 gives weight eps to two zero elements: idempotence of
+        # element 0 is eps (1 - eps), every overlap about eps / 2.
+        eps = t
+        out[0] = (1.0 - eps) * elements[0]
+        out[dim] = out[dim + 1] = (eps / 2.0) * elements[0]
+    elif kind == "non-orthogonal" and dim > 1 and n_elements > 1:
+        # A symmetric exchange between projectors 0 and 1: overlap |t|,
+        # idempotence and lowest eigenvalue |t| / 2, completeness exact.
+        delta = np.sign(t) * np.sqrt(abs(t) / 2.0)
+        out[0, 0, 1] += delta
+        out[0, 1, 0] += delta
+        out[1, 0, 1] -= delta
+        out[1, 1, 0] -= delta
+    elif kind == "nan":
+        out[k, 0, 0] = np.nan
+    elif kind == "inf":
+        out[k, -1, -1] = np.inf
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(EDGE_KINDS),
+    projective=st.booleans(),
+    dim=st.integers(min_value=1, max_value=3),
+    n_elements=st.integers(min_value=1, max_value=4),
+    spare=st.sampled_from([0, 2]),
+    batch=st.sampled_from([(), (1,), (3,), (2, 2), (0,), (2, 0)]),
+)
+def test_accept_first_validator_equals_per_element_oracle(
+    seed, kind, projective, dim, n_elements, spare, batch
+):
+    # One defect kind per stack, at a drawn edge scale per measure, so a stack
+    # can fail on one predicate alone and reach the accept pass's last test.
+    rng = np.random.default_rng(seed)
+    measures = [
+        edge_defect(rng, edge_base(rng, n_elements, dim, projective, spare),
+                    kind, rng.choice(EDGE_SCALES), TOL, projective)
+        for _ in range(math.prod(batch))
+    ]
+    shape = (dim + spare if projective else n_elements, dim, dim)
+    stack = np.array(measures, dtype=complex).reshape(batch + shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = _stack_violations(stack, TOL, projective)
+    assert found == oracle_stack_violations(stack, TOL, projective)

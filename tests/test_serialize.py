@@ -86,3 +86,21 @@ def test_dump_and_load_file(tmp_path, rng):
     serialize.dump_json(serialize.state_to_dict(state), path)
     recovered = serialize.state_from_dict(serialize.load_json(path))
     assert np.array_equal(recovered.matrix, state.matrix)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("labels", 5, "'labels' must be a list"),
+        ("labels", "abcd", "'labels' must be a list"),
+        ("labels", [[0, [1]], [1], [2], [3]], "labels must be numbers, strings or flat lists"),
+        ("index_shape", ["a"], "'index_shape' must be a list of integers"),
+        ("index_shape", 4, "'index_shape' must be a list of integers"),
+        ("index_shape", [2.0, 2.0], "'index_shape' must be a list of integers"),
+    ],
+)
+def test_measure_fields_are_guarded(field, value, message):
+    data = through_json(serialize.measure_to_dict(srt_bivariate(SrtConfig(0.5))))
+    data[field] = value
+    with pytest.raises(ValidationError, match=message):
+        serialize.measure_from_dict(data)
