@@ -7,7 +7,8 @@ to ``--out`` or standard output, diagnostics to standard error.
 
 Exit codes follow BSD conventions: 64 for an unknown subcommand, 65 for flag
 or input validation failures.  ``measure validate`` exits 1 on an invalid
-measure; ``fine`` exits 2 when no joint distribution exists and 3 when the
+measure; ``martens`` exits 2 when a marginal is not exactly a smearing of its
+PVM; ``fine`` exits 2 when no joint distribution exists and 3 when the
 marginals violate no-signaling.
 """
 
@@ -161,6 +162,11 @@ def _cmd_martens(args) -> int:
     lam = solve_nonideality(bivariate.marginal(keep=0), pvm1)
     mu = solve_nonideality(bivariate.marginal(keep=1), pvm2)
     report = check_martens(lam, mu, pvm1, pvm2)
+    if not report.applicable:
+        inexact = [f"the {axis} marginal onto --pvm{k} (residual {m.residual:.3e})"
+                   for k, axis, m in ((1, "first", lam), (2, "second", mu)) if not m.is_exact]
+        print(f"not applicable: no exact decomposition of {' or '.join(inexact)}", file=sys.stderr)
+        return 2
     fields = {
         "J_lambda": report.j_lambda,
         "J_mu": report.j_mu,

@@ -5,9 +5,10 @@ element decomposes as ``M_i = sum_j lambda_ij N_j`` with a column-stochastic
 nonnegative matrix ``lambda``.  This module solves for that matrix, quantifies
 the smearing with an average row entropy, and checks the state-independent
 complementarity bound on joint nonideal measurements of two maximal PVMs.
-The Gram solve is batched: a stack of problems, each many observed measures
-against one target, goes through one batched pseudo-inverse, with the
-constrained program as a per-measure fallback.
+The solve is batched over problems, each many observed measures against one
+target: the trace form for PVM targets (a diagonal Gram stack), otherwise one
+batched pseudo-inverse.  A stack that whole-stack checks accept returns as it
+is; only a rejected one is checked per measure, with the constrained fallback.
 """
 
 from __future__ import annotations
@@ -40,17 +41,17 @@ def _stochastic_violation(matrices: np.ndarray, tol: float) -> tuple[int, str] |
     """First matrix of an ``(N, I, J)`` stack with a negative entry or a column sum off 1.
 
     Returns its batch index and message, or None when every matrix passes.
-    Predicates read ``not (defect <= tol)`` so NaN entries fail.
+    Whole-stack reductions accept first; ``not (defect <= tol)`` fails NaN entries.
     """
-    lowest = matrices.min(axis=(1, 2))
     column_sums = matrices.sum(axis=1)
+    bound = max(tol, tol * matrices.shape[1])
+    if matrices.min() >= -tol and np.abs(column_sums - 1.0).max() <= bound:
+        return None
+    lowest = matrices.min(axis=(1, 2))
     imbalance = np.abs(column_sums - 1.0).max(axis=1)
     negative = ~(lowest >= -tol)
-    unbalanced = ~(imbalance <= max(tol, tol * matrices.shape[1]))
-    bad = np.flatnonzero(negative | unbalanced)
-    if bad.size == 0:
-        return None
-    n = int(bad[0])
+    unbalanced = ~(imbalance <= bound)
+    n = int(np.flatnonzero(negative | unbalanced)[0])
     if negative[n]:
         return n, f"nonideality matrix has negative entry {lowest[n]:.3e}"
     return n, f"columns must sum to 1, got {column_sums[n].tolist()}"
@@ -182,22 +183,31 @@ def _stochastic_least_squares(gram: np.ndarray, cross: np.ndarray, tol: float) -
     return np.clip(x, 0.0, None).reshape(n_rows, n_cols)
 
 
+def _is_diagonal(gram: np.ndarray, tol: float) -> bool:
+    """True when every off-diagonal ``|G_jk| <= tol`` and every ``G_jj > tol`` in a Gram stack."""
+    return bool(((np.abs(gram) > tol) == np.eye(gram.shape[-1], dtype=bool)).all())
+
+
 def _solve_stack(observed: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray:
     """Nonideality matrices of ``(..., N, I, d, d)`` stacks of observed measures.
 
     Each leading index ``...`` is one problem: its N observed measures share
-    one ``(..., J, d, d)`` target, so every problem's Gram matrix and
-    pseudo-inverse come from one batched call.  Rows whose unconstrained Gram
-    solve leaves the column-stochastic set fall back to the constrained
-    program one at a time.  Returns the ``(..., N, I, J)`` matrices.
+    one ``(..., J, d, d)`` target.  A Gram stack diagonal at ``tol`` (PVM
+    targets with no zero element) gives the trace form ``Tr(M_i N_j) / Tr(N_j N_j)``;
+    any other takes one batched pseudo-inverse.  A whole stack nonnegative with
+    unit column sums within ``tol`` returns at once; otherwise each failing
+    matrix falls back to the constrained program.  Returns ``(..., N, I, J)``.
     """
     gram = np.real(np.einsum("...jab,...kba->...jk", target, target))
     cross = np.real(np.einsum("...niab,...jba->...nij", observed, target))
-
-    candidates = cross @ np.linalg.pinv(gram, hermitian=True)[..., None, :, :]
-    feasible = (candidates.min(axis=(-2, -1)) >= -tol) & (
-        np.abs(candidates.sum(axis=-2) - 1.0).max(axis=-1) <= tol
-    )
+    if _is_diagonal(gram, tol):
+        candidates = cross / np.diagonal(gram, axis1=-2, axis2=-1)[..., None, None, :]
+    else:
+        candidates = cross @ np.linalg.pinv(gram, hermitian=True)[..., None, :, :]
+    defect = np.abs(candidates.sum(axis=-2) - 1.0)
+    if candidates.min() >= -tol and defect.max() <= tol:
+        return candidates
+    feasible = (candidates.min(axis=(-2, -1)) >= -tol) & (defect.max(axis=-1) <= tol)
     for index in map(tuple, np.argwhere(~feasible)):
         candidates[index] = _stochastic_least_squares(gram[index[:-1]], cross[index], tol)
     return candidates
@@ -207,12 +217,12 @@ def solve_nonideality(observed: PovmMeasure, target: PovmMeasure) -> Nonideality
     """Find the nonideality matrix expressing ``observed`` in terms of ``target``.
 
     Minimizes ``sum_i || M_i - sum_j lambda_ij N_j ||**2`` in Hilbert-Schmidt
-    norm subject to ``lambda >= 0`` and unit column sums.  When an exact
-    decomposition exists and the target elements are linearly independent, the
-    exact matrix is recovered (the unconstrained Gram solve already satisfies
-    the constraints); otherwise a constrained quadratic program supplies the
-    best feasible approximation.  A residual above the exactness threshold
-    flags the result as not being a nonideal measurement of the target.
+    norm subject to ``lambda >= 0`` and unit column sums.  For a PVM target
+    with no zero element it is the trace form ``Tr(M_i P_j) / Tr(P_j)``.  Else
+    the Gram pseudo-inverse recovers exact decompositions onto independent
+    targets, and a constrained program supplies the best feasible approximation
+    where that solve leaves the constraints.  A residual above the exactness
+    threshold flags the result as not being a nonideal measurement of the target.
 
     Returns
     -------
@@ -230,12 +240,13 @@ def solve_nonideality(observed: PovmMeasure, target: PovmMeasure) -> Nonideality
     matrix = _solve_stack(observed.stack()[None], targets, tol)[0]
     misfit = observed.stack() - np.einsum("ij,jab->iab", matrix, targets)
     gram = np.real(np.einsum("jab,kba->jk", targets, targets))
+    unique = _is_diagonal(gram, tol) or np.linalg.matrix_rank(gram, hermitian=True) == len(gram)
     return NonidealityMatrix(
         matrix,
         row_labels=tuple(observed.labels),
         col_labels=tuple(target.labels),
         residual=float(np.linalg.norm(misfit)),
-        unique=bool(np.linalg.matrix_rank(gram, hermitian=True) == target.n_outcomes),
+        unique=bool(unique),
         tol=tol,
     )
 
@@ -297,12 +308,15 @@ def martens_bound(pvm1: PvmMeasure, pvm2: PvmMeasure) -> float:
 
 @dataclass(frozen=True)
 class MartensReport:
-    """Entropies, bound and slack of one joint nonideal measurement."""
+    """Entropies, bound and slack of a joint nonideal measurement; applicable if both are exact."""
 
     j_lambda: float
     j_mu: float
     bound: float
     slack: float = field(init=False)
+    lambda_residual: float = 0.0
+    mu_residual: float = 0.0
+    applicable: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "slack", self.j_lambda + self.j_mu - self.bound)
@@ -317,16 +331,18 @@ def check_martens(
     """Evaluate the complementarity inequality for one bivariate arrangement.
 
     ``lam`` must relate the first marginal to ``pvm1`` and ``mu`` the second
-    marginal to ``pvm2``.  The slack is nonnegative (within the inputs' largest
-    ``tol``) whenever the two matrices really come from the marginals of one
-    bivariate POVM; a violation indicates the precondition does not hold and raises.
+    marginal to ``pvm2``.  If both are exact, the slack is nonnegative (within the
+    inputs' largest ``tol``) when they come from the marginals of one bivariate
+    POVM; a violation indicates the precondition does not hold and raises.
     """
     report = MartensReport(
         j_lambda=nonideality_entropy(lam),
         j_mu=nonideality_entropy(mu),
         bound=martens_bound(pvm1, pvm2),
+        lambda_residual=lam.residual, mu_residual=mu.residual,
+        applicable=lam.is_exact and mu.is_exact,
     )
-    if report.slack < -max(lam.tol, mu.tol, pvm1.tol, pvm2.tol):
+    if report.applicable and report.slack < -max(lam.tol, mu.tol, pvm1.tol, pvm2.tol):
         raise InternalConsistencyError(
             f"joint-measurement bound violated (slack {report.slack:.3e}); "
             "the matrices do not come from one bivariate arrangement"

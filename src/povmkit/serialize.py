@@ -35,7 +35,14 @@ def matrix_to_dict(matrix) -> dict:
     return {"dim": int(arr.shape[0]), "entries": entries}
 
 
+def _require_object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object, not {type(data).__name__}")
+    return data
+
+
 def matrix_from_dict(data: dict) -> np.ndarray:
+    _require_object(data, "a matrix")
     try:
         dim = int(data["dim"])
         entries = list(data["entries"])
@@ -70,7 +77,7 @@ def measure_to_dict(measure: PovmMeasure) -> dict:
 
 def _elements_from_dict(data: dict) -> list[np.ndarray]:
     """Unvalidated element matrices of a measure object; none when it has no 'elements'."""
-    elements = data.get("elements", []) if isinstance(data, dict) else None
+    elements = _require_object(data, "a measure").get("elements", [])
     if not isinstance(elements, list):
         raise ValidationError("a measure must be a JSON object whose 'elements' is a list")
     return [matrix_from_dict(e) for e in elements]
@@ -100,7 +107,7 @@ def state_to_dict(state: State) -> dict:
 
 
 def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> State:
-    return State(matrix_from_dict(data), tol=tol)
+    return State(matrix_from_dict(_require_object(data, "a state")), tol=tol)
 
 
 def table_to_dict(table: ProbabilityTable) -> dict:
@@ -115,6 +122,7 @@ def table_to_dict(table: ProbabilityTable) -> dict:
 
 
 def table_from_dict(data: dict, tol: float = DEFAULT_TOL) -> ProbabilityTable:
+    _require_object(data, "a table")
     try:
         shape = tuple(int(n) for n in data["shape"])
         values = np.array(data["values"], dtype=float).reshape(shape)
@@ -134,7 +142,7 @@ def marginals_to_dict(marginals: MarginalSet) -> dict:
 
 
 def marginals_from_dict(data: dict, tol: float = DEFAULT_TOL) -> MarginalSet:
-    missing = [key for key in _MARGINAL_KEYS if key not in data]
+    missing = [key for key in _MARGINAL_KEYS if key not in _require_object(data, "marginals")]
     if missing:
         raise ValidationError(f"marginals object is missing tables {missing}")
     tables = []

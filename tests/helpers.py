@@ -3,6 +3,7 @@
 import numpy as np
 
 from povmkit import AspectConfig, bell_state
+from povmkit.nonideality import _stochastic_least_squares
 
 TSIRELSON_ANGLES = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -84,3 +85,56 @@ def oracle_stack_violations(stack, tol, projective=False):
                 )
         found[index] = lines
     return found
+
+
+def oracle_solve_stack(observed, target, tol):
+    """Batched pseudo-inverse solve with a per-measure constrained fallback.
+
+    A frozen copy of ``povmkit.nonideality._solve_stack`` before it gained the
+    trace form for diagonal Gram stacks and its whole-stack accept test: the
+    oracle the trace form must agree with on PVM targets.
+    """
+    gram = np.real(np.einsum("...jab,...kba->...jk", target, target))
+    cross = np.real(np.einsum("...niab,...jba->...nij", observed, target))
+
+    candidates = cross @ np.linalg.pinv(gram, hermitian=True)[..., None, :, :]
+    feasible = (candidates.min(axis=(-2, -1)) >= -tol) & (
+        np.abs(candidates.sum(axis=-2) - 1.0).max(axis=-1) <= tol
+    )
+    for index in map(tuple, np.argwhere(~feasible)):
+        candidates[index] = _stochastic_least_squares(gram[index[:-1]], cross[index], tol)
+    return candidates
+
+
+def oracle_stochastic_violation(matrices, tol):
+    """Per-matrix stochasticity check with no whole-stack accept pass.
+
+    A frozen copy of ``povmkit.nonideality._stochastic_violation`` as it was
+    before its whole-stack reductions: the library must return the same
+    index and message on every stack.
+    """
+    lowest = matrices.min(axis=(1, 2))
+    column_sums = matrices.sum(axis=1)
+    imbalance = np.abs(column_sums - 1.0).max(axis=1)
+    negative = ~(lowest >= -tol)
+    unbalanced = ~(imbalance <= max(tol, tol * matrices.shape[1]))
+    bad = np.flatnonzero(negative | unbalanced)
+    if bad.size == 0:
+        return None
+    n = int(bad[0])
+    if negative[n]:
+        return n, f"nonideality matrix has negative entry {lowest[n]:.3e}"
+    return n, f"columns must sum to 1, got {column_sums[n].tolist()}"
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call is recorded; returns the record."""
+    calls = []
+    function = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -511,3 +511,36 @@ def test_martens_rejects_malformed_measure_fields(capsys, tmp_path, field, value
     assert code == 65
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [5, [1, 2], "text"])
+def test_fine_rejects_marginals_that_are_not_an_object(capsys, tmp_path, value):
+    path = tmp_path / "marginals.json"
+    path.write_text(json.dumps(value), encoding="utf-8")
+    code, out, err = run(capsys, "fine", "--marginals", str(path))
+    assert code == 65
+    assert out == ""
+    assert err == f"error: marginals must be a JSON object, not {type(value).__name__}\n"
+
+
+def test_martens_on_an_inexact_decomposition_exits_2(capsys, tmp_path):
+    # The path marginal at a = 0.5 is no smearing of a polarization PVM at
+    # 0.3 rad (residual 0.282): no report is printed, only why.
+    from povmkit import polarization_pvm
+
+    files = {
+        "bivariate": srt_bivariate(SrtConfig(0.5)),
+        "pvm1": polarization_pvm(0.3),
+        "pvm2": interference_pvm(),
+    }
+    argv = ["martens"]
+    for flag, measure in files.items():
+        serialize.dump_json(serialize.measure_to_dict(measure), tmp_path / f"{flag}.json")
+        argv += [f"--{flag}", str(tmp_path / f"{flag}.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "not applicable: no exact decomposition of the first marginal onto --pvm1 "
+        "(residual 2.823e-01)\n"
+    )

@@ -26,6 +26,8 @@ from povmkit.srt import (
 from povmkit import nonideality
 from povmkit.sampling import random_basis_pvm
 
+from helpers import count_calls
+
 LN2 = np.log(2.0)
 
 
@@ -159,6 +161,30 @@ class TestSolver:
             result = solve_nonideality(observed, target)
             assert result.matrix.min() >= -1e-9
             assert np.max(np.abs(result.matrix.sum(axis=0) - 1.0)) < 1e-7
+
+    def test_non_orthogonal_targets_reach_the_constrained_program(self, monkeypatch, rng):
+        # The tetrahedral Gram matrix is not diagonal, so the pseudo-inverse
+        # runs, and its solve against a random basis is not stochastic.
+        from povmkit import tetrahedral_qubit_povm
+
+        pinv = count_calls(monkeypatch, np.linalg, "pinv")
+        qp = count_calls(monkeypatch, nonideality, "_stochastic_least_squares")
+        result = solve_nonideality(random_basis_pvm(2, rng), tetrahedral_qubit_povm())
+        assert len(pinv) == 1
+        assert len(qp) >= 1
+        assert result.matrix.min() >= -1e-9
+        assert np.max(np.abs(result.matrix.sum(axis=0) - 1.0)) < 1e-9
+
+    def test_pvm_with_a_zero_element_keeps_the_pseudo_inverse(self, monkeypatch):
+        # A zero projector has a zero Gram diagonal entry: no trace form, and
+        # its column, zero after the solve, needs the constrained program.
+        target = PvmMeasure([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))])
+        pinv = count_calls(monkeypatch, np.linalg, "pinv")
+        result = solve_nonideality(path_pvm(), target)
+        assert len(pinv) == 1
+        assert not result.unique
+        assert result.matrix.min() >= -1e-9
+        assert np.max(np.abs(result.matrix.sum(axis=0) - 1.0)) < 1e-9
 
     def test_constrained_path_matches_slsqp_oracle(self, rng):
         # Non-orthogonal targets make the unconstrained Gram solve leave the
@@ -331,3 +357,32 @@ class TestCheckMartens:
         )
         assert report.j_lambda == pytest.approx(LN2, abs=1e-12)
         assert report.j_mu == pytest.approx(0.0, abs=1e-12)
+
+    def test_exact_report_applies_and_carries_residuals(self):
+        bivariate = srt_bivariate(SrtConfig(0.5))
+        lam = solve_nonideality(bivariate.marginal(keep=0), path_pvm())
+        mu = solve_nonideality(bivariate.marginal(keep=1), interference_pvm())
+        report = check_martens(lam, mu, path_pvm(), interference_pvm())
+        assert report.applicable
+        assert (report.lambda_residual, report.mu_residual) == (lam.residual, mu.residual)
+
+    def test_inexact_decomposition_does_not_apply(self):
+        # The path marginal is no smearing of a polarization PVM at 0.3 rad:
+        # its residual is about 0.282, so the slack is not backed by the bound.
+        from povmkit import polarization_pvm
+
+        bivariate = srt_bivariate(SrtConfig(0.5))
+        target = polarization_pvm(0.3)
+        lam = solve_nonideality(bivariate.marginal(keep=0), target)
+        mu = solve_nonideality(bivariate.marginal(keep=1), interference_pvm())
+        report = check_martens(lam, mu, target, interference_pvm())
+        assert not report.applicable
+        assert report.lambda_residual == pytest.approx(0.282, abs=1e-3)
+        assert report.mu_residual == mu.residual <= nonideality.DECOMPOSITION_TOL
+
+    def test_inapplicable_report_does_not_raise_on_negative_slack(self):
+        # The bound is a theorem about exact decompositions only.
+        lam = NonidealityMatrix(np.eye(2), residual=0.5)
+        report = check_martens(lam, lam, path_pvm(), interference_pvm())
+        assert report.slack < 0.0
+        assert not report.applicable

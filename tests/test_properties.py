@@ -14,6 +14,7 @@ from povmkit import (
     AspectConfig,
     MarginalSet,
     PovmMeasure,
+    PvmMeasure,
     ProbabilityTable,
     State,
     SrtConfig,
@@ -32,6 +33,7 @@ from povmkit import (
     standard_composite,
     tradeoff_sweep,
 )
+from povmkit import nonideality
 from povmkit.measures import _lowest_eigenvalues, _stack_violations
 from povmkit.sampling import (
     mix_marginals,
@@ -41,7 +43,12 @@ from povmkit.sampling import (
     random_unitary,
 )
 
-from helpers import oracle_stack_violations
+from helpers import (
+    count_calls,
+    oracle_solve_stack,
+    oracle_stack_violations,
+    oracle_stochastic_violation,
+)
 
 #: Derandomized so every run draws the same examples; no example database.
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -530,3 +537,69 @@ def test_accept_first_validator_equals_per_element_oracle(
         warnings.simplefilter("error")
         found = _stack_violations(stack, TOL, projective)
     assert found == oracle_stack_violations(stack, TOL, projective)
+
+
+# -- (h) the trace form on PVM targets against the pseudo-inverse oracle ----
+
+def grouped_pvm(rng, dim, ranks):
+    """PVM of rank-``ranks`` projectors onto consecutive columns of a Haar unitary."""
+    columns = random_unitary(dim, rng)
+    edges = np.cumsum([0, *ranks])
+    blocks = [columns[:, a:b] for a, b in zip(edges, edges[1:])]
+    return PvmMeasure([block @ block.conj().T for block in blocks])
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.integers(min_value=2, max_value=4),
+    splits=st.lists(st.sampled_from([1, 2]), min_size=4, max_size=4),
+    n_elements=st.integers(min_value=1, max_value=4),
+)
+def test_pvm_targets_take_the_trace_form(seed, dim, splits, n_elements):
+    rng = np.random.default_rng(seed)
+    ranks = []
+    for r in splits:
+        if sum(ranks) < dim:
+            ranks.append(min(r, dim - sum(ranks)))
+    target = grouped_pvm(rng, dim, ranks)
+    observed = PovmMeasure(random_measure(rng, n_elements, dim, False))
+    trace_form = np.real(np.einsum("iab,jba->ij", observed.stack(), target.stack())) / ranks
+    oracle = oracle_solve_stack(observed.stack()[None], target.stack(), TOL)[0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        pinv = count_calls(patch, np.linalg, "pinv")
+        qp = count_calls(patch, nonideality, "_stochastic_least_squares")
+        result = solve_nonideality(observed, target)
+    assert pinv == qp == []
+    assert np.abs(result.matrix - trace_form).max() <= 1e-12
+    assert np.abs(result.matrix - oracle).max() <= 1e-12
+    assert result.matrix.min() >= -1e-12
+    assert np.abs(result.matrix.sum(axis=0) - 1.0).max() <= 1e-12
+    assert result.unique
+
+
+# -- (i) the accept-first stochasticity check against its per-matrix oracle --
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    shape=st.tuples(*(st.integers(min_value=1, max_value=3),) * 3),
+    kind=st.sampled_from(["none", "negative", "column-sum", "nan"]),
+    scale=st.sampled_from(EDGE_SCALES),
+)
+def test_accept_first_stochastic_check_equals_per_matrix_oracle(seed, shape, kind, scale):
+    # One entry per stack sits just inside or just outside the bound of one test.
+    rng = np.random.default_rng(seed)
+    matrices = rng.dirichlet(np.ones(shape[1]), size=(shape[0], shape[2])).swapaxes(1, 2)
+    n, i, j = (int(rng.integers(size)) for size in shape)
+    if kind == "negative":
+        shift = matrices[n, i, j] - scale * TOL
+        matrices[n, i, j] -= shift
+        matrices[n, (i + 1) % shape[1], j] += shift
+    elif kind == "column-sum":
+        matrices[n, i, j] += scale * max(TOL, TOL * shape[1])
+    elif kind == "nan":
+        matrices[n, i, j] = np.nan
+    found = nonideality._stochastic_violation(matrices, TOL)
+    assert found == oracle_stochastic_violation(matrices, TOL)

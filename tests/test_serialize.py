@@ -104,3 +104,19 @@ def test_measure_fields_are_guarded(field, value, message):
     data[field] = value
     with pytest.raises(ValidationError, match=message):
         serialize.measure_from_dict(data)
+
+
+@pytest.mark.parametrize("value", [5, "text", [1, 2], None, True])
+@pytest.mark.parametrize(
+    "loader, what",
+    [
+        (serialize.matrix_from_dict, "a matrix"),
+        (serialize.measure_from_dict, "a measure"),
+        (serialize.state_from_dict, "a state"),
+        (serialize.table_from_dict, "a table"),
+        (serialize.marginals_from_dict, "marginals"),
+    ],
+)
+def test_loaders_require_a_json_object(loader, what, value):
+    with pytest.raises(ValidationError, match=f"^{what} must be a JSON object, not "):
+        loader(value)
