@@ -8,7 +8,8 @@ bivariate POVM realizing a joint nonideal measurement of the two polarization
 observables; the two arms combine into a quadrivariate product POVM whose
 joint outcome distribution always exists at a fixed arrangement.  The four
 limiting arrangements with ``gamma`` in {0, 1} reproduce the standard
-photon-correlation experiments whose combined statistics violate CHSH.
+photon-correlation experiments whose combined statistics violate CHSH; there
+each arm's POVM is its analyzer PVM padded with exact zero elements.
 
 Outcome convention per arm: index ``(m, n)`` with ``m`` the click variable of
 detector D and ``n`` of detector D'; ``'+'`` means a click.  A single photon
@@ -24,6 +25,7 @@ correlator ``-cos 2(theta1 - theta2)``.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -45,12 +47,17 @@ _SETTING_PAIR_DROP = tuple(tuple(ax for ax in range(4) if ax not in keep)
 
 #: Sign placements of the eight CHSH combinations: every pattern
 #: ``(s1, s2, s3, s4)`` over the correlators (E11, E12, E21, E22) whose sign
-#: product is -1.
+#: product is -1, the canonical ``(1, 1, 1, -1)`` first.
 CHSH_SIGN_PATTERNS = tuple(
     signs
     for signs in itertools.product((1, -1), repeat=4)
     if signs[0] * signs[1] * signs[2] * signs[3] == -1
 )
+#: The four signed terms of each of the first four patterns, picked out of
+#: ``(E11, .., E22, -E11, .., -E22)``.  Pattern ``7 - k`` is pattern ``k``
+#: negated, so its sum is the negated sum and its magnitude the same.
+_SIGNED_TERMS = tuple(operator.itemgetter(*(k + 4 * (s < 0) for k, s in enumerate(signs)))
+                      for signs in CHSH_SIGN_PATTERNS[:4])
 
 
 _SIGN_LABELS = ("+", "-")
@@ -66,12 +73,17 @@ def _finite_angles(angles, names: Sequence[str]) -> np.ndarray:
     return values
 
 
-def _polarization_stack(angles, names: Sequence[str]) -> np.ndarray:
-    """Unvalidated ``(N, 2, 2, 2)`` projector pairs ``(E+, E-)`` for N plane angles."""
+def _analyzer_stack(angles, names: Sequence[str], tol: float) -> np.ndarray:
+    """``(N, 2, 2, 2)`` analyzer PVMs ``(E+, E-)`` for N plane angles, validated as one stack."""
     theta = _finite_angles(angles, names)
     c, s = np.cos(theta), np.sin(theta)
     vectors = np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
-    return (vectors[..., :, None] * vectors[..., None, :]).astype(complex)
+    pvms = (vectors[..., :, None] * vectors[..., None, :]).astype(complex)
+    invalid = _stack_violations(pvms, tol, True)
+    if invalid:
+        index, lines = next(iter(invalid.items()))
+        raise ValidationError(f"angle {names[index[0]]}: " + "; ".join(lines))
+    return pvms
 
 
 def _arm_stacks(gammas, angles, names: Sequence[str], tol: float) -> np.ndarray:
@@ -81,39 +93,38 @@ def _arm_stacks(gammas, angles, names: Sequence[str], tol: float) -> np.ndarray:
     ``angles`` lists ``theta, theta'`` per arm.  One stacked validation covers
     the analyzer projectors of all angles, one more every arm POVM.
     """
-    projectors = _polarization_stack(angles, names)
+    projectors = _analyzer_stack(angles, names, tol)
     direct, reflected = projectors[0::2, None], projectors[1::2, None]
     g = np.asarray(gammas, dtype=float)
     w = g[..., None, None]
     zero = np.zeros(g.shape + (2, 2), dtype=complex)
     arms = np.stack([zero, w * direct[:, :, 0], (1.0 - w) * reflected[:, :, 0],
                      w * direct[:, :, 1] + (1.0 - w) * reflected[:, :, 1]], axis=-3)
-    for stack, projective in ((projectors, True), (arms, False)):
-        invalid = _stack_violations(stack, tol, projective)
-        if invalid:
-            index, lines = next(iter(invalid.items()))
-            where = (f"angle {names[index[0]]}" if projective
-                     else f"arm {index[0] + 1} at gamma={float(g[index])!r}")
-            raise ValidationError(f"{where}: " + "; ".join(lines))
+    invalid = _stack_violations(arms, tol, False)
+    if invalid:
+        index, lines = next(iter(invalid.items()))
+        where = f"arm {index[0] + 1} at gamma={float(g[index])!r}"
+        raise ValidationError(f"{where}: " + "; ".join(lines))
     return arms
 
 
-def _born_products(rho: State, arm1: np.ndarray, arm2: np.ndarray, tol: float) -> np.ndarray:
-    """``p[..., m1, n1, m2, n2] = Tr(rho E1_i (x) E2_j)`` for broadcast ``(..., 4, 2, 2)`` arms."""
+def _born_products(rho: State, first: np.ndarray, second: np.ndarray, tol: float) -> np.ndarray:
+    """``p[..., i, j] = Tr(rho E1_i (x) E2_j)`` for broadcast ``(..., I|J, 2, 2)`` stacks."""
     if rho.dim != 4:
         raise DimensionMismatchError(f"two-photon state must have dimension 4, got {rho.dim}")
     r = rho.matrix.reshape(2, 2, 2, 2)
-    probs = np.real(np.einsum("...ica,...jdb,abcd->...ij", arm1, arm2, r))
+    probs = np.real(np.einsum("...ica,...jdb,abcd->...ij", first, second, r))
     if not probs.min() >= -tol:
         raise InternalConsistencyError(
             f"probability {probs.min():.3e} below -tol from validated inputs"
         )
-    return probs.reshape(probs.shape[:-2] + (2, 2, 2, 2))
+    return probs
 
 
 def polarization_pvm(theta: float, tol: float = DEFAULT_TOL) -> PvmMeasure:
     """Linear-polarization observable at plane angle ``theta`` (radians)."""
-    return PvmMeasure(_polarization_stack([theta], ("theta",))[0], labels=_SIGN_LABELS, tol=tol)
+    pvm = _analyzer_stack([theta], ("theta",), tol)[0]
+    return PvmMeasure.__new__(PvmMeasure)._init_valid(pvm, _SIGN_LABELS, None, tol)
 
 
 def arm_povm(
@@ -190,16 +201,18 @@ def joint_probabilities(config: AspectConfig, tol: float = DEFAULT_TOL) -> Proba
     """
     angles = [getattr(config, name) for name in _ANGLE_NAMES]
     arms = _arm_stacks([[config.gamma1], [config.gamma2]], angles, _ANGLE_NAMES, tol)
-    probs = _born_products(config.state, arms[0, 0], arms[1, 0], tol)
+    tol = max(tol, config.state.tol)
+    probs = _born_products(config.state, arms[0, 0], arms[1, 0], tol).reshape(2, 2, 2, 2)
     return ProbabilityTable(probs, axis_labels=(_SIGN_LABELS,) * 4, tol=tol)
 
 
 def correlator(table: ProbabilityTable) -> float:
     """Dichotomic correlator of a 2x2 table with outcome signs (+1, -1)."""
-    values = np.asarray(table.values, dtype=float)
+    values = table.values
     if values.shape != (2, 2):
         raise DimensionMismatchError(f"correlator requires a 2x2 table, got {values.shape}")
-    return float(values[0, 0] - values[0, 1] - values[1, 0] + values[1, 1])
+    (pp, pm), (mp, mm) = values.tolist()
+    return pp - pm - mp + mm
 
 
 class ChshReport(NamedTuple):
@@ -212,29 +225,27 @@ class ChshReport(NamedTuple):
     argmax: tuple[int, int, int, int]
 
 
-def chsh_value(bivariates: Sequence[ProbabilityTable]) -> ChshReport:
+def chsh_value(bivariates) -> ChshReport:
     """Evaluate all CHSH combinations of four bivariate distributions.
 
-    ``bivariates`` are the tables of the setting pairs (in order) (A, B),
-    (A, B'), (A', B), (A', B').  The canonical combination puts the minus sign
-    on the last correlator; the report also carries every sign placement and
-    the largest magnitude among them.
+    ``bivariates`` is a ``MarginalSet`` or the tables of the setting pairs (in
+    order) (A, B), (A, B'), (A', B), (A', B').  The canonical combination puts
+    the minus sign on the last correlator; the report also carries every sign
+    placement and the largest magnitude among them (the first one on a tie).
     """
-    if len(bivariates) != 4:
+    stack = getattr(bivariates, "values", None)
+    if stack is not None and stack.shape == (4, 2, 2):
+        e = tuple(pp - pm - mp + mm for (pp, pm), (mp, mm) in stack.tolist())
+    elif stack is None and len(bivariates) == 4:
+        e = tuple(map(correlator, bivariates))
+    else:
         raise DimensionMismatchError("exactly four bivariate tables are required")
-    e = tuple(correlator(table) for table in bivariates)
-    values = tuple(
-        (signs, float(sum(s * ek for s, ek in zip(signs, e))))
-        for signs in CHSH_SIGN_PATTERNS
-    )
-    best_signs, best = max(values, key=lambda item: abs(item[1]))
-    return ChshReport(
-        correlators=e,
-        values=values,
-        canonical=dict(values)[(1, 1, 1, -1)],
-        max_abs=abs(best),
-        argmax=best_signs,
-    )
+    signed = (*e, -e[0], -e[1], -e[2], -e[3])
+    half = [sum(pick(signed)) for pick in _SIGNED_TERMS]
+    sums = half + [-value or 0.0 for value in reversed(half)]  # a zero sum is +0.0
+    best = max(range(4), key=lambda k: abs(half[k]))
+    return ChshReport(e, tuple(zip(CHSH_SIGN_PATTERNS, sums)), sums[0], abs(half[best]),
+                      CHSH_SIGN_PATTERNS[best])
 
 
 class CompositeResult(NamedTuple):
@@ -259,15 +270,14 @@ def standard_composite(
     D'; the composite therefore pairs the settings as (A, B), (A, B'),
     (A', B), (A', B') with A, A' the first arm's angles and B, B' the second's.
     Unlike a single arrangement, these four tables come from four distinct
-    experiments and need not admit any joint distribution.  All four come from
-    one contraction over the (2, 2) grid of mirror limits.
+    experiments and need not admit any joint distribution.  An arm at a limit is
+    its analyzer PVM padded with exact zeros: one contraction gives all four.
     """
     rho = bell_state(tol) if state is None else state
-    # Mirror limits (1, 0) per arm: the grid's C order is STANDARD_GAMMA_PAIRS.
-    arms = _arm_stacks([(1.0, 0.0)] * 2, [theta1, theta1p, theta2, theta2p], _ANGLE_NAMES, tol)
-    grid = _born_products(rho, arms[0][:, None], arms[1][None, :], tol)
-    sums = np.stack([joint.sum(axis=drop)
-                     for joint, drop in zip(grid.reshape(4, 2, 2, 2, 2), _SETTING_PAIR_DROP)])
+    pvms = _analyzer_stack([theta1, theta1p, theta2, theta2p], _ANGLE_NAMES, tol)
+    tol = max(tol, rho.tol)
+    # Rows (A, A') against columns (B, B'): the C order is STANDARD_GAMMA_PAIRS.
+    sums = _born_products(rho, pvms[:2, None], pvms[None, 2:], tol).reshape(4, 2, 2)
     labels = (_SIGN_LABELS,) * 2
     # The constructor's checks on all four tables at once; a rejected stack goes
     # through the constructor, so the first failing table raises its own error.

@@ -283,13 +283,13 @@ def _cmd_aspect(args) -> int:
             _write(serialize.dump_json(serialize.marginals_to_dict(marginals)), args.out)
         else:
             cells = [
-                ((key,), table.values, (range(2), range(2)))
-                for key, table in zip(serialize._MARGINAL_KEYS, marginals.tables())
+                ((key,), values, (range(2), range(2)))
+                for key, values in zip(serialize._MARGINAL_KEYS, marginals.values)
             ]
             _write(_cells_csv("table,row,col,p", cells), args.out)
         return EX_OK
 
-    report = chsh_value(marginals.tables())
+    report = chsh_value(marginals)
     if args.fmt == "json":
         _write(serialize.dump_json(_chsh_report_dict(report)), args.out)
     else:

@@ -6,7 +6,8 @@ when all eight CHSH combinations stay within [-2, 2].  This module decides the
 question constructively with a small exact linear program (16 variables,
 phase-1 simplex with Bland's rule) and cross-asserts the decision against the
 independently computed CHSH characterization; any disagreement outside the
-declared boundary band is a hard error, not a tolerance issue.
+declared boundary band is a hard error, not a tolerance issue.  A
+:class:`MarginalSet` holds the four tables as one ``(4, 2, 2)`` array.
 """
 
 from __future__ import annotations
@@ -33,35 +34,35 @@ LP_OPT_TOL = 1e-10
 BOUNDARY_TOL = 1e-9
 
 
-def _coerce_2x2(table, tol: float) -> ProbabilityTable:
-    if not isinstance(table, ProbabilityTable):
-        table = ProbabilityTable(table, tol=tol)
-    if table.shape != (2, 2):
-        raise DimensionMismatchError(f"expected a 2x2 table, got shape {table.shape}")
-    return table
-
-
-@dataclass(frozen=True)
 class MarginalSet:
     """Four bivariate 2x2 tables labeled (A,B), (A,B'), (A',B), (A',B').
 
+    ``values`` stacks them, in that order, as one read-only ``(4, 2, 2)`` array.
     Table validity is enforced at construction; mutual no-signaling
     consistency is a soft invariant checked by :func:`check_no_signaling`, so
     deliberately inconsistent sets remain constructible for diagnostics.
     """
 
-    ab: ProbabilityTable
-    abp: ProbabilityTable
-    apb: ProbabilityTable
-    apbp: ProbabilityTable
-    tol: float = DEFAULT_TOL
+    __slots__ = ("values", "tol", "_tables")
 
-    def __post_init__(self):
-        for name in ("ab", "abp", "apb", "apbp"):
-            object.__setattr__(self, name, _coerce_2x2(getattr(self, name), self.tol))
+    def __init__(self, ab, abp, apb, apbp, tol: float = DEFAULT_TOL):
+        tables = []
+        for table in (ab, abp, apb, apbp):
+            if not isinstance(table, ProbabilityTable):
+                table = ProbabilityTable(table, tol=tol)
+            if table.shape != (2, 2):
+                raise DimensionMismatchError(f"expected a 2x2 table, got shape {table.shape}")
+            tables.append(table)
+        self.values = np.array([table.values for table in tables])
+        self.values.setflags(write=False)
+        self.tol, self._tables = float(tol), tuple(tables)
 
     def tables(self) -> tuple[ProbabilityTable, ProbabilityTable, ProbabilityTable, ProbabilityTable]:
-        return (self.ab, self.abp, self.apb, self.apbp)
+        """The four tables in setting-pair order, each with the labels and ``tol`` it came with."""
+        return self._tables
+
+    #: The tables of (A, B), (A, B'), (A', B) and (A', B'), by name.
+    ab, abp, apb, apbp = (property(lambda self, k=k: self._tables[k]) for k in range(4))
 
     @classmethod
     def from_tables(cls, tables, tol: float = DEFAULT_TOL) -> "MarginalSet":
@@ -93,13 +94,10 @@ class NoSignalingReport:
 
 def check_no_signaling(marginals: MarginalSet) -> NoSignalingReport:
     """Compare each variable's marginal between its two containing tables, at ``marginals.tol``."""
-    ab, abp, apb, apbp = (t.values for t in marginals.tables())
-    discrepancies = {
-        "A": float(np.max(np.abs(ab.sum(axis=1) - abp.sum(axis=1)))),
-        "A'": float(np.max(np.abs(apb.sum(axis=1) - apbp.sum(axis=1)))),
-        "B": float(np.max(np.abs(ab.sum(axis=0) - apb.sum(axis=0)))),
-        "B'": float(np.max(np.abs(abp.sum(axis=0) - apbp.sum(axis=0)))),
-    }
+    rows, columns = marginals.values.sum(axis=2), marginals.values.sum(axis=1)
+    # A and A' differ between tables (0, 1) and (2, 3); B and B' between (0, 2) and (1, 3).
+    gaps = np.concatenate([rows[0::2] - rows[1::2], columns[:2] - columns[2:]])
+    discrepancies = dict(zip(("A", "A'", "B", "B'"), np.abs(gaps).max(axis=1).tolist()))
     worst = max(discrepancies.values())
     return NoSignalingReport(
         discrepancies=discrepancies,
@@ -188,7 +186,7 @@ def _equation_matrix() -> np.ndarray:
     """All 16 marginal equations plus normalization over the flat joint.
 
     Joint variables are indexed ``x[a, a', b, b']`` in C order; row ``4 t + 2 i + j``
-    sums the joint entries where table ``t`` of :meth:`MarginalSet.tables` reads
+    sums the joint entries where table ``t`` of ``MarginalSet.values`` reads
     outcome ``(i, j)``.
     """
     outcomes = np.indices((2, 2, 2, 2)).reshape(4, 16)
@@ -248,12 +246,11 @@ def joint_exists(marginals: MarginalSet) -> JointDecision:
             f"single-variable marginals disagree by {signaling.max_discrepancy:.3e}; "
             "the joint-distribution question is ill-posed"
         )
-    report = chsh_value(marginals.tables())
+    report = chsh_value(marginals)
     chsh_feasible = report.max_abs <= 2.0 + tol
     boundary = abs(report.max_abs - 2.0) <= max(tol, BOUNDARY_TOL)
 
-    rhs = np.ones(17)
-    rhs[:16] = np.stack([t.values for t in marginals.tables()]).reshape(-1)
+    rhs = np.append(marginals.values, 1.0)  # the 16 table cells, then normalization
     optimum, x = phase1_simplex(_REDUCED, rhs.take(_KEEP))
     residual = float(np.max(np.abs(_EQUATIONS @ x - rhs)))
     lp_feasible = optimum <= LP_OPT_TOL and residual <= tol
@@ -278,10 +275,9 @@ def joint_exists(marginals: MarginalSet) -> JointDecision:
             joint=joint,
             residual=residual,
         )
-    certificate = max(report.values, key=lambda item: abs(item[1]))
     return JointDecision(
         feasible=False,
         boundary=boundary,
         chsh=report,
-        certificate=certificate,
+        certificate=(report.argmax, dict(report.values)[report.argmax]),
     )

@@ -96,9 +96,5 @@ def mix_marginals(first: MarginalSet, second: MarginalSet, weight: float) -> Mar
     w = float(weight)
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {weight!r}")
-    tol = max(first.tol, second.tol)
-    tables = [
-        ProbabilityTable(w * a.values + (1.0 - w) * b.values, tol=tol)
-        for a, b in zip(first.tables(), second.tables())
-    ]
-    return MarginalSet.from_tables(tables, tol=tol)
+    return MarginalSet.from_tables(w * first.values + (1.0 - w) * second.values,
+                                   tol=max(first.tol, second.tol))

@@ -135,10 +135,7 @@ def table_from_dict(data: dict, tol: float = DEFAULT_TOL) -> ProbabilityTable:
 
 
 def marginals_to_dict(marginals: MarginalSet) -> dict:
-    return {
-        key: [[float(v) for v in row] for row in table.values]
-        for key, table in zip(_MARGINAL_KEYS, marginals.tables())
-    }
+    return dict(zip(_MARGINAL_KEYS, marginals.values.tolist()))
 
 
 def marginals_from_dict(data: dict, tol: float = DEFAULT_TOL) -> MarginalSet:

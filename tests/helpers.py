@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from povmkit import AspectConfig, bell_state
+from povmkit import AspectConfig, ChshReport, DimensionMismatchError, bell_state
+from povmkit.aspect import _SETTING_PAIR_AXES, _SETTING_PAIR_DROP, CHSH_SIGN_PATTERNS
 from povmkit.nonideality import _stochastic_least_squares
 
 TSIRELSON_ANGLES = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
@@ -125,6 +126,67 @@ def oracle_stochastic_violation(matrices, tol):
     if negative[n]:
         return n, f"nonideality matrix has negative entry {lowest[n]:.3e}"
     return n, f"columns must sum to 1, got {column_sums[n].tolist()}"
+
+
+def oracle_correlator(table):
+    values = np.asarray(table.values, dtype=float)
+    if values.shape != (2, 2):
+        raise DimensionMismatchError(f"correlator requires a 2x2 table, got {values.shape}")
+    return float(values[0, 0] - values[0, 1] - values[1, 0] + values[1, 1])
+
+
+def oracle_chsh_value(bivariates):
+    """Per-table CHSH evaluation on numpy scalars.
+
+    A frozen copy of ``povmkit.aspect.chsh_value`` as it was before the four
+    tables became one array: the library must return an equal report.
+    """
+    if len(bivariates) != 4:
+        raise DimensionMismatchError("exactly four bivariate tables are required")
+    e = tuple(oracle_correlator(table) for table in bivariates)
+    values = tuple(
+        (signs, float(sum(s * ek for s, ek in zip(signs, e))))
+        for signs in CHSH_SIGN_PATTERNS
+    )
+    best_signs, best = max(values, key=lambda item: abs(item[1]))
+    return ChshReport(
+        correlators=e,
+        values=values,
+        canonical=dict(values)[(1, 1, 1, -1)],
+        max_abs=abs(best),
+        argmax=best_signs,
+    )
+
+
+def oracle_no_signaling(tables):
+    """Per-variable marginal discrepancies of four tables, one table pair at a time.
+
+    A frozen copy of the loop of ``povmkit.feasibility.check_no_signaling``
+    before the array set; returns the discrepancy dict, in its key order.
+    """
+    ab, abp, apb, apbp = (t.values for t in tables)
+    return {
+        "A": float(np.max(np.abs(ab.sum(axis=1) - abp.sum(axis=1)))),
+        "A'": float(np.max(np.abs(apb.sum(axis=1) - apbp.sum(axis=1)))),
+        "B": float(np.max(np.abs(ab.sum(axis=0) - apb.sum(axis=0)))),
+        "B'": float(np.max(np.abs(abp.sum(axis=0) - apbp.sum(axis=0)))),
+    }
+
+
+def oracle_setting_pair_tables(joint):
+    """The four setting-pair tables of a (2, 2, 2, 2) joint, each summed on its own.
+
+    A frozen copy of the per-table loop of
+    ``povmkit.feasibility.MarginalSet.from_quadrivariate`` before the array
+    set; returns ``(values, axis_labels)`` per table.
+    """
+    found = []
+    for keep, drop in zip(_SETTING_PAIR_AXES, _SETTING_PAIR_DROP):
+        labels = None
+        if joint.axis_labels is not None:
+            labels = tuple(joint.axis_labels[ax] for ax in keep)
+        found.append((np.asarray(joint.values.sum(axis=drop)), labels))
+    return found
 
 
 def count_calls(monkeypatch, owner, name):

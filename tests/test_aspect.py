@@ -9,6 +9,7 @@ from povmkit import (
     ValidationError,
     arm_povm,
     bell_state,
+    born_probabilities,
     chsh_value,
     correlator,
     joint_probabilities,
@@ -266,14 +267,8 @@ def test_composite_tables_reject_as_their_constructor(monkeypatch):
     uniform = np.full((2, 2), 0.25)
     off_total = uniform + np.array([[1e-6, 0.0], [0.0, 0.0]])
     negative = np.array([[0.5 + 1e-6, -1e-6], [0.25, 0.25]])
-    grid = np.zeros((4, 2, 2, 2, 2))
-    for g, (table, axes) in enumerate(zip((uniform, off_total, negative, uniform),
-                                          aspect._SETTING_PAIR_AXES)):
-        for (a, b), value in np.ndenumerate(table):
-            cell = [0, 0, 0, 0]
-            cell[axes[0]], cell[axes[1]] = a, b
-            grid[(g, *cell)] = value
-    monkeypatch.setattr(aspect, "_born_products", lambda *args: grid.reshape((2,) * 6))
+    stack = np.array([uniform, off_total, negative, uniform])
+    monkeypatch.setattr(aspect, "_born_products", lambda *args: stack.reshape(2, 2, 2, 2))
     with pytest.raises(ValidationError) as composite:
         standard_composite(*TSIRELSON_ANGLES)
     with pytest.raises(ValidationError) as constructor:
@@ -287,3 +282,16 @@ def test_composite_tables_are_read_only_and_labelled():
         assert not table.values.flags.writeable
         assert table.axis_labels == (("+", "-"), ("+", "-"))
         assert table.tol == 1e-10
+
+
+def test_two_photon_kernels_check_at_the_state_tol():
+    # A state valid at its own tol 1e-6 gives a Born probability of -5e-7; the
+    # kernels check, and the tables carry, the larger of the two tols.
+    state = State(np.diag([0.5 + 5e-7, -5e-7, 0.0, 0.5]), tol=1e-6)
+    result = standard_composite(0.0, 0.3, 0.0, 0.3, state=state)
+    assert min(table.values.min() for table in result.tables) == pytest.approx(-5e-7, abs=1e-12)
+    assert [table.tol for table in result.tables] == [1e-6] * 4
+    config = AspectConfig(1.0, 1.0, 0.0, 0.3, 0.0, 0.3, state=state)
+    joint = joint_probabilities(config)
+    assert joint.values.min() == pytest.approx(-5e-7, abs=1e-12)
+    assert joint.tol == born_probabilities(quadrivariate_povm(config), state).tol == 1e-6

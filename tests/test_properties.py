@@ -16,11 +16,14 @@ from povmkit import (
     PovmMeasure,
     PvmMeasure,
     ProbabilityTable,
+    STANDARD_GAMMA_PAIRS,
     State,
     SrtConfig,
     bell_state,
     born_probabilities,
     check_martens,
+    check_no_signaling,
+    chsh_value,
     joint_probabilities,
     interference_pvm,
     joint_exists,
@@ -45,6 +48,9 @@ from povmkit.sampling import (
 
 from helpers import (
     count_calls,
+    oracle_chsh_value,
+    oracle_no_signaling,
+    oracle_setting_pair_tables,
     oracle_solve_stack,
     oracle_stack_violations,
     oracle_stochastic_violation,
@@ -260,6 +266,18 @@ def test_standard_composite_matches_four_explicit_arrangements(angles, state):
         want = born_probabilities(quadrivariate_povm(config), state).marginal(keep=axes)
         assert np.max(np.abs(table.values - want.values)) <= 1e-12
         assert table.axis_labels == want.axis_labels
+
+
+@PROPERTY_SETTINGS
+@given(angles=st.tuples(angle, angle, angle, angle), state=two_photon_states())
+def test_composite_is_the_fixed_arrangement_at_the_mirror_limits(angles, state):
+    # Bit for bit: at gamma in {0, 1} an arm is its analyzer PVM padded with
+    # exact zeros, which is why the composite needs no arm POVMs.
+    result = standard_composite(*angles, state=state)
+    for k, gammas in enumerate(STANDARD_GAMMA_PAIRS):
+        config = AspectConfig(*gammas, *angles, state=state)
+        fixed = MarginalSet.from_quadrivariate(joint_probabilities(config))
+        assert np.array_equal(result.tables[k].values, fixed.values[k])
 
 
 # -- (d) joint_exists witnesses against their input tables ------------------
@@ -603,3 +621,131 @@ def test_accept_first_stochastic_check_equals_per_matrix_oracle(seed, shape, kin
         matrices[n, i, j] = np.nan
     found = nonideality._stochastic_violation(matrices, TOL)
     assert found == oracle_stochastic_violation(matrices, TOL)
+
+
+# -- (j) the array set against the frozen per-table loops ---------------------
+
+@st.composite
+def boxes(draw):
+    """Four 2x2 tables: random (mostly signaling), dyadic (exact ties), or no-signaling."""
+    kind = draw(st.sampled_from(["random", "dyadic", "no-signaling", "uniform"]))
+    if kind == "random":
+        raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16))).reshape(4, 4)
+        assume((raw.sum(axis=1) > 0.0).all())
+        return (raw / raw.sum(axis=1, keepdims=True)).reshape(4, 2, 2)
+    if kind == "dyadic":
+        # Eighths are exact, so correlators and CHSH sums tie exactly.
+        quanta = draw(st.lists(st.integers(0, 3), min_size=32, max_size=32))
+        return np.array([np.bincount(quanta[t::4], minlength=4) / 8.0 for t in range(4)]).reshape(4, 2, 2)
+    if kind == "uniform":
+        return np.full((4, 2, 2), 0.25)  # all eight CHSH values are 0
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    box = random_no_signaling_marginals(np.random.default_rng(seed))
+    return mix_marginals(pr_box_marginals(), box, draw(st.floats(0.0, 1.0))).values
+
+
+def assert_array_set(marginals, labels):
+    tables = marginals.tables()
+    assert marginals.tables() is tables
+    assert np.array_equal(marginals.values, np.stack([table.values for table in tables]))
+    assert not marginals.values.flags.writeable
+    for table, want, name in zip(tables, labels, ("ab", "abp", "apb", "apbp")):
+        assert getattr(marginals, name) is table
+        assert not table.values.flags.writeable
+        assert table.axis_labels == want
+
+
+def assert_same_chsh(got, want):
+    assert got == want
+    assert repr(got) == repr(want)  # also tells 0.0 from -0.0
+
+
+@PROPERTY_SETTINGS
+@given(box=boxes(), labelled=st.booleans())
+def test_array_set_equals_per_table_oracle(box, labelled):
+    labels = (("+", "-"), (0, 1)) if labelled else None
+    tables = [ProbabilityTable(table, axis_labels=labels) for table in box]
+    marginals = MarginalSet.from_tables(tables)
+    want = oracle_chsh_value(tables)
+    assert_same_chsh(chsh_value(marginals), want)
+    assert_same_chsh(chsh_value(tables), want)
+    signaling = check_no_signaling(marginals)
+    assert list(signaling.discrepancies.items()) == list(oracle_no_signaling(tables).items())
+    assert_array_set(marginals, [labels] * 4)
+    if signaling.passed:
+        decision = joint_exists(marginals)
+        assert_same_chsh(decision.chsh, want)
+        if not decision.feasible:
+            assert decision.certificate == max(want.values, key=lambda item: abs(item[1]))
+
+
+@PROPERTY_SETTINGS
+@given(weights=joint_weights, labelled=st.booleans())
+def test_from_quadrivariate_equals_per_table_oracle(weights, labelled):
+    raw = np.array(weights).reshape(2, 2, 2, 2)
+    assume(raw.sum() > 0.0)
+    labels = (("+", "-"), ("u", "d"), (0, 1), ("x", "y")) if labelled else None
+    joint = ProbabilityTable(raw / raw.sum(), axis_labels=labels)
+    marginals = MarginalSet.from_quadrivariate(joint)
+    want = oracle_setting_pair_tables(joint)
+    assert np.array_equal(marginals.values, np.stack([values for values, _ in want]))
+    assert_array_set(marginals, [pair_labels for _, pair_labels in want])
+    assert_same_chsh(chsh_value(marginals), oracle_chsh_value(marginals.tables()))
+    got = check_no_signaling(marginals).discrepancies
+    assert list(got.items()) == list(oracle_no_signaling(marginals.tables()).items())
+
+
+# -- (k) CHSH relabeling symmetry ----------------------------------------------
+
+#: Outcome flips of (A, A', B, B'), a setting swap per party, and the party swap.
+RELABELINGS = tuple(itertools.product(
+    itertools.product((False, True), repeat=4), (False, True), (False, True), (False, True)
+))
+
+
+def relabel_box(box, flips, swap_a, swap_b, swap_parties):
+    """The (4, 2, 2) box seen through one relabeling; ``p[x, y]`` is the table of (A_x, B_y)."""
+    p = box.reshape(2, 2, 2, 2)
+    p = np.stack([np.flip(p[x], axis=1) if flips[x] else p[x] for x in range(2)])
+    p = np.stack([np.flip(p[:, y], axis=2) if flips[2 + y] else p[:, y] for y in range(2)], axis=1)
+    if swap_a:
+        p = p[::-1]
+    if swap_b:
+        p = p[:, ::-1]
+    if swap_parties:
+        p = p.transpose(1, 0, 3, 2)
+    return np.ascontiguousarray(p).reshape(4, 2, 2)
+
+
+def relabel_joint(joint, flips, swap_a, swap_b, swap_parties):
+    """The same relabeling of a joint over (A, A', B, B')."""
+    j = np.flip(joint, axis=tuple(ax for ax in range(4) if flips[ax]))
+    if swap_a:
+        j = j.transpose(1, 0, 2, 3)
+    if swap_b:
+        j = j.transpose(0, 1, 3, 2)
+    if swap_parties:
+        j = j.transpose(2, 3, 0, 1)
+    return j
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), pr_weight=st.floats(0.0, 1.0))
+def test_chsh_relabelings_keep_the_decision(seed, pr_weight):
+    box = mix_marginals(pr_box_marginals(), random_no_signaling_marginals(np.random.default_rng(seed)),
+                        pr_weight)
+    base = joint_exists(box)
+    assume(abs(base.chsh.max_abs - 2.0) >= 1e-6)
+    assert len(set(RELABELINGS)) == 128
+    for relabeling in RELABELINGS:
+        values = relabel_box(box.values, *relabeling)
+        decision = joint_exists(MarginalSet(*values))
+        assert (decision.feasible, decision.boundary) == (base.feasible, base.boundary)
+        if base.feasible:
+            witness = relabel_joint(base.joint.values, *relabeling)
+            assert witness.min() >= 0.0
+            for table, axes in zip(values, ((0, 2), (0, 3), (1, 2), (1, 3))):
+                dropped = tuple(ax for ax in range(4) if ax not in axes)
+                assert np.max(np.abs(witness.sum(axis=dropped) - table)) <= TOL
+        else:
+            assert abs(decision.certificate[1]) == pytest.approx(abs(base.certificate[1]), abs=1e-12)
