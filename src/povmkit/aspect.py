@@ -25,9 +25,9 @@ correlator ``-cos 2(theta1 - theta2)``.
 from __future__ import annotations
 
 import itertools
-import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,11 +53,6 @@ CHSH_SIGN_PATTERNS = tuple(
     for signs in itertools.product((1, -1), repeat=4)
     if signs[0] * signs[1] * signs[2] * signs[3] == -1
 )
-#: The four signed terms of each of the first four patterns, picked out of
-#: ``(E11, .., E22, -E11, .., -E22)``.  Pattern ``7 - k`` is pattern ``k``
-#: negated, so its sum is the negated sum and its magnitude the same.
-_SIGNED_TERMS = tuple(operator.itemgetter(*(k + 4 * (s < 0) for k, s in enumerate(signs)))
-                      for signs in CHSH_SIGN_PATTERNS[:4])
 
 
 _SIGN_LABELS = ("+", "-")
@@ -73,12 +68,17 @@ def _finite_angles(angles, names: Sequence[str]) -> np.ndarray:
     return values
 
 
-def _analyzer_stack(angles, names: Sequence[str], tol: float) -> np.ndarray:
-    """``(N, 2, 2, 2)`` analyzer PVMs ``(E+, E-)`` for N plane angles, validated as one stack."""
+def _polarization_stack(angles, names: Sequence[str]) -> np.ndarray:
+    """Unvalidated ``(N, 2, 2, 2)`` projector pairs ``(E+, E-)`` for N plane angles."""
     theta = _finite_angles(angles, names)
     c, s = np.cos(theta), np.sin(theta)
     vectors = np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
-    pvms = (vectors[..., :, None] * vectors[..., None, :]).astype(complex)
+    return (vectors[..., :, None] * vectors[..., None, :]).astype(complex)
+
+
+def _analyzer_stack(angles, names: Sequence[str], tol: float) -> np.ndarray:
+    """``(N, 2, 2, 2)`` analyzer PVMs ``(E+, E-)`` for N plane angles, validated as one stack."""
+    pvms = _polarization_stack(angles, names)
     invalid = _stack_violations(pvms, tol, True)
     if invalid:
         index, lines = next(iter(invalid.items()))
@@ -123,8 +123,7 @@ def _born_products(rho: State, first: np.ndarray, second: np.ndarray, tol: float
 
 def polarization_pvm(theta: float, tol: float = DEFAULT_TOL) -> PvmMeasure:
     """Linear-polarization observable at plane angle ``theta`` (radians)."""
-    pvm = _analyzer_stack([theta], ("theta",), tol)[0]
-    return PvmMeasure.__new__(PvmMeasure)._init_valid(pvm, _SIGN_LABELS, None, tol)
+    return PvmMeasure(_polarization_stack([theta], ("theta",))[0], labels=_SIGN_LABELS, tol=tol)
 
 
 def arm_povm(
@@ -233,19 +232,15 @@ def chsh_value(bivariates) -> ChshReport:
     the minus sign on the last correlator; the report also carries every sign
     placement and the largest magnitude among them (the first one on a tie).
     """
-    stack = getattr(bivariates, "values", None)
-    if stack is not None and stack.shape == (4, 2, 2):
-        e = tuple(pp - pm - mp + mm for (pp, pm), (mp, mm) in stack.tolist())
-    elif stack is None and len(bivariates) == 4:
-        e = tuple(map(correlator, bivariates))
-    else:
+    tables = bivariates.tables() if hasattr(bivariates, "tables") else bivariates
+    if not isinstance(tables, Sequence) or len(tables) != 4:
         raise DimensionMismatchError("exactly four bivariate tables are required")
-    signed = (*e, -e[0], -e[1], -e[2], -e[3])
-    half = [sum(pick(signed)) for pick in _SIGNED_TERMS]
-    sums = half + [-value or 0.0 for value in reversed(half)]  # a zero sum is +0.0
-    best = max(range(4), key=lambda k: abs(half[k]))
-    return ChshReport(e, tuple(zip(CHSH_SIGN_PATTERNS, sums)), sums[0], abs(half[best]),
-                      CHSH_SIGN_PATTERNS[best])
+    e = tuple(map(correlator, tables))
+    values = tuple(
+        (signs, sum(s * ek for s, ek in zip(signs, e))) for signs in CHSH_SIGN_PATTERNS
+    )
+    best_signs, best = max(values, key=lambda item: abs(item[1]))
+    return ChshReport(e, values, values[0][1], abs(best), best_signs)
 
 
 class CompositeResult(NamedTuple):

@@ -43,7 +43,7 @@ class MarginalSet:
     deliberately inconsistent sets remain constructible for diagnostics.
     """
 
-    __slots__ = ("values", "tol", "_tables")
+    __slots__ = ("_values", "_tol", "_tables")
 
     def __init__(self, ab, abp, apb, apbp, tol: float = DEFAULT_TOL):
         tables = []
@@ -53,9 +53,13 @@ class MarginalSet:
             if table.shape != (2, 2):
                 raise DimensionMismatchError(f"expected a 2x2 table, got shape {table.shape}")
             tables.append(table)
-        self.values = np.array([table.values for table in tables])
-        self.values.setflags(write=False)
-        self.tol, self._tables = float(tol), tuple(tables)
+        self._values = np.array([table.values for table in tables])
+        self._values.setflags(write=False)
+        self._tol, self._tables = float(tol), tuple(tables)
+
+    #: The ``(4, 2, 2)`` stack of the tables and the set's ``tol``; neither can be reassigned.
+    values = property(lambda self: self._values)
+    tol = property(lambda self: self._tol)
 
     def tables(self) -> tuple[ProbabilityTable, ProbabilityTable, ProbabilityTable, ProbabilityTable]:
         """The four tables in setting-pair order, each with the labels and ``tol`` it came with."""

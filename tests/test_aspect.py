@@ -208,6 +208,14 @@ class TestChsh:
         with pytest.raises(DimensionMismatchError):
             chsh_value([uniform] * 3)
 
+    def test_rejects_a_stacked_table_and_a_mapping(self):
+        # A (4, 2, 2) table has a ``values`` array but is not four tables.
+        stacked = ProbabilityTable(np.full((4, 2, 2), 1 / 16))
+        by_name = dict.fromkeys(("ab", "abp", "apb", "apbp"), ProbabilityTable(np.full((2, 2), 0.25)))
+        for wrong in (stacked, by_name):
+            with pytest.raises(DimensionMismatchError, match="exactly four bivariate tables"):
+                chsh_value(wrong)
+
 
 def test_config_validation():
     with pytest.raises(ValidationError):
@@ -223,6 +231,12 @@ def test_non_finite_polarization_angle_rejected(theta):
         polarization_pvm(theta)
     with pytest.raises(ValidationError, match="angle theta_p is non-finite"):
         arm_povm(0.5, 0.0, theta)
+
+
+def test_polarization_pvm_rejects_as_its_constructor():
+    # The PvmMeasure constructor's text, with no angle prefix: tol < 0 fails every check.
+    with pytest.raises(ValidationError, match=r"^element 0 is not Hermitian \(defect 0\.000e\+00\); "):
+        polarization_pvm(0.3, tol=-1.0)
 
 
 @pytest.mark.filterwarnings("error")

@@ -64,6 +64,15 @@ class TestMarginalSet:
             MarginalSet(good, good, good, raw)
 
 
+    @pytest.mark.parametrize("name", ["values", "tol"])
+    def test_fields_cannot_be_reassigned(self, name):
+        uniform = np.full((2, 2), 0.25)
+        marginals = MarginalSet(uniform, uniform, uniform, uniform)
+        with pytest.raises(AttributeError):
+            setattr(marginals, name, getattr(marginals, name))
+        assert not marginals.values.flags.writeable
+
+
 class TestNoSignaling:
     def test_quantum_marginals_pass(self):
         joint = joint_probabilities(make_config(0.3, 0.8))
