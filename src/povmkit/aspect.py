@@ -6,10 +6,13 @@ angle ``theta`` (transmitted beam, detector D) or to one at angle ``theta'``
 (reflected beam, detector D').  Per arm the detector statistics form a
 bivariate POVM realizing a joint nonideal measurement of the two polarization
 observables; the two arms combine into a quadrivariate product POVM whose
-joint outcome distribution always exists at a fixed arrangement.  The four
-limiting arrangements with ``gamma`` in {0, 1} reproduce the standard
+joint outcome distribution always exists at a fixed arrangement.  An arm POVM
+smears its two analyzer PVMs by a ``(4, 2, 2)`` mirror weight matrix
+``W(gamma)``, and the Born rule is linear, so an arrangement's table is
+``W(gamma1) P W(gamma2)^T`` with ``P`` the Born table of the analyzer pairs.
+The four limiting arrangements with ``gamma`` in {0, 1} reproduce the standard
 photon-correlation experiments whose combined statistics violate CHSH; there
-each arm's POVM is its analyzer PVM padded with exact zero elements.
+``W`` holds only 0 and 1, and the tables are ``P``.
 
 Outcome convention per arm: index ``(m, n)`` with ``m`` the click variable of
 detector D and ``n`` of detector D'; ``'+'`` means a click.  A single photon
@@ -86,26 +89,11 @@ def _analyzer_stack(angles, names: Sequence[str], tol: float) -> np.ndarray:
     return pvms
 
 
-def _arm_stacks(gammas, angles, names: Sequence[str], tol: float) -> np.ndarray:
-    """Validated arm POVMs of shape ``(A, G, 4, 2, 2)`` in ``_ARM_LABELS`` order.
-
-    ``gammas`` has shape ``(A, G)``: G mirror settings for each of A arms;
-    ``angles`` lists ``theta, theta'`` per arm.  One stacked validation covers
-    the analyzer projectors of all angles, one more every arm POVM.
-    """
-    projectors = _analyzer_stack(angles, names, tol)
-    direct, reflected = projectors[0::2, None], projectors[1::2, None]
-    g = np.asarray(gammas, dtype=float)
-    w = g[..., None, None]
-    zero = np.zeros(g.shape + (2, 2), dtype=complex)
-    arms = np.stack([zero, w * direct[:, :, 0], (1.0 - w) * reflected[:, :, 0],
-                     w * direct[:, :, 1] + (1.0 - w) * reflected[:, :, 1]], axis=-3)
-    invalid = _stack_violations(arms, tol, False)
-    if invalid:
-        index, lines = next(iter(invalid.items()))
-        where = f"arm {index[0] + 1} at gamma={float(g[index])!r}"
-        raise ValidationError(f"{where}: " + "; ".join(lines))
-    return arms
+def _mirror_weights(gamma: float) -> np.ndarray:
+    """``W[c, s, a]``: weight of analyzer ``s`` (theta, theta') outcome ``a`` in arm cell ``c``."""
+    g, r = gamma, 1.0 - gamma
+    return np.array([[[0.0, 0.0], [0.0, 0.0]], [[g, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [r, 0.0]], [[0.0, g], [0.0, r]]])
 
 
 def _born_products(rho: State, first: np.ndarray, second: np.ndarray, tol: float) -> np.ndarray:
@@ -119,6 +107,13 @@ def _born_products(rho: State, first: np.ndarray, second: np.ndarray, tol: float
             f"probability {probs.min():.3e} below -tol from validated inputs"
         )
     return probs
+
+
+def _analyzer_pairs(rho: State, angles, tol: float) -> tuple[np.ndarray, float]:
+    """Born table ``P[s, t, a, b]`` of arm 1's analyzer ``s`` and arm 2's ``t``, and its ``tol``."""
+    pvms = _analyzer_stack(angles, _ANGLE_NAMES, tol)
+    tol = max(tol, rho.tol)
+    return _born_products(rho, pvms[:2, None], pvms[None, 2:], tol), tol
 
 
 def polarization_pvm(theta: float, tol: float = DEFAULT_TOL) -> PvmMeasure:
@@ -139,8 +134,9 @@ def arm_povm(
     g = float(gamma)
     if not 0.0 <= g <= 1.0:
         raise ValidationError(f"mirror transmissivity must lie in [0, 1], got {gamma!r}")
-    # _arm_stacks has validated the arm, so it is not checked a second time.
-    elements = _arm_stacks([[g]], [theta, theta_p], ("theta", "theta_p"), tol)[0, 0]
+    pvms = _analyzer_stack([theta, theta_p], ("theta", "theta_p"), tol)
+    # Validated PVMs smeared by weights in [0, 1] form a POVM; it is not checked again.
+    elements = np.einsum("csa,saij->cij", _mirror_weights(g), pvms)
     return PovmMeasure.__new__(PovmMeasure)._init_valid(elements, _ARM_LABELS, (2, 2), tol)
 
 
@@ -194,14 +190,13 @@ def quadrivariate_povm(config: AspectConfig, tol: float = DEFAULT_TOL) -> PovmMe
 def joint_probabilities(config: AspectConfig, tol: float = DEFAULT_TOL) -> ProbabilityTable:
     """Outcome distribution of the full arrangement on the configured state.
 
-    The quadrivariate POVM factorizes over the arms, so the table is one
-    contraction of the two arm POVMs with the state, and the bivariate
-    marginal seen in one arm never depends on the mirror setting of the other.
+    The quadrivariate POVM factorizes over the arms and the Born rule is linear
+    in each, so the table is the analyzer-pair table contracted with both mirror
+    weight matrices; one arm's bivariate marginal never depends on the other's mirror.
     """
-    angles = [getattr(config, name) for name in _ANGLE_NAMES]
-    arms = _arm_stacks([[config.gamma1], [config.gamma2]], angles, _ANGLE_NAMES, tol)
-    tol = max(tol, config.state.tol)
-    probs = _born_products(config.state, arms[0, 0], arms[1, 0], tol).reshape(2, 2, 2, 2)
+    pairs, tol = _analyzer_pairs(config.state, [getattr(config, n) for n in _ANGLE_NAMES], tol)
+    probs = np.einsum("xsa,stab,ytb->xy", _mirror_weights(config.gamma1), pairs,
+                      _mirror_weights(config.gamma2)).reshape(2, 2, 2, 2)
     return ProbabilityTable(probs, axis_labels=(_SIGN_LABELS,) * 4, tol=tol)
 
 
@@ -265,14 +260,13 @@ def standard_composite(
     D'; the composite therefore pairs the settings as (A, B), (A, B'),
     (A', B), (A', B') with A, A' the first arm's angles and B, B' the second's.
     Unlike a single arrangement, these four tables come from four distinct
-    experiments and need not admit any joint distribution.  An arm at a limit is
-    its analyzer PVM padded with exact zeros: one contraction gives all four.
+    experiments and need not admit any joint distribution.  At a limit the
+    mirror weights are 0 and 1, so the four tables are the analyzer-pair table.
     """
     rho = bell_state(tol) if state is None else state
-    pvms = _analyzer_stack([theta1, theta1p, theta2, theta2p], _ANGLE_NAMES, tol)
-    tol = max(tol, rho.tol)
+    pairs, tol = _analyzer_pairs(rho, [theta1, theta1p, theta2, theta2p], tol)
     # Rows (A, A') against columns (B, B'): the C order is STANDARD_GAMMA_PAIRS.
-    sums = _born_products(rho, pvms[:2, None], pvms[None, 2:], tol).reshape(4, 2, 2)
+    sums = pairs.reshape(4, 2, 2)
     labels = (_SIGN_LABELS,) * 2
     # The constructor's checks on all four tables at once; a rejected stack goes
     # through the constructor, so the first failing table raises its own error.

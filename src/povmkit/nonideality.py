@@ -204,7 +204,7 @@ def _solve_stack(observed: np.ndarray, target: np.ndarray, tol: float) -> np.nda
         candidates = cross / np.diagonal(gram, axis1=-2, axis2=-1)[..., None, None, :]
     else:
         candidates = cross @ np.linalg.pinv(gram, hermitian=True)[..., None, :, :]
-    defect = np.abs(candidates.sum(axis=-2) - 1.0)
+    defect = np.abs(np.einsum("...ij->...j", candidates) - 1.0)
     if candidates.min() >= -tol and defect.max() <= tol:
         return candidates
     feasible = (candidates.min(axis=(-2, -1)) >= -tol) & (defect.max(axis=-1) <= tol)

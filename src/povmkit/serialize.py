@@ -46,7 +46,7 @@ def matrix_from_dict(data: dict) -> np.ndarray:
     try:
         dim = int(data["dim"])
         entries = list(data["entries"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"matrix object must carry 'dim' and 'entries': {exc}")
     if dim <= 0 or len(entries) != dim * dim:
         raise ValidationError(
@@ -54,7 +54,7 @@ def matrix_from_dict(data: dict) -> np.ndarray:
         )
     try:
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"matrix entries must be [re, im] pairs: {exc}")
     return flat.reshape(dim, dim)
 
@@ -126,7 +126,7 @@ def table_from_dict(data: dict, tol: float = DEFAULT_TOL) -> ProbabilityTable:
     try:
         shape = tuple(int(n) for n in data["shape"])
         values = np.array(data["values"], dtype=float).reshape(shape)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"table object must carry consistent 'shape' and 'values': {exc}")
     labels = data.get("axis_labels")
     if labels is not None:
@@ -146,7 +146,7 @@ def marginals_from_dict(data: dict, tol: float = DEFAULT_TOL) -> MarginalSet:
     for key in _MARGINAL_KEYS:
         try:
             values = np.array(data[key], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"table {key} is not a numeric 2x2 array: {exc}")
         tables.append(ProbabilityTable(values, tol=tol))
     return MarginalSet.from_tables(tables, tol=tol)

@@ -35,6 +35,8 @@ class ProbabilityTable:
         Validation tolerance.
     """
 
+    __slots__ = ("_values", "_tol", "_axis_labels")
+
     def __init__(self, values, axis_labels=None, *, tol: float = DEFAULT_TOL):
         arr = np.array(values, dtype=float)
         if arr.size == 0:
@@ -59,10 +61,13 @@ class ProbabilityTable:
     def _init_valid(self, arr: np.ndarray, axis_labels, tol: float) -> "ProbabilityTable":
         """Set the fields from values known to be valid, with no check; returns self."""
         arr.setflags(write=False)
-        self.values = arr
-        self.tol = float(tol)
-        self.axis_labels = axis_labels
+        self._values, self._tol, self._axis_labels = arr, float(tol), axis_labels
         return self
+
+    #: The read-only probabilities, their ``tol`` and the axis labels; none can be reassigned.
+    values = property(lambda self: self._values)
+    tol = property(lambda self: self._tol)
+    axis_labels = property(lambda self: self._axis_labels)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -22,6 +22,23 @@ def make_config(gamma1, gamma2, state=None, angles=TSIRELSON_ANGLES):
     )
 
 
+def oracle_arm(gamma, theta, theta_p):
+    """Arm POVM elements ``(4, 2, 2)`` in the cell order (+,+), (+,-), (-,+), (-,-).
+
+    A frozen copy of the elementwise arm formula of ``povmkit.aspect`` before
+    the mirror weight matrix: the zero operator, ``gamma E(theta)+``,
+    ``(1 - gamma) E(theta')+`` and ``gamma E(theta)- + (1 - gamma) E(theta')-``.
+    """
+    def analyzer(angle):
+        c, s = np.cos(angle), np.sin(angle)
+        plus, minus = np.array([c, s]), np.array([-s, c])
+        return np.outer(plus, plus).astype(complex), np.outer(minus, minus).astype(complex)
+
+    (d_plus, d_minus), (r_plus, r_minus) = analyzer(theta), analyzer(theta_p)
+    return np.array([np.zeros((2, 2), dtype=complex), gamma * d_plus, (1.0 - gamma) * r_plus,
+                     gamma * d_minus + (1.0 - gamma) * r_minus])
+
+
 def _oracle_lowest_eigenvalues(hermitian):
     if hermitian.shape[-1] != 2:
         return np.linalg.eigvalsh(hermitian)[..., 0]

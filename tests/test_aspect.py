@@ -263,13 +263,13 @@ def test_born_kernel_rejects_negative_probability():
     from types import SimpleNamespace
 
     from povmkit import InternalConsistencyError
-    from povmkit.aspect import _arm_stacks, _born_products
+    from povmkit.aspect import _analyzer_stack, _born_products
 
     names = ("theta1", "theta1p", "theta2", "theta2p")
-    arms = _arm_stacks([[1.0], [1.0]], [0.0, 0.0, 0.0, 0.0], names, 1e-9)
+    pvms = _analyzer_stack([0.0, 0.0, 0.0, 0.0], names, 1e-9)
     corrupted = SimpleNamespace(dim=4, matrix=np.diag([-0.5, 0.5, 0.5, 0.5]).astype(complex))
     with pytest.raises(InternalConsistencyError, match="below -tol"):
-        _born_products(corrupted, arms[0, 0], arms[1, 0], 1e-9)
+        _born_products(corrupted, pvms[0], pvms[2], 1e-9)
 
 
 def test_composite_tables_reject_as_their_constructor(monkeypatch):

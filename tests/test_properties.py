@@ -1,13 +1,17 @@
 """Property tests of the stacked kernels against their per-point references."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import re
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from povmkit import (
@@ -19,6 +23,7 @@ from povmkit import (
     STANDARD_GAMMA_PAIRS,
     State,
     SrtConfig,
+    arm_povm,
     bell_state,
     born_probabilities,
     check_martens,
@@ -36,7 +41,8 @@ from povmkit import (
     standard_composite,
     tradeoff_sweep,
 )
-from povmkit import nonideality
+from povmkit import nonideality, serialize
+from povmkit.cli import main
 from povmkit.measures import _lowest_eigenvalues, _stack_violations
 from povmkit.sampling import (
     mix_marginals,
@@ -48,6 +54,7 @@ from povmkit.sampling import (
 
 from helpers import (
     count_calls,
+    oracle_arm,
     oracle_chsh_value,
     oracle_no_signaling,
     oracle_setting_pair_tables,
@@ -278,6 +285,25 @@ def test_composite_is_the_fixed_arrangement_at_the_mirror_limits(angles, state):
         config = AspectConfig(*gammas, *angles, state=state)
         fixed = MarginalSet.from_quadrivariate(joint_probabilities(config))
         assert np.array_equal(result.tables[k].values, fixed.values[k])
+
+
+@PROPERTY_SETTINGS
+@given(
+    gamma1=transmissivities,
+    gamma2=transmissivities,
+    angles=st.tuples(angle, angle, angle, angle),
+    state=two_photon_states(),
+)
+def test_mirror_weights_match_the_elementwise_arm_oracle(gamma1, gamma2, angles, state):
+    # The weight-matrix kernels against the explicit Born rule on the frozen
+    # elementwise arms, at interior mirrors as well as at the limits.
+    arms = (oracle_arm(gamma1, *angles[:2]), oracle_arm(gamma2, *angles[2:]))
+    want = np.array([[np.real(np.trace(state.matrix @ np.kron(e1, e2))) for e2 in arms[1]]
+                     for e1 in arms[0]]).reshape(2, 2, 2, 2)
+    got = joint_probabilities(AspectConfig(gamma1, gamma2, *angles, state=state))
+    assert np.max(np.abs(got.values - want)) <= 1e-12
+    for gamma, pair, arm in zip((gamma1, gamma2), (angles[:2], angles[2:]), arms):
+        assert np.max(np.abs(arm_povm(gamma, *pair).stack() - arm)) <= 1e-15
 
 
 # -- (d) joint_exists witnesses against their input tables ------------------
@@ -749,3 +775,90 @@ def test_chsh_relabelings_keep_the_decision(seed, pr_weight):
                 assert np.max(np.abs(witness.sum(axis=dropped) - table)) <= TOL
         else:
             assert abs(decision.certificate[1]) == pytest.approx(abs(base.certificate[1]), abs=1e-12)
+
+
+# -- (l) every CLI file option against malformed JSON -------------------------
+
+#: Non-finite numbers as a user might spell them (json also reads the bare
+#: tokens NaN and Infinity), and an integer beyond the float range.
+EXTREME_LEAVES = ("NaN", "Infinity", "-Infinity", "nan", "inf", "-inf", "1e999",
+                  math.nan, math.inf, -math.inf, 10**400, -10**400)
+json_leaves = st.one_of(
+    st.sampled_from(EXTREME_LEAVES), st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=6),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def mutated(draw, template):
+    """A valid file object with one to three fields deleted or replaced.
+
+    Each edit walks down from the top and stops at each level below it with even
+    odds, so half the edits hit a top-level field; half the replacements are
+    extreme leaves.
+    """
+    data = json.loads(json.dumps(template))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        container, key, node = None, None, data
+        while isinstance(node, (dict, list)) and node and (key is None or draw(st.booleans())):
+            container = node
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            node = container[key]
+        if container is None:
+            break
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(st.sampled_from(EXTREME_LEAVES) | json_values)
+    return data
+
+
+#: A valid file for each option: aspect and srt states, martens measures, fine marginals.
+CLI_TEMPLATES = {
+    "state": serialize.state_to_dict(bell_state()),
+    "qubit state": serialize.state_to_dict(State.maximally_mixed(2)),
+    "bivariate": serialize.measure_to_dict(srt_bivariate(SrtConfig(0.5))),
+    "pvm": serialize.measure_to_dict(path_pvm()),
+    "marginals": serialize.marginals_to_dict(MarginalSet(*(np.full((2, 2), 0.25),) * 4)),
+}
+CLI_EXIT_CODES = {0, 1, 2, 3, 65}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=json_values | st.sampled_from(sorted(CLI_TEMPLATES)).flatmap(
+    lambda name: mutated(CLI_TEMPLATES[name])))
+# Each of these once ended in an OverflowError traceback.
+@example(data={"dim": math.inf, "entries": []})
+@example(data={"dim": 1, "entries": [[10**400, 0]]})
+@example(data={"AB": 10**400, "ABp": 0, "ApB": 0, "ApBp": 0})
+def test_cli_file_options_never_show_a_traceback(data):
+    angles = "0,0.7853981633974483,0.39269908169872414,1.1780972450961724"
+    with tempfile.TemporaryDirectory() as directory:
+        paths = {}
+        for name in ("fuzz", "bivariate", "pvm"):
+            paths[name] = f"{directory}/{name}.json"
+            with open(paths[name], "w", encoding="utf-8") as handle:
+                json.dump(data if name == "fuzz" else CLI_TEMPLATES[name], handle)
+        fuzz, biv, pvm = paths["fuzz"], paths["bivariate"], paths["pvm"]
+        commands = (
+            ["measure", "validate", fuzz],
+            ["martens", "--bivariate", fuzz, "--pvm1", pvm, "--pvm2", pvm],
+            ["martens", "--bivariate", biv, "--pvm1", fuzz, "--pvm2", pvm],
+            ["martens", "--bivariate", biv, "--pvm1", pvm, "--pvm2", fuzz],
+            ["aspect", "standard-composite", "--angles", angles, "--state", fuzz],
+            ["aspect", "--gamma1", "0.5", "--gamma2", "0.5", "--angles", angles,
+             "--emit", "chsh", "--state", fuzz],
+            ["srt", "--absorber", "0.5", "--emit", "probabilities", "--state", fuzz],
+            ["fine", "--marginals", fuzz],
+        )
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in CLI_EXIT_CODES, (argv, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()

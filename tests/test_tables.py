@@ -62,3 +62,16 @@ def test_values_read_only():
     table = ProbabilityTable([0.5, 0.5])
     with pytest.raises(ValueError):
         table.values[0] = 1.0
+
+
+@pytest.mark.parametrize("field", ["values", "tol", "axis_labels"])
+def test_fields_cannot_be_reassigned(field):
+    # A MarginalSet stacks its tables' values once; a reassigned field would let
+    # chsh_value (which reads the tables) and check_no_signaling (the stack) disagree.
+    table = ProbabilityTable([[0.5, 0.0], [0.0, 0.5]], axis_labels=(("+", "-"), ("+", "-")))
+    replacement = {"values": np.full((2, 2), 0.25), "tol": 1.0, "axis_labels": None}[field]
+    with pytest.raises(AttributeError):
+        setattr(table, field, replacement)
+    assert table.values.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+    assert table.tol == 1e-9
+    assert table.axis_labels == (("+", "-"), ("+", "-"))
