@@ -28,6 +28,7 @@ correlator ``-cos 2(theta1 - theta2)``.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,11 +64,11 @@ _ARM_LABELS = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
 _ANGLE_NAMES = ("theta1", "theta1p", "theta2", "theta2p")
 
 
-def _finite_angles(angles, names: Sequence[str]) -> np.ndarray:
-    values = np.array([float(a) for a in angles])
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValidationError(f"angle {names[bad[0]]} is non-finite: {float(values[bad[0]])!r}")
+def _finite_angles(angles, names: Sequence[str]) -> list[float]:
+    values = [float(a) for a in angles]
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise ValidationError(f"angle {name} is non-finite: {value!r}")
     return values
 
 
@@ -167,7 +168,7 @@ class AspectConfig:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
             object.__setattr__(self, name, value)
         angles = _finite_angles([getattr(self, name) for name in _ANGLE_NAMES], _ANGLE_NAMES)
-        for name, value in zip(_ANGLE_NAMES, angles.tolist()):
+        for name, value in zip(_ANGLE_NAMES, angles):
             object.__setattr__(self, name, value)
         if self.state.dim != 4:
             raise DimensionMismatchError(

@@ -118,72 +118,61 @@ def phase1_simplex(
 
     Dense tableau simplex over one artificial variable per row, with Bland's
     rule (lowest eligible index for both entering and leaving variables) so
-    termination is guaranteed under degeneracy.  Returns the artificial-sum
-    optimum and the primal point reached; the system is solvable exactly when
-    the optimum is zero.
+    termination is guaranteed under degeneracy.  One ``(m + 1, n + m + 1)``
+    tableau holds the rows over the structural, artificial and rhs columns;
+    row ``m`` is the reduced-cost row of the artificial sum, whose positive
+    entries mark improving columns and whose last entry is the objective.
+    Each pivot is one rank-1 update of the whole tableau.  Returns the
+    artificial-sum optimum and the primal point reached; the system is
+    solvable exactly when the optimum is zero.
     """
     a = np.asarray(constraints, dtype=float)
-    b = np.asarray(rhs, dtype=float).copy()
+    b = np.asarray(rhs, dtype=float)
     if a.ndim != 2 or b.shape != (a.shape[0],):
         raise DimensionMismatchError("constraint matrix and rhs shapes are inconsistent")
     m, n = a.shape
-    a = a.copy()
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
+    sign = np.where(b < 0, -1.0, 1.0)
+    a, b = a * sign[:, None], b * sign
 
-    tableau = np.zeros((m, n + m + 1))
-    tableau[:, :n] = a
-    tableau[:, n : n + m] = np.eye(m)
-    tableau[:, -1] = b
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n], tableau[:m, n:-1], tableau[:m, -1] = a, np.eye(m), b
+    tableau[m, :n], tableau[m, -1] = a.sum(axis=0), b.sum()
     basis = list(range(n, n + m))
-
-    # Reduced-cost row for minimizing the artificial sum: positive entries
-    # mark improving columns, and the stored value is the current objective.
-    objective = np.zeros(n + m + 1)
-    objective[: n] = a.sum(axis=0)
-    objective[-1] = b.sum()
+    # A -0.0 rhs keeps its sign only if rows with a zero entering coefficient stay untouched.
+    signed_zero = bool(np.signbit(b).any())
 
     for _ in range(10000):
-        entering = -1
-        for j in range(n + m):
-            if objective[j] > tol:
-                entering = j
-                break
+        costs = tableau[m, :-1].tolist()
+        entering = next((j for j, cost in enumerate(costs) if cost > tol), -1)
         if entering < 0:
             break
-        leaving = -1
-        best_ratio = np.inf
-        for i in range(m):
-            coeff = tableau[i, entering]
+        column, values = tableau[:m, entering].tolist(), tableau[:m, -1].tolist()
+        leaving, best_ratio = -1, np.inf
+        for i, coeff in enumerate(column):
             if coeff > tol:
-                ratio = tableau[i, -1] / coeff
+                ratio = values[i] / coeff
                 if ratio < best_ratio - tol or (
                     abs(ratio - best_ratio) <= tol
                     and (leaving < 0 or basis[i] < basis[leaving])
                 ):
-                    best_ratio = ratio
-                    leaving = i
+                    best_ratio, leaving = ratio, i
         if leaving < 0:
             raise InternalConsistencyError(
                 "phase-1 objective is bounded below by zero; an unbounded column "
                 "indicates corrupted constraint data"
             )
-        pivot = tableau[leaving, entering]
-        tableau[leaving] /= pivot
-        for i in range(m):
-            if i != leaving and abs(tableau[i, entering]) > 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leaving]
-        objective -= objective[entering] * tableau[leaving]
+        row = tableau[leaving] / tableau[leaving, entering]
+        update = np.multiply.outer(tableau[:, entering], row)
+        changed = np.abs(update[:, entering, None]) > 0.0 if signed_zero else True
+        np.subtract(tableau, update, out=tableau, where=changed)
+        tableau[leaving] = row
         basis[leaving] = entering
     else:
         raise InternalConsistencyError("simplex failed to terminate")
 
-    x = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = max(tableau[i, -1], 0.0)
-    return float(max(objective[-1], 0.0)), x
+    x, basic = np.zeros(n + m), tableau[:m, -1]
+    x[basis] = np.where(basic < 0.0, 0.0, basic)  # max(v, 0.0): a -0.0 stays -0.0
+    return float(max(tableau[m, -1], 0.0)), x[:n]
 
 
 def _equation_matrix() -> np.ndarray:

@@ -20,6 +20,14 @@ from .errors import DimensionMismatchError, ValidationError
 DEFAULT_TOL = 1e-9
 
 
+def _as_array(values, dtype, what: str) -> np.ndarray:
+    """A fresh ``dtype`` array of ``values``; input numpy cannot convert raises ValidationError."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} cannot be read as a {dtype.__name__} array: {exc}") from None
+
+
 def as_operator(matrix, *, name: str = "operator") -> np.ndarray:
     """Coerce ``matrix`` to a read-only square complex array.
 
@@ -37,10 +45,12 @@ def as_operator(matrix, *, name: str = "operator") -> np.ndarray:
 
     Raises
     ------
+    ValidationError
+        If an entry is not a number, or one beyond the float range.
     DimensionMismatchError
         If the input is not a non-empty square 2-D matrix.
     """
-    arr = np.array(matrix, dtype=complex)
+    arr = _as_array(matrix, complex, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise DimensionMismatchError(
             f"{name} must be a non-empty square matrix, got shape {arr.shape}"
@@ -174,7 +184,7 @@ class State:
     @classmethod
     def pure(cls, vector, tol: float = DEFAULT_TOL) -> "State":
         """Build the projector state ``|v><v| / <v|v>`` from a state vector."""
-        vec = np.asarray(vector, dtype=complex).reshape(-1)
+        vec = _as_array(vector, complex, "state vector").reshape(-1)
         if not np.isfinite(vec).all():
             raise ValidationError("state vector has non-finite entries")
         norm = np.linalg.norm(vec)

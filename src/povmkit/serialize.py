@@ -145,10 +145,9 @@ def marginals_from_dict(data: dict, tol: float = DEFAULT_TOL) -> MarginalSet:
     tables = []
     for key in _MARGINAL_KEYS:
         try:
-            values = np.array(data[key], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"table {key} is not a numeric 2x2 array: {exc}")
-        tables.append(ProbabilityTable(values, tol=tol))
+            tables.append(ProbabilityTable(data[key], tol=tol))
+        except ValidationError as exc:
+            raise ValidationError(f"table {key}: {exc}") from None
     return MarginalSet.from_tables(tables, tol=tol)
 
 

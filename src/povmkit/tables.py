@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .operators import DEFAULT_TOL
+from .operators import DEFAULT_TOL, _as_array
 
 
 def _split_axes(keep, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -38,7 +38,7 @@ class ProbabilityTable:
     __slots__ = ("_values", "_tol", "_axis_labels")
 
     def __init__(self, values, axis_labels=None, *, tol: float = DEFAULT_TOL):
-        arr = np.array(values, dtype=float)
+        arr = _as_array(values, float, "probability table")
         if arr.size == 0:
             raise ValidationError("probability table must not be empty")
         if not np.isfinite(arr).all():

@@ -2,8 +2,15 @@
 
 import numpy as np
 
-from povmkit import AspectConfig, ChshReport, DimensionMismatchError, bell_state
+from povmkit import (
+    AspectConfig,
+    ChshReport,
+    DimensionMismatchError,
+    InternalConsistencyError,
+    bell_state,
+)
 from povmkit.aspect import _SETTING_PAIR_AXES, _SETTING_PAIR_DROP, CHSH_SIGN_PATTERNS
+from povmkit.feasibility import PIVOT_TOL
 from povmkit.nonideality import _stochastic_least_squares
 
 TSIRELSON_ANGLES = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
@@ -217,3 +224,74 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def oracle_phase1_simplex(constraints, rhs, *, tol=PIVOT_TOL):
+    """Phase-1 simplex that pivots its tableau one row at a time.
+
+    A frozen copy of ``povmkit.feasibility.phase1_simplex`` before the rank-1
+    pivot update, with a separate reduced-cost row; the library's kernel must
+    return the same optimum and point, byte for byte, and raise the same errors.
+    """
+    a = np.asarray(constraints, dtype=float)
+    b = np.asarray(rhs, dtype=float).copy()
+    if a.ndim != 2 or b.shape != (a.shape[0],):
+        raise DimensionMismatchError("constraint matrix and rhs shapes are inconsistent")
+    m, n = a.shape
+    a = a.copy()
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+
+    tableau = np.zeros((m, n + m + 1))
+    tableau[:, :n] = a
+    tableau[:, n : n + m] = np.eye(m)
+    tableau[:, -1] = b
+    basis = list(range(n, n + m))
+
+    # Reduced-cost row for minimizing the artificial sum: positive entries
+    # mark improving columns, and the stored value is the current objective.
+    objective = np.zeros(n + m + 1)
+    objective[: n] = a.sum(axis=0)
+    objective[-1] = b.sum()
+
+    for _ in range(10000):
+        entering = -1
+        for j in range(n + m):
+            if objective[j] > tol:
+                entering = j
+                break
+        if entering < 0:
+            break
+        leaving = -1
+        best_ratio = np.inf
+        for i in range(m):
+            coeff = tableau[i, entering]
+            if coeff > tol:
+                ratio = tableau[i, -1] / coeff
+                if ratio < best_ratio - tol or (
+                    abs(ratio - best_ratio) <= tol
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            raise InternalConsistencyError(
+                "phase-1 objective is bounded below by zero; an unbounded column "
+                "indicates corrupted constraint data"
+            )
+        pivot = tableau[leaving, entering]
+        tableau[leaving] /= pivot
+        for i in range(m):
+            if i != leaving and abs(tableau[i, entering]) > 0.0:
+                tableau[i] -= tableau[i, entering] * tableau[leaving]
+        objective -= objective[entering] * tableau[leaving]
+        basis[leaving] = entering
+    else:
+        raise InternalConsistencyError("simplex failed to terminate")
+
+    x = np.zeros(n)
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = max(tableau[i, -1], 0.0)
+    return float(max(objective[-1], 0.0)), x

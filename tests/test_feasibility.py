@@ -6,6 +6,7 @@ from povmkit import (
     MarginalSet,
     NoSignalingError,
     ProbabilityTable,
+    ValidationError,
     bell_state,
     check_no_signaling,
     chsh_value,
@@ -63,6 +64,10 @@ class TestMarginalSet:
         with pytest.raises(DimensionMismatchError, match="expected a 2x2 table"):
             MarginalSet(good, good, good, raw)
 
+    def test_unreadable_table_raises_validation_error(self):
+        good = [[0.25, 0.25], [0.25, 0.25]]
+        with pytest.raises(ValidationError, match="probability table cannot be read"):
+            MarginalSet.from_tables([good, good, good, [[10**400, 0], [0, 0]]])
 
     @pytest.mark.parametrize("name", ["values", "tol"])
     def test_fields_cannot_be_reassigned(self, name):

@@ -43,6 +43,13 @@ class TestMeasureValidation:
     def test_valid_povm(self):
         PovmMeasure([0.3 * np.eye(2), 0.7 * np.eye(2)])
 
+    @pytest.mark.parametrize(
+        "elements", [[[[10**400]]], [[["x"]]]], ids=["beyond-float-range", "not-a-number"]
+    )
+    def test_unreadable_element_raises_validation_error(self, elements):
+        with pytest.raises(ValidationError, match="element 0 cannot be read"):
+            PovmMeasure(elements)
+
     def test_negative_element_rejected(self):
         with pytest.raises(ValidationError, match="not positive"):
             PovmMeasure([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])])

@@ -142,6 +142,19 @@ class TestState:
         with pytest.raises(ValidationError, match="non-finite"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: State([[10**400]]),
+            lambda: State.pure([10**400, 0]),
+            lambda: State.pure(["x", 1]),
+        ],
+        ids=["matrix-beyond-float-range", "vector-beyond-float-range", "vector-not-a-number"],
+    )
+    def test_unreadable_entries_raise_validation_error(self, build):
+        with pytest.raises(ValidationError, match="cannot be read as a complex array"):
+            build()
+
     def test_trace_distance_of_orthogonal_pure_states(self):
         assert trace_distance(State.pure([1, 0]), State.pure([0, 1])) == pytest.approx(1.0)
 

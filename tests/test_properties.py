@@ -23,6 +23,7 @@ from povmkit import (
     STANDARD_GAMMA_PAIRS,
     State,
     SrtConfig,
+    apply_nonideality,
     arm_povm,
     bell_state,
     born_probabilities,
@@ -32,6 +33,7 @@ from povmkit import (
     joint_probabilities,
     interference_pvm,
     joint_exists,
+    martens_bound,
     path_pvm,
     povm_violations,
     pvm_violations,
@@ -41,8 +43,9 @@ from povmkit import (
     standard_composite,
     tradeoff_sweep,
 )
-from povmkit import nonideality, serialize
+from povmkit import InternalConsistencyError, nonideality, serialize
 from povmkit.cli import main
+from povmkit.feasibility import _KEEP, _REDUCED, phase1_simplex
 from povmkit.measures import _lowest_eigenvalues, _stack_violations
 from povmkit.sampling import (
     mix_marginals,
@@ -57,6 +60,7 @@ from helpers import (
     oracle_arm,
     oracle_chsh_value,
     oracle_no_signaling,
+    oracle_phase1_simplex,
     oracle_setting_pair_tables,
     oracle_solve_stack,
     oracle_stack_violations,
@@ -862,3 +866,141 @@ def test_cli_file_options_never_show_a_traceback(data):
                 code = main(argv)
             assert code in CLI_EXIT_CODES, (argv, code, err.getvalue())
             assert "Traceback" not in err.getvalue()
+
+
+# -- (m) the rank-1 simplex against the frozen row-by-row oracle ---------------
+
+#: Small integers, so ratio ties and degenerate pivots are common; zeros come
+#: in both signs, as a JSON file may spell them.
+LP_ENTRIES = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)
+
+
+@st.composite
+def lp_systems(draw):
+    """``(constraints, rhs)``: the Fine system of a box, or a small integer system."""
+    kind = draw(st.sampled_from(["integer", "random box", "PR mixture", "arrangement", "local"]))
+    if kind == "integer":
+        m, n = draw(st.integers(1, 9)), draw(st.integers(1, 16))
+        entries = st.lists(st.sampled_from(LP_ENTRIES), min_size=m * (n + 1), max_size=m * (n + 1))
+        system = np.array(draw(entries)).reshape(m, n + 1)
+        return system[:, :n], system[:, n]
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "arrangement":
+        gammas = draw(st.tuples(absorbers, absorbers))
+        angles = rng.uniform(-np.pi, np.pi, 4)
+        config = AspectConfig(*gammas, *angles, state=random_density_matrix(4, rng))
+        box = MarginalSet.from_quadrivariate(joint_probabilities(config)).values
+    elif kind == "local":
+        # A joint of dyadic-like weights, its zero cells written as -0.0.
+        weights = rng.integers(0, 3, size=16).astype(float)
+        assume(weights.sum() > 0.0)
+        joint = ProbabilityTable((weights / weights.sum()).reshape(2, 2, 2, 2))
+        box = MarginalSet.from_quadrivariate(joint).values.copy()
+        box[box == 0.0] = -0.0
+    else:
+        weight = draw(st.floats(0.0, 1.0)) if kind == "PR mixture" else 0.0
+        box = mix_marginals(pr_box_marginals(), random_no_signaling_marginals(rng), weight).values
+    return _REDUCED, np.append(box, 1.0).take(_KEEP)
+
+
+def simplex_outcome(solver, constraints, rhs):
+    """The optimum and point as bytes, so -0.0 differs from 0.0, or the error raised."""
+    try:
+        optimum, x = solver(constraints, rhs)
+    except InternalConsistencyError as exc:
+        return type(exc), str(exc)
+    assert type(optimum) is float and x.dtype == np.float64
+    return np.float64(optimum).tobytes(), x.shape, x.tobytes()
+
+
+#: A local box whose one zero cell is -0.0; its witness holds a -0.0, and ``fine`` prints it.
+SIGNED_ZERO_BOX = np.array([[[6, 1], [7, 1]], [[2, 5], [4, 4]],
+                            [[8, -0.0], [5, 2]], [[4, 4], [2, 5]]]) / 15
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(system=lp_systems())
+@example(system=(_REDUCED, np.append(SIGNED_ZERO_BOX, 1.0).take(_KEEP)))
+def test_rank1_simplex_is_byte_identical_to_the_row_by_row_oracle(system):
+    constraints, rhs = system
+    before = (constraints.tobytes(), rhs.tobytes())
+    got = simplex_outcome(phase1_simplex, constraints, rhs)
+    assert (constraints.tobytes(), rhs.tobytes()) == before
+    assert got == simplex_outcome(oracle_phase1_simplex, constraints, rhs)
+
+
+# -- (n) unitary covariance and the smearing round trip ------------------------
+
+def conjugated(measure, u):
+    """``U M U^dag`` of every element, with the labels and index shape kept."""
+    return type(measure)(u @ measure.stack() @ u.conj().T, labels=measure.labels,
+                         index_shape=measure.index_shape)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.integers(min_value=2, max_value=4),
+    n_elements=st.integers(min_value=1, max_value=5),
+    projective=st.booleans(),
+)
+def test_born_rule_is_unitarily_covariant(seed, dim, n_elements, projective):
+    rng = np.random.default_rng(seed)
+    measure = PovmMeasure(random_measure(rng, n_elements, dim, projective))
+    rho = random_density_matrix(dim, rng)
+    u = random_unitary(dim, rng)
+    got = born_probabilities(conjugated(measure, u), State(u @ rho.matrix @ u.conj().T))
+    want = born_probabilities(measure, rho)
+    assert got.axis_labels == want.axis_labels
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.integers(min_value=2, max_value=3),
+    n_observed=st.integers(min_value=1, max_value=4),
+    target_kind=st.sampled_from(["pvm", "povm"]),
+)
+def test_nonideality_and_martens_bound_are_unitarily_covariant(seed, dim, n_observed, target_kind):
+    # A PVM target takes the trace form; a random POVM target has independent,
+    # non-orthogonal elements, so it takes the pseudo-inverse and, where that
+    # leaves the constraints, the constrained program.
+    rng = np.random.default_rng(seed)
+    observed = PovmMeasure(random_measure(rng, n_observed, dim, False))
+    if target_kind == "pvm":
+        target = PvmMeasure(random_measure(rng, dim, dim, True))
+    else:
+        target = PovmMeasure(random_measure(rng, dim + 1, dim, False))
+    u = random_unitary(dim, rng)
+    got = solve_nonideality(conjugated(observed, u), conjugated(target, u))
+    want = solve_nonideality(observed, target)
+    assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-9
+    assert abs(got.residual - want.residual) <= 1e-9
+    assert got.unique == want.unique
+
+    first, second = (PvmMeasure(random_measure(rng, dim, dim, True)) for _ in range(2))
+    assert abs(martens_bound(conjugated(first, u), conjugated(second, u))
+               - martens_bound(first, second)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.integers(min_value=2, max_value=3),
+    n_targets=st.integers(min_value=2, max_value=4),
+    n_observed=st.integers(min_value=1, max_value=5),
+    target_kind=st.sampled_from(["pvm", "povm"]),
+)
+def test_smearing_round_trip_recovers_the_matrix(seed, dim, n_targets, n_observed, target_kind):
+    rng = np.random.default_rng(seed)
+    if target_kind == "pvm":
+        target = PvmMeasure(random_measure(rng, dim, dim, True))
+    else:
+        # Generic positive elements are linearly independent while there are at most dim**2 of them.
+        target = PovmMeasure(random_measure(rng, n_targets, dim, False))
+    raw = rng.random((n_observed, target.n_outcomes))
+    lam = raw / raw.sum(axis=0, keepdims=True)
+    result = solve_nonideality(apply_nonideality(target, lam), target)
+    assert result.unique and result.is_exact
+    assert np.max(np.abs(result.matrix - lam)) <= 1e-9

@@ -80,6 +80,17 @@ def test_marginals_require_all_four_tables():
         serialize.marginals_from_dict({"AB": [[0.25, 0.25], [0.25, 0.25]]})
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [([[0.25, 0.25], [0.25, "x"]], "cannot be read"), ([[0.5, 0.5], [0.5, 0.5]], "sums to")],
+    ids=["not-a-number", "not-normalized"],
+)
+def test_marginals_errors_name_the_table(bad, message):
+    good = [[0.25, 0.25], [0.25, 0.25]]
+    with pytest.raises(ValidationError, match=f"table ApB: probability table {message}"):
+        serialize.marginals_from_dict({"AB": good, "ABp": good, "ApB": bad, "ApBp": good})
+
+
 def test_dump_and_load_file(tmp_path, rng):
     path = tmp_path / "state.json"
     state = random_density_matrix(2, rng)

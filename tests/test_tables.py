@@ -20,6 +20,14 @@ def test_non_finite_entries_rejected(bad):
         ProbabilityTable([bad, 1.0])
 
 
+@pytest.mark.parametrize(
+    "values", [[10**400, 0], ["x"]], ids=["beyond-float-range", "not-a-number"]
+)
+def test_unreadable_values_raise_validation_error(values):
+    with pytest.raises(ValidationError, match="probability table cannot be read"):
+        ProbabilityTable(values)
+
+
 def test_axis_labels_checked():
     ProbabilityTable([[0.5, 0.0], [0.0, 0.5]], axis_labels=(("+", "-"), ("1", "2")))
     with pytest.raises(ValidationError):
