@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
     NoSignalingError,
+    ValidationError,
 )
 from .operators import DEFAULT_TOL
 from .tables import ProbabilityTable
@@ -32,6 +33,18 @@ LP_OPT_TOL = 1e-10
 #: Width of the band around |S| = 2 inside which a decision is flagged as
 #: sitting on the feasibility boundary.
 BOUNDARY_TOL = 1e-9
+
+
+def _pair_table(table, tol: float) -> ProbabilityTable:
+    """A setting-pair table: a ``ProbabilityTable`` as given, raw values built at ``tol``.
+
+    Raises ``DimensionMismatchError`` unless the table is 2x2.
+    """
+    if not isinstance(table, ProbabilityTable):
+        table = ProbabilityTable(table, tol=tol)
+    if table.shape != (2, 2):
+        raise DimensionMismatchError(f"expected a 2x2 table, got shape {table.shape}")
+    return table
 
 
 class MarginalSet:
@@ -46,13 +59,7 @@ class MarginalSet:
     __slots__ = ("_values", "_tol", "_tables")
 
     def __init__(self, ab, abp, apb, apbp, tol: float = DEFAULT_TOL):
-        tables = []
-        for table in (ab, abp, apb, apbp):
-            if not isinstance(table, ProbabilityTable):
-                table = ProbabilityTable(table, tol=tol)
-            if table.shape != (2, 2):
-                raise DimensionMismatchError(f"expected a 2x2 table, got shape {table.shape}")
-            tables.append(table)
+        tables = [_pair_table(table, tol) for table in (ab, abp, apb, apbp)]
         self._values = np.array([table.values for table in tables])
         self._values.setflags(write=False)
         self._tol, self._tables = float(tol), tuple(tables)
@@ -125,11 +132,21 @@ def phase1_simplex(
     Each pivot is one rank-1 update of the whole tableau.  Returns the
     artificial-sum optimum and the primal point reached; the system is
     solvable exactly when the optimum is zero.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If ``rhs`` does not have one entry per row of a 2-D ``constraints``.
+    ValidationError
+        If ``constraints`` or ``rhs`` has a NaN or infinite entry.
     """
     a = np.asarray(constraints, dtype=float)
     b = np.asarray(rhs, dtype=float)
     if a.ndim != 2 or b.shape != (a.shape[0],):
         raise DimensionMismatchError("constraint matrix and rhs shapes are inconsistent")
+    for name, values in (("constraint matrix", a), ("rhs", b)):
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{name} has non-finite entries")
     m, n = a.shape
     sign = np.where(b < 0, -1.0, 1.0)
     a, b = a * sign[:, None], b * sign

@@ -36,7 +36,17 @@ RECONSTRUCTION_TOL = 1e-8
 
 
 def _coerce_stack(elements) -> np.ndarray:
-    """Coerce a sequence of square matrices of one dimension to a (K, d, d) stack."""
+    """Coerce a sequence of square matrices of one dimension to a (K, d, d) stack.
+
+    One whole-input conversion accepts a non-empty square stack; any other
+    input goes element by element, so each error names its element.
+    """
+    try:
+        stack = np.array(elements, dtype=complex)
+    except (OverflowError, TypeError, ValueError):
+        stack = np.empty(0)
+    if stack.ndim == 3 and stack.size and stack.shape[1] == stack.shape[2]:
+        return stack
     arrays = [as_operator(e, name=f"element {k}") for k, e in enumerate(elements)]
     if not arrays:
         raise ValidationError("measure must contain at least one element")
@@ -288,7 +298,7 @@ class PvmMeasure(PovmMeasure):
 
     def is_maximal(self) -> bool:
         """True when every projector is rank one, within the measure's ``tol``."""
-        return all(abs(complex(np.trace(e)) - 1.0) <= self.tol for e in self.elements)
+        return bool(np.abs(np.trace(self._stack, axis1=1, axis2=2) - 1.0).max() <= self.tol)
 
 
 def tetrahedral_qubit_povm(tol: float = DEFAULT_TOL) -> PovmMeasure:

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
-from .feasibility import MarginalSet
+from .errors import DimensionMismatchError, ValidationError
+from .feasibility import MarginalSet, _pair_table
 from .measures import PovmMeasure, PvmMeasure
 from .operators import DEFAULT_TOL, State, as_operator
 from .tables import ProbabilityTable
@@ -145,9 +145,9 @@ def marginals_from_dict(data: dict, tol: float = DEFAULT_TOL) -> MarginalSet:
     tables = []
     for key in _MARGINAL_KEYS:
         try:
-            tables.append(ProbabilityTable(data[key], tol=tol))
-        except ValidationError as exc:
-            raise ValidationError(f"table {key}: {exc}") from None
+            tables.append(_pair_table(data[key], tol))
+        except (DimensionMismatchError, ValidationError) as exc:
+            raise type(exc)(f"table {key}: {exc}") from None
     return MarginalSet.from_tables(tables, tol=tol)
 
 

@@ -15,6 +15,7 @@ representation yields identical entropy curves.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -60,11 +61,11 @@ _P_MINUS.setflags(write=False)
 _BIVARIATE_LABELS = (("+", "1"), ("+", "2"), ("-", "1"), ("-", "2"))
 
 
-def _interference_projectors(chi: float) -> tuple[np.ndarray, np.ndarray]:
+def _interference_projectors(chi: float) -> np.ndarray:
+    """The ``(2, 2, 2)`` projectors onto ``(|+> +- exp(i chi)|->) / sqrt(2)``."""
     phase = np.exp(1j * float(chi))
-    q1_vec = np.array([1.0, phase]) / np.sqrt(2.0)
-    q2_vec = np.array([1.0, -phase]) / np.sqrt(2.0)
-    return np.outer(q1_vec, q1_vec.conj()), np.outer(q2_vec, q2_vec.conj())
+    vectors = np.array([[1.0, phase], [1.0, -phase]]) / np.sqrt(2.0)
+    return vectors[:, :, None] * vectors[:, None, :].conj()
 
 
 def path_pvm(tol: float = DEFAULT_TOL) -> PvmMeasure:
@@ -85,21 +86,23 @@ def interference_pvm(chi: float = 0.0, tol: float = DEFAULT_TOL) -> PvmMeasure:
     return PvmMeasure(_interference_projectors(chi), labels=("1", "2"), tol=tol)
 
 
-def _bivariate_stack(absorbers: np.ndarray, chi: float) -> np.ndarray:
+def _bivariate_stack(absorbers, projectors: np.ndarray) -> np.ndarray:
     """Unvalidated ``(N, 4, 2, 2)`` bivariate elements for N transmissivities.
 
+    ``projectors`` is the ``(2, 2, 2)`` interference stack ``(Q1, Q2)``.
     Cells in ``_BIVARIATE_LABELS`` order: the two detector elements
     ``0.5 (P+ + a P- +- sqrt(a) (Q1 - Q2))`` and the absorption element
     ``(1 - a) P-`` split evenly over the ``'-'`` row.
     """
     a = np.asarray(absorbers, dtype=float)[:, None, None]
-    q1, q2 = _interference_projectors(chi)
-    q_diff = q1 - q2
-    root = np.sqrt(a)
-    m1 = 0.5 * (_P_PLUS + a * _P_MINUS + root * q_diff)
-    m2 = 0.5 * (_P_PLUS + a * _P_MINUS - root * q_diff)
-    half_m3 = 0.5 * ((1.0 - a) * _P_MINUS)
-    return np.stack([m1, m2, half_m3, half_m3], axis=1)
+    common = _P_PLUS + a * _P_MINUS
+    shift = np.sqrt(a) * (projectors[0] - projectors[1])
+    cells = np.empty((a.shape[0], 4, 2, 2), dtype=complex)
+    np.multiply(0.5, common + shift, out=cells[:, 0])
+    np.multiply(0.5, common - shift, out=cells[:, 1])
+    np.multiply(0.5, (1.0 - a) * _P_MINUS, out=cells[:, 2])
+    cells[:, 3] = cells[:, 2]
+    return cells
 
 
 def srt_povm(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
@@ -109,7 +112,8 @@ def srt_povm(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
     absorbed neutrons.  At ``a = 1`` the family reduces to the interference
     PVM plus a zero element, at ``a = 0`` to a split path measurement.
     """
-    m1, m2, absorbed_1, absorbed_2 = _bivariate_stack([config.absorber], config.phase)[0]
+    projectors = _interference_projectors(config.phase)
+    m1, m2, absorbed_1, absorbed_2 = _bivariate_stack([config.absorber], projectors)[0]
     return PovmMeasure([m1, m2, absorbed_1 + absorbed_2], labels=("1", "2", "3"), tol=tol)
 
 
@@ -122,7 +126,7 @@ def srt_bivariate(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
     interference observable and the ``m``-marginal a smeared path observable.
     """
     return PovmMeasure(
-        _bivariate_stack([config.absorber], config.phase)[0],
+        _bivariate_stack([config.absorber], _interference_projectors(config.phase))[0],
         labels=_BIVARIATE_LABELS,
         index_shape=(2, 2),
         tol=tol,
@@ -210,7 +214,7 @@ def tradeoff_sweep(
     target_interference = interference_pvm(chi, tol)
     bound = martens_bound(_PATH_PVM, target_interference)
 
-    stack = _bivariate_stack(values, chi)
+    stack = _bivariate_stack(values, target_interference.stack())
     invalid = _stack_violations(stack, tol)
     if invalid:
         (n,), lines = next(iter(invalid.items()))
@@ -219,7 +223,7 @@ def tradeoff_sweep(
 
     # Problem 0 is the path marginal and problem 1 the interference marginal,
     # so in C order every path matrix is checked before any interference one.
-    marginals = np.stack([cells.sum(axis=2), cells.sum(axis=1)])
+    marginals = np.stack([cells[:, :, 0] + cells[:, :, 1], cells[:, 0] + cells[:, 1]])
     targets = np.stack([_PATH_PVM.stack(), target_interference.stack()])
     matrices = _solve_stack(marginals, targets, tol)
     failure = _stochastic_violation(matrices.reshape(-1, 2, 2), tol)
@@ -248,7 +252,7 @@ def tradeoff_sweep(
             f"solver pipeline drifted {drift[n]:.3e} from the closed-form entropies "
             f"at absorber={float(values[n])!r}"
         )
-    return [
-        TradeoffPoint(a, jl, jm, bound, s)
-        for a, jl, jm, s in zip(values.tolist(), j_lambda.tolist(), j_mu.tolist(), slack.tolist())
-    ]
+    rows = zip(
+        values.tolist(), j_lambda.tolist(), j_mu.tolist(), itertools.repeat(bound), slack.tolist()
+    )
+    return list(map(TradeoffPoint._make, rows))

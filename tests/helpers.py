@@ -7,11 +7,22 @@ from povmkit import (
     ChshReport,
     DimensionMismatchError,
     InternalConsistencyError,
+    PvmMeasure,
+    ValidationError,
     bell_state,
+    srt,
 )
 from povmkit.aspect import _SETTING_PAIR_AXES, _SETTING_PAIR_DROP, CHSH_SIGN_PATTERNS
 from povmkit.feasibility import PIVOT_TOL
-from povmkit.nonideality import _stochastic_least_squares
+from povmkit.measures import _stack_violations
+from povmkit.nonideality import (
+    _row_entropy,
+    _solve_stack,
+    _stochastic_least_squares,
+    _stochastic_violation,
+    martens_bound,
+)
+from povmkit.operators import DEFAULT_TOL
 
 TSIRELSON_ANGLES = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -295,3 +306,83 @@ def oracle_phase1_simplex(constraints, rhs, *, tol=PIVOT_TOL):
         if var < n:
             x[var] = max(tableau[i, -1], 0.0)
     return float(max(objective[-1], 0.0)), x
+
+
+def _oracle_interference_projectors(chi):
+    phase = np.exp(1j * float(chi))
+    q1_vec = np.array([1.0, phase]) / np.sqrt(2.0)
+    q2_vec = np.array([1.0, -phase]) / np.sqrt(2.0)
+    return np.outer(q1_vec, q1_vec.conj()), np.outer(q2_vec, q2_vec.conj())
+
+
+def _oracle_bivariate_stack(absorbers, chi):
+    a = np.asarray(absorbers, dtype=float)[:, None, None]
+    q1, q2 = _oracle_interference_projectors(chi)
+    q_diff = q1 - q2
+    root = np.sqrt(a)
+    m1 = 0.5 * (srt._P_PLUS + a * srt._P_MINUS + root * q_diff)
+    m2 = 0.5 * (srt._P_PLUS + a * srt._P_MINUS - root * q_diff)
+    half_m3 = 0.5 * ((1.0 - a) * srt._P_MINUS)
+    return np.stack([m1, m2, half_m3, half_m3], axis=1)
+
+
+def oracle_tradeoff_sweep(grid, chi=0.0, *, tol=DEFAULT_TOL):
+    """Trade-off sweep that builds the interference projectors twice.
+
+    A frozen copy of ``povmkit.srt.tradeoff_sweep`` before the projector stack
+    was built once: the projectors as a tuple of outer products, rebuilt inside
+    the bivariate stack, the stack built by ``np.stack``, the marginals as
+    ``sum`` over a length-2 axis and the rows one constructor call each.  The
+    library's sweep must return equal rows and raise the same errors.
+    """
+    values = np.fromiter(grid, dtype=float)
+    outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if outside.size:
+        raise ValidationError(f"grid value {float(values[outside[0]])!r} outside [0, 1]")
+    if values.size == 0:
+        return []
+
+    target_interference = PvmMeasure(_oracle_interference_projectors(chi), labels=("1", "2"),
+                                     tol=tol)
+    bound = martens_bound(srt._PATH_PVM, target_interference)
+
+    stack = _oracle_bivariate_stack(values, chi)
+    invalid = _stack_violations(stack, tol)
+    if invalid:
+        (n,), lines = next(iter(invalid.items()))
+        raise ValidationError(f"absorber={float(values[n])!r}: " + "; ".join(lines))
+    cells = stack.reshape(values.size, 2, 2, 2, 2)
+
+    marginals = np.stack([cells.sum(axis=2), cells.sum(axis=1)])
+    targets = np.stack([srt._PATH_PVM.stack(), target_interference.stack()])
+    matrices = _solve_stack(marginals, targets, tol)
+    failure = _stochastic_violation(matrices.reshape(-1, 2, 2), tol)
+    if failure is not None:
+        n, message = failure
+        raise ValidationError(f"absorber={float(values[n % values.size])!r}: {message}")
+    j_lambda, j_mu = _row_entropy(matrices)
+    slack = j_lambda + j_mu - bound
+
+    violated = np.flatnonzero(~(slack >= -tol))
+    if violated.size:
+        n = violated[0]
+        raise InternalConsistencyError(
+            f"joint-measurement bound violated (slack {slack[n]:.3e}) "
+            f"at absorber={float(values[n])!r}; "
+            "the matrices do not come from one bivariate arrangement"
+        )
+    drift = np.maximum(
+        np.abs(j_lambda - srt._path_entropy(values)),
+        np.abs(j_mu - srt._interference_entropy(values)),
+    )
+    drifted = np.flatnonzero(~(drift <= srt.PIPELINE_AGREEMENT_TOL))
+    if drifted.size:
+        n = drifted[0]
+        raise InternalConsistencyError(
+            f"solver pipeline drifted {drift[n]:.3e} from the closed-form entropies "
+            f"at absorber={float(values[n])!r}"
+        )
+    return [
+        srt.TradeoffPoint(a, jl, jm, bound, s)
+        for a, jl, jm, s in zip(values.tolist(), j_lambda.tolist(), j_mu.tolist(), slack.tolist())
+    ]

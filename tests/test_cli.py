@@ -461,6 +461,15 @@ class TestFine:
         code, _, err = run(capsys, "fine", "--marginals", "/nonexistent/path.json")
         assert code == 65
 
+    def test_wrong_shape_table_names_its_key(self, capsys, tmp_path):
+        good = [[0.25, 0.25], [0.25, 0.25]]
+        path = tmp_path / "flat.json"
+        serialize.dump_json({"AB": good, "ABp": [0.5, 0.5], "ApB": good, "ApBp": good}, path)
+        code, out, err = run(capsys, "fine", "--marginals", str(path))
+        assert code == 65
+        assert out == ""
+        assert err == "error: table ABp: expected a 2x2 table, got shape (2,)\n"
+
 
 def test_outputs_do_not_mutate_inputs(capsys, tmp_path):
     path = tmp_path / "measure.json"

@@ -123,6 +123,19 @@ class TestSimplex:
         optimum, _ = phase1_simplex(a, b)
         assert optimum > 0.5
 
+    @pytest.mark.parametrize(
+        "constraints, rhs, name",
+        [
+            ([[np.nan, 1.0, 1.0], [1.0, 0.0, 2.0]], [1.0, 1.0], "constraint matrix"),
+            ([[np.inf, 1.0]], [1.0], "constraint matrix"),
+            ([[1.0, 1.0]], [np.nan], "rhs"),
+        ],
+        ids=["nan-constraint", "inf-constraint", "nan-rhs"],
+    )
+    def test_non_finite_input_is_rejected_before_any_pivot(self, constraints, rhs, name):
+        with pytest.raises(ValidationError, match=f"^{name} has non-finite entries$"):
+            phase1_simplex(constraints, rhs)
+
 
 class TestEquationStructure:
     def test_kept_rows_span_every_equation(self):

@@ -20,6 +20,7 @@ from povmkit import (
     tetrahedral_qubit_povm,
     trace_distance,
 )
+from povmkit.measures import _coerce_stack
 from povmkit.srt import SrtConfig, srt_povm
 from povmkit.sampling import (
     random_basis_pvm,
@@ -49,6 +50,22 @@ class TestMeasureValidation:
     def test_unreadable_element_raises_validation_error(self, elements):
         with pytest.raises(ValidationError, match="element 0 cannot be read"):
             PovmMeasure(elements)
+
+    def test_coerced_stack_is_the_same_for_every_container(self):
+        first, second = [[0.5, 0.25j], [-0.25j, 0.25]], [[0.5, 0.0], [0.0, 0.75]]
+        want = np.stack([np.array(first, dtype=complex), np.array(second, dtype=complex)])
+        inputs = {
+            "list": [first, second],
+            "tuple": (tuple(map(tuple, first)), tuple(map(tuple, second))),
+            "ndarray": want.copy(),
+            "mixed": [np.array(first, dtype=np.complex64), tuple(map(tuple, second))],
+        }
+        for kind, elements in inputs.items():
+            stack = _coerce_stack(elements)
+            assert stack.dtype == np.complex128, kind
+            assert stack.tobytes() == want.tobytes(), kind
+            assert stack.flags.writeable and stack.flags.owndata, kind
+        assert not np.shares_memory(_coerce_stack(inputs["ndarray"]), inputs["ndarray"])
 
     def test_negative_element_rejected(self):
         with pytest.raises(ValidationError, match="not positive"):

@@ -43,7 +43,7 @@ from povmkit import (
     standard_composite,
     tradeoff_sweep,
 )
-from povmkit import InternalConsistencyError, nonideality, serialize
+from povmkit import InternalConsistencyError, ValidationError, nonideality, serialize
 from povmkit.cli import main
 from povmkit.feasibility import _KEEP, _REDUCED, phase1_simplex
 from povmkit.measures import _lowest_eigenvalues, _stack_violations
@@ -65,6 +65,7 @@ from helpers import (
     oracle_solve_stack,
     oracle_stack_violations,
     oracle_stochastic_violation,
+    oracle_tradeoff_sweep,
 )
 
 #: Derandomized so every run draws the same examples; no example database.
@@ -1004,3 +1005,70 @@ def test_smearing_round_trip_recovers_the_matrix(seed, dim, n_targets, n_observe
     result = solve_nonideality(apply_nonideality(target, lam), target)
     assert result.unique and result.is_exact
     assert np.max(np.abs(result.matrix - lam)) <= 1e-9
+
+
+# -- (o) the sweep against the frozen two-build pipeline ------------------------
+
+def sweep_outcome(sweep, grid, chi):
+    """The rows with every field as ``float.hex``, so -0.0 differs from 0.0, or the error raised."""
+    try:
+        rows = sweep(grid, chi)
+    except (InternalConsistencyError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return rows, [tuple(map(float.hex, row)) for row in rows]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    # 0 and 1 in every grid, a repeated prefix for duplicates, in drawn order.
+    grid=st.lists(absorbers, max_size=12)
+    .map(lambda values: values + [0.0, 1.0] + values[: len(values) // 2 + 1])
+    .flatmap(st.permutations),
+    chi=st.sampled_from([0.0, np.pi / 2, np.pi, -np.pi])
+    | st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+@example(grid=np.linspace(0.0, 1.0, 101).tolist(), chi=0.7)
+@example(grid=[0.5, 0.5], chi=math.nan)
+@example(grid=[0.5, 1.5], chi=0.0)
+def test_sweep_rows_equal_the_frozen_pipeline_oracle(grid, chi):
+    got, want = (sweep_outcome(sweep, grid, chi) for sweep in (tradeoff_sweep, oracle_tradeoff_sweep))
+    assert got == want
+
+
+# -- (p) a common rotation of the four analyzers -------------------------------
+
+@PROPERTY_SETTINGS
+@given(angles=st.tuples(angle, angle, angle, angle), shift=angle)
+def test_common_analyzer_rotation_leaves_the_singlet_composite_unchanged(angles, shift):
+    # The singlet is invariant under R(shift) (x) R(shift), so only angle
+    # differences between the arms can reach the four tables.
+    base = standard_composite(*angles, state=bell_state())
+    rotated = standard_composite(*(theta + shift for theta in angles), state=bell_state())
+    for got, want in zip(rotated.tables, base.tables):
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12
+    assert np.max(np.abs(np.subtract(rotated.chsh.correlators, base.chsh.correlators))) <= 1e-12
+
+
+# -- (q) Martens slack on post-processed exact joints --------------------------
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    absorber=absorbers,
+    chi=angle,
+)
+def test_martens_slack_holds_on_post_processed_exact_joints(seed, absorber, chi):
+    # Smearing each outcome index of one bivariate POVM by a column-stochastic
+    # matrix gives another bivariate POVM whose marginals are exact smearings
+    # of the same PVMs (lambda -> S1 lambda, mu -> S2 mu), so the bound holds.
+    rng = np.random.default_rng(seed)
+    first, second = (raw / raw.sum(axis=0) for raw in rng.random((2, 2, 2)))
+    cells = srt_bivariate(SrtConfig(absorber, chi)).stack().reshape(2, 2, 2, 2)
+    smeared = np.einsum("pm,qn,mnab->pqab", first, second, cells).reshape(4, 2, 2)
+    joint = PovmMeasure(smeared, index_shape=(2, 2))
+    target_path, target_interference = path_pvm(), interference_pvm(chi)
+    lam = solve_nonideality(joint.marginal(keep=0), target_path)
+    mu = solve_nonideality(joint.marginal(keep=1), target_interference)
+    report = check_martens(lam, mu, target_path, target_interference)
+    assert report.applicable
+    assert report.slack >= -TOL
