@@ -35,10 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InternalConsistencyError, ValidationError
-from .measures import PovmMeasure, PvmMeasure, _stack_violations
+from .errors import DimensionMismatchError, ValidationError
+from .measures import PovmMeasure, PvmMeasure, _born_floor, _stack_violations
 from .operators import DEFAULT_TOL, State, tensor
-from .tables import ProbabilityTable
+from .tables import ProbabilityTable, _check_tables
 
 #: The four limiting mirror settings of the standard experiments, paired with
 #: the axes of (A, A', B, B') that carry their informative outcomes: the
@@ -102,12 +102,7 @@ def _born_products(rho: State, first: np.ndarray, second: np.ndarray, tol: float
     if rho.dim != 4:
         raise DimensionMismatchError(f"two-photon state must have dimension 4, got {rho.dim}")
     r = rho.matrix.reshape(2, 2, 2, 2)
-    probs = np.real(np.einsum("...ica,...jdb,abcd->...ij", first, second, r))
-    if not probs.min() >= -tol:
-        raise InternalConsistencyError(
-            f"probability {probs.min():.3e} below -tol from validated inputs"
-        )
-    return probs
+    return _born_floor(np.real(np.einsum("...ica,...jdb,abcd->...ij", first, second, r)), tol)
 
 
 def _analyzer_pairs(rho: State, angles, tol: float) -> tuple[np.ndarray, float]:
@@ -269,12 +264,7 @@ def standard_composite(
     # Rows (A, A') against columns (B, B'): the C order is STANDARD_GAMMA_PAIRS.
     sums = pairs.reshape(4, 2, 2)
     labels = (_SIGN_LABELS,) * 2
-    # The constructor's checks on all four tables at once; a rejected stack goes
-    # through the constructor, so the first failing table raises its own error.
-    if (np.isfinite(sums).all() and sums.min() >= -tol
-            and np.abs(sums.sum(axis=(1, 2)) - 1.0).max() <= max(tol, 4 * tol)):
-        tables = tuple(ProbabilityTable.__new__(ProbabilityTable)._init_valid(t, labels, tol)
-                       for t in sums)
-    else:
-        tables = tuple(ProbabilityTable(t, axis_labels=labels, tol=tol) for t in sums)
+    _check_tables(sums, tol)
+    tables = tuple(ProbabilityTable.__new__(ProbabilityTable)._init_valid(t, labels, tol)
+                   for t in sums)
     return CompositeResult(tables=tables, chsh=chsh_value(tables))

@@ -3,9 +3,9 @@
 A measure is an ordered family of positive operators summing to the identity.
 Values are validated where they enter: public constructors, deserialization
 and the stacked kernels that build measures from raw parameters.  One stacked
-validator checks whole ``(..., K, d, d)`` stacks at once; the positivity test
-of qubit elements takes the closed-form lowest eigenvalue of a 2x2 Hermitian
-matrix, and other dimensions use ``eigvalsh``.  An invalid measure cannot
+validator checks whole ``(..., K, d, d)`` stacks at once and reads a rejected
+stack one measure at a time, with the operator defect kernels of ``operators``
+(the closed-form qubit spectrum among them).  An invalid measure cannot
 exist as a value, so every downstream computation presumes the
 decomposition-of-identity property; a marginal inherits validity unchecked,
 at the tolerance its sums accumulate.
@@ -27,7 +27,8 @@ from .errors import (
     InternalConsistencyError,
     ValidationError,
 )
-from .operators import DEFAULT_TOL, State, as_operator, is_unitary, partial_trace
+from .operators import (DEFAULT_TOL, State, _hermitian_defect, _lowest_eigenvalues, as_operator,
+                        is_unitary, partial_trace)
 from .tables import ProbabilityTable, _split_axes
 
 #: Tolerance on the residual ``born(measure, rho) - probabilities`` accepted by
@@ -55,20 +56,6 @@ def _coerce_stack(elements) -> np.ndarray:
     return np.stack(arrays)
 
 
-def _lowest_eigenvalues(hermitian: np.ndarray) -> np.ndarray:
-    """Lowest eigenvalue of each matrix in a ``(..., d, d)`` Hermitian stack.
-
-    Qubits take the closed form ``(a + d)/2 - hypot((a - d)/2, |b|)`` of
-    ``[[a, b], [b*, d]]``, accurate to a few ulps of the matrix norm;
-    every other dimension goes through ``eigvalsh``.
-    """
-    if hermitian.shape[-1] != 2:
-        return np.linalg.eigvalsh(hermitian)[..., 0]
-    a = hermitian[..., 0, 0].real
-    d = hermitian[..., 1, 1].real
-    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(hermitian[..., 0, 1]))
-
-
 def _stack_accepts(stack: np.ndarray, tol: float, projective: bool) -> bool:
     """True when a non-empty, finite stack passes every check of ``_stack_violations``.
 
@@ -77,9 +64,9 @@ def _stack_accepts(stack: np.ndarray, tol: float, projective: bool) -> bool:
     """
     if stack.size == 0 or not np.isfinite(stack).all():
         return False
-    adjoint = stack.conj().swapaxes(-1, -2)
-    if not (np.abs(stack - adjoint).max() <= tol
-            and _lowest_eigenvalues((stack + adjoint) / 2.0).min() >= -tol
+    defect, hermitian = _hermitian_defect(stack)
+    if not (defect.max() <= tol
+            and _lowest_eigenvalues(hermitian).min() >= -tol
             and np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1])).max() <= tol):
         return False
     if not projective:
@@ -100,56 +87,38 @@ def _stack_violations(
     measures are absent.  Every predicate reads ``not (defect <= tol)`` so a
     NaN defect is a violation.  Non-finite elements are reported as such and
     left out of the per-element checks.  Whole-stack reductions decide first;
-    the per-measure reports are built only for a stack they reject.
+    a stack they reject is read one measure at a time.
     """
     if _stack_accepts(stack, tol, projective):
         return {}
-    n_elements, dim = stack.shape[-3], stack.shape[-1]
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    clean = np.where(finite[..., None, None], stack, 0.0)
-    adjoint = np.conj(np.swapaxes(clean, -1, -2))
-    herm = np.abs(clean - adjoint).max(axis=(-2, -1))
-    lowest = _lowest_eigenvalues((clean + adjoint) / 2.0)
-    completeness = np.abs(stack.sum(axis=-3) - np.eye(dim)).max(axis=(-2, -1))
-
-    not_hermitian = finite & ~(herm <= tol)
-    not_positive = finite & ~not_hermitian & ~(lowest >= -tol)
-    incomplete = ~(completeness <= tol)
-    bad = (~finite | not_hermitian | not_positive).any(axis=-1) | incomplete
-    if projective:
-        idempotence = np.abs(clean @ clean - clean).max(axis=(-2, -1))
-        overlaps = np.abs(np.einsum("...jab,...kba->...jk", clean, clean))
-        not_projector = finite & ~(idempotence <= tol)
-        not_orthogonal = ~(overlaps <= tol) & finite[..., :, None] & finite[..., None, :]
-        not_orthogonal = np.triu(not_orthogonal, k=1)
-        bad |= not_projector.any(axis=-1) | not_orthogonal.any(axis=(-2, -1))
-
     found = {}
-    for index in map(tuple, np.argwhere(bad)):
+    for index in np.ndindex(stack.shape[:-3]):
+        measure = stack[index]
+        finite = np.isfinite(measure).all(axis=(-2, -1))
+        clean = np.where(finite[:, None, None], measure, 0.0)
+        defect, hermitian = _hermitian_defect(clean)
+        herm, lowest = defect.max(axis=(-2, -1)), _lowest_eigenvalues(hermitian)
         lines = []
-        for k in range(n_elements):
-            at = index + (k,)
-            if not finite[at]:
+        for k in range(len(measure)):
+            if not finite[k]:
                 lines.append(f"element {k} has non-finite entries")
-            elif not_hermitian[at]:
-                lines.append(f"element {k} is not Hermitian (defect {herm[at]:.3e})")
-            elif not_positive[at]:
-                lines.append(f"element {k} is not positive (eigenvalue {lowest[at]:.3e})")
-        if incomplete[index]:
-            lines.append(
-                f"elements do not sum to identity (defect {completeness[index]:.3e})"
-            )
+            elif not herm[k] <= tol:
+                lines.append(f"element {k} is not Hermitian (defect {herm[k]:.3e})")
+            elif not lowest[k] >= -tol:
+                lines.append(f"element {k} is not positive (eigenvalue {lowest[k]:.3e})")
+        completeness = np.abs(measure.sum(axis=0) - np.eye(measure.shape[-1])).max()
+        if not completeness <= tol:
+            lines.append(f"elements do not sum to identity (defect {completeness:.3e})")
         if projective:
-            for k in np.flatnonzero(not_projector[index]):
-                lines.append(
-                    f"element {k} is not a projector (defect {idempotence[index + (k,)]:.3e})"
-                )
-            for j, k in np.argwhere(not_orthogonal[index]):
-                lines.append(
-                    f"elements {j} and {k} are not orthogonal "
-                    f"(Tr = {overlaps[index + (j, k)]:.3e})"
-                )
-        found[index] = lines
+            idempotence = np.abs(clean @ clean - clean).max(axis=(-2, -1))
+            lines += [f"element {k} is not a projector (defect {idempotence[k]:.3e})"
+                      for k in np.flatnonzero(finite & ~(idempotence <= tol))]
+            overlaps = np.abs(np.einsum("jab,kba->jk", clean, clean))
+            lines += [f"elements {j} and {k} are not orthogonal (Tr = {overlaps[j, k]:.3e})"
+                      for j, k in itertools.combinations(np.flatnonzero(finite), 2)
+                      if not overlaps[j, k] <= tol]
+        if lines:
+            found[index] = lines
     return found
 
 
@@ -354,6 +323,15 @@ class InstrumentModel:
             raise ValidationError("coupling is not unitary within tolerance")
 
 
+def _born_floor(probs: np.ndarray, tol: float) -> np.ndarray:
+    """``probs`` once none is below ``-tol``, which validated inputs cannot produce; NaN fails."""
+    if not probs.min() >= -tol:
+        raise InternalConsistencyError(
+            f"probability {probs.min():.3e} below -tol from validated inputs"
+        )
+    return probs
+
+
 def born_probabilities(measure: PovmMeasure, rho: State) -> ProbabilityTable:
     """Outcome distribution ``p_k = Tr(rho M_k)`` of a measure on a state.
 
@@ -376,11 +354,7 @@ def born_probabilities(measure: PovmMeasure, rho: State) -> ProbabilityTable:
             f"state dimension {rho.dim} does not match measure dimension {measure.dim}"
         )
     tol = max(measure.tol, rho.tol)
-    probs = np.real(np.einsum("ij,kji->k", rho.matrix, measure.stack()))
-    if float(probs.min()) < -tol:
-        raise InternalConsistencyError(
-            f"probability {probs.min():.3e} below -tol from validated inputs"
-        )
+    probs = _born_floor(np.real(np.einsum("ij,kji->k", rho.matrix, measure.stack())), tol)
     if measure.index_shape is not None:
         probs = probs.reshape(measure.index_shape)
     return ProbabilityTable(probs, axis_labels=measure.axis_label_tuples(), tol=tol)
@@ -464,10 +438,10 @@ def reconstruct_state(measure: PovmMeasure, probabilities: ProbabilityTable) -> 
         raise InfeasibleProbabilitiesError(
             f"probabilities are outside the measure's range (residual {residual:.3e})"
         )
-    spectrum = np.linalg.eigvalsh(rho)
-    if spectrum[0] < -tol:
+    lowest = _lowest_eigenvalues(rho)
+    if lowest < -tol:
         raise InfeasibleProbabilitiesError(
-            f"inverted matrix fails positivity (eigenvalue {spectrum[0]:.3e})"
+            f"inverted matrix fails positivity (eigenvalue {lowest:.3e})"
         )
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > max(tol, RECONSTRUCTION_TOL):

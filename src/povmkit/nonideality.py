@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import PovmMeasure, PvmMeasure
-from .operators import DEFAULT_TOL
+from .operators import DEFAULT_TOL, _as_array
 
 #: Residual above which a solved decomposition is flagged as *not* an exact
 #: nonideal-measurement relation; the floor of ``NonidealityMatrix.is_exact``.
@@ -75,7 +75,7 @@ class NonidealityMatrix:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=float)
+        arr = _as_array(self.matrix, float, "nonideality matrix")
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError("nonideality matrix must be a non-empty 2-D array")
         failure = _stochastic_violation(arr[None], self.tol)
@@ -100,7 +100,7 @@ class NonidealityMatrix:
 
 def apply_nonideality(target: PovmMeasure, matrix, labels=None, *, tol: float = DEFAULT_TOL) -> PovmMeasure:
     """Build the smeared measure ``M_i = sum_j matrix[i, j] N_j`` from a target."""
-    weights = np.asarray(matrix, dtype=float)
+    weights = _as_array(matrix, float, "nonideality matrix")
     if weights.ndim != 2 or weights.shape[1] != target.n_outcomes:
         raise DimensionMismatchError(
             f"matrix shape {weights.shape} does not match {target.n_outcomes} target outcomes"

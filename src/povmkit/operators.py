@@ -3,7 +3,8 @@
 All operators are plain ``numpy`` arrays of shape ``(d, d)``; the helpers in
 this module validate shape and algebraic properties under a configurable
 tolerance.  Every value returned here is a read-only array, safe to share
-between callers.
+between callers.  One Hermitian-defect and one lowest-eigenvalue kernel (closed
+form for qubits) serve ``State``, the ``is_*`` predicates and the measures.
 """
 
 from __future__ import annotations
@@ -21,8 +22,13 @@ DEFAULT_TOL = 1e-9
 
 
 def _as_array(values, dtype, what: str) -> np.ndarray:
-    """A fresh ``dtype`` array of ``values``; input numpy cannot convert raises ValidationError."""
+    """A fresh ``dtype`` array of ``values``; input numpy cannot convert raises ValidationError.
+
+    Complex input to a real ``dtype`` raises too, rather than losing its imaginary part.
+    """
     try:
+        if dtype is not complex and np.iscomplexobj(values):
+            raise TypeError("complex entries")
         return np.array(values, dtype=dtype)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"{what} cannot be read as a {dtype.__name__} array: {exc}") from None
@@ -59,32 +65,41 @@ def as_operator(matrix, *, name: str = "operator") -> np.ndarray:
     return arr
 
 
+def _hermitian_defect(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise ``|A - A^dag|`` and Hermitian part ``(A + A^dag) / 2`` of a (..., d, d) stack."""
+    adjoint = stack.conj().swapaxes(-1, -2)
+    return np.abs(stack - adjoint), (stack + adjoint) / 2.0
+
+
+def _lowest_eigenvalues(hermitian: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of each matrix in a ``(..., d, d)`` Hermitian stack.
+
+    Qubits take the closed form ``(a + d)/2 - hypot((a - d)/2, |b|)`` of
+    ``[[a, b], [b*, d]]``, accurate to a few ulps of the matrix norm;
+    every other dimension goes through ``eigvalsh``.
+    """
+    if hermitian.shape[-1] != 2:
+        return np.linalg.eigvalsh(hermitian)[..., 0]
+    a = hermitian[..., 0, 0].real
+    d = hermitian[..., 1, 1].real
+    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(hermitian[..., 0, 1]))
+
+
 def is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op`` equals its conjugate transpose within ``tol``."""
-    arr = as_operator(op)
-    return bool(np.max(np.abs(arr - arr.conj().T)) <= tol)
+    return bool(_hermitian_defect(as_operator(op))[0].max() <= tol)
 
 
 def is_positive(op, tol: float = DEFAULT_TOL) -> bool:
-    """Return True when ``op`` is Hermitian within ``tol`` with spectrum >= -tol.
-
-    Positivity is decided through the Hermitian eigendecomposition so that
-    rank-deficient elements (rank-one POVM elements, the zero operator) are
-    handled uniformly.
-    """
-    arr = as_operator(op)
-    if not is_hermitian(arr, tol):
-        return False
-    eigenvalues = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
-    return bool(eigenvalues[0] >= -tol)
+    """Return True when ``op`` is Hermitian within ``tol`` with spectrum >= -tol."""
+    defect, hermitian = _hermitian_defect(as_operator(op))
+    return bool(defect.max() <= tol and _lowest_eigenvalues(hermitian) >= -tol)
 
 
 def is_projector(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op`` is Hermitian and idempotent within ``tol``."""
     arr = as_operator(op)
-    if not is_hermitian(arr, tol):
-        return False
-    return bool(np.max(np.abs(arr @ arr - arr)) <= tol)
+    return bool(_hermitian_defect(arr)[0].max() <= tol and np.abs(arr @ arr - arr).max() <= tol)
 
 
 def is_unitary(op, tol: float = DEFAULT_TOL) -> bool:
@@ -165,13 +180,12 @@ class State:
         arr = as_operator(self.matrix, name="state")
         if not np.isfinite(arr).all():
             raise ValidationError("state has non-finite entries")
-        if not is_hermitian(arr, self.tol):
+        defect, hermitian = _hermitian_defect(arr)
+        if not defect.max() <= self.tol:
             raise ValidationError("state is not Hermitian within tolerance")
-        eigenvalues = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
-        if eigenvalues[0] < -self.tol:
-            raise ValidationError(
-                f"state has negative eigenvalue {eigenvalues[0]:.3e}"
-            )
+        lowest = _lowest_eigenvalues(hermitian)
+        if lowest < -self.tol:
+            raise ValidationError(f"state has negative eigenvalue {lowest:.3e}")
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > self.tol:
             raise ValidationError(f"state trace {tr} differs from 1")

@@ -21,6 +21,28 @@ def _split_axes(keep, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return keep, tuple(ax for ax in range(ndim) if ax not in keep)
 
 
+def _check_tables(stack: np.ndarray, tol: float) -> None:
+    """Raise the constructor's error for the first invalid table of an ``(N, ...)`` stack.
+
+    Whole-stack reductions accept first: a minimum ``>= -tol`` excludes NaN and
+    ``-inf``, and a total within ``max(tol, tol * size)`` of one excludes ``+inf``.
+    A rejected stack is read table by table: finite entries, then entries
+    ``>= -tol``, then the total.
+    """
+    bound = max(tol, tol * stack[0].size)
+    if stack.min() >= -tol and all(
+            abs(total - 1.0) <= bound for total in stack.reshape(len(stack), -1).sum(1).tolist()):
+        return
+    for table in stack:
+        if not np.isfinite(table).all():
+            raise ValidationError("probability table has non-finite entries")
+        if float(table.min()) < -tol:
+            raise ValidationError(f"probability table has negative entry {table.min():.3e}")
+        total = float(table.sum())
+        if abs(total - 1.0) > bound:
+            raise ValidationError(f"probability table sums to {total!r}, not 1")
+
+
 class ProbabilityTable:
     """Nonnegative table of any index shape summing to one.
 
@@ -41,15 +63,7 @@ class ProbabilityTable:
         arr = _as_array(values, float, "probability table")
         if arr.size == 0:
             raise ValidationError("probability table must not be empty")
-        if not np.isfinite(arr).all():
-            raise ValidationError("probability table has non-finite entries")
-        if float(arr.min()) < -tol:
-            raise ValidationError(
-                f"probability table has negative entry {arr.min():.3e}"
-            )
-        total = float(arr.sum())
-        if abs(total - 1.0) > max(tol, tol * arr.size):
-            raise ValidationError(f"probability table sums to {total!r}, not 1")
+        _check_tables(arr[None], tol)
         if axis_labels is not None:
             axis_labels = tuple(tuple(axis) for axis in axis_labels)
             if len(axis_labels) != arr.ndim or any(

@@ -22,7 +22,7 @@ from povmkit.nonideality import (
     _stochastic_violation,
     martens_bound,
 )
-from povmkit.operators import DEFAULT_TOL
+from povmkit.operators import DEFAULT_TOL, as_operator
 
 TSIRELSON_ANGLES = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -121,6 +121,66 @@ def oracle_stack_violations(stack, tol, projective=False):
                 )
         found[index] = lines
     return found
+
+
+def oracle_is_hermitian(op, tol=DEFAULT_TOL):
+    """A frozen copy of ``povmkit.operators.is_hermitian`` before the shared defect kernel."""
+    arr = as_operator(op)
+    return bool(np.max(np.abs(arr - arr.conj().T)) <= tol)
+
+
+def oracle_is_positive(op, tol=DEFAULT_TOL):
+    """A frozen copy of ``povmkit.operators.is_positive`` on the ``eigvalsh`` route."""
+    arr = as_operator(op)
+    if not oracle_is_hermitian(arr, tol):
+        return False
+    eigenvalues = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
+    return bool(eigenvalues[0] >= -tol)
+
+
+def oracle_is_projector(op, tol=DEFAULT_TOL):
+    """A frozen copy of ``povmkit.operators.is_projector`` before the shared defect kernel."""
+    arr = as_operator(op)
+    if not oracle_is_hermitian(arr, tol):
+        return False
+    return bool(np.max(np.abs(arr @ arr - arr)) <= tol)
+
+
+def oracle_state_check(matrix, tol=DEFAULT_TOL):
+    """The checks of ``povmkit.State`` on the ``eigvalsh`` route, frozen.
+
+    Raises the error the state constructor raised before the shared defect
+    kernel, or returns None for a matrix it accepted.
+    """
+    arr = as_operator(matrix, name="state")
+    if not np.isfinite(arr).all():
+        raise ValidationError("state has non-finite entries")
+    if not oracle_is_hermitian(arr, tol):
+        raise ValidationError("state is not Hermitian within tolerance")
+    eigenvalues = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
+    if eigenvalues[0] < -tol:
+        raise ValidationError(f"state has negative eigenvalue {eigenvalues[0]:.3e}")
+    tr = complex(np.trace(arr))
+    if abs(tr - 1.0) > tol:
+        raise ValidationError(f"state trace {tr} differs from 1")
+
+
+def oracle_table_check(values, tol=DEFAULT_TOL):
+    """The checks of the ``povmkit.ProbabilityTable`` constructor on one real table, frozen.
+
+    Raises the error the constructor raised before the stacked table
+    validator, or returns None for values it accepted.
+    """
+    arr = np.array(values, dtype=float)
+    if arr.size == 0:
+        raise ValidationError("probability table must not be empty")
+    if not np.isfinite(arr).all():
+        raise ValidationError("probability table has non-finite entries")
+    if float(arr.min()) < -tol:
+        raise ValidationError(f"probability table has negative entry {arr.min():.3e}")
+    total = float(arr.sum())
+    if abs(total - 1.0) > max(tol, tol * arr.size):
+        raise ValidationError(f"probability table sums to {total!r}, not 1")
 
 
 def oracle_solve_stack(observed, target, tol):

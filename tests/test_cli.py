@@ -96,6 +96,24 @@ class TestSrt:
         assert table.values == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("srt", "sweep", "--phase", "inf"),
+         ("srt", "--absorber", "0.5", "--phase", "inf", "--emit", "povm")],
+        ids=["sweep", "emit-povm"],
+    )
+    def test_infinite_phase_exits_65_as_a_nan_phase_does(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (65, "")
+        assert err == (
+            "error: element 0 has non-finite entries; element 1 has non-finite entries; "
+            "elements do not sum to identity (defect nan)\n"
+        )
+        assert "Warning" not in err and caught == []
+
+
 class TestMeasureValidate:
     def test_valid_measure(self, capsys, tmp_path):
         path = tmp_path / "measure.json"

@@ -181,6 +181,17 @@ class TestJointExists:
         assert abs(value) == pytest.approx(TSIRELSON, abs=1e-9)
         assert abs(value) > 2.0
 
+    def test_witness_carries_four_times_its_residual_as_tol(self):
+        # At tol 1e-15 the LP residual of these coins (about 3.9e-16) still
+        # decides feasible, and four times it exceeds tol, so the witness
+        # table carries 4 * residual.
+        coins = product_coin_marginals(0.1, 0.2, 0.3, 0.4)
+        strict = MarginalSet(*(table.values for table in coins.tables()), tol=1e-15)
+        decision = joint_exists(strict)
+        assert decision.feasible
+        assert 4 * decision.residual > 1e-15
+        assert decision.joint.tol == max(1e-15, 4 * decision.residual)
+
     def test_product_coins_feasible(self):
         decision = joint_exists(product_coin_marginals())
         assert decision.feasible

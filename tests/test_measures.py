@@ -67,6 +67,11 @@ class TestMeasureValidation:
             assert stack.flags.writeable and stack.flags.owndata, kind
         assert not np.shares_memory(_coerce_stack(inputs["ndarray"]), inputs["ndarray"])
 
+    def test_generator_of_elements_goes_element_by_element(self):
+        # numpy cannot read a generator as a stack, so each element is coerced on its own.
+        measure = PovmMeasure(element for element in (P0, P1))
+        assert measure.stack().tobytes() == np.stack([P0, P1]).tobytes()
+
     def test_negative_element_rejected(self):
         with pytest.raises(ValidationError, match="not positive"):
             PovmMeasure([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])])
@@ -324,3 +329,20 @@ class TestReconstruction:
         rho = random_density_matrix(2, rng)
         recovered = reconstruct_state(rotated, born_probabilities(rotated, rho))
         assert trace_distance(rho, recovered) < 1e-8
+
+
+def test_born_floor_rejects_nan_probabilities():
+    # A corrupted state with NaN entries must fail the floor check, as a
+    # negative probability does, in both Born kernels.
+    from types import SimpleNamespace
+
+    from povmkit import InternalConsistencyError
+    from povmkit.aspect import _analyzer_stack, _born_products
+
+    corrupted = SimpleNamespace(dim=2, tol=1e-9, matrix=np.diag([np.nan, 1.0]).astype(complex))
+    with pytest.raises(InternalConsistencyError, match="probability nan below -tol"):
+        born_probabilities(PovmMeasure([P0, P1]), corrupted)
+    pvms = _analyzer_stack([0.0, 0.0], ("theta", "theta_p"), 1e-9)
+    corrupted.dim, corrupted.matrix = 4, np.diag([np.nan, 0.5, 0.5, 0.0]).astype(complex)
+    with pytest.raises(InternalConsistencyError, match="probability nan below -tol"):
+        _born_products(corrupted, pvms[0], pvms[1], 1e-9)

@@ -44,6 +44,14 @@ class TestMatrixValidation:
         with pytest.raises(ValidationError):
             NonidealityMatrix([[np.nan, 0.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("container", [list, np.array], ids=["list", "ndarray"])
+    def test_complex_matrix_is_rejected_not_truncated(self, container):
+        matrix = container([[1 + 1j, 0], [0, 1]])
+        with pytest.raises(ValidationError, match="nonideality matrix cannot be read.*complex"):
+            NonidealityMatrix(matrix)
+        with pytest.raises(ValidationError, match="nonideality matrix cannot be read.*complex"):
+            apply_nonideality(path_pvm(), matrix)
+
     def test_labels_must_match(self):
         with pytest.raises(ValidationError):
             NonidealityMatrix(np.eye(2), row_labels=("only-one",))

@@ -32,6 +32,9 @@ from povmkit import (
     chsh_value,
     joint_probabilities,
     interference_pvm,
+    is_hermitian,
+    is_positive,
+    is_projector,
     joint_exists,
     martens_bound,
     path_pvm,
@@ -46,7 +49,7 @@ from povmkit import (
 from povmkit import InternalConsistencyError, ValidationError, nonideality, serialize
 from povmkit.cli import main
 from povmkit.feasibility import _KEEP, _REDUCED, phase1_simplex
-from povmkit.measures import _lowest_eigenvalues, _stack_violations
+from povmkit.measures import _lowest_eigenvalues, _stack_accepts, _stack_violations
 from povmkit.sampling import (
     mix_marginals,
     pr_box_marginals,
@@ -54,17 +57,23 @@ from povmkit.sampling import (
     random_no_signaling_marginals,
     random_unitary,
 )
+from povmkit.tables import _check_tables
 
 from helpers import (
     count_calls,
     oracle_arm,
+    oracle_is_hermitian,
+    oracle_is_positive,
+    oracle_is_projector,
     oracle_chsh_value,
     oracle_no_signaling,
     oracle_phase1_simplex,
     oracle_setting_pair_tables,
     oracle_solve_stack,
     oracle_stack_violations,
+    oracle_state_check,
     oracle_stochastic_violation,
+    oracle_table_check,
     oracle_tradeoff_sweep,
 )
 
@@ -1072,3 +1081,193 @@ def test_martens_slack_holds_on_post_processed_exact_joints(seed, absorber, chi)
     report = check_martens(lam, mu, target_path, target_interference)
     assert report.applicable
     assert report.slack >= -TOL
+
+
+# -- (r) the shared operator defect kernels against the frozen eigvalsh checks --
+
+OPERATOR_KINDS = ("none", "non-hermitian", "negative", "non-projector", "trace", "nan", "inf")
+
+
+def edge_operator(rng, dim, kind, t):
+    """A rotated projector or density matrix with one defect of size ``t``: an
+    anti-Hermitian part, a lowest eigenvalue ``-t`` at unit trace, an
+    eigenvalue off 0 or 1, a trace of ``1 + t``, or a non-finite entry."""
+    if kind in ("negative", "trace") or rng.integers(2):
+        eigenvalues = rng.dirichlet(np.ones(dim))
+    else:
+        eigenvalues = (np.arange(dim) < rng.integers(dim + 1)).astype(float)
+    k = int(rng.integers(dim))
+    if kind == "negative" and dim > 1:
+        eigenvalues[k] = 0.0
+        eigenvalues *= (1.0 + t) / eigenvalues.sum()
+        eigenvalues[k] = -t
+    elif kind == "non-projector":
+        eigenvalues[k] += t
+    elif kind == "trace":
+        eigenvalues *= 1.0 + t
+    u = random_unitary(dim, rng)
+    op = u @ np.diag(eigenvalues) @ u.conj().T
+    if kind == "non-hermitian":
+        if dim == 1:
+            op[0, 0] += 0.5j * t
+        else:
+            op[0, 1] += t / 2.0
+            op[1, 0] -= t / 2.0
+    elif kind in ("nan", "inf"):
+        op[k, int(rng.integers(dim))] = float(kind)
+    return op
+
+
+def same_outcome(call, oracle):
+    """The outcomes of ``call`` and ``oracle``, each ``("value", result)`` or
+    ``(error type, message)``, for the caller to compare."""
+    try:
+        want = ("value", oracle())
+    except Exception as exc:
+        want = (type(exc), str(exc))
+    try:
+        got = ("value", call())
+    except Exception as exc:
+        got = (type(exc), str(exc))
+    return got, want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.integers(min_value=1, max_value=4),
+    kind=st.sampled_from(OPERATOR_KINDS),
+    scale=st.sampled_from(EDGE_SCALES),
+)
+def test_state_and_predicates_equal_the_eigvalsh_oracle(seed, dim, kind, scale):
+    # Each defect sits at +-0.9 or +-1.1 tol: both routes must draw the line in
+    # one place, and a rejected state must carry the oracle's message.
+    op = edge_operator(np.random.default_rng(seed), dim, kind, scale * TOL)
+    got, want = same_outcome(lambda: State(op, tol=TOL).matrix.shape,
+                             lambda: oracle_state_check(op, TOL) or op.shape)
+    assert got == want
+    if kind == "inf":
+        return  # an infinite diagonal entry makes A - A^dag warn (inf - inf) on both routes
+    assert is_hermitian(op, TOL) == oracle_is_hermitian(op, TOL)
+    assert is_positive(op, TOL) == oracle_is_positive(op, TOL)
+    assert is_projector(op, TOL) == oracle_is_projector(op, TOL)
+
+
+# -- (s) the stacked table validator against the frozen constructor checks ----
+
+#: Defect kinds per table; the finite kinds are drawn twice as often as each non-finite one.
+TABLE_KINDS = ("none", "none", "negative", "negative", "total", "total", "nan", "inf", "-inf")
+
+
+def edge_table(rng, shape, kind, t):
+    """A random table of ``shape`` with one defect: an entry at ``-t`` (its
+    mass moved to another entry), a total off 1 by ``t`` times the size, or
+    a non-finite entry."""
+    values = rng.dirichlet(np.ones(math.prod(shape)))
+    k = int(rng.integers(values.size))
+    if kind == "negative" and values.size > 1:
+        values[(k + 1) % values.size] += values[k] + t
+        values[k] = -t
+    elif kind == "total":
+        values[k] += t * values.size
+    elif kind in ("nan", "inf", "-inf"):
+        values[k] = float(kind)
+    return values.reshape(shape)
+
+
+#: Stacks of one to four tables of one drawn shape, one defect kind per table.
+tables_of_one_shape = st.tuples(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+    st.lists(st.tuples(st.sampled_from(TABLE_KINDS), st.sampled_from(EDGE_SCALES)),
+             min_size=1, max_size=4),
+).map(lambda drawn: np.stack([
+    edge_table(np.random.default_rng(drawn[0] + n), tuple(drawn[1]), kind, scale * TOL)
+    for n, (kind, scale) in enumerate(drawn[2])
+]))
+
+
+def first_table_error(stack):
+    """The frozen constructor's error on the first table of ``stack`` it rejects."""
+    for table in stack:
+        oracle_table_check(table, TOL)
+
+
+def oracle_accepts_table(table):
+    try:
+        oracle_table_check(table, TOL)
+    except ValidationError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stack=tables_of_one_shape)
+def test_table_checks_equal_the_frozen_constructor(stack):
+    for table in stack:
+        got, want = same_outcome(lambda: ProbabilityTable(table, tol=TOL).shape,
+                                 lambda: oracle_table_check(table, TOL) or table.shape)
+        assert got == want
+    got, want = same_outcome(lambda: _check_tables(stack, TOL), lambda: first_table_error(stack))
+    assert got == want
+
+
+# -- (t) the accept-first passes accept exactly what their oracles accept ------
+
+class _NoTableLoop(np.ndarray):
+    """A table stack that raises when read table by table: only whole-stack
+    reductions can accept it."""
+
+    def __iter__(self):
+        raise LookupError("the per-table loop ran")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stack=tables_of_one_shape)
+def test_table_accept_pass_takes_every_valid_stack(stack):
+    # A rejected stack reaches the per-table loop; so does a valid stack
+    # whose whole-stack pass stopped accepting, which only speed would show.
+    try:
+        _check_tables(stack.view(_NoTableLoop), TOL)
+        accepted = True
+    except LookupError:
+        accepted = False
+    assert accepted == all(map(oracle_accepts_table, stack))
+
+
+def grouped_projectors(rng, dim, ranks):
+    """Projectors of the given ranks onto consecutive columns of a Haar unitary."""
+    columns = random_unitary(dim, rng)
+    edges = np.cumsum([0, *ranks])
+    return np.stack([columns[:, a:b] @ columns[:, a:b].conj().T
+                     for a, b in zip(edges, edges[1:])])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(EDGE_KINDS),
+    projective=st.booleans(),
+    dim=st.sampled_from([2, 3]),
+    ranks=st.sampled_from([(1, 1), (2,), (1, 2), (2, 1), (1, 1, 1)]),
+    n_elements=st.integers(min_value=2, max_value=4),
+    batch=st.integers(min_value=1, max_value=3),
+)
+def test_stack_accept_pass_takes_every_valid_stack(
+    seed, kind, projective, dim, ranks, n_elements, batch
+):
+    # POVMs, and PVMs of rank-1 and rank-2 projectors, with one defect per
+    # stack at +-0.9 or +-1.1 tol: the whole-stack pass accepts a stack
+    # exactly when the per-measure oracle finds nothing.
+    assume(not projective or sum(ranks) == dim)
+    rng = np.random.default_rng(seed)
+    measures = [
+        edge_defect(rng, grouped_projectors(rng, dim, ranks) if projective
+                    else random_measure(rng, n_elements, dim, False),
+                    kind, rng.choice(EDGE_SCALES), TOL, projective)
+        for _ in range(batch)
+    ]
+    stack = np.array(measures, dtype=complex)
+    assert _stack_accepts(stack, TOL, projective) == (
+        oracle_stack_violations(stack, TOL, projective) == {}
+    )

@@ -177,6 +177,32 @@ class TestTradeoffSweep:
         with pytest.raises(ValidationError, match="non-finite"):
             tradeoff_sweep([0.5], chi=np.nan)
 
+    @pytest.mark.parametrize("chi", [np.inf, -np.inf])
+    def test_infinite_phase_takes_the_nan_rejection(self, chi):
+        # exp(1j * inf) would warn; the phase reads as NaN instead, so the
+        # error is the NaN phase's and no warning escapes (warnings fail tier-1).
+        with pytest.raises(ValidationError) as nan_phase:
+            tradeoff_sweep([0.5], chi=np.nan)
+        with pytest.raises(ValidationError) as infinite_phase:
+            tradeoff_sweep([0.5], chi=chi)
+        assert str(infinite_phase.value) == str(nan_phase.value)
+
+    def test_invalid_bivariate_cell_names_its_absorber(self, monkeypatch):
+        # At a = 0.5 both absorption cells are 0.25 P-; moving 0.5 P- from the
+        # second to the first leaves the sum the identity and one cell negative.
+        build = srt._bivariate_stack
+
+        def corrupted(absorbers, projectors):
+            cells = build(absorbers, projectors)
+            cells[1, 2] += 0.5 * srt._P_MINUS
+            cells[1, 3] -= 0.5 * srt._P_MINUS
+            return cells
+
+        monkeypatch.setattr(srt, "_bivariate_stack", corrupted)
+        with pytest.raises(ValidationError) as excinfo:
+            tradeoff_sweep([0.0, 0.5, 1.0])
+        assert str(excinfo.value) == "absorber=0.5: element 3 is not positive (eigenvalue -2.500e-01)"
+
     def test_empty_grid(self):
         assert tradeoff_sweep([]) == []
 

@@ -28,6 +28,13 @@ def test_unreadable_values_raise_validation_error(values):
         ProbabilityTable(values)
 
 
+@pytest.mark.parametrize("container", [list, np.array], ids=["list", "ndarray"])
+def test_complex_values_are_rejected_not_truncated(container):
+    # numpy would drop the imaginary part of a complex array with only a warning.
+    with pytest.raises(ValidationError, match="probability table cannot be read.*complex"):
+        ProbabilityTable(container([0.5 + 0.1j, 0.5]))
+
+
 def test_axis_labels_checked():
     ProbabilityTable([[0.5, 0.0], [0.0, 0.5]], axis_labels=(("+", "-"), ("1", "2")))
     with pytest.raises(ValidationError):
