@@ -52,11 +52,7 @@ _SETTING_PAIR_DROP = tuple(tuple(ax for ax in range(4) if ax not in keep)
 #: Sign placements of the eight CHSH combinations: every pattern
 #: ``(s1, s2, s3, s4)`` over the correlators (E11, E12, E21, E22) whose sign
 #: product is -1, the canonical ``(1, 1, 1, -1)`` first.
-CHSH_SIGN_PATTERNS = tuple(
-    signs
-    for signs in itertools.product((1, -1), repeat=4)
-    if signs[0] * signs[1] * signs[2] * signs[3] == -1
-)
+CHSH_SIGN_PATTERNS = tuple(s for s in itertools.product((1, -1), repeat=4) if math.prod(s) == -1)
 
 
 _SIGN_LABELS = ("+", "-")
@@ -73,11 +69,11 @@ def _finite_angles(angles, names: Sequence[str]) -> list[float]:
 
 
 def _polarization_stack(angles, names: Sequence[str]) -> np.ndarray:
-    """Unvalidated ``(N, 2, 2, 2)`` projector pairs ``(E+, E-)`` for N plane angles."""
-    theta = _finite_angles(angles, names)
-    c, s = np.cos(theta), np.sin(theta)
-    vectors = np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
-    return (vectors[..., :, None] * vectors[..., None, :]).astype(complex)
+    """Unvalidated ``(N, 2, 2, 2)`` projectors ``(E+, E-)`` onto ``(c, s)`` and ``(-s, c)``, from floats."""
+    entries = []
+    for c, s in ((math.cos(theta), math.sin(theta)) for theta in _finite_angles(angles, names)):
+        entries += (c * c, c * s, c * s, s * s, s * s, -c * s, -c * s, c * c)
+    return np.array(entries, dtype=complex).reshape(-1, 2, 2, 2)
 
 
 def _analyzer_stack(angles, names: Sequence[str], tol: float) -> np.ndarray:
@@ -93,8 +89,8 @@ def _analyzer_stack(angles, names: Sequence[str], tol: float) -> np.ndarray:
 def _mirror_weights(gamma: float) -> np.ndarray:
     """``W[c, s, a]``: weight of analyzer ``s`` (theta, theta') outcome ``a`` in arm cell ``c``."""
     g, r = gamma, 1.0 - gamma
-    return np.array([[[0.0, 0.0], [0.0, 0.0]], [[g, 0.0], [0.0, 0.0]],
-                     [[0.0, 0.0], [r, 0.0]], [[0.0, g], [0.0, r]]])
+    return np.array([0.0, 0.0, 0.0, 0.0, g, 0.0, 0.0, 0.0,
+                     0.0, 0.0, r, 0.0, 0.0, g, 0.0, r]).reshape(4, 2, 2)
 
 
 def _born_products(rho: State, first: np.ndarray, second: np.ndarray, tol: float) -> np.ndarray:
@@ -193,7 +189,8 @@ def joint_probabilities(config: AspectConfig, tol: float = DEFAULT_TOL) -> Proba
     pairs, tol = _analyzer_pairs(config.state, [getattr(config, n) for n in _ANGLE_NAMES], tol)
     probs = np.einsum("xsa,stab,ytb->xy", _mirror_weights(config.gamma1), pairs,
                       _mirror_weights(config.gamma2)).reshape(2, 2, 2, 2)
-    return ProbabilityTable(probs, axis_labels=(_SIGN_LABELS,) * 4, tol=tol)
+    _check_tables(probs[None], tol)
+    return ProbabilityTable.__new__(ProbabilityTable)._init_valid(probs, (_SIGN_LABELS,) * 4, tol)
 
 
 def correlator(table: ProbabilityTable) -> float:
@@ -226,12 +223,12 @@ def chsh_value(bivariates) -> ChshReport:
     tables = bivariates.tables() if hasattr(bivariates, "tables") else bivariates
     if not isinstance(tables, Sequence) or len(tables) != 4:
         raise DimensionMismatchError("exactly four bivariate tables are required")
-    e = tuple(map(correlator, tables))
-    values = tuple(
-        (signs, sum(s * ek for s, ek in zip(signs, e))) for signs in CHSH_SIGN_PATTERNS
-    )
-    best_signs, best = max(values, key=lambda item: abs(item[1]))
-    return ChshReport(e, values, values[0][1], abs(best), best_signs)
+    e1, e2, e3, e4 = e = tuple(map(correlator, tables))
+    # Starting at 0.0, as the builtin ``sum`` starts at 0, no placement reads -0.0.
+    sums = [0.0 + a * e1 + b * e2 + c * e3 + d * e4 for a, b, c, d in CHSH_SIGN_PATTERNS]
+    magnitudes = list(map(abs, sums))
+    k = magnitudes.index(max(magnitudes))  # the first largest, as ``max`` finds it
+    return ChshReport(e, tuple(zip(CHSH_SIGN_PATTERNS, sums)), sums[0], magnitudes[k], CHSH_SIGN_PATTERNS[k])
 
 
 class CompositeResult(NamedTuple):

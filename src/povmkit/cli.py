@@ -186,27 +186,17 @@ def _cmd_srt(args) -> int:
             raise _UsageError("--points must be at least 2")
         grid = np.linspace(0.0, 1.0, args.points)
         points = tradeoff_sweep(grid, chi=args.phase, tol=args.tol)
-        lines = ["a,J_lambda,J_mu,bound,slack"]
-        for point in points:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (point.absorber, point.j_lambda, point.j_mu, point.bound, point.slack)
-                )
-            )
+        # A TradeoffPoint's fields are the columns, in order.
+        lines = ["a,J_lambda,J_mu,bound,slack"] + [",".join(map(_fmt, point)) for point in points]
         _write("\n".join(lines), args.out)
         return EX_OK
 
     if args.absorber is None or args.emit is None:
         raise _UsageError("srt requires --absorber and --emit (or the 'sweep' mode)")
     config = SrtConfig(absorber=args.absorber, phase=args.phase)
-    if args.emit == "povm":
-        _write(serialize.dump_json(serialize.measure_to_dict(srt_povm(config, args.tol))), args.out)
-    elif args.emit == "bivariate":
-        _write(
-            serialize.dump_json(serialize.measure_to_dict(srt_bivariate(config, args.tol))),
-            args.out,
-        )
+    if args.emit in ("povm", "bivariate"):
+        build = srt_povm if args.emit == "povm" else srt_bivariate
+        _write(serialize.dump_json(serialize.measure_to_dict(build(config, args.tol))), args.out)
     else:
         if args.state is None:
             raise _UsageError("--emit probabilities requires --state")
@@ -260,16 +250,7 @@ def _cmd_aspect(args) -> int:
 
     if args.gamma1 is None or args.gamma2 is None or args.emit is None:
         raise _UsageError("aspect requires --gamma1, --gamma2, --angles and --emit")
-    config = AspectConfig(
-        gamma1=args.gamma1,
-        gamma2=args.gamma2,
-        theta1=angles[0],
-        theta1p=angles[1],
-        theta2=angles[2],
-        theta2p=angles[3],
-        state=state,
-    )
-    joint = joint_probabilities(config, args.tol)
+    joint = joint_probabilities(AspectConfig(args.gamma1, args.gamma2, *angles, state=state), args.tol)
     if args.emit == "joint":
         if args.fmt == "json":
             _write(serialize.dump_json(serialize.table_to_dict(joint)), args.out)

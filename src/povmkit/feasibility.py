@@ -59,10 +59,14 @@ class MarginalSet:
     __slots__ = ("_values", "_tol", "_tables")
 
     def __init__(self, ab, abp, apb, apbp, tol: float = DEFAULT_TOL):
-        tables = [_pair_table(table, tol) for table in (ab, abp, apb, apbp)]
-        self._values = np.array([table.values for table in tables])
-        self._values.setflags(write=False)
-        self._tol, self._tables = float(tol), tuple(tables)
+        tables = tuple(_pair_table(table, tol) for table in (ab, abp, apb, apbp))
+        self._init_valid(np.array([table.values for table in tables]), tables, tol)
+
+    def _init_valid(self, values: np.ndarray, tables: tuple, tol: float) -> "MarginalSet":
+        """Set the fields from valid tables and their ``(4, 2, 2)`` stack, with no check; returns self."""
+        values.setflags(write=False)
+        self._values, self._tol, self._tables = values, float(tol), tables
+        return self
 
     #: The ``(4, 2, 2)`` stack of the tables and the set's ``tol``; neither can be reassigned.
     values = property(lambda self: self._values)
@@ -84,13 +88,16 @@ class MarginalSet:
 
     @classmethod
     def from_quadrivariate(cls, joint: ProbabilityTable) -> "MarginalSet":
-        """Extract the four setting-pair tables, and the ``tol``, of a joint over (A, A', B, B')."""
+        """The four setting-pair tables of a joint over (A, A', B, B'), views of one stack, at its ``tol``."""
         if joint.values.shape != (2, 2, 2, 2):
-            raise DimensionMismatchError(
-                f"expected a (2, 2, 2, 2) joint table, got shape {joint.values.shape}"
-            )
-        pairs = zip(_SETTING_PAIR_AXES, _SETTING_PAIR_DROP)
-        return cls(*(joint._sum_out(keep, drop) for keep, drop in pairs), tol=joint.tol)
+            raise DimensionMismatchError(f"expected a (2, 2, 2, 2) joint table, got shape {joint.shape}")
+        values, labels = np.empty((4, 2, 2)), joint.axis_labels
+        for table, drop in zip(values, _SETTING_PAIR_DROP):
+            joint.values.sum(axis=drop, out=table)
+        tables = tuple(ProbabilityTable.__new__(ProbabilityTable)._init_valid(
+            table, None if labels is None else (labels[i], labels[j]), joint.tol)
+            for table, (i, j) in zip(values, _SETTING_PAIR_AXES))
+        return cls.__new__(cls)._init_valid(values, tables, joint.tol)
 
 
 @dataclass(frozen=True)

@@ -56,25 +56,38 @@ def _coerce_stack(elements) -> np.ndarray:
     return np.stack(arrays)
 
 
+def _completeness_defect(stack: np.ndarray) -> np.ndarray:
+    """Entrywise ``|sum_k E_k - I|`` of each measure in a ``(..., K, d, d)`` stack, as ``(..., d * d)``."""
+    total = np.einsum("...kij->...ij", stack).reshape(*stack.shape[:-3], -1)
+    total[..., :: stack.shape[-1] + 1] -= 1.0
+    return np.abs(total)
+
+
+def _projector_defects(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise ``|E_k^2 - E_k|`` and the ``(..., K, K)`` overlaps ``|Tr(E_j E_k)|``, 0 at ``j == k``."""
+    batch, k = stack.shape[:-3], stack.shape[-3]
+    overlaps = np.abs(np.einsum("...jab,...kba->...jk", stack, stack)).reshape(*batch, k * k)
+    overlaps[..., :: k + 1] = 0.0
+    return np.abs(stack @ stack - stack), overlaps.reshape(*batch, k, k)
+
+
 def _stack_accepts(stack: np.ndarray, tol: float, projective: bool) -> bool:
     """True when a non-empty, finite stack passes every check of ``_stack_violations``.
 
-    Each test bounds the extreme of one defect over the whole stack, computed as
-    the per-measure check computes it, so acceptance here means no violation there.
+    Each test bounds the extreme of one defect over the whole stack, computed by the
+    per-measure check's own expression, so acceptance here means no violation there.
     """
     if stack.size == 0 or not np.isfinite(stack).all():
         return False
     defect, hermitian = _hermitian_defect(stack)
     if not (defect.max() <= tol
             and _lowest_eigenvalues(hermitian).min() >= -tol
-            and np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1])).max() <= tol):
+            and _completeness_defect(stack).max() <= tol):
         return False
     if not projective:
         return True
-    overlaps = np.abs(np.einsum("...jab,...kba->...jk", stack, stack))
-    off_diagonal = 1.0 - np.eye(stack.shape[-3])
-    return bool(np.abs(stack @ stack - stack).max() <= tol
-                and (overlaps * off_diagonal).max() <= tol)
+    idempotence, overlaps = _projector_defects(stack)
+    return bool(idempotence.max() <= tol and overlaps.max() <= tol)
 
 
 def _stack_violations(
@@ -91,35 +104,37 @@ def _stack_violations(
     """
     if _stack_accepts(stack, tol, projective):
         return {}
-    found = {}
-    for index in np.ndindex(stack.shape[:-3]):
-        measure = stack[index]
-        finite = np.isfinite(measure).all(axis=(-2, -1))
-        clean = np.where(finite[:, None, None], measure, 0.0)
-        defect, hermitian = _hermitian_defect(clean)
-        herm, lowest = defect.max(axis=(-2, -1)), _lowest_eigenvalues(hermitian)
-        lines = []
-        for k in range(len(measure)):
-            if not finite[k]:
-                lines.append(f"element {k} has non-finite entries")
-            elif not herm[k] <= tol:
-                lines.append(f"element {k} is not Hermitian (defect {herm[k]:.3e})")
-            elif not lowest[k] >= -tol:
-                lines.append(f"element {k} is not positive (eigenvalue {lowest[k]:.3e})")
-        completeness = np.abs(measure.sum(axis=0) - np.eye(measure.shape[-1])).max()
-        if not completeness <= tol:
-            lines.append(f"elements do not sum to identity (defect {completeness:.3e})")
-        if projective:
-            idempotence = np.abs(clean @ clean - clean).max(axis=(-2, -1))
-            lines += [f"element {k} is not a projector (defect {idempotence[k]:.3e})"
-                      for k in np.flatnonzero(finite & ~(idempotence <= tol))]
-            overlaps = np.abs(np.einsum("jab,kba->jk", clean, clean))
-            lines += [f"elements {j} and {k} are not orthogonal (Tr = {overlaps[j, k]:.3e})"
-                      for j, k in itertools.combinations(np.flatnonzero(finite), 2)
-                      if not overlaps[j, k] <= tol]
-        if lines:
-            found[index] = lines
-    return found
+    found = ((index, _measure_violations(stack[index], tol, projective))
+             for index in np.ndindex(stack.shape[:-3]))
+    return {index: lines for index, lines in found if lines}
+
+
+def _measure_violations(measure: np.ndarray, tol: float, projective: bool) -> list[str]:
+    """Violation messages of one ``(K, d, d)`` measure, in check order; empty when valid."""
+    finite = np.isfinite(measure).all(axis=(-2, -1))
+    clean = np.where(finite[:, None, None], measure, 0.0)
+    defect, hermitian = _hermitian_defect(clean)
+    herm, lowest = defect.max(axis=(-2, -1)), _lowest_eigenvalues(hermitian)
+    lines = []
+    for k in range(len(measure)):
+        if not finite[k]:
+            lines.append(f"element {k} has non-finite entries")
+        elif not herm[k] <= tol:
+            lines.append(f"element {k} is not Hermitian (defect {herm[k]:.3e})")
+        elif not lowest[k] >= -tol:
+            lines.append(f"element {k} is not positive (eigenvalue {lowest[k]:.3e})")
+    completeness = _completeness_defect(measure).max()
+    if not completeness <= tol:
+        lines.append(f"elements do not sum to identity (defect {completeness:.3e})")
+    if projective:
+        idempotence, overlaps = _projector_defects(clean)
+        idempotence = idempotence.max(axis=(-2, -1))
+        lines += [f"element {k} is not a projector (defect {idempotence[k]:.3e})"
+                  for k in np.flatnonzero(finite & ~(idempotence <= tol))]
+        lines += [f"elements {j} and {k} are not orthogonal (Tr = {overlaps[j, k]:.3e})"
+                  for j, k in itertools.combinations(np.flatnonzero(finite), 2)
+                  if not overlaps[j, k] <= tol]
+    return lines
 
 
 def _per_axis_labels(labels: tuple, index_shape) -> tuple[tuple, ...]:

@@ -86,20 +86,21 @@ def _lowest_eigenvalues(hermitian: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
-    """Return True when ``op`` equals its conjugate transpose within ``tol``."""
-    return bool(_hermitian_defect(as_operator(op))[0].max() <= tol)
+    """Return True when ``op`` is finite and equals its conjugate transpose within ``tol``."""
+    arr = as_operator(op)
+    return bool(np.isfinite(arr).all() and _hermitian_defect(arr)[0].max() <= tol)
 
 
 def is_positive(op, tol: float = DEFAULT_TOL) -> bool:
-    """Return True when ``op`` is Hermitian within ``tol`` with spectrum >= -tol."""
-    defect, hermitian = _hermitian_defect(as_operator(op))
-    return bool(defect.max() <= tol and _lowest_eigenvalues(hermitian) >= -tol)
+    """Return True when ``op`` is finite and Hermitian within ``tol`` with spectrum >= -tol."""
+    arr = as_operator(op)
+    return is_hermitian(arr, tol) and bool(_lowest_eigenvalues(_hermitian_defect(arr)[1]) >= -tol)
 
 
 def is_projector(op, tol: float = DEFAULT_TOL) -> bool:
-    """Return True when ``op`` is Hermitian and idempotent within ``tol``."""
+    """Return True when ``op`` is finite, Hermitian and idempotent within ``tol``."""
     arr = as_operator(op)
-    return bool(_hermitian_defect(arr)[0].max() <= tol and np.abs(arr @ arr - arr).max() <= tol)
+    return is_hermitian(arr, tol) and bool(np.abs(arr @ arr - arr).max() <= tol)
 
 
 def is_unitary(op, tol: float = DEFAULT_TOL) -> bool:

@@ -24,13 +24,16 @@ def _split_axes(keep, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _check_tables(stack: np.ndarray, tol: float) -> None:
     """Raise the constructor's error for the first invalid table of an ``(N, ...)`` stack.
 
-    Whole-stack reductions accept first: a minimum ``>= -tol`` excludes NaN and
-    ``-inf``, and a total within ``max(tol, tol * size)`` of one excludes ``+inf``.
-    A rejected stack is read table by table: finite entries, then entries
-    ``>= -tol``, then the total.
+    The accept pass reads the entries as Python floats first: every valid table
+    has them within ``[-tol, 1 + 2 * bound]``, with ``bound = max(tol, tol *
+    size)``, so the per-table totals it then sums cannot overflow, and a total
+    within ``bound`` of one excludes NaN and ``+-inf``.  A rejected stack is
+    read table by table: finite entries, then entries ``>= -tol``, then the
+    total, whose overflow reads as ``inf``.
     """
     bound = max(tol, tol * stack[0].size)
-    if stack.min() >= -tol and all(
+    entries = stack.ravel().tolist()
+    if min(entries) >= -tol and max(entries) <= 1.0 + 2.0 * bound and all(
             abs(total - 1.0) <= bound for total in stack.reshape(len(stack), -1).sum(1).tolist()):
         return
     for table in stack:
@@ -38,7 +41,8 @@ def _check_tables(stack: np.ndarray, tol: float) -> None:
             raise ValidationError("probability table has non-finite entries")
         if float(table.min()) < -tol:
             raise ValidationError(f"probability table has negative entry {table.min():.3e}")
-        total = float(table.sum())
+        with np.errstate(over="ignore"):
+            total = float(table.sum())
         if abs(total - 1.0) > bound:
             raise ValidationError(f"probability table sums to {total!r}, not 1")
 
@@ -95,12 +99,7 @@ class ProbabilityTable:
 
     def marginal(self, keep) -> "ProbabilityTable":
         """Sum out all axes not listed in ``keep`` (ascending); the result inherits validity."""
-        return self._sum_out(*_split_axes(keep, self.shape))
-
-    def _sum_out(self, keep: tuple, drop: tuple) -> "ProbabilityTable":
-        """The marginal on checked axes ``keep``, summing out ``drop``; it inherits validity."""
+        keep, drop = _split_axes(keep, self.shape)
         summed = np.asarray(self.values.sum(axis=drop))
-        labels = None
-        if self.axis_labels is not None:
-            labels = tuple(self.axis_labels[ax] for ax in keep)
+        labels = None if self.axis_labels is None else tuple(self.axis_labels[ax] for ax in keep)
         return ProbabilityTable.__new__(ProbabilityTable)._init_valid(summed, labels, self.tol)

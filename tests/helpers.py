@@ -7,12 +7,20 @@ from povmkit import (
     ChshReport,
     DimensionMismatchError,
     InternalConsistencyError,
+    ProbabilityTable,
     PvmMeasure,
     ValidationError,
     bell_state,
     srt,
 )
-from povmkit.aspect import _SETTING_PAIR_AXES, _SETTING_PAIR_DROP, CHSH_SIGN_PATTERNS
+from povmkit.aspect import (
+    _ANGLE_NAMES,
+    _SETTING_PAIR_AXES,
+    _SETTING_PAIR_DROP,
+    CHSH_SIGN_PATTERNS,
+    _born_products,
+    _finite_angles,
+)
 from povmkit.feasibility import PIVOT_TOL
 from povmkit.measures import _stack_violations
 from povmkit.nonideality import (
@@ -55,6 +63,40 @@ def oracle_arm(gamma, theta, theta_p):
     (d_plus, d_minus), (r_plus, r_minus) = analyzer(theta), analyzer(theta_p)
     return np.array([np.zeros((2, 2), dtype=complex), gamma * d_plus, (1.0 - gamma) * r_plus,
                      gamma * d_minus + (1.0 - gamma) * r_minus])
+
+
+def oracle_polarization_stack(angles, names):
+    """``(N, 2, 2, 2)`` analyzer projector pairs from numpy ``cos`` and ``sin`` on the angle list.
+
+    A frozen copy of ``povmkit.aspect._polarization_stack`` before it read
+    Python-float products into one array: the library must return the same bits.
+    """
+    theta = _finite_angles(angles, names)
+    c, s = np.cos(theta), np.sin(theta)
+    vectors = np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
+    return (vectors[..., :, None] * vectors[..., None, :]).astype(complex)
+
+
+def oracle_joint_probabilities(config, tol=DEFAULT_TOL):
+    """A fixed arrangement's joint table, built through the public table constructor.
+
+    A frozen copy of ``povmkit.aspect.joint_probabilities`` before it ran the
+    constructor's table check on its own: the frozen analyzer stack above, the
+    nested mirror weight matrices and ``ProbabilityTable(...)``.  The Born
+    contraction is the library's ``_born_products``, which the change left as it was.
+    """
+    def mirror_weights(g):
+        r = 1.0 - g
+        return np.array([[[0.0, 0.0], [0.0, 0.0]], [[g, 0.0], [0.0, 0.0]],
+                         [[0.0, 0.0], [r, 0.0]], [[0.0, g], [0.0, r]]])
+
+    pvms = oracle_polarization_stack([getattr(config, n) for n in _ANGLE_NAMES], _ANGLE_NAMES)
+    assert _stack_violations(pvms, tol, True) == {}
+    tol = max(tol, config.state.tol)
+    pairs = _born_products(config.state, pvms[:2, None], pvms[None, 2:], tol)
+    probs = np.einsum("xsa,stab,ytb->xy", mirror_weights(config.gamma1), pairs,
+                      mirror_weights(config.gamma2)).reshape(2, 2, 2, 2)
+    return ProbabilityTable(probs, axis_labels=(("+", "-"),) * 4, tol=tol)
 
 
 def _oracle_lowest_eigenvalues(hermitian):

@@ -479,6 +479,19 @@ class TestFine:
         code, _, err = run(capsys, "fine", "--marginals", "/nonexistent/path.json")
         assert code == 65
 
+    def test_overflowing_table_sum_exits_65_without_a_warning(self, capsys, tmp_path):
+        # 1e308 + 1e308 overflows: the total reads as inf, and numpy must not warn about it.
+        good = [[0.25, 0.25], [0.25, 0.25]]
+        path = tmp_path / "overflow.json"
+        serialize.dump_json({"AB": [[1e308, 1e308], [0, 0]], "ABp": good, "ApB": good, "ApBp": good},
+                            path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "fine", "--marginals", str(path))
+        assert (code, out) == (65, "")
+        assert err == "error: table AB: probability table sums to inf, not 1\n"
+        assert caught == []
+
     def test_wrong_shape_table_names_its_key(self, capsys, tmp_path):
         good = [[0.25, 0.25], [0.25, 0.25]]
         path = tmp_path / "flat.json"

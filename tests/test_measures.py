@@ -20,6 +20,7 @@ from povmkit import (
     tetrahedral_qubit_povm,
     trace_distance,
 )
+from povmkit import measures
 from povmkit.measures import _coerce_stack
 from povmkit.srt import SrtConfig, srt_povm
 from povmkit.sampling import (
@@ -66,6 +67,18 @@ class TestMeasureValidation:
             assert stack.tobytes() == want.tobytes(), kind
             assert stack.flags.writeable and stack.flags.owndata, kind
         assert not np.shares_memory(_coerce_stack(inputs["ndarray"]), inputs["ndarray"])
+
+    @pytest.mark.parametrize("container", ["list", "tuple", "ndarray"])
+    def test_square_stack_takes_the_whole_input_conversion(self, monkeypatch, container):
+        # The element-by-element path calls as_operator; a square stack never reaches it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the per-element path ran")
+
+        monkeypatch.setattr(measures, "as_operator", refuse)
+        elements = {"list": [P0.tolist(), P1.tolist()],
+                    "tuple": (tuple(map(tuple, P0)), tuple(map(tuple, P1))),
+                    "ndarray": np.stack([P0, P1])}[container]
+        assert PovmMeasure(elements).stack().tobytes() == np.stack([P0, P1]).tobytes()
 
     def test_generator_of_elements_goes_element_by_element(self):
         # numpy cannot read a generator as a stack, so each element is coerced on its own.

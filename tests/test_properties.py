@@ -46,7 +46,8 @@ from povmkit import (
     standard_composite,
     tradeoff_sweep,
 )
-from povmkit import InternalConsistencyError, ValidationError, nonideality, serialize
+from povmkit import InternalConsistencyError, ValidationError, measures, nonideality, serialize
+from povmkit.aspect import _ANGLE_NAMES, _polarization_stack
 from povmkit.cli import main
 from povmkit.feasibility import _KEEP, _REDUCED, phase1_simplex
 from povmkit.measures import _lowest_eigenvalues, _stack_accepts, _stack_violations
@@ -66,6 +67,8 @@ from helpers import (
     oracle_is_positive,
     oracle_is_projector,
     oracle_chsh_value,
+    oracle_joint_probabilities,
+    oracle_polarization_stack,
     oracle_no_signaling,
     oracle_phase1_simplex,
     oracle_setting_pair_tables,
@@ -318,6 +321,57 @@ def test_mirror_weights_match_the_elementwise_arm_oracle(gamma1, gamma2, angles,
     assert np.max(np.abs(got.values - want)) <= 1e-12
     for gamma, pair, arm in zip((gamma1, gamma2), (angles[:2], angles[2:]), arms):
         assert np.max(np.abs(arm_povm(gamma, *pair).stack() - arm)) <= 1e-15
+
+
+#: Angles that make exact zeros and ties: signed zeros and multiples of pi/4.
+edge_angles = st.one_of(st.sampled_from([0.0, -0.0] + [k * np.pi / 4 for k in range(-8, 9)]), angle)
+edge_gammas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+def assert_same_bits(got, want):
+    """Equal dtype, shape and values, and equal sign bits, so 0.0 and -0.0 are told apart."""
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    stack_angles=st.lists(edge_angles, min_size=1, max_size=4),
+    angles=st.tuples(edge_angles, edge_angles, edge_angles, edge_angles),
+    gamma1=edge_gammas,
+    gamma2=edge_gammas,
+    state=st.one_of(st.just(bell_state()), two_photon_states()),
+)
+def test_two_photon_kernels_are_byte_identical_to_their_frozen_copies(
+    stack_angles, angles, gamma1, gamma2, state
+):
+    names = [f"angle {k}" for k in range(len(stack_angles))]
+    assert_same_bits(_polarization_stack(stack_angles, names),
+                     oracle_polarization_stack(stack_angles, names))
+    config = AspectConfig(gamma1, gamma2, *angles, state=state)
+    got, want = joint_probabilities(config), oracle_joint_probabilities(config)
+    assert_same_bits(got.values, want.values)
+    assert (got.axis_labels, got.tol) == (want.axis_labels, want.tol)
+
+
+@PROPERTY_SETTINGS
+@given(
+    angles=st.tuples(*[st.one_of(edge_angles, st.floats(-1e6, 1e6))] * 4),
+    gamma1=edge_gammas,
+    gamma2=edge_gammas,
+)
+def test_two_photon_kernels_take_the_accept_first_path(angles, gamma1, gamma2):
+    # Analyzer PVMs at finite angles are valid, so the whole-stack pass must take
+    # them: the per-measure reading would give the same verdict, only slower.
+    def refuse(*args):
+        raise AssertionError("the per-measure check ran")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_measure_violations", refuse)
+        standard_composite(*angles)
+        joint_probabilities(AspectConfig(gamma1, gamma2, *angles, state=bell_state()))
 
 
 # -- (d) joint_exists witnesses against their input tables ------------------
@@ -717,6 +771,21 @@ def test_array_set_equals_per_table_oracle(box, labelled):
         assert_same_chsh(decision.chsh, want)
         if not decision.feasible:
             assert decision.certificate == max(want.values, key=lambda item: abs(item[1]))
+
+
+#: 2x2 tables valid at tol 1: signed zeros, whose correlator is -0.0, plus exact ones.
+SIGNED_ZERO_TABLES = ([[-0.0, 0.0], [0.0, -0.0]], [[0.0, 0.0], [0.0, 0.0]],
+                      [[0.25, 0.25], [0.25, 0.25]], [[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.5], [0.5, 0.0]])
+
+
+@PROPERTY_SETTINGS
+@given(box=st.tuples(*[st.sampled_from(SIGNED_ZERO_TABLES)] * 4))
+@example(box=(SIGNED_ZERO_TABLES[0],) * 3 + (SIGNED_ZERO_TABLES[2],))
+def test_signed_zero_box_equals_the_oracle(box):
+    # The oracle's builtin sum starts at 0, so a placement whose four terms are
+    # all -0.0, as (1, 1, 1, -1) on the example, reads 0.0 there and must here.
+    tables = [ProbabilityTable(table, tol=1.0) for table in box]
+    assert_same_chsh(chsh_value(tables), oracle_chsh_value(tables))
 
 
 @PROPERTY_SETTINGS
@@ -1147,7 +1216,9 @@ def test_state_and_predicates_equal_the_eigvalsh_oracle(seed, dim, kind, scale):
                              lambda: oracle_state_check(op, TOL) or op.shape)
     assert got == want
     if kind == "inf":
-        return  # an infinite diagonal entry makes A - A^dag warn (inf - inf) on both routes
+        # A non-finite operator is none of the three (the oracles warn on inf - inf).
+        assert (is_hermitian(op, TOL), is_positive(op, TOL), is_projector(op, TOL)) == (False,) * 3
+        return
     assert is_hermitian(op, TOL) == oracle_is_hermitian(op, TOL)
     assert is_positive(op, TOL) == oracle_is_positive(op, TOL)
     assert is_projector(op, TOL) == oracle_is_projector(op, TOL)
@@ -1224,6 +1295,8 @@ class _NoTableLoop(np.ndarray):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(stack=tables_of_one_shape)
+# Valid, with an entry above 1 + bound: the accept pass's entry gate must take it.
+@example(stack=np.array([[1.0 + 2.5 * TOL, -0.9 * TOL]]))
 def test_table_accept_pass_takes_every_valid_stack(stack):
     # A rejected stack reaches the per-table loop; so does a valid stack
     # whose whole-stack pass stopped accepting, which only speed would show.
