@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import DEFAULT_TOL
-from .tables import ProbabilityTable
+from .tables import ProbabilityTable, _check_tables
 
 #: Bland's-rule pivot tolerance of the simplex solver.
 PIVOT_TOL = 1e-12
@@ -112,10 +112,13 @@ class NoSignalingReport:
 
 def check_no_signaling(marginals: MarginalSet) -> NoSignalingReport:
     """Compare each variable's marginal between its two containing tables, at ``marginals.tol``."""
-    rows, columns = marginals.values.sum(axis=2), marginals.values.sum(axis=1)
+    tables = marginals.values.tolist()
+    rows = [(p00 + p01, p10 + p11) for (p00, p01), (p10, p11) in tables]
+    columns = [(p00 + p10, p01 + p11) for (p00, p01), (p10, p11) in tables]
     # A and A' differ between tables (0, 1) and (2, 3); B and B' between (0, 2) and (1, 3).
-    gaps = np.concatenate([rows[0::2] - rows[1::2], columns[:2] - columns[2:]])
-    discrepancies = dict(zip(("A", "A'", "B", "B'"), np.abs(gaps).max(axis=1).tolist()))
+    pairs = (rows[0], rows[1]), (rows[2], rows[3]), (columns[0], columns[2]), (columns[1], columns[3])
+    discrepancies = {name: max(abs(p - q) for p, q in zip(*pair))
+                     for name, pair in zip(("A", "A'", "B", "B'"), pairs)}
     worst = max(discrepancies.values())
     return NoSignalingReport(
         discrepancies=discrepancies,
@@ -154,16 +157,29 @@ def phase1_simplex(
     for name, values in (("constraint matrix", a), ("rhs", b)):
         if not np.isfinite(values).all():
             raise ValidationError(f"{name} has non-finite entries")
+    return _pivot(_phase1_tableau(a, b), a.shape[1], tol)
+
+
+def _phase1_tableau(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The phase-1 tableau of finite ``a @ x == b``: rows with ``b < 0`` negated, then the cost row."""
     m, n = a.shape
     sign = np.where(b < 0, -1.0, 1.0)
     a, b = a * sign[:, None], b * sign
-
     tableau = np.zeros((m + 1, n + m + 1))
     tableau[:m, :n], tableau[:m, n:-1], tableau[:m, -1] = a, np.eye(m), b
     tableau[m, :n], tableau[m, -1] = a.sum(axis=0), b.sum()
+    return tableau
+
+
+def _pivot(tableau: np.ndarray, n: int, tol: float) -> tuple[float, np.ndarray]:
+    """Run Bland's-rule pivots on a phase-1 tableau over ``n`` structural columns, in place.
+
+    Returns the artificial-sum optimum and the structural part of the point reached.
+    """
+    m = len(tableau) - 1
     basis = list(range(n, n + m))
     # A -0.0 rhs keeps its sign only if rows with a zero entering coefficient stay untouched.
-    signed_zero = bool(np.signbit(b).any())
+    signed_zero = bool(np.signbit(tableau[:m, -1]).any())
 
     for _ in range(10000):
         costs = tableau[m, :-1].tolist()
@@ -194,9 +210,10 @@ def phase1_simplex(
     else:
         raise InternalConsistencyError("simplex failed to terminate")
 
-    x, basic = np.zeros(n + m), tableau[:m, -1]
-    x[basis] = np.where(basic < 0.0, 0.0, basic)  # max(v, 0.0): a -0.0 stays -0.0
-    return float(max(tableau[m, -1], 0.0)), x[:n]
+    x = [0.0] * (n + m)
+    for var, value in zip(basis, tableau[:m, -1].tolist()):
+        x[var] = 0.0 if value < 0.0 else value  # max(v, 0.0): a -0.0 stays -0.0
+    return float(max(tableau[m, -1], 0.0)), np.array(x[:n])
 
 
 def _equation_matrix() -> np.ndarray:
@@ -223,6 +240,10 @@ _EQUATIONS = _equation_matrix()
 #: sorted pivots of a column-pivoted QR of its transpose.
 _KEEP = (1, 3, 5, 6, 7, 9, 12, 13, 16)
 _REDUCED = _EQUATIONS.take(_KEEP, axis=0)
+#: The phase-1 tableau of ``_REDUCED`` at a zero rhs, which every nonnegative rhs shares
+#: but for its rhs column and objective.
+_TABLEAU = _phase1_tableau(_REDUCED, np.zeros(len(_KEEP)))
+_TABLEAU.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -246,7 +267,8 @@ class JointDecision:
 def joint_exists(marginals: MarginalSet) -> JointDecision:
     """Decide whether a joint distribution reproduces all four marginals.
 
-    Runs the phase-1 linear program on the rank-reduced marginal equations
+    Runs the phase-1 linear program on the rank-reduced marginal equations,
+    from the prebuilt tableau ``_TABLEAU`` when no rhs entry is negative,
     and cross-asserts the decision against the CHSH characterization at ``marginals.tol``.
 
     Raises
@@ -268,7 +290,15 @@ def joint_exists(marginals: MarginalSet) -> JointDecision:
     boundary = abs(report.max_abs - 2.0) <= max(tol, BOUNDARY_TOL)
 
     rhs = np.append(marginals.values, 1.0)  # the 16 table cells, then normalization
-    optimum, x = phase1_simplex(_REDUCED, rhs.take(_KEEP))
+    b = rhs.take(_KEEP)
+    if not np.isfinite(b).all():
+        raise ValidationError("rhs has non-finite entries")
+    if b.min() < 0.0:
+        tableau = _phase1_tableau(_REDUCED, b)
+    else:
+        tableau = _TABLEAU.copy()
+        tableau[:-1, -1], tableau[-1, -1] = b, b.sum()
+    optimum, x = _pivot(tableau, _REDUCED.shape[1], PIVOT_TOL)
     residual = float(np.max(np.abs(_EQUATIONS @ x - rhs)))
     lp_feasible = optimum <= LP_OPT_TOL and residual <= tol
 
@@ -280,11 +310,10 @@ def joint_exists(marginals: MarginalSet) -> JointDecision:
         )
 
     if lp_feasible:
-        joint = ProbabilityTable(
-            x.reshape(2, 2, 2, 2),
-            axis_labels=((0, 1),) * 4,
-            tol=max(tol, residual * 4),
-        )
+        witness, witness_tol = x.reshape(2, 2, 2, 2), max(tol, residual * 4)
+        _check_tables(witness[None], witness_tol)
+        joint = ProbabilityTable.__new__(ProbabilityTable)._init_valid(
+            witness, ((0, 1),) * 4, witness_tol)
         return JointDecision(
             feasible=True,
             boundary=boundary,

@@ -79,9 +79,8 @@ def _stack_accepts(stack: np.ndarray, tol: float, projective: bool) -> bool:
     """
     if stack.size == 0 or not np.isfinite(stack).all():
         return False
-    defect, hermitian = _hermitian_defect(stack)
-    if not (defect.max() <= tol
-            and _lowest_eigenvalues(hermitian).min() >= -tol
+    if not (_hermitian_defect(stack).max() <= tol
+            and _lowest_eigenvalues(stack).min() >= -tol
             and _completeness_defect(stack).max() <= tol):
         return False
     if not projective:
@@ -113,8 +112,7 @@ def _measure_violations(measure: np.ndarray, tol: float, projective: bool) -> li
     """Violation messages of one ``(K, d, d)`` measure, in check order; empty when valid."""
     finite = np.isfinite(measure).all(axis=(-2, -1))
     clean = np.where(finite[:, None, None], measure, 0.0)
-    defect, hermitian = _hermitian_defect(clean)
-    herm, lowest = defect.max(axis=(-2, -1)), _lowest_eigenvalues(hermitian)
+    herm, lowest = _hermitian_defect(clean).max(axis=(-2, -1)), _lowest_eigenvalues(clean)
     lines = []
     for k in range(len(measure)):
         if not finite[k]:

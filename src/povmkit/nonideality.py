@@ -37,24 +37,28 @@ QP_MAX_ITERATIONS = 200
 KKT_TOL = 1e-10
 
 
+def _stochastic_accepts(matrices: np.ndarray, tol: float) -> bool:
+    """True when no matrix of an ``(..., I, J)`` stack has an entry below ``-tol`` or a column sum off 1.
+
+    A column sum may miss 1 by ``max(tol, tol * I)``; a NaN entry fails.
+    """
+    bound = max(tol, tol * matrices.shape[-2])
+    return bool(matrices.min() >= -tol and np.abs(matrices.sum(axis=-2) - 1.0).max() <= bound)
+
+
 def _stochastic_violation(matrices: np.ndarray, tol: float) -> tuple[int, str] | None:
     """First matrix of an ``(N, I, J)`` stack with a negative entry or a column sum off 1.
 
     Returns its batch index and message, or None when every matrix passes.
-    Whole-stack reductions accept first; ``not (defect <= tol)`` fails NaN entries.
+    The whole stack is tested first; only a rejected one is read matrix by matrix.
     """
-    column_sums = matrices.sum(axis=1)
-    bound = max(tol, tol * matrices.shape[1])
-    if matrices.min() >= -tol and np.abs(column_sums - 1.0).max() <= bound:
+    if _stochastic_accepts(matrices, tol):
         return None
-    lowest = matrices.min(axis=(1, 2))
-    imbalance = np.abs(column_sums - 1.0).max(axis=1)
-    negative = ~(lowest >= -tol)
-    unbalanced = ~(imbalance <= bound)
-    n = int(np.flatnonzero(negative | unbalanced)[0])
-    if negative[n]:
-        return n, f"nonideality matrix has negative entry {lowest[n]:.3e}"
-    return n, f"columns must sum to 1, got {column_sums[n].tolist()}"
+    n, matrix = next((n, m) for n, m in enumerate(matrices) if not _stochastic_accepts(m, tol))
+    lowest = matrix.min()
+    if not lowest >= -tol:
+        return n, f"nonideality matrix has negative entry {lowest:.3e}"
+    return n, f"columns must sum to 1, got {matrix.sum(axis=0).tolist()}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +192,15 @@ def _is_diagonal(gram: np.ndarray, tol: float) -> bool:
     return bool(((np.abs(gram) > tol) == np.eye(gram.shape[-1], dtype=bool)).all())
 
 
+def _candidates_accept(candidates: np.ndarray, tol: float) -> bool:
+    """True when an ``(..., I, J)`` stack of solved matrices needs no constrained fallback.
+
+    Every entry must be ``>= -tol`` and every column sum within ``tol`` of 1; a NaN entry fails.
+    """
+    return bool(candidates.min() >= -tol
+                and np.abs(np.einsum("...ij->...j", candidates) - 1.0).max() <= tol)
+
+
 def _solve_stack(observed: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray:
     """Nonideality matrices of ``(..., N, I, d, d)`` stacks of observed measures.
 
@@ -204,12 +217,11 @@ def _solve_stack(observed: np.ndarray, target: np.ndarray, tol: float) -> np.nda
         candidates = cross / np.diagonal(gram, axis1=-2, axis2=-1)[..., None, None, :]
     else:
         candidates = cross @ np.linalg.pinv(gram, hermitian=True)[..., None, :, :]
-    defect = np.abs(np.einsum("...ij->...j", candidates) - 1.0)
-    if candidates.min() >= -tol and defect.max() <= tol:
+    if _candidates_accept(candidates, tol):
         return candidates
-    feasible = (candidates.min(axis=(-2, -1)) >= -tol) & (defect.max(axis=-1) <= tol)
-    for index in map(tuple, np.argwhere(~feasible)):
-        candidates[index] = _stochastic_least_squares(gram[index[:-1]], cross[index], tol)
+    for index in np.ndindex(candidates.shape[:-2]):
+        if not _candidates_accept(candidates[index], tol):
+            candidates[index] = _stochastic_least_squares(gram[index[:-1]], cross[index], tol)
     return candidates
 
 

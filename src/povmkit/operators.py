@@ -65,36 +65,36 @@ def as_operator(matrix, *, name: str = "operator") -> np.ndarray:
     return arr
 
 
-def _hermitian_defect(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise ``|A - A^dag|`` and Hermitian part ``(A + A^dag) / 2`` of a (..., d, d) stack."""
-    adjoint = stack.conj().swapaxes(-1, -2)
-    return np.abs(stack - adjoint), (stack + adjoint) / 2.0
+def _hermitian_defect(stack: np.ndarray) -> np.ndarray:
+    """Entrywise ``|A - A^dag|`` of a ``(..., d, d)`` stack."""
+    return np.abs(stack - stack.conj().swapaxes(-1, -2))
 
 
-def _lowest_eigenvalues(hermitian: np.ndarray) -> np.ndarray:
-    """Lowest eigenvalue of each matrix in a ``(..., d, d)`` Hermitian stack.
+def _lowest_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of the Hermitian part of each matrix in a ``(..., d, d)`` stack.
 
-    Qubits take the closed form ``(a + d)/2 - hypot((a - d)/2, |b|)`` of
-    ``[[a, b], [b*, d]]``, accurate to a few ulps of the matrix norm;
-    every other dimension goes through ``eigvalsh``.
+    The stack is halved before ``A / 2 + A^dag / 2`` is summed, so the
+    Hermitian part is formed without overflow.  Qubits take the closed form
+    ``(a + d)/2 - hypot((a - d)/2, |b|)`` of ``[[a, b], [b*, d]]``, accurate
+    to a few ulps of the matrix norm; every other dimension goes through ``eigvalsh``.
     """
-    if hermitian.shape[-1] != 2:
-        return np.linalg.eigvalsh(hermitian)[..., 0]
-    a = hermitian[..., 0, 0].real
-    d = hermitian[..., 1, 1].real
-    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(hermitian[..., 0, 1]))
+    half = stack * 0.5
+    if stack.shape[-1] != 2:
+        return np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2))[..., 0]
+    a, d = half[..., 0, 0].real, half[..., 1, 1].real
+    return a + d - np.hypot(a - d, np.abs(half[..., 0, 1] + half[..., 1, 0].conj()))
 
 
 def is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op`` is finite and equals its conjugate transpose within ``tol``."""
     arr = as_operator(op)
-    return bool(np.isfinite(arr).all() and _hermitian_defect(arr)[0].max() <= tol)
+    return bool(np.isfinite(arr).all() and _hermitian_defect(arr).max() <= tol)
 
 
 def is_positive(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op`` is finite and Hermitian within ``tol`` with spectrum >= -tol."""
     arr = as_operator(op)
-    return is_hermitian(arr, tol) and bool(_lowest_eigenvalues(_hermitian_defect(arr)[1]) >= -tol)
+    return is_hermitian(arr, tol) and bool(_lowest_eigenvalues(arr) >= -tol)
 
 
 def is_projector(op, tol: float = DEFAULT_TOL) -> bool:
@@ -181,10 +181,9 @@ class State:
         arr = as_operator(self.matrix, name="state")
         if not np.isfinite(arr).all():
             raise ValidationError("state has non-finite entries")
-        defect, hermitian = _hermitian_defect(arr)
-        if not defect.max() <= self.tol:
+        if not _hermitian_defect(arr).max() <= self.tol:
             raise ValidationError("state is not Hermitian within tolerance")
-        lowest = _lowest_eigenvalues(hermitian)
+        lowest = _lowest_eigenvalues(arr)
         if lowest < -self.tol:
             raise ValidationError(f"state has negative eigenvalue {lowest:.3e}")
         tr = complex(np.trace(arr))

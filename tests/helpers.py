@@ -7,6 +7,8 @@ from povmkit import (
     ChshReport,
     DimensionMismatchError,
     InternalConsistencyError,
+    JointDecision,
+    NoSignalingError,
     ProbabilityTable,
     PvmMeasure,
     ValidationError,
@@ -21,7 +23,14 @@ from povmkit.aspect import (
     _born_products,
     _finite_angles,
 )
-from povmkit.feasibility import PIVOT_TOL
+from povmkit.feasibility import (
+    _EQUATIONS,
+    _KEEP,
+    _REDUCED,
+    BOUNDARY_TOL,
+    LP_OPT_TOL,
+    PIVOT_TOL,
+)
 from povmkit.measures import _stack_violations
 from povmkit.nonideality import (
     _row_entropy,
@@ -408,6 +417,44 @@ def oracle_phase1_simplex(constraints, rhs, *, tol=PIVOT_TOL):
         if var < n:
             x[var] = max(tableau[i, -1], 0.0)
     return float(max(objective[-1], 0.0)), x
+
+
+def oracle_joint_exists(marginals):
+    """``povmkit.feasibility.joint_exists`` on a tableau built from the raw rhs, frozen.
+
+    A frozen copy from before the prebuilt phase-1 tableau: the no-signaling
+    gaps from numpy sums (the frozen per-pair loop above), the row-by-row
+    simplex oracle on ``_REDUCED`` and the rhs, and the witness through the
+    public table constructor.  The library must return an equal decision,
+    byte for byte, and raise the same errors.
+    """
+    tol = marginals.tol
+    worst = max(oracle_no_signaling(marginals.tables()).values())
+    if not worst <= tol:
+        raise NoSignalingError(
+            f"single-variable marginals disagree by {worst:.3e}; "
+            "the joint-distribution question is ill-posed"
+        )
+    report = oracle_chsh_value(marginals.tables())
+    chsh_feasible = report.max_abs <= 2.0 + tol
+    boundary = abs(report.max_abs - 2.0) <= max(tol, BOUNDARY_TOL)
+
+    rhs = np.append(marginals.values, 1.0)
+    optimum, x = oracle_phase1_simplex(_REDUCED, rhs.take(_KEEP))
+    residual = float(np.max(np.abs(_EQUATIONS @ x - rhs)))
+    lp_feasible = optimum <= LP_OPT_TOL and residual <= tol
+    if lp_feasible != chsh_feasible and not boundary:
+        raise InternalConsistencyError(
+            f"linear program ({lp_feasible}) and CHSH characterization "
+            f"({chsh_feasible}) disagree; |S|max = {report.max_abs!r}, "
+            f"phase-1 optimum = {optimum!r}"
+        )
+    if lp_feasible:
+        joint = ProbabilityTable(x.reshape(2, 2, 2, 2), axis_labels=((0, 1),) * 4,
+                                 tol=max(tol, residual * 4))
+        return JointDecision(True, boundary, report, joint=joint, residual=residual)
+    return JointDecision(False, boundary, report,
+                         certificate=(report.argmax, dict(report.values)[report.argmax]))
 
 
 def _oracle_interference_projectors(chi):

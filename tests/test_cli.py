@@ -157,12 +157,20 @@ class TestMeasureValidate:
                     "elements do not sum to identity (defect nan)",
                 ],
             ),
+            (
+                [[[1e308, 0.0], [0.0, 0.0]], [[-1e308, 0.0], [0.0, 1.0]]],
+                [
+                    "element 1 is not positive (eigenvalue -1.000e+308)",
+                    "elements do not sum to identity (defect 1.000e+00)",
+                ],
+            ),
         ],
-        ids=["non-positive", "nan-and-non-positive"],
+        ids=["non-positive", "nan-and-non-positive", "near-the-float-limit"],
     )
     def test_invalid_qubit_report_is_pinned(self, capsys, tmp_path, elements, expected):
         # Qubit spectra take a closed form; the report must read as the
-        # eigvalsh route printed it, byte for byte.
+        # eigvalsh route printed it, byte for byte.  Entries near the float
+        # limit must not overflow the Hermitian part (pytest errors on any warning).
         path = tmp_path / "measure.json"
         data = {"elements": [serialize.matrix_to_dict(np.array(e)) for e in elements]}
         serialize.dump_json(data, path)

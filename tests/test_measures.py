@@ -248,6 +248,11 @@ class TestInstrumentModel:
                 random_density_matrix(2, rng), np.eye(4) * 1.5, pointer, object_dim=2
             )
 
+    def test_zero_object_dimension_rejected(self, rng):
+        pointer = PvmMeasure([P0, P1])
+        with pytest.raises(ValidationError, match="object dimension must be positive"):
+            InstrumentModel(random_density_matrix(2, rng), np.eye(2), pointer, object_dim=0)
+
     def test_trivial_coupling_gives_state_independent_povm(self, rng):
         pointer = PvmMeasure([P0, P1])
         apparatus = random_density_matrix(2, rng)
@@ -301,6 +306,13 @@ class TestCompleteness:
 
     def test_tetrahedral_povm_is_complete(self):
         assert is_complete(tetrahedral_qubit_povm())
+
+    def test_tetrahedral_povm_has_its_documented_bloch_vectors(self):
+        # E_k = (I + n_k . sigma) / 4, so Tr(E_k sigma_i) = n_k[i] / 2.
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        bloch = 2.0 * np.real(np.einsum("kab,iba->ki", tetrahedral_qubit_povm().stack(), paulis))
+        signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        assert np.max(np.abs(bloch - signs / np.sqrt(3.0))) < 1e-12
 
     def test_absorber_povm_spans_rank_three(self):
         measure = srt_povm(SrtConfig(0.5))

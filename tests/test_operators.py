@@ -6,6 +6,7 @@ from povmkit import (
     State,
     ValidationError,
     commutator_bound,
+    is_hermitian,
     is_positive,
     is_projector,
     partial_trace,
@@ -41,6 +42,16 @@ class TestPositivity:
 
     def test_non_hermitian_is_not_positive(self):
         assert not is_positive(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_entries_near_the_float_limit_do_not_overflow(self):
+        # A + A^dag overflows at 1e308; the stack is halved before the sum.
+        assert is_hermitian(np.diag([1e308, 1e308]))
+        assert is_positive(np.diag([1e308, 1e308]))
+        assert is_positive(np.full((2, 2), 1e308))
+        assert not is_positive(np.diag([-1e308, 1.0]))
+        # Beyond qubits the Hermitian part goes to eigvalsh.
+        assert is_positive(np.diag([1e308, 1e308, 1e308]))
+        assert not is_positive(np.diag([1e308, -1e308, 1.0]))
 
 
 class TestTensor:
@@ -143,6 +154,18 @@ class TestState:
             build()
 
     @pytest.mark.parametrize(
+        ("matrix", "message"),
+        [
+            (np.diag([1e308, 0.0]), r"state trace \(1e\+308\+0j\) differs from 1"),
+            (np.diag([-1e308, 1.0]), "state has negative eigenvalue -1.000e\\+308"),
+        ],
+        ids=["trace", "negative"],
+    )
+    def test_entries_near_the_float_limit_raise_without_a_warning(self, matrix, message):
+        with pytest.raises(ValidationError, match=message):
+            State(matrix)
+
+    @pytest.mark.parametrize(
         "build",
         [
             lambda: State([[10**400]]),
@@ -162,9 +185,11 @@ class TestState:
 class TestCommutatorBound:
     def test_equal_operators_trivial_bound(self, rng):
         a = random_hermitian(2, rng)
-        result = commutator_bound(a, a, random_density_matrix(2, rng))
+        rho = random_density_matrix(2, rng)
+        result = commutator_bound(a, a, rho)
         assert result.bound == pytest.approx(0.0, abs=1e-12)
-        assert result.product >= 0.0
+        # The product of equal deviations is the variance <A^2> - <A>^2.
+        assert result.product == pytest.approx(rho.expectation(a @ a) - rho.expectation(a) ** 2)
 
     def test_pauli_pair_on_basis_state(self):
         # <sz> = 1 so the bound is 1; both deviations are exactly 1.

@@ -46,7 +46,8 @@ from povmkit import (
     standard_composite,
     tradeoff_sweep,
 )
-from povmkit import InternalConsistencyError, ValidationError, measures, nonideality, serialize
+from povmkit import (InternalConsistencyError, NoSignalingError, ValidationError, feasibility,
+                     measures, nonideality, serialize)
 from povmkit.aspect import _ANGLE_NAMES, _polarization_stack
 from povmkit.cli import main
 from povmkit.feasibility import _KEEP, _REDUCED, phase1_simplex
@@ -67,6 +68,7 @@ from helpers import (
     oracle_is_positive,
     oracle_is_projector,
     oracle_chsh_value,
+    oracle_joint_exists,
     oracle_joint_probabilities,
     oracle_polarization_stack,
     oracle_no_signaling,
@@ -564,6 +566,8 @@ def test_lowest_eigenvalues_beyond_qubits_is_eigvalsh():
         raw = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
         h = raw + np.conj(np.swapaxes(raw, -1, -2))
         assert np.array_equal(_lowest_eigenvalues(h), np.linalg.eigvalsh(h)[:, 0])
+        # A raw stack reads as its Hermitian part, not as its lower triangle.
+        assert np.array_equal(_lowest_eigenvalues(raw), np.linalg.eigvalsh(h / 2.0)[:, 0])
 
 
 # -- (g) the accept-first validator against the per-element oracle ----------
@@ -1006,6 +1010,114 @@ def test_rank1_simplex_is_byte_identical_to_the_row_by_row_oracle(system):
     got = simplex_outcome(phase1_simplex, constraints, rhs)
     assert (constraints.tobytes(), rhs.tobytes()) == before
     assert got == simplex_outcome(oracle_phase1_simplex, constraints, rhs)
+
+
+#: Flat cells of ``MarginalSet.values`` that reach the rhs of the reduced system.
+KEPT_CELLS = tuple(k for k in _KEEP if k < 16)
+
+
+def local_box(rng):
+    """The four tables of a joint with one to four nonzero integer weights: many zero cells."""
+    weights, cells = np.zeros(16), rng.choice(16, size=int(rng.integers(1, 5)), replace=False)
+    weights[cells] = rng.integers(1, 4, size=cells.size)
+    joint = ProbabilityTable((weights / weights.sum()).reshape(2, 2, 2, 2))
+    return MarginalSet.from_quadrivariate(joint).values.copy()
+
+
+def pr_crossing(base):
+    """The PR-box weight at which the mixture with ``base`` (|S| < 2) reaches |S| = 2."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        if chsh_value(mix_marginals(pr_box_marginals(), base, mid)).max_abs < 2.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def fine_boxes(draw):
+    """Raw ``(4, 2, 2)`` boxes for the Fine decision, each kind aimed at one route.
+
+    ``negative`` moves a kept zero cell to ``-0.9 tol`` with margins kept, so
+    its simplex row is negated; ``signed zero`` writes zero cells as -0.0;
+    ``near boundary`` is a PR mixture within about 1e-6 of |S| = 2;
+    ``signaling`` draws four unrelated tables; ``mixture`` is a PR mixture at
+    any weight.
+    """
+    kind = draw(st.sampled_from(["negative", "signed zero", "near boundary", "signaling", "mixture"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "signaling":
+        return rng.dirichlet(np.ones(4), size=4).reshape(4, 2, 2)
+    if kind == "mixture":
+        weight = draw(st.floats(0.0, 1.0))
+        return mix_marginals(pr_box_marginals(), random_no_signaling_marginals(rng), weight).values
+    if kind == "near boundary":
+        base = random_no_signaling_marginals(rng)
+        assume(chsh_value(base).max_abs < 2.0)
+        weight = pr_crossing(base) + draw(st.floats(-1.5e-7, 1.5e-7))
+        return mix_marginals(pr_box_marginals(), base, weight).values
+    box = local_box(rng)
+    if kind == "signed zero":
+        box[box == 0.0] = -0.0
+        return box
+    zeros = [k for k in KEPT_CELLS if box.flat[k] == 0.0]
+    assume(zeros)
+    k = zeros[draw(st.integers(0, len(zeros) - 1))]
+    t, i, j = np.unravel_index(k, box.shape)
+    # A +-e pattern on one table keeps its row and column sums.
+    pattern = np.array([[1.0, -1.0], [-1.0, 1.0]]) * (1.0 if i != j else -1.0)
+    box[t] += 0.9 * TOL * pattern
+    return box
+
+
+def decision_outcome(decide, marginals):
+    """A decision as reprs and bytes, so -0.0 differs from 0.0, or the error raised."""
+    try:
+        d = decide(marginals)
+    except (InternalConsistencyError, NoSignalingError) as exc:
+        return type(exc), str(exc)
+    joint = None if d.joint is None else (
+        d.joint.values.tobytes(), d.joint.shape, d.joint.values.flags.writeable,
+        d.joint.axis_labels, repr(d.joint.tol))
+    return d.feasible, d.boundary, repr(d.chsh), joint, repr(d.residual), repr(d.certificate)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(box=fine_boxes())
+@example(box=SIGNED_ZERO_BOX)
+def test_fine_decision_is_byte_identical_to_the_frozen_oracle(box):
+    marginals = MarginalSet(*box, tol=TOL)
+    # Whichever route set it up, the tableau pivoted is the one phase1_simplex builds.
+    pivoted = []
+    with pytest.MonkeyPatch.context() as patch:
+        pivot = feasibility._pivot
+        patch.setattr(feasibility, "_pivot",
+                      lambda tableau, *args: pivoted.append(tableau.tobytes()) or pivot(tableau, *args))
+        got = decision_outcome(joint_exists, marginals)
+    assert got == decision_outcome(oracle_joint_exists, marginals)
+    if pivoted:
+        rhs = np.append(marginals.values, 1.0).take(_KEEP)
+        assert pivoted == [feasibility._phase1_tableau(_REDUCED, rhs).tobytes()]
+
+
+def test_nonnegative_boxes_never_build_a_tableau(monkeypatch):
+    # Every nonnegative rhs shares the prebuilt tableau; it is copied, never written.
+    def refuse(*args):
+        raise AssertionError("the generic tableau setup ran")
+
+    monkeypatch.setattr(feasibility, "_phase1_tableau", refuse)
+    template = feasibility._TABLEAU
+    before = template.tobytes()
+    rng = np.random.default_rng(19)
+    boxes = [SIGNED_ZERO_BOX, local_box(rng)] + [
+        mix_marginals(pr_box_marginals(), random_no_signaling_marginals(rng), w).values
+        for w in np.linspace(0.0, 1.0, 30)]
+    decisions = [joint_exists(MarginalSet(*box)) for box in boxes]
+    assert {d.feasible for d in decisions} == {True, False}
+    assert feasibility._TABLEAU is template and not template.flags.writeable
+    assert template.tobytes() == before
 
 
 # -- (n) unitary covariance and the smearing round trip ------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povmkit import InternalConsistencyError, ValidationError
-from povmkit import srt
+from povmkit import nonideality, srt
 from povmkit.srt import (
     SrtConfig,
     interference_nonideality_entropy,
@@ -205,6 +205,22 @@ class TestTradeoffSweep:
 
     def test_empty_grid(self):
         assert tradeoff_sweep([]) == []
+
+    @pytest.mark.parametrize("chi", PHASES + (-2.3,))
+    def test_whole_stack_exits_accept_the_sweep(self, monkeypatch, chi):
+        # The solver and the stochasticity check each accept the sweep's whole
+        # stack in one call; a call per matrix would mean an exit stopped
+        # accepting, which only speed would otherwise show.
+        calls = []
+        for name in ("_candidates_accept", "_stochastic_accepts"):
+            def recorded(matrices, tol, name=name, accepts=getattr(nonideality, name)):
+                calls.append((name, matrices.shape, accepts(matrices, tol)))
+                return calls[-1][-1]
+
+            monkeypatch.setattr(nonideality, name, recorded)
+        tradeoff_sweep(np.linspace(0.0, 1.0, 101), chi=chi)
+        assert calls == [("_candidates_accept", (2, 101, 2, 2), True),
+                         ("_stochastic_accepts", (202, 2, 2), True)]
 
     def test_drift_names_the_first_failing_absorber(self, monkeypatch):
         path_entropy = srt._path_entropy
