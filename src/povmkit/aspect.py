@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .measures import PovmMeasure, PvmMeasure, _born_floor, _stack_violations
-from .operators import DEFAULT_TOL, State, tensor
+from .operators import DEFAULT_TOL, State
 from .tables import ProbabilityTable, _check_tables
 
 #: The four limiting mirror settings of the standard experiments, paired with
@@ -170,11 +170,12 @@ class AspectConfig:
 def quadrivariate_povm(config: AspectConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
     """Product POVM of the two arm arrangements, indexed ``(m1, n1, m2, n2)``.
 
-    Built only on request; the joint tables use the product structure instead.
+    Built only on request, as one ``einsum`` of the two arm stacks; the joint
+    tables use the product structure instead.
     """
     arm1 = arm_povm(config.gamma1, config.theta1, config.theta1p, tol)
     arm2 = arm_povm(config.gamma2, config.theta2, config.theta2p, tol)
-    elements = [tensor(e1, e2) for e1 in arm1.elements for e2 in arm2.elements]
+    elements = np.einsum("iab,jcd->ijacbd", arm1.stack(), arm2.stack()).reshape(16, 4, 4)
     labels = tuple(l1 + l2 for l1 in arm1.labels for l2 in arm2.labels)
     return PovmMeasure(elements, labels=labels, index_shape=(2, 2, 2, 2), tol=tol)
 

@@ -1,14 +1,16 @@
 """Nonideal-measurement relations between measures and the Martens bound.
 
-One measure is a nonideal (smeared) version of another when every observed
-element decomposes as ``M_i = sum_j lambda_ij N_j`` with a column-stochastic
-nonnegative matrix ``lambda``.  This module solves for that matrix, quantifies
-the smearing with an average row entropy, and checks the state-independent
-complementarity bound on joint nonideal measurements of two maximal PVMs.
-The solve is batched over problems, each many observed measures against one
-target: the trace form for PVM targets (a diagonal Gram stack), otherwise one
-batched pseudo-inverse.  A stack that whole-stack checks accept returns as it
-is; only a rejected one is checked per measure, with the constrained fallback.
+One measure is a nonideal (smeared) version of a standard observable, a PVM,
+when every observed element decomposes as ``M_i = sum_j lambda_ij P_j`` with
+a column-stochastic nonnegative matrix ``lambda``.  This module solves for that
+matrix, quantifies the smearing with an average row entropy, and checks the
+state-independent complementarity bound on joint nonideal measurements of two
+maximal PVMs (H. Martens and W. M. de Muynck, Found. Phys. 20, 255, 1990).
+Against a PVM the least-squares solve is the trace form
+``Tr(M_i P_j) / Tr(P_j P_j)``.  For any observed POVM its entries are
+nonnegative and its columns sum to one within the measures' tolerance, so it
+is also the constrained optimum, with no iteration.  The solve is batched over
+problems, each many observed measures against one target.
 """
 
 from __future__ import annotations
@@ -29,12 +31,6 @@ from .operators import DEFAULT_TOL, _as_array
 #: Residual above which a solved decomposition is flagged as *not* an exact
 #: nonideal-measurement relation; the floor of ``NonidealityMatrix.is_exact``.
 DECOMPOSITION_TOL = 1e-8
-#: Iteration cap of the active-set program behind the constrained solve; a
-#: program still moving after this many steps raises instead of returning.
-QP_MAX_ITERATIONS = 200
-#: Bound multipliers at or above ``-KKT_TOL`` stop the active-set program, whose
-#: exit point must meet its KKT conditions within ``max(tol, KKT_TOL)``.
-KKT_TOL = 1e-10
 
 
 def _stochastic_accepts(matrices: np.ndarray, tol: float) -> bool:
@@ -113,152 +109,69 @@ def apply_nonideality(target: PovmMeasure, matrix, labels=None, *, tol: float = 
     return PovmMeasure(elements, labels=labels, tol=tol)
 
 
-def _stochastic_least_squares(gram: np.ndarray, cross: np.ndarray, tol: float) -> np.ndarray:
-    """Minimize the decomposition misfit over column-stochastic nonnegative matrices.
-
-    Primal active-set iteration on the quadratic program with Hessian
-    ``I (x) gram``, equality constraints fixing each column sum to one, and
-    nonnegativity bounds.  Problem sizes here are tiny (at most a few dozen
-    unknowns), so dense KKT solves are exact enough.  The exit point must meet
-    the KKT conditions within ``max(tol, KKT_TOL)``, or the solve raises.
-    """
-    n_rows, n_cols = cross.shape
-    n_vars = n_rows * n_cols
-    hessian = np.kron(np.eye(n_rows), gram)
-    linear = cross.reshape(-1)
-    eq = np.zeros((n_cols, n_vars))
-    for j in range(n_cols):
-        eq[j, j::n_cols] = 1.0
-
-    x = np.full(n_vars, 1.0 / n_rows)
-    active: set[int] = set()
-    for _ in range(QP_MAX_ITERATIONS):
-        free = np.array(sorted(set(range(n_vars)) - active), dtype=int)
-        kkt = np.zeros((free.size + n_cols, free.size + n_cols))
-        kkt[: free.size, : free.size] = hessian[np.ix_(free, free)]
-        kkt[: free.size, free.size:] = eq[:, free].T
-        kkt[free.size:, : free.size] = eq[:, free]
-        gradient = hessian @ x - linear
-        rhs = np.concatenate([-gradient[free], np.zeros(n_cols)])
-        solution, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        step = np.zeros(n_vars)
-        step[free] = solution[: free.size]
-        multipliers = solution[free.size:]
-
-        if float(np.max(np.abs(step), initial=0.0)) <= 1e-12:
-            if not active:
-                break
-            bound_multipliers = gradient + eq.T @ multipliers
-            worst = min(active, key=lambda k: bound_multipliers[k])
-            if bound_multipliers[worst] >= -KKT_TOL:
-                break
-            active.remove(worst)
-            continue
-
-        alpha = 1.0
-        blocking = None
-        for k in free:
-            if step[k] < -1e-14:
-                limit = -x[k] / step[k]
-                if limit < alpha:
-                    alpha = limit
-                    blocking = int(k)
-        x = x + alpha * step
-        if blocking is not None:
-            x[blocking] = 0.0
-            active.add(blocking)
-        elif alpha >= 1.0:
-            # Full step taken with no blocking bound; loop once more to
-            # confirm stationarity or release an active bound.
-            continue
-    else:
-        raise InternalConsistencyError(
-            f"constrained decomposition did not converge in {QP_MAX_ITERATIONS} active-set steps"
-        )
-    bound_multipliers = gradient + eq.T @ multipliers
-    primal = np.maximum(-x.min(), np.abs(eq @ x - 1.0).max())
-    stationarity = np.abs(bound_multipliers[free]).max(initial=0.0)
-    slackness = np.maximum(-bound_multipliers.min(), np.abs(x * bound_multipliers).max())
-    if not np.max([primal, stationarity, slackness]) <= max(tol, KKT_TOL):
-        raise InternalConsistencyError(
-            f"constrained decomposition stopped off its KKT conditions (primal {primal:.3e}, "
-            f"stationarity {stationarity:.3e}, complementary slackness {slackness:.3e})"
-        )
-    return np.clip(x, 0.0, None).reshape(n_rows, n_cols)
-
-
-def _is_diagonal(gram: np.ndarray, tol: float) -> bool:
-    """True when every off-diagonal ``|G_jk| <= tol`` and every ``G_jj > tol`` in a Gram stack."""
-    return bool(((np.abs(gram) > tol) == np.eye(gram.shape[-1], dtype=bool)).all())
-
-
-def _candidates_accept(candidates: np.ndarray, tol: float) -> bool:
-    """True when an ``(..., I, J)`` stack of solved matrices needs no constrained fallback.
-
-    Every entry must be ``>= -tol`` and every column sum within ``tol`` of 1; a NaN entry fails.
-    """
-    return bool(candidates.min() >= -tol
-                and np.abs(np.einsum("...ij->...j", candidates) - 1.0).max() <= tol)
-
-
-def _solve_stack(observed: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray:
-    """Nonideality matrices of ``(..., N, I, d, d)`` stacks of observed measures.
+def _solve_stack(observed: np.ndarray, target: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trace-form nonideality matrices of ``(..., N, I, d, d)`` stacks of observed measures.
 
     Each leading index ``...`` is one problem: its N observed measures share
-    one ``(..., J, d, d)`` target.  A Gram stack diagonal at ``tol`` (PVM
-    targets with no zero element) gives the trace form ``Tr(M_i N_j) / Tr(N_j N_j)``;
-    any other takes one batched pseudo-inverse.  A whole stack nonnegative with
-    unit column sums within ``tol`` returns at once; otherwise each failing
-    matrix falls back to the constrained program.  Returns ``(..., N, I, J)``.
+    one ``(..., J, d, d)`` PVM target.  Entry ``(i, j)`` is ``Tr(M_i P_j) / G_jj``,
+    with ``G_jj`` read from the diagonal of the full target Gram matrix; a
+    diagonal-only ``einsum`` or ``Tr(P_j)`` rounds differently.  An element with ``G_jj <= tol`` is a zero projector; its column is the
+    uniform ``1 / I``.  Returns the ``(..., N, I, J)`` matrices and the
+    ``(..., J)`` mask of zero elements.
     """
     gram = np.real(np.einsum("...jab,...kba->...jk", target, target))
+    norms = np.diagonal(gram, axis1=-2, axis2=-1)[..., None, None, :]
     cross = np.real(np.einsum("...niab,...jba->...nij", observed, target))
-    if _is_diagonal(gram, tol):
-        candidates = cross / np.diagonal(gram, axis1=-2, axis2=-1)[..., None, None, :]
-    else:
-        candidates = cross @ np.linalg.pinv(gram, hermitian=True)[..., None, :, :]
-    if _candidates_accept(candidates, tol):
-        return candidates
-    for index in np.ndindex(candidates.shape[:-2]):
-        if not _candidates_accept(candidates[index], tol):
-            candidates[index] = _stochastic_least_squares(gram[index[:-1]], cross[index], tol)
-    return candidates
+    zero = norms <= tol
+    matrices = np.where(zero, 1.0 / cross.shape[-2], cross / np.where(zero, 1.0, norms))
+    return matrices, zero[..., 0, 0, :]
 
 
-def solve_nonideality(observed: PovmMeasure, target: PovmMeasure) -> NonidealityMatrix:
-    """Find the nonideality matrix expressing ``observed`` in terms of ``target``.
+def solve_nonideality(observed: PovmMeasure, target: PvmMeasure) -> NonidealityMatrix:
+    """Find the nonideality matrix expressing ``observed`` in terms of a PVM ``target``.
 
-    Minimizes ``sum_i || M_i - sum_j lambda_ij N_j ||**2`` in Hilbert-Schmidt
-    norm subject to ``lambda >= 0`` and unit column sums.  For a PVM target
-    with no zero element it is the trace form ``Tr(M_i P_j) / Tr(P_j)``.  Else
-    the Gram pseudo-inverse recovers exact decompositions onto independent
-    targets, and a constrained program supplies the best feasible approximation
-    where that solve leaves the constraints.  A residual above the exactness
-    threshold flags the result as not being a nonideal measurement of the target.
+    Solves ``M_i = sum_j lambda_ij P_j`` in the trace form
+    ``lambda_ij = Tr(M_i P_j) / Tr(P_j P_j)``.  For any observed POVM it is
+    nonnegative with unit column sums, and it minimizes
+    ``sum_i || M_i - sum_j lambda_ij P_j ||**2`` in Hilbert-Schmidt norm.  A
+    zero element of the target (``Tr(P_j P_j) <= tol``) constrains nothing;
+    its column is the uniform ``1 / I`` over the ``I`` observed outcomes.  A
+    residual above the exactness threshold flags the result as not being a
+    nonideal measurement of the target.
 
     Returns
     -------
     NonidealityMatrix
         Checked at the larger ``tol`` of the two measures, with ``residual`` the
-        Hilbert-Schmidt misfit and ``unique`` False when linearly dependent
-        targets left the minimum-norm choice arbitrary.
+        Hilbert-Schmidt misfit and ``unique`` False when a zero target element
+        left its column arbitrary.
+
+    Raises
+    ------
+    UnsupportedMeasureError
+        If ``target`` is not a ``PvmMeasure``.
+    DimensionMismatchError
+        If the two measures act on spaces of different dimension.
     """
+    if not isinstance(target, PvmMeasure):
+        raise UnsupportedMeasureError(
+            f"target must be a PVM, not a {type(target).__name__}; "
+            "nonideality is solved against standard observables only"
+        )
     if observed.dim != target.dim:
         raise DimensionMismatchError(
             f"observed dimension {observed.dim} does not match target dimension {target.dim}"
         )
     tol = max(observed.tol, target.tol)
     targets = target.stack()
-    matrix = _solve_stack(observed.stack()[None], targets, tol)[0]
+    (matrix,), zero = _solve_stack(observed.stack()[None], targets, tol)
     misfit = observed.stack() - np.einsum("ij,jab->iab", matrix, targets)
-    gram = np.real(np.einsum("jab,kba->jk", targets, targets))
-    unique = _is_diagonal(gram, tol) or np.linalg.matrix_rank(gram, hermitian=True) == len(gram)
     return NonidealityMatrix(
         matrix,
         row_labels=tuple(observed.labels),
         col_labels=tuple(target.labels),
         residual=float(np.linalg.norm(misfit)),
-        unique=bool(unique),
+        unique=not zero.any(),
         tol=tol,
     )
 

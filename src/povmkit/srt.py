@@ -227,7 +227,7 @@ def tradeoff_sweep(
     # so in C order every path matrix is checked before any interference one.
     marginals = np.stack([cells[:, :, 0] + cells[:, :, 1], cells[:, 0] + cells[:, 1]])
     targets = np.stack([_PATH_PVM.stack(), target_interference.stack()])
-    matrices = _solve_stack(marginals, targets, tol)
+    matrices, _ = _solve_stack(marginals, targets, tol)
     failure = _stochastic_violation(matrices.reshape(-1, 2, 2), tol)
     if failure is not None:
         n, message = failure

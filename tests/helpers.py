@@ -10,8 +10,10 @@ from povmkit import (
     JointDecision,
     NoSignalingError,
     ProbabilityTable,
+    PovmMeasure,
     PvmMeasure,
     ValidationError,
+    arm_povm,
     bell_state,
     srt,
 )
@@ -35,11 +37,10 @@ from povmkit.measures import _stack_violations
 from povmkit.nonideality import (
     _row_entropy,
     _solve_stack,
-    _stochastic_least_squares,
     _stochastic_violation,
     martens_bound,
 )
-from povmkit.operators import DEFAULT_TOL, as_operator
+from povmkit.operators import DEFAULT_TOL, as_operator, tensor
 
 TSIRELSON_ANGLES = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -72,6 +73,20 @@ def oracle_arm(gamma, theta, theta_p):
     (d_plus, d_minus), (r_plus, r_minus) = analyzer(theta), analyzer(theta_p)
     return np.array([np.zeros((2, 2), dtype=complex), gamma * d_plus, (1.0 - gamma) * r_plus,
                      gamma * d_minus + (1.0 - gamma) * r_minus])
+
+
+def oracle_quadrivariate_povm(config, tol=DEFAULT_TOL):
+    """The product POVM of the two arms, built one ``tensor`` call per element.
+
+    A frozen copy of ``povmkit.aspect.quadrivariate_povm`` before it formed the
+    16 products in one ``einsum``.  The two agree by value; ``np.kron`` may give
+    some zero entries the other sign.
+    """
+    arm1 = arm_povm(config.gamma1, config.theta1, config.theta1p, tol)
+    arm2 = arm_povm(config.gamma2, config.theta2, config.theta2p, tol)
+    elements = [tensor(e1, e2) for e1 in arm1.elements for e2 in arm2.elements]
+    labels = tuple(l1 + l2 for l1 in arm1.labels for l2 in arm2.labels)
+    return PovmMeasure(elements, labels=labels, index_shape=(2, 2, 2, 2), tol=tol)
 
 
 def oracle_polarization_stack(angles, names):
@@ -235,21 +250,18 @@ def oracle_table_check(values, tol=DEFAULT_TOL):
 
 
 def oracle_solve_stack(observed, target, tol):
-    """Batched pseudo-inverse solve with a per-measure constrained fallback.
+    """Nonideality matrices from one batched Gram pseudo-inverse.
 
-    A frozen copy of ``povmkit.nonideality._solve_stack`` before it gained the
-    trace form for diagonal Gram stacks and its whole-stack accept test: the
-    oracle the trace form must agree with on PVM targets.
+    An independent reference for ``povmkit.nonideality._solve_stack``: the
+    minimum-norm least-squares solve, with no trace form.  On a PVM target with
+    no zero element it is column-stochastic, and the trace form must agree
+    with it; a result that is not stochastic within ``tol`` raises.
     """
     gram = np.real(np.einsum("...jab,...kba->...jk", target, target))
     cross = np.real(np.einsum("...niab,...jba->...nij", observed, target))
-
     candidates = cross @ np.linalg.pinv(gram, hermitian=True)[..., None, :, :]
-    feasible = (candidates.min(axis=(-2, -1)) >= -tol) & (
-        np.abs(candidates.sum(axis=-2) - 1.0).max(axis=-1) <= tol
-    )
-    for index in map(tuple, np.argwhere(~feasible)):
-        candidates[index] = _stochastic_least_squares(gram[index[:-1]], cross[index], tol)
+    if not (candidates.min() >= -tol and np.abs(candidates.sum(axis=-2) - 1.0).max() <= tol):
+        raise InternalConsistencyError("the pseudo-inverse reference is not column-stochastic")
     return candidates
 
 
@@ -333,19 +345,6 @@ def oracle_setting_pair_tables(joint):
             labels = tuple(joint.axis_labels[ax] for ax in keep)
         found.append((np.asarray(joint.values.sum(axis=drop)), labels))
     return found
-
-
-def count_calls(monkeypatch, owner, name):
-    """Wrap ``owner.name`` so that each call is recorded; returns the record."""
-    calls = []
-    function = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return function(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 def oracle_phase1_simplex(constraints, rhs, *, tol=PIVOT_TOL):
@@ -504,7 +503,7 @@ def oracle_tradeoff_sweep(grid, chi=0.0, *, tol=DEFAULT_TOL):
 
     marginals = np.stack([cells.sum(axis=2), cells.sum(axis=1)])
     targets = np.stack([srt._PATH_PVM.stack(), target_interference.stack()])
-    matrices = _solve_stack(marginals, targets, tol)
+    matrices, _ = _solve_stack(marginals, targets, tol)
     failure = _stochastic_violation(matrices.reshape(-1, 2, 2), tol)
     if failure is not None:
         n, message = failure

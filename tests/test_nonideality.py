@@ -3,7 +3,6 @@ import pytest
 
 from povmkit import (
     DimensionMismatchError,
-    InternalConsistencyError,
     NonidealityMatrix,
     PovmMeasure,
     PvmMeasure,
@@ -14,6 +13,7 @@ from povmkit import (
     martens_bound,
     nonideality_entropy,
     solve_nonideality,
+    tetrahedral_qubit_povm,
 )
 from povmkit.srt import (
     SrtConfig,
@@ -26,7 +26,6 @@ from povmkit.srt import (
 from povmkit import nonideality
 from povmkit.sampling import random_basis_pvm
 
-from helpers import count_calls
 
 LN2 = np.log(2.0)
 
@@ -115,120 +114,56 @@ class TestSolver:
         assert np.max(np.abs(result.matrix.sum(axis=0) - 1.0)) < 1e-9
 
     def test_dependent_targets_flagged_non_unique(self):
-        halves = PovmMeasure([0.5 * np.eye(2), 0.5 * np.eye(2)])
-        result = solve_nonideality(halves, halves)
+        # A zero element of a PVM target is linearly dependent on the others and
+        # constrains nothing: its column is exactly 1 / I, the other columns keep
+        # the trace form, and the exact decomposition is flagged not unique.
+        observed = PovmMeasure([np.diag([0.5, 0.0]), np.diag([0.5, 0.0]), np.diag([0.0, 1.0])])
+        target = PvmMeasure([np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([0.0, 1.0])])
+        result = solve_nonideality(observed, target)
         assert not result.unique
-        assert result.is_exact
+        assert result.residual == 0.0
+        assert result.matrix.tolist() == [[0.5, 1 / 3, 0.0], [0.5, 1 / 3, 0.0], [0.0, 1 / 3, 1.0]]
 
-    def test_dependent_targets_take_the_constrained_path(self):
-        # The third target element is the sum of the first two, so the Gram
-        # matrix is singular and its minimum-norm solve is not stochastic.
-        # The expected entries are the solver's output before the Gram
-        # solve was stacked, pinned to the last bit.
-        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        target = PovmMeasure([0.5 * p0, 0.5 * p1, 0.5 * np.eye(2)])
-        result = solve_nonideality(path_pvm(), target)
+    def test_pvm_with_a_zero_element_keeps_the_pseudo_inverse(self):
+        # A zero projector has a zero Gram diagonal entry: the minimum-norm
+        # (pseudo-inverse) solve fixes every other column and leaves its column
+        # free; the trace form must agree with that reference there and fill
+        # the free column uniformly, so the matrix stays stochastic.
+        observed = path_pvm()
+        target = PvmMeasure([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))])
+        result = solve_nonideality(observed, target)
+        target_stack = target.stack()
+        gram = np.einsum("jab,kba->jk", target_stack, target_stack).real
+        overlaps = np.einsum("iab,jba->ij", observed.stack(), target_stack).real
+        reference = overlaps @ np.linalg.pinv(gram)
+        assert np.max(np.abs(result.matrix[:, :2] - reference[:, :2])) < 1e-12
+        assert result.matrix[:, 2].tolist() == [0.5, 0.5]
         assert not result.unique
-        assert not result.is_exact
-        assert result.residual == 0.5
-        expected = [[0.9999999999999999, 0.0, 0.5000000000000002], [0.0, 1.0000000000000002, 0.5]]
-        assert result.matrix.tolist() == expected
+        assert result.matrix.min() >= -1e-9
+        assert np.max(np.abs(result.matrix.sum(axis=0) - 1.0)) < 1e-9
+
+    def test_povm_target_is_unsupported(self):
+        for target in (PovmMeasure([0.5 * np.eye(2), 0.5 * np.eye(2)]), tetrahedral_qubit_povm()):
+            with pytest.raises(UnsupportedMeasureError) as excinfo:
+                solve_nonideality(path_pvm(), target)
+            assert str(excinfo.value) == (
+                "target must be a PVM, not a PovmMeasure; "
+                "nonideality is solved against standard observables only"
+            )
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             solve_nonideality(random_basis_pvm(2, rng), random_basis_pvm(3, rng))
 
-    def test_unconverged_constrained_path_raises(self, monkeypatch):
-        # The dependent-target case above needs several active-set steps; a
-        # cap below that must surface as an error, not a silent result.
-        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        target = PovmMeasure([0.5 * p0, 0.5 * p1, 0.5 * np.eye(2)])
-        monkeypatch.setattr(nonideality, "QP_MAX_ITERATIONS", 1)
-        with pytest.raises(InternalConsistencyError, match="did not converge"):
-            solve_nonideality(path_pvm(), target)
-
-    def test_constrained_exit_off_kkt_raises(self, monkeypatch):
-        # A KKT solve that returns no step stops the program at its starting
-        # point, the uniform matrix: feasible, but not stationary.
-        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        target = PovmMeasure([0.5 * p0, 0.5 * p1, 0.5 * np.eye(2)])
-
-        def no_step(matrix, rhs, rcond=None):
-            return np.zeros(matrix.shape[1]), np.zeros(0), 0, np.zeros(0)
-
-        monkeypatch.setattr(np.linalg, "lstsq", no_step)
-        with pytest.raises(InternalConsistencyError, match="KKT conditions"):
-            solve_nonideality(path_pvm(), target)
-
     def test_constrained_path_still_feasible(self, rng):
-        # Observed measures that are not smeared versions of the target push
-        # the solver onto the constrained path; invariants must still hold.
+        # Observed measures that are not smeared versions of the target still
+        # get a nonnegative matrix with unit column sums from the trace form.
         for _ in range(20):
             observed = random_basis_pvm(2, rng)
             target = random_basis_pvm(2, rng)
             result = solve_nonideality(observed, target)
             assert result.matrix.min() >= -1e-9
             assert np.max(np.abs(result.matrix.sum(axis=0) - 1.0)) < 1e-7
-
-    def test_non_orthogonal_targets_reach_the_constrained_program(self, monkeypatch, rng):
-        # The tetrahedral Gram matrix is not diagonal, so the pseudo-inverse
-        # runs, and its solve against a random basis is not stochastic.
-        from povmkit import tetrahedral_qubit_povm
-
-        pinv = count_calls(monkeypatch, np.linalg, "pinv")
-        qp = count_calls(monkeypatch, nonideality, "_stochastic_least_squares")
-        result = solve_nonideality(random_basis_pvm(2, rng), tetrahedral_qubit_povm())
-        assert len(pinv) == 1
-        assert len(qp) >= 1
-        assert result.matrix.min() >= -1e-9
-        assert np.max(np.abs(result.matrix.sum(axis=0) - 1.0)) < 1e-9
-
-    def test_pvm_with_a_zero_element_keeps_the_pseudo_inverse(self, monkeypatch):
-        # A zero projector has a zero Gram diagonal entry: no trace form, and
-        # its column, zero after the solve, needs the constrained program.
-        target = PvmMeasure([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))])
-        pinv = count_calls(monkeypatch, np.linalg, "pinv")
-        result = solve_nonideality(path_pvm(), target)
-        assert len(pinv) == 1
-        assert not result.unique
-        assert result.matrix.min() >= -1e-9
-        assert np.max(np.abs(result.matrix.sum(axis=0) - 1.0)) < 1e-9
-
-    def test_constrained_path_matches_slsqp_oracle(self, rng):
-        # Non-orthogonal targets make the unconstrained Gram solve leave the
-        # feasible set, forcing the active-set program.  Its optimum must
-        # match an independent general-purpose solver.
-        from scipy.optimize import minimize
-
-        from povmkit import tetrahedral_qubit_povm
-
-        target = tetrahedral_qubit_povm()
-        target_stack = target.stack()
-        for _ in range(5):
-            observed = random_basis_pvm(2, rng)
-            observed_stack = observed.stack()
-            result = solve_nonideality(observed, target)
-            assert result.matrix.min() >= -1e-9
-            assert np.max(np.abs(result.matrix.sum(axis=0) - 1.0)) < 1e-9
-
-            def objective(x):
-                lam = x.reshape(2, 4)
-                misfit = observed_stack - np.einsum("ij,jab->iab", lam, target_stack)
-                return float(np.sum(np.abs(misfit) ** 2))
-
-            constraints = [
-                {"type": "eq", "fun": (lambda x, j=j: x.reshape(2, 4)[:, j].sum() - 1.0)}
-                for j in range(4)
-            ]
-            reference = minimize(
-                objective,
-                np.full(8, 0.5),
-                bounds=[(0.0, None)] * 8,
-                constraints=constraints,
-                method="SLSQP",
-                options={"maxiter": 500, "ftol": 1e-14},
-            )
-            assert objective(result.matrix.reshape(-1)) <= objective(reference.x) + 1e-8
 
 
 class TestEntropy:

@@ -208,19 +208,19 @@ class TestTradeoffSweep:
 
     @pytest.mark.parametrize("chi", PHASES + (-2.3,))
     def test_whole_stack_exits_accept_the_sweep(self, monkeypatch, chi):
-        # The solver and the stochasticity check each accept the sweep's whole
-        # stack in one call; a call per matrix would mean an exit stopped
-        # accepting, which only speed would otherwise show.
+        # The stochasticity check accepts the sweep's whole stack in one call;
+        # a call per matrix would mean the exit stopped accepting, which only
+        # speed would otherwise show.  The trace-form solve itself checks nothing.
         calls = []
-        for name in ("_candidates_accept", "_stochastic_accepts"):
-            def recorded(matrices, tol, name=name, accepts=getattr(nonideality, name)):
-                calls.append((name, matrices.shape, accepts(matrices, tol)))
-                return calls[-1][-1]
+        accepts = nonideality._stochastic_accepts
 
-            monkeypatch.setattr(nonideality, name, recorded)
+        def recorded(matrices, tol):
+            calls.append((matrices.shape, accepts(matrices, tol)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(nonideality, "_stochastic_accepts", recorded)
         tradeoff_sweep(np.linspace(0.0, 1.0, 101), chi=chi)
-        assert calls == [("_candidates_accept", (2, 101, 2, 2), True),
-                         ("_stochastic_accepts", (202, 2, 2), True)]
+        assert calls == [((202, 2, 2), True)]
 
     def test_drift_names_the_first_failing_absorber(self, monkeypatch):
         path_entropy = srt._path_entropy
@@ -238,11 +238,11 @@ class TestTradeoffSweep:
         solve = srt._solve_stack
 
         def corrupted(observed, target, tol):
-            matrices = solve(observed, target, tol)
+            matrices, zero = solve(observed, target, tol)
             for problem, elements in enumerate(target):
                 n = 2 if np.array_equal(elements, path_pvm().stack()) else 0
                 matrices[problem, n, 0, 0] -= 1e-3
-            return matrices
+            return matrices, zero
 
         monkeypatch.setattr(srt, "_solve_stack", corrupted)
         with pytest.raises(ValidationError, match=r"absorber=0\.75\b.*columns must sum"):
