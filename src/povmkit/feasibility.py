@@ -2,12 +2,11 @@
 
 Four tables over the setting pairs (A, B), (A, B'), (A', B), (A', B') admit a
 joint distribution over (A, A', B, B') reproducing them as marginals exactly
-when all eight CHSH combinations stay within [-2, 2].  This module decides the
-question constructively with a small exact linear program (16 variables,
-phase-1 simplex with Bland's rule) and cross-asserts the decision against the
-independently computed CHSH characterization; any disagreement outside the
-declared boundary band is a hard error, not a tolerance issue.  A
-:class:`MarginalSet` holds the four tables as one ``(4, 2, 2)`` array.
+when all eight CHSH combinations stay within [-2, 2].  This module decides it
+with a phase-1 simplex (Bland's rule) over the 16 joint cells, cross-asserted
+against CHSH outside the boundary band.  Both judge a box valid at ``tol`` by
+its nearest nonnegative white-noise mixture.  A :class:`MarginalSet` holds the
+four tables as one ``(4, 2, 2)`` array.
 """
 
 from __future__ import annotations
@@ -240,8 +239,8 @@ _EQUATIONS = _equation_matrix()
 #: sorted pivots of a column-pivoted QR of its transpose.
 _KEEP = (1, 3, 5, 6, 7, 9, 12, 13, 16)
 _REDUCED = _EQUATIONS.take(_KEEP, axis=0)
-#: The phase-1 tableau of ``_REDUCED`` at a zero rhs, which every nonnegative rhs shares
-#: but for its rhs column and objective.
+#: The phase-1 tableau of ``_REDUCED`` at a zero rhs, which every Fine system shares but
+#: for its rhs column and objective, since its rhs is never negative.
 _TABLEAU = _phase1_tableau(_REDUCED, np.zeros(len(_KEEP)))
 _TABLEAU.setflags(write=False)
 
@@ -250,10 +249,11 @@ _TABLEAU.setflags(write=False)
 class JointDecision:
     """Outcome of the joint-distribution search.
 
-    ``joint`` is a witness distribution over (A, A', B, B') when feasible;
-    ``certificate`` is the violated CHSH sign placement and its value when
-    not.  ``boundary`` marks inputs within ``BOUNDARY_TOL`` of the feasibility
-    boundary, where the two characterizations may legitimately split.
+    ``feasible`` and ``boundary`` judge the box's nearest nonnegative white-noise
+    mixture (see :func:`joint_exists`).  ``joint`` is a witness distribution over
+    (A, A', B, B') reproducing the box when feasible; ``certificate`` is the violated
+    CHSH sign placement of the box and its value when not.  ``boundary`` marks mixtures
+    within ``max(tol, BOUNDARY_TOL)`` of |S| = 2, where the two routes may legitimately split.
     """
 
     feasible: bool
@@ -267,9 +267,10 @@ class JointDecision:
 def joint_exists(marginals: MarginalSet) -> JointDecision:
     """Decide whether a joint distribution reproduces all four marginals.
 
-    Runs the phase-1 linear program on the rank-reduced marginal equations,
-    from the prebuilt tableau ``_TABLEAU`` when no rhs entry is negative,
-    and cross-asserts the decision against the CHSH characterization at ``marginals.tol``.
+    A box ``b`` valid at ``tol`` may hold cells down to ``-tol``; it is judged by its nearest
+    nonnegative white-noise mixture ``b' = (b + nu) / (1 + 4 nu)``, ``nu = max(0, -min cell)``,
+    which is ``b`` when no cell is negative.  The phase-1 linear program on ``b + nu`` (from the
+    prebuilt tableau ``_TABLEAU``) is cross-asserted against CHSH on ``b'`` at ``marginals.tol``.
 
     Raises
     ------
@@ -286,20 +287,18 @@ def joint_exists(marginals: MarginalSet) -> JointDecision:
             "the joint-distribution question is ill-posed"
         )
     report = chsh_value(marginals)
-    chsh_feasible = report.max_abs <= 2.0 + tol
-    boundary = abs(report.max_abs - 2.0) <= max(tol, BOUNDARY_TOL)
+    # nu is -0.0 when no cell is negative; adding it, or subtracting abs(nu), keeps signed zeros.
+    nu = -min(0.0, float(marginals.values.min()))
+    s = report.max_abs / (1.0 + 4.0 * nu)  # |S(b')|, as b + nu has the correlators of b
+    chsh_feasible = s <= 2.0 + tol
+    boundary = abs(s - 2.0) <= max(tol, BOUNDARY_TOL)
 
-    rhs = np.append(marginals.values, 1.0)  # the 16 table cells, then normalization
+    rhs = np.append(marginals.values + nu, 1.0 + 4.0 * nu)  # cells of b + nu, then normalization
     b = rhs.take(_KEEP)
-    if not np.isfinite(b).all():
-        raise ValidationError("rhs has non-finite entries")
-    if b.min() < 0.0:
-        tableau = _phase1_tableau(_REDUCED, b)
-    else:
-        tableau = _TABLEAU.copy()
-        tableau[:-1, -1], tableau[-1, -1] = b, b.sum()
-    optimum, x = _pivot(tableau, _REDUCED.shape[1], PIVOT_TOL)
-    residual = float(np.max(np.abs(_EQUATIONS @ x - rhs)))
+    tableau = _TABLEAU.copy()
+    tableau[:-1, -1], tableau[-1, -1] = b, b.sum()
+    optimum, y = _pivot(tableau, _REDUCED.shape[1], PIVOT_TOL)
+    residual = float(np.max(np.abs(_EQUATIONS @ y - rhs)))
     lp_feasible = optimum <= LP_OPT_TOL and residual <= tol
 
     if lp_feasible != chsh_feasible and not boundary:
@@ -310,7 +309,7 @@ def joint_exists(marginals: MarginalSet) -> JointDecision:
         )
 
     if lp_feasible:
-        witness, witness_tol = x.reshape(2, 2, 2, 2), max(tol, residual * 4)
+        witness, witness_tol = (y - abs(nu) / 4.0).reshape(2, 2, 2, 2), max(tol, residual * 4)
         _check_tables(witness[None], witness_tol)
         joint = ProbabilityTable.__new__(ProbabilityTable)._init_valid(
             witness, ((0, 1),) * 4, witness_tol)

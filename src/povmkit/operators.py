@@ -88,26 +88,30 @@ def _lowest_eigenvalues(stack: np.ndarray) -> np.ndarray:
 def is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op`` is finite and equals its conjugate transpose within ``tol``."""
     arr = as_operator(op)
-    return bool(np.isfinite(arr).all() and _hermitian_defect(arr).max() <= tol)
+    with np.errstate(over="ignore"):  # a defect beyond the float range reads as inf
+        return bool(np.isfinite(arr).all() and _hermitian_defect(arr).max() <= tol)
 
 
 def is_positive(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op`` is finite and Hermitian within ``tol`` with spectrum >= -tol."""
     arr = as_operator(op)
-    return is_hermitian(arr, tol) and bool(_lowest_eigenvalues(arr) >= -tol)
+    with np.errstate(over="ignore"):  # an eigenvalue below the float range reads as -inf
+        return is_hermitian(arr, tol) and bool(_lowest_eigenvalues(arr) >= -tol)
 
 
 def is_projector(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op`` is finite, Hermitian and idempotent within ``tol``."""
     arr = as_operator(op)
-    return is_hermitian(arr, tol) and bool(np.abs(arr @ arr - arr).max() <= tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # a square beyond float range: inf or nan
+        return is_hermitian(arr, tol) and bool(np.abs(arr @ arr - arr).max() <= tol)
 
 
 def is_unitary(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op.conj().T @ op`` is the identity within ``tol``."""
     arr = as_operator(op)
-    gram = arr.conj().T @ arr
-    return bool(np.max(np.abs(gram - np.eye(arr.shape[0]))) <= tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # a product beyond float range: inf or nan
+        gram = arr.conj().T @ arr
+        return bool(np.max(np.abs(gram - np.eye(arr.shape[0]))) <= tol)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -181,12 +185,13 @@ class State:
         arr = as_operator(self.matrix, name="state")
         if not np.isfinite(arr).all():
             raise ValidationError("state has non-finite entries")
-        if not _hermitian_defect(arr).max() <= self.tol:
-            raise ValidationError("state is not Hermitian within tolerance")
-        lowest = _lowest_eigenvalues(arr)
-        if lowest < -self.tol:
-            raise ValidationError(f"state has negative eigenvalue {lowest:.3e}")
-        tr = complex(np.trace(arr))
+        with np.errstate(over="ignore"):  # beyond the float range, each check reads +-inf
+            if not _hermitian_defect(arr).max() <= self.tol:
+                raise ValidationError("state is not Hermitian within tolerance")
+            lowest = _lowest_eigenvalues(arr)
+            if lowest < -self.tol:
+                raise ValidationError(f"state has negative eigenvalue {lowest:.3e}")
+            tr = complex(np.trace(arr))
         if abs(tr - 1.0) > self.tol:
             raise ValidationError(f"state trace {tr} differs from 1")
         object.__setattr__(self, "matrix", arr)

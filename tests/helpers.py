@@ -1,5 +1,7 @@
 """Shared builders for the experiment-level tests."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from povmkit import (
@@ -44,6 +46,10 @@ from povmkit.operators import DEFAULT_TOL, as_operator, tensor
 
 TSIRELSON_ANGLES = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
 TSIRELSON = 2.0 * np.sqrt(2.0)
+#: A valid box at tol 1e-9 whose AB cell -9e-10 lies below zero; |S| is 3.6e-9, far inside the
+#: local set, and it is feasible.
+NEGATIVE_CELL_BOX = ([[0.4999999991, 0.5000000009], [9e-10, -9e-10]],
+                     [[0.5, 0.5], [0.0, 0.0]], [[0.5, 0.5], [0.0, 0.0]], [[0.5, 0.5], [0.0, 0.0]])
 
 
 def make_config(gamma1, gamma2, state=None, angles=TSIRELSON_ANGLES):
@@ -454,6 +460,22 @@ def oracle_joint_exists(marginals):
         return JointDecision(True, boundary, report, joint=joint, residual=residual)
     return JointDecision(False, boundary, report,
                          certificate=(report.argmax, dict(report.values)[report.argmax]))
+
+
+def exact_joint_exists(values):
+    """Fine's decision on a ``(4, 2, 2)`` box ``b``, in exact rational arithmetic.
+
+    Returns ``(feasible, |S(b')|)``: ``b' = (b + nu) / (1 + 4 nu)``, with
+    ``nu = max(0, -min cell)``, is the nearest nonnegative white-noise mixture
+    that ``joint_exists`` decides, built cell by cell from the floats as
+    ``Fraction``s, and it admits a joint exactly when ``|S(b')| <= 2``.
+    """
+    cells = [Fraction(float(v)) for v in np.asarray(values).ravel()]
+    nu = max(Fraction(0), -min(cells))
+    mixed = [(c + nu) / (1 + 4 * nu) for c in cells]
+    e = [pp - pm - mp + mm for pp, pm, mp, mm in zip(*[iter(mixed)] * 4)]
+    s = max(abs(sum(sign * ek for sign, ek in zip(signs, e))) for signs in CHSH_SIGN_PATTERNS)
+    return s <= 2, s
 
 
 def _oracle_interference_projectors(chi):

@@ -239,6 +239,12 @@ def test_polarization_pvm_rejects_as_its_constructor():
         polarization_pvm(0.3, tol=-1.0)
 
 
+def test_arm_analyzer_rejected_below_rounding_names_its_angle():
+    # At tol 1e-300, the 1.1e-16 rounding of cos(0.1)^2 + sin(0.1)^2 fails the analyzer check.
+    with pytest.raises(ValidationError, match=r"^angle theta_p: element 0 is not a projector "):
+        arm_povm(0.5, 0.0, 0.1, tol=1e-300)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("position", range(4))

@@ -14,6 +14,8 @@ from povmkit.srt import (
     srt_bivariate,
 )
 
+from helpers import NEGATIVE_CELL_BOX
+
 TSIRELSON_ANGLE_ARG = "0,0.7853981633974483,0.39269908169872414,1.1780972450961724"
 
 
@@ -482,6 +484,14 @@ class TestFine:
         code, out, _ = run(capsys, "fine", "--marginals", str(path))
         assert code == 3
         assert json.loads(out)["decision"] == "no-signaling-violation"
+
+    def test_cell_below_zero_is_feasible(self, capsys, tmp_path):
+        # AB holds -9e-10, valid at the default tol; the box is decided on its white-noise mixture.
+        path = tmp_path / "negative_cell.json"
+        serialize.dump_json(dict(zip(("AB", "ABp", "ApB", "ApBp"), NEGATIVE_CELL_BOX)), path)
+        code, out, err = run(capsys, "fine", "--marginals", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["decision"] == "feasible"
 
     def test_missing_file_exits_65(self, capsys):
         code, _, err = run(capsys, "fine", "--marginals", "/nonexistent/path.json")

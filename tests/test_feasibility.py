@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,25 @@ from povmkit.sampling import (
     random_density_matrix,
     random_no_signaling_marginals,
 )
-from helpers import TSIRELSON, TSIRELSON_ANGLES, make_config
+from helpers import NEGATIVE_CELL_BOX, TSIRELSON, TSIRELSON_ANGLES, exact_joint_exists, make_config
+
+
+def white_noise_shifted_box(rng):
+    """``(1 + 4 nu) base - nu`` with ``nu`` uniform in ``[0, 1e-9]``: cells down to ``-nu``.
+
+    ``base = (1 - w) det + w noise``: ``det`` a random deterministic box,
+    ``noise`` the PR box or the uniform one, and ``w`` one of 0, 1 or uniform
+    in ``(0, 1)``.  Its nearest nonnegative white-noise mixture is ``base``
+    whenever ``base`` has a zero cell.
+    """
+    a, ap, b, bp = rng.integers(2, size=4)
+    det = np.zeros((4, 2, 2))
+    for table, cell in zip(det, ((a, b), (a, bp), (ap, b), (ap, bp))):
+        table[cell] = 1.0
+    noise = pr_box_marginals().values if rng.integers(2) else np.full((4, 2, 2), 0.25)
+    w = (0.0, 1.0, rng.random())[rng.integers(3)]
+    nu = rng.uniform(0.0, 1e-9)
+    return (1.0 + 4.0 * nu) * ((1.0 - w) * det + w * noise) - nu
 
 
 def product_coin_marginals(p_a=0.3, p_ap=0.6, p_b=0.7, p_bp=0.45):
@@ -219,6 +239,41 @@ class TestJointExists:
         decision = joint_exists(marginals)
         assert decision.feasible
         assert decision.boundary
+
+    def test_cell_below_zero_is_decided_on_its_white_noise_mixture(self):
+        # nu = 9e-10: the LP solves the box plus nu, and the witness gives nu / 4 back per cell.
+        decision = joint_exists(MarginalSet(*NEGATIVE_CELL_BOX))
+        assert decision.feasible and not decision.boundary
+        assert decision.residual <= 1e-15
+        assert decision.joint.values.min() == pytest.approx(-9e-10 / 4, rel=1e-6)
+        assert decision.chsh.max_abs == pytest.approx(3.6e-9)
+
+    def test_chsh_route_reads_the_mixture_not_the_raw_box(self):
+        # b' mixes perfect correlation with weight w of perfect anticorrelation: every
+        # correlator is 1 - 2w, so |S(b')| = 2 - 4w = 2 - 2e-9, and each table keeps zero
+        # cells, so nu is exactly 1e-9.  The raw box reads |S(b)| = (1 + 4 nu) |S(b')| > 2 + tol.
+        w, nu = 5e-10, 1e-9
+        box = (1.0 + 4.0 * nu) * np.array([[[1.0 - w, w], [0.0, 0.0]]] * 4) - nu
+        marginals = MarginalSet(*box)
+        decision = joint_exists(marginals)
+        assert decision.chsh.max_abs > 2.0 + marginals.tol
+        assert decision.feasible and not decision.boundary
+        feasible, s = exact_joint_exists(box)
+        assert feasible and abs(s - (2 - 4 * Fraction(w))) < 1e-15
+
+    def test_white_noise_shifted_boxes_decide_their_mixture_exactly(self):
+        rng = np.random.default_rng(22)
+        band = max(1e-9, feasibility.BOUNDARY_TOL)
+        decided = set()
+        for _ in range(3000):
+            marginals = MarginalSet(*white_noise_shifted_box(rng))
+            decision = joint_exists(marginals)
+            feasible, s = exact_joint_exists(marginals.values)
+            if abs(abs(s - 2) - band) > 1e-12:  # clear of the band's own edge
+                assert decision.boundary == (abs(s - 2) <= band)
+            assert decision.boundary or decision.feasible == feasible
+            decided.add((decision.feasible, decision.boundary))
+        assert decided == {(True, True), (True, False), (False, False)}
 
     def test_classification_across_the_chsh_boundary(self):
         # Mixing the extremal box with white noise at weight w gives

@@ -9,6 +9,7 @@ from povmkit import (
     is_hermitian,
     is_positive,
     is_projector,
+    is_unitary,
     partial_trace,
     tensor,
     trace_distance,
@@ -52,6 +53,12 @@ class TestPositivity:
         # Beyond qubits the Hermitian part goes to eigvalsh.
         assert is_positive(np.diag([1e308, 1e308, 1e308]))
         assert not is_positive(np.diag([1e308, -1e308, 1.0]))
+        # A - A^dag, and here the lowest eigenvalue, lie beyond the float range: inf, no warning.
+        assert not is_hermitian([[0, 1e308], [-1e308, 0]])
+        assert not is_positive([[1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+        # Its square holds inf - inf here: a nan defect is not a projector, and numpy is silent.
+        assert not is_projector([[1e300, 1e300], [1e300, -1e300]])
+        assert not is_unitary([[1e300, 1e300], [1e300, -1e300]])
 
 
 class TestTensor:
@@ -158,8 +165,12 @@ class TestState:
         [
             (np.diag([1e308, 0.0]), r"state trace \(1e\+308\+0j\) differs from 1"),
             (np.diag([-1e308, 1.0]), "state has negative eigenvalue -1.000e\\+308"),
+            (np.diag([1e308, 1e308]), r"state trace \(inf\+0j\) differs from 1"),
+            ([[0, 1e308], [-1e308, 0]], "state is not Hermitian within tolerance"),
+            ([[1.7e308, 1.7e308], [1.7e308, -1.7e308]], "state has negative eigenvalue -inf"),
         ],
-        ids=["trace", "negative"],
+        ids=["trace", "negative", "trace-beyond-range", "defect-beyond-range",
+             "eigenvalue-beyond-range"],
     )
     def test_entries_near_the_float_limit_raise_without_a_warning(self, matrix, message):
         with pytest.raises(ValidationError, match=message):

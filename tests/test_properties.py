@@ -62,6 +62,8 @@ from povmkit.sampling import (
 from povmkit.tables import _check_tables
 
 from helpers import (
+    NEGATIVE_CELL_BOX,
+    exact_joint_exists,
     oracle_arm,
     oracle_is_hermitian,
     oracle_is_positive,
@@ -1033,16 +1035,17 @@ def pr_crossing(base):
 
 
 @st.composite
-def fine_boxes(draw):
+def fine_boxes(draw, kinds=("signed zero", "near boundary", "signaling", "mixture")):
     """Raw ``(4, 2, 2)`` boxes for the Fine decision, each kind aimed at one route.
 
     ``negative`` moves a kept zero cell to ``-0.9 tol`` with margins kept, so
-    its simplex row is negated; ``signed zero`` writes zero cells as -0.0;
-    ``near boundary`` is a PR mixture within about 1e-6 of |S| = 2;
-    ``signaling`` draws four unrelated tables; ``mixture`` is a PR mixture at
-    any weight.
+    the box is decided by its white-noise mixture at ``nu = 0.9 tol``;
+    ``signed zero`` writes zero cells as -0.0; ``near boundary`` is a PR
+    mixture within about 1e-6 of |S| = 2; ``signaling`` draws four unrelated
+    tables; ``mixture`` is a PR mixture at any weight.  Only ``negative``
+    draws a cell below zero.
     """
-    kind = draw(st.sampled_from(["negative", "signed zero", "near boundary", "signaling", "mixture"]))
+    kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     if kind == "signaling":
         return rng.dirichlet(np.ones(4), size=4).reshape(4, 2, 2)
@@ -1080,26 +1083,49 @@ def decision_outcome(decide, marginals):
     return d.feasible, d.boundary, repr(d.chsh), joint, repr(d.residual), repr(d.certificate)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(box=fine_boxes())
-@example(box=SIGNED_ZERO_BOX)
-def test_fine_decision_is_byte_identical_to_the_frozen_oracle(box):
-    marginals = MarginalSet(*box, tol=TOL)
-    # Whichever route set it up, the tableau pivoted is the one phase1_simplex builds.
+def with_pivots(decide, marginals):
+    """``decide(marginals)`` and the bytes of every tableau ``feasibility._pivot`` got meanwhile."""
     pivoted = []
     with pytest.MonkeyPatch.context() as patch:
         pivot = feasibility._pivot
         patch.setattr(feasibility, "_pivot",
                       lambda tableau, *args: pivoted.append(tableau.tobytes()) or pivot(tableau, *args))
-        got = decision_outcome(joint_exists, marginals)
+        return decide(marginals), pivoted
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(box=fine_boxes())
+@example(box=SIGNED_ZERO_BOX)
+def test_fine_decision_is_byte_identical_to_the_frozen_oracle(box):
+    # Boxes with no cell below zero: the white-noise mixture is the box itself.
+    marginals = MarginalSet(*box, tol=TOL)
+    got, pivoted = with_pivots(lambda m: decision_outcome(joint_exists, m), marginals)
     assert got == decision_outcome(oracle_joint_exists, marginals)
     if pivoted:
         rhs = np.append(marginals.values, 1.0).take(_KEEP)
         assert pivoted == [feasibility._phase1_tableau(_REDUCED, rhs).tobytes()]
 
 
-def test_nonnegative_boxes_never_build_a_tableau(monkeypatch):
-    # Every nonnegative rhs shares the prebuilt tableau; it is copied, never written.
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(box=fine_boxes(kinds=("negative",)))
+def test_negative_cell_decision_equals_the_exact_mixture_decision(box):
+    # A cell in [-tol, 0) is decided on b' = (b + nu) / (1 + 4 nu): outside the band as exact
+    # arithmetic decides it, with the tableau phase1_simplex builds for b + nu.
+    marginals = MarginalSet(*box, tol=TOL)
+    decision, pivoted = with_pivots(joint_exists, marginals)
+    feasible, _ = exact_joint_exists(box)
+    assert decision.boundary or decision.feasible == feasible
+    nu = -float(box.min())
+    rhs = np.append(box + nu, 1.0 + 4.0 * nu).take(_KEEP)
+    assert pivoted == [feasibility._phase1_tableau(_REDUCED, rhs).tobytes()]
+    if decision.feasible:
+        assert np.abs(MarginalSet.from_quadrivariate(decision.joint).values - box).max() <= TOL
+        assert decision.joint.values.min() >= -nu / 4.0
+
+
+def test_valid_boxes_never_build_a_tableau(monkeypatch):
+    # Every valid box, cells in [-tol, 0) included, shares the prebuilt tableau; it is
+    # copied, never written.
     def refuse(*args):
         raise AssertionError("the generic tableau setup ran")
 
@@ -1107,11 +1133,13 @@ def test_nonnegative_boxes_never_build_a_tableau(monkeypatch):
     template = feasibility._TABLEAU
     before = template.tobytes()
     rng = np.random.default_rng(19)
-    boxes = [SIGNED_ZERO_BOX, local_box(rng)] + [
+    boxes = [SIGNED_ZERO_BOX, local_box(rng), NEGATIVE_CELL_BOX] + [
         mix_marginals(pr_box_marginals(), random_no_signaling_marginals(rng), w).values
-        for w in np.linspace(0.0, 1.0, 30)]
+        for w in np.linspace(0.0, 1.0, 30)] + [
+        (1.0 + 4.0 * nu) * pr_box_marginals().values - nu for nu in (1e-10, 1e-9)]
     decisions = [joint_exists(MarginalSet(*box)) for box in boxes]
     assert {d.feasible for d in decisions} == {True, False}
+    assert decisions[2].feasible and not decisions[-1].feasible
     assert feasibility._TABLEAU is template and not template.flags.writeable
     assert template.tobytes() == before
 

@@ -67,13 +67,13 @@ ALLOWED = {
         "equality threshold: a ratio tie exactly at the pivot tolerance",
     ("feasibility.py", "and (leaving < 0 or basis[i] < basis[leaving])", "<", 1):
         "equivalent: basic variables are distinct, so basis[i] never equals basis[leaving]",
-    ("feasibility.py", "chsh_feasible = report.max_abs <= 2.0 + tol", "<=", 0):
-        "equality threshold: |S| exactly 2 + tol",
-    ("feasibility.py", "chsh_feasible = report.max_abs <= 2.0 + tol", "+", 0):
-        "equivalent: it moves the CHSH verdict only for |S| in (2 - tol, 2 + tol], inside the "
+    ("feasibility.py", "chsh_feasible = s <= 2.0 + tol", "<=", 0):
+        "equality threshold: |S(b')| exactly 2 + tol",
+    ("feasibility.py", "chsh_feasible = s <= 2.0 + tol", "+", 0):
+        "equivalent: it moves the CHSH verdict only for |S(b')| in (2 - tol, 2 + tol], inside the "
         "boundary band, where that verdict is neither asserted nor reported",
-    ("feasibility.py", "boundary = abs(report.max_abs - 2.0) <= max(tol, BOUNDARY_TOL)", "<=", 0):
-        "equality threshold: |S| exactly at the edge of the boundary band",
+    ("feasibility.py", "boundary = abs(s - 2.0) <= max(tol, BOUNDARY_TOL)", "<=", 0):
+        "equality threshold: |S(b')| exactly at the edge of the boundary band",
     ("feasibility.py", "lp_feasible = optimum <= LP_OPT_TOL and residual <= tol", "<=", 0):
         "equality threshold: a phase-1 optimum exactly at LP_OPT_TOL",
     ("feasibility.py", "lp_feasible = optimum <= LP_OPT_TOL and residual <= tol", "<=", 1):
@@ -116,6 +116,10 @@ ALLOWED = {
     ("nonideality.py", "if report.applicable and report.slack < -max(lam.tol, mu.tol, pvm1.tol, pvm2.tol):",
      "<", 0):
         "equality threshold: a Martens slack exactly at -tol",
+    ("srt.py", "violated = np.flatnonzero(~(slack >= -tol))", ">=", 0):
+        "equality threshold: a Martens slack exactly at -tol",
+    ("srt.py", "drifted = np.flatnonzero(~(drift <= PIPELINE_AGREEMENT_TOL))", "<=", 0):
+        "equality threshold: a closed-form drift exactly at PIPELINE_AGREEMENT_TOL",
     ("measures.py", "if not (_hermitian_defect(stack).max() <= tol",
      "<=", 0):
         "equality threshold: a Hermitian defect exactly at tol",
