@@ -15,6 +15,7 @@ marginals violate no-signaling.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -35,7 +36,6 @@ EX_OK = 0
 EX_USAGE = 64
 EX_DATAERR = 65
 
-_COMMANDS = ("measure", "martens", "srt", "aspect", "fine")
 #: The one choice of each optional positional ``mode``, checked after parsing so
 #: that a value following an unrecognized option is reported with it.
 _MODES = {"srt": "sweep", "aspect": "standard-composite"}
@@ -56,9 +56,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text + ("" if text.endswith("\n") else "\n"), encoding="utf-8")
+def _csv(header: str, rows) -> str:
+    """``header``, then one line per row: floats with ``_fmt``, every other cell with ``str``."""
+    lines = [",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row) for row in rows]
+    return "\n".join([header, *lines])
+
+
+def _emit(args, record, header: str = "", rows=()) -> None:
+    """Write ``record`` as JSON, or ``header`` and ``rows`` as CSV under ``--format csv`` or
+    when there is no record, to ``--out`` or standard output."""
+    csv = record is None or getattr(args, "fmt", "json") == "csv"
+    text = _csv(header, rows) if csv else serialize.dump_json(record)
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
 
@@ -149,7 +159,7 @@ def _cmd_measure(args) -> int:
         print(f"unreadable measure file: {exc}", file=sys.stderr)
         return 1
     violations = povm_violations(elements, tol=args.tol)
-    _write(serialize.dump_json({"valid": not violations, "violations": violations}), args.out)
+    _emit(args, {"valid": not violations, "violations": violations})
     return 1 if violations else EX_OK
 
 
@@ -173,10 +183,7 @@ def _cmd_martens(args) -> int:
         "bound": report.bound,
         "slack": report.slack,
     }
-    if args.fmt == "csv":
-        _write(",".join(fields) + "\n" + ",".join(map(_fmt, fields.values())), args.out)
-    else:
-        _write(serialize.dump_json(fields), args.out)
+    _emit(args, fields, ",".join(fields), [fields.values()])
     return EX_OK
 
 
@@ -186,9 +193,8 @@ def _cmd_srt(args) -> int:
             raise _UsageError("--points must be at least 2")
         grid = np.linspace(0.0, 1.0, args.points)
         points = tradeoff_sweep(grid, chi=args.phase, tol=args.tol)
-        # A TradeoffPoint's fields are the columns, in order.
-        lines = ["a,J_lambda,J_mu,bound,slack"] + [",".join(map(_fmt, point)) for point in points]
-        _write("\n".join(lines), args.out)
+        # A TradeoffPoint's fields are the columns, in order; the sweep is written as CSV only.
+        _emit(args, None, "a,J_lambda,J_mu,bound,slack", points)
         return EX_OK
 
     if args.absorber is None or args.emit is None:
@@ -196,13 +202,13 @@ def _cmd_srt(args) -> int:
     config = SrtConfig(absorber=args.absorber, phase=args.phase)
     if args.emit in ("povm", "bivariate"):
         build = srt_povm if args.emit == "povm" else srt_bivariate
-        _write(serialize.dump_json(serialize.measure_to_dict(build(config, args.tol))), args.out)
+        _emit(args, serialize.measure_to_dict(build(config, args.tol)))
     else:
         if args.state is None:
             raise _UsageError("--emit probabilities requires --state")
         rho = _load_state(args.state, args.tol)
         table = born_probabilities(srt_povm(config, args.tol), rho)
-        _write(serialize.dump_json(serialize.table_to_dict(table)), args.out)
+        _emit(args, serialize.table_to_dict(table))
     return EX_OK
 
 
@@ -218,20 +224,8 @@ def _chsh_report_dict(report) -> dict:
     }
 
 
-def _chsh_csv_lines(report) -> list[str]:
-    return ["signs,value"] + [
-        f"\"{' '.join(f'{s:+d}' for s in signs)}\",{_fmt(value)}" for signs, value in report.values
-    ]
-
-
-def _cells_csv(header: str, tables) -> str:
-    """``header``, then per ``(prefix, values, axis_labels)`` one row per cell: keys, value."""
-    lines = [header]
-    for prefix, values, axis_labels in tables:
-        for idx, value in np.ndenumerate(values):
-            keys = (*prefix, *(axis_labels[ax][i] for ax, i in enumerate(idx)))
-            lines.append(",".join(map(str, keys)) + f",{_fmt(value)}")
-    return "\n".join(lines)
+def _chsh_rows(report):
+    return ((f"\"{' '.join(f'{s:+d}' for s in signs)}\"", value) for signs, value in report.values)
 
 
 def _cmd_aspect(args) -> int:
@@ -239,42 +233,31 @@ def _cmd_aspect(args) -> int:
     state = _load_state(args.state, args.tol)
 
     if args.mode == "standard-composite":
-        result = standard_composite(*angles, state=state, tol=args.tol)
-        if args.fmt == "json":
-            _write(serialize.dump_json(_chsh_report_dict(result.chsh)), args.out)
-        else:
-            lines = _chsh_csv_lines(result.chsh) + [f"max_abs,{_fmt(result.chsh.max_abs)}"]
-            _write("\n".join(lines), args.out)
-        print(f"|S| = {result.chsh.max_abs:.9f} over the four limiting arrangements", file=sys.stderr)
+        chsh = standard_composite(*angles, state=state, tol=args.tol).chsh
+        rows = [*_chsh_rows(chsh), ("max_abs", chsh.max_abs)]
+        _emit(args, _chsh_report_dict(chsh), "signs,value", rows)
+        print(f"|S| = {chsh.max_abs:.9f} over the four limiting arrangements", file=sys.stderr)
         return EX_OK
 
     if args.gamma1 is None or args.gamma2 is None or args.emit is None:
         raise _UsageError("aspect requires --gamma1, --gamma2, --angles and --emit")
     joint = joint_probabilities(AspectConfig(args.gamma1, args.gamma2, *angles, state=state), args.tol)
     if args.emit == "joint":
-        if args.fmt == "json":
-            _write(serialize.dump_json(serialize.table_to_dict(joint)), args.out)
-        else:
-            _write(_cells_csv("m1,n1,m2,n2,p", [((), joint.values, joint.axis_labels)]), args.out)
+        record = serialize.table_to_dict(joint)
+        rows = ((*keys, p) for keys, p in zip(itertools.product(*joint.axis_labels), record["values"]))
+        _emit(args, record, "m1,n1,m2,n2,p", rows)
         return EX_OK
 
     marginals = MarginalSet.from_quadrivariate(joint)
     if args.emit == "marginals":
-        if args.fmt == "json":
-            _write(serialize.dump_json(serialize.marginals_to_dict(marginals)), args.out)
-        else:
-            cells = [
-                ((key,), values, (range(2), range(2)))
-                for key, values in zip(serialize._MARGINAL_KEYS, marginals.values)
-            ]
-            _write(_cells_csv("table,row,col,p", cells), args.out)
+        record = serialize.marginals_to_dict(marginals)
+        rows = ((key, i, j, p) for key, table in record.items()
+                for i, row in enumerate(table) for j, p in enumerate(row))
+        _emit(args, record, "table,row,col,p", rows)
         return EX_OK
 
     report = chsh_value(marginals)
-    if args.fmt == "json":
-        _write(serialize.dump_json(_chsh_report_dict(report)), args.out)
-    else:
-        _write("\n".join(_chsh_csv_lines(report)), args.out)
+    _emit(args, _chsh_report_dict(report), "signs,value", _chsh_rows(report))
     return EX_OK
 
 
@@ -283,27 +266,17 @@ def _cmd_fine(args) -> int:
     try:
         decision = joint_exists(marginals)
     except NoSignalingError as exc:
-        _write(serialize.dump_json({"decision": "no-signaling-violation", "detail": str(exc)}), args.out)
+        _emit(args, {"decision": "no-signaling-violation", "detail": str(exc)})
         return 3
+    report = {"decision": "feasible" if decision.feasible else "infeasible", "boundary": decision.boundary}
     if decision.feasible:
-        report = {
-            "decision": "feasible",
-            "boundary": decision.boundary,
-            "witness": serialize.table_to_dict(decision.joint),
-            "marginal_residual": decision.residual,
-            "chsh_max_abs": decision.chsh.max_abs,
-        }
-        _write(serialize.dump_json(report), args.out)
-        return EX_OK
-    signs, value = decision.certificate
-    report = {
-        "decision": "infeasible",
-        "boundary": decision.boundary,
-        "certificate": {"signs": list(signs), "value": float(value)},
-        "chsh_max_abs": decision.chsh.max_abs,
-    }
-    _write(serialize.dump_json(report), args.out)
-    return 2
+        report.update(witness=serialize.table_to_dict(decision.joint), marginal_residual=decision.residual)
+    else:
+        signs, value = decision.certificate
+        report["certificate"] = {"signs": list(signs), "value": float(value)}
+    report["chsh_max_abs"] = decision.chsh.max_abs
+    _emit(args, report)
+    return EX_OK if decision.feasible else 2
 
 
 _HANDLERS = {
@@ -317,11 +290,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
-        print(
-            f"unknown subcommand {argv[0]!r}; expected one of {', '.join(_COMMANDS)}",
-            file=sys.stderr,
-        )
+    if argv and not argv[0].startswith("-") and argv[0] not in _HANDLERS:
+        print(f"unknown subcommand {argv[0]!r}; expected one of {', '.join(_HANDLERS)}", file=sys.stderr)
         return EX_USAGE
     parser = _build_parser()
     try:

@@ -127,9 +127,7 @@ def check_no_signaling(marginals: MarginalSet) -> NoSignalingReport:
     )
 
 
-def phase1_simplex(
-    constraints: np.ndarray, rhs: np.ndarray, *, tol: float = PIVOT_TOL
-) -> tuple[float, np.ndarray]:
+def phase1_simplex(constraints: np.ndarray, rhs: np.ndarray) -> tuple[float, np.ndarray]:
     """Phase-1 feasibility of ``constraints @ x == rhs`` with ``x >= 0``.
 
     Dense tableau simplex over one artificial variable per row, with Bland's
@@ -156,7 +154,7 @@ def phase1_simplex(
     for name, values in (("constraint matrix", a), ("rhs", b)):
         if not np.isfinite(values).all():
             raise ValidationError(f"{name} has non-finite entries")
-    return _pivot(_phase1_tableau(a, b), a.shape[1], tol)
+    return _pivot(_phase1_tableau(a, b), a.shape[1], PIVOT_TOL)
 
 
 def _phase1_tableau(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -72,12 +72,15 @@ def _projector_defects(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stack_accepts(stack: np.ndarray, tol: float, projective: bool) -> bool:
-    """True when a non-empty, finite stack passes every check of ``_stack_violations``.
+    """True when a non-empty stack passes every check of ``_stack_violations``.
 
-    Each test bounds the extreme of one defect over the whole stack, computed by the
-    per-measure check's own expression, so acceptance here means no violation there.
+    Entries are first bounded to real and imaginary parts within 2: a valid measure
+    meets that at any tol below 1, NaN and +-inf fail it, and no check below can then
+    overflow; a valid stack beyond it is left to the reject pass.  Each other test bounds
+    the extreme of one defect over the whole stack, computed by the per-measure check's
+    own expression, so acceptance here means no violation there.  ``stack`` is C-ordered.
     """
-    if stack.size == 0 or not np.isfinite(stack).all():
+    if stack.size == 0 or not np.abs(stack.view(float)).max() <= 2.0:
         return False
     if not (_hermitian_defect(stack).max() <= tol
             and _lowest_eigenvalues(stack).min() >= -tol
@@ -103,8 +106,9 @@ def _stack_violations(
     """
     if _stack_accepts(stack, tol, projective):
         return {}
-    found = ((index, _measure_violations(stack[index], tol, projective))
-             for index in np.ndindex(stack.shape[:-3]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a defect beyond the float range: inf or nan
+        found = [(index, _measure_violations(stack[index], tol, projective))
+                 for index in np.ndindex(stack.shape[:-3])]
     return {index: lines for index, lines in found if lines}
 
 

@@ -556,3 +556,28 @@ def oracle_tradeoff_sweep(grid, chi=0.0, *, tol=DEFAULT_TOL):
         srt.TradeoffPoint(a, jl, jm, bound, s)
         for a, jl, jm, s in zip(values.tolist(), j_lambda.tolist(), j_mu.tolist(), slack.tolist())
     ]
+
+
+# The CLI's CSV writers before its one renderer, frozen: every CSV the CLI writes must
+# read as these wrote it, byte for byte.
+
+def oracle_fmt(x) -> str:
+    """``povmkit.cli._fmt``: 17 significant digits."""
+    return format(float(x), ".17g")
+
+
+def oracle_chsh_csv_lines(report) -> list[str]:
+    """The ``signs,value`` lines of a CHSH report, one per sign placement."""
+    return ["signs,value"] + [
+        f"\"{' '.join(f'{s:+d}' for s in signs)}\",{oracle_fmt(value)}" for signs, value in report.values
+    ]
+
+
+def oracle_cells_csv(header: str, tables) -> str:
+    """``header``, then per ``(prefix, values, axis_labels)`` one row per cell: keys, value."""
+    lines = [header]
+    for prefix, values, axis_labels in tables:
+        for idx, value in np.ndenumerate(values):
+            keys = (*prefix, *(axis_labels[ax][i] for ax, i in enumerate(idx)))
+            lines.append(",".join(map(str, keys)) + f",{oracle_fmt(value)}")
+    return "\n".join(lines)

@@ -5,8 +5,20 @@ import warnings
 import numpy as np
 import pytest
 
-from povmkit import bell_state, serialize
-from povmkit.cli import main
+from povmkit import (
+    AspectConfig,
+    MarginalSet,
+    NoSignalingError,
+    bell_state,
+    check_martens,
+    chsh_value,
+    joint_exists,
+    joint_probabilities,
+    serialize,
+    solve_nonideality,
+    standard_composite,
+)
+from povmkit.cli import _chsh_report_dict, main
 from povmkit.srt import (
     SrtConfig,
     interference_pvm,
@@ -14,7 +26,13 @@ from povmkit.srt import (
     srt_bivariate,
 )
 
-from helpers import NEGATIVE_CELL_BOX
+from helpers import (
+    NEGATIVE_CELL_BOX,
+    TSIRELSON_ANGLES,
+    oracle_cells_csv,
+    oracle_chsh_csv_lines,
+    oracle_fmt,
+)
 
 TSIRELSON_ANGLE_ARG = "0,0.7853981633974483,0.39269908169872414,1.1780972450961724"
 
@@ -602,3 +620,105 @@ def test_martens_on_an_inexact_decomposition_exits_2(capsys, tmp_path):
         "not applicable: no exact decomposition of the first marginal onto --pvm1 "
         "(residual 2.823e-01)\n"
     )
+
+
+ASPECT_FIXED = ("--gamma1", "0.4", "--gamma2", "0.9", "--angles", TSIRELSON_ANGLE_ARG)
+
+
+def aspect_renderings(emit):
+    """``aspect`` output under ``--emit emit`` (the standard composite for None), computed in
+    process: as JSON, and as the frozen CSV writers render it."""
+    angles = tuple(map(float, TSIRELSON_ANGLE_ARG.split(",")))
+    if emit is None:
+        report = standard_composite(*angles).chsh
+        csv = oracle_chsh_csv_lines(report) + [f"max_abs,{oracle_fmt(report.max_abs)}"]
+        return _chsh_report_dict(report), "\n".join(csv)
+    joint = joint_probabilities(AspectConfig(0.4, 0.9, *angles, state=bell_state()))
+    if emit == "joint":
+        return (serialize.table_to_dict(joint),
+                oracle_cells_csv("m1,n1,m2,n2,p", [((), joint.values, joint.axis_labels)]))
+    marginals = MarginalSet.from_quadrivariate(joint)
+    if emit == "marginals":
+        cells = [((key,), values, (range(2), range(2)))
+                 for key, values in zip(("AB", "ABp", "ApB", "ApBp"), marginals.values)]
+        return serialize.marginals_to_dict(marginals), oracle_cells_csv("table,row,col,p", cells)
+    report = chsh_value(marginals)
+    return _chsh_report_dict(report), "\n".join(oracle_chsh_csv_lines(report))
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("emit", [None, "joint", "marginals", "chsh"])
+    def test_aspect_output_is_the_frozen_rendering(self, capsys, emit, fmt):
+        argv = ("standard-composite", "--angles", TSIRELSON_ANGLE_ARG) if emit is None else (
+            *ASPECT_FIXED, "--emit", emit)
+        code, out, _ = run(capsys, "aspect", *argv, "--format", fmt)
+        record, csv = aspect_renderings(emit)
+        assert code == 0
+        assert out == (csv if fmt == "csv" else serialize.dump_json(record)) + "\n"
+
+    def test_martens_csv_is_the_frozen_rendering(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        measures = {"bivariate": srt_bivariate(SrtConfig(0.25)), "pvm1": path_pvm(),
+                    "pvm2": interference_pvm()}
+        argv = ["martens", "--format", "csv"]
+        for flag, measure in measures.items():
+            serialize.dump_json(serialize.measure_to_dict(measure), f"{flag}.json")
+            argv += [f"--{flag}", f"{flag}.json"]
+        bivariate, pvm1, pvm2 = (
+            serialize.measure_from_dict(serialize.load_json(f"{flag}.json"), pvm=flag != "bivariate")
+            for flag in measures)
+        report = check_martens(solve_nonideality(bivariate.marginal(keep=0), pvm1),
+                               solve_nonideality(bivariate.marginal(keep=1), pvm2), pvm1, pvm2)
+        values = (report.j_lambda, report.j_mu, report.bound, report.slack)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == "J_lambda,J_mu,bound,slack\n" + ",".join(map(oracle_fmt, values)) + "\n"
+
+    @pytest.mark.parametrize("fmt, emit", [("json", "marginals"), ("csv", "joint")])
+    def test_out_file_holds_the_rendering(self, capsys, tmp_path, fmt, emit):
+        target = tmp_path / f"out.{fmt}"
+        code, out, err = run(capsys, "aspect", *ASPECT_FIXED, "--emit", emit, "--format", fmt,
+                             "--out", str(target))
+        record, csv = aspect_renderings(emit)
+        assert (code, out, err) == (0, "", "")
+        want = (csv if fmt == "csv" else serialize.dump_json(record)) + "\n"
+        assert target.read_bytes() == want.encode()
+
+
+def fine_report(marginals):
+    """The ``fine`` report of ``marginals`` in process, keyed in the CLI's order, and its exit code."""
+    try:
+        decision = joint_exists(marginals)
+    except NoSignalingError as exc:
+        return {"decision": "no-signaling-violation", "detail": str(exc)}, 3
+    if decision.feasible:
+        return {"decision": "feasible", "boundary": decision.boundary,
+                "witness": serialize.table_to_dict(decision.joint),
+                "marginal_residual": decision.residual,
+                "chsh_max_abs": decision.chsh.max_abs}, 0
+    signs, value = decision.certificate
+    return {"decision": "infeasible", "boundary": decision.boundary,
+            "certificate": {"signs": list(signs), "value": float(value)},
+            "chsh_max_abs": decision.chsh.max_abs}, 2
+
+
+@pytest.mark.parametrize(
+    "tables, code, keys",
+    [
+        ([np.full((2, 2), 0.25).tolist()] * 4, 0,
+         ["decision", "boundary", "witness", "marginal_residual", "chsh_max_abs"]),
+        ([t.values.tolist() for t in standard_composite(*TSIRELSON_ANGLES).tables], 2,
+         ["decision", "boundary", "certificate", "chsh_max_abs"]),
+        ([[[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 0.0]]] + [np.full((2, 2), 0.25).tolist()] * 2, 3,
+         ["decision", "detail"]),
+    ],
+    ids=["feasible", "infeasible", "signaling"],
+)
+def test_fine_report_keys_in_order(capsys, tmp_path, tables, code, keys):
+    path = tmp_path / "marginals.json"
+    serialize.dump_json(dict(zip(("AB", "ABp", "ApB", "ApBp"), tables)), path)
+    got = run(capsys, "fine", "--marginals", str(path))
+    report, want_code = fine_report(serialize.marginals_from_dict(serialize.load_json(path)))
+    assert (want_code, list(report)) == (code, keys)
+    assert got == (code, serialize.dump_json(report) + "\n", "")

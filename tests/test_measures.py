@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,29 @@ class TestMeasureValidation:
         from povmkit import povm_violations
 
         assert povm_violations([P0, P1], tol=np.nan)
+
+    @pytest.mark.parametrize(
+        ("elements", "expected"),
+        [
+            ([[[0, 1e308], [-1e308, 0]], np.eye(2)],
+             ["element 0 is not Hermitian (defect inf)",
+              "elements do not sum to identity (defect 1.000e+308)"]),
+            ([np.diag([1e308, 0]), np.diag([-1e308, 1])],
+             ["element 1 is not positive (eigenvalue -1.000e+308)",
+              "elements do not sum to identity (defect 1.000e+00)"]),
+        ],
+        ids=["anti-hermitian", "diagonal"],
+    )
+    def test_entries_near_the_float_limit_raise_without_a_warning(self, elements, expected):
+        # A - A^dag overflows on the first: the report reads inf, and numpy must not warn.
+        from povmkit import povm_violations
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as caught:
+                PovmMeasure(elements)
+            assert str(caught.value) == "; ".join(expected)
+            assert povm_violations(elements) == expected
 
     def test_index_shape_must_match(self):
         with pytest.raises(ValidationError):

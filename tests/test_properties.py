@@ -8,6 +8,7 @@ import math
 import re
 import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,9 +49,9 @@ from povmkit import (
 )
 from povmkit import (InternalConsistencyError, NoSignalingError, ValidationError, feasibility,
                      measures, nonideality, serialize)
-from povmkit.aspect import _ANGLE_NAMES, _polarization_stack
+from povmkit.aspect import _ANGLE_NAMES, CHSH_SIGN_PATTERNS, _polarization_stack
 from povmkit.cli import main
-from povmkit.feasibility import _KEEP, _REDUCED, phase1_simplex
+from povmkit.feasibility import _KEEP, _REDUCED, BOUNDARY_TOL, phase1_simplex
 from povmkit.measures import _lowest_eigenvalues, _stack_accepts, _stack_violations
 from povmkit.sampling import (
     mix_marginals,
@@ -1482,3 +1483,79 @@ def test_quadrivariate_povm_equals_the_tensor_oracle(gammas, angles):
     got, want = quadrivariate_povm(config), oracle_quadrivariate_povm(config)
     assert np.array_equal(got.stack(), want.stack())
     assert (got.labels, got.index_shape, got.tol) == (want.labels, want.index_shape, want.tol)
+
+
+# -- (v) the Fine decision against exact arithmetic at |S| = 2 -------------------
+
+#: White noise of the shifted pinned boxes: 2^-31 < tol, so a cell reads -4.7e-10.
+SHIFT_NU = Fraction(1, 2**31)
+
+
+@st.composite
+def rational_boxes(draw, pinned):
+    """``(4, 2, 2)`` no-signaling boxes from rational means and correlators.
+
+    A table of means ``x``, ``y`` and correlator ``E`` holds ``(1 + a x + b y + a b E) / 4`` at
+    outcomes ``a, b = +-1``, nonnegative for ``E`` in ``[-1 + |x + y|, 1 - |x - y|]``.  One
+    CHSH placement is set to a target ``T`` by drawing three correlators, each within what
+    leaves ``T`` reachable, and solving for the fourth.  ``pinned`` boxes are dyadic, so every
+    cell is a float, with ``|T| = 2``; half of those with a zero cell are shifted to
+    ``(1 + 4 nu) b - nu``, whose white-noise mixture is ``b``.  Other boxes draw any rational
+    ``T`` in ``[-4, 4]``, most within 2e-6 of +-2, and round each cell to the nearest float.
+    """
+    def fraction(scale):
+        den = 16 if pinned else draw(st.integers(1, 97))
+        return Fraction(draw(st.integers(0, den)), den) * scale
+
+    means = [fraction(2) - 1 for _ in range(4)]  # A, A', B, B'
+    pairs = [(means[x], means[y]) for x in (0, 1) for y in (2, 3)]
+    signs = draw(st.sampled_from(CHSH_SIGN_PATTERNS))
+    # The range of sign * E of each pair, then T.
+    spans = [sorted((s * (abs(x + y) - 1), s * (1 - abs(x - y)))) for s, (x, y) in zip(signs, pairs)]
+    offset = Fraction(0) if pinned else fraction(4) - 2
+    target = (2 + offset / 10 ** draw(st.integers(0, 12))) * draw(st.sampled_from((1, -1)))
+    shifted = pinned and draw(st.booleans())
+    terms, rest = [], target
+    for k in range(3):
+        lo = max(spans[k][0], rest - sum(hi for _, hi in spans[k + 1:]))
+        hi = min(spans[k][1], rest - sum(lo for lo, _ in spans[k + 1:]))
+        assume(lo <= hi)
+        # At an end of the first term's range some table reaches a zero cell.
+        step = Fraction(draw(st.integers(0, 1))) if shifted and k == 0 else fraction(1)
+        terms.append(lo + (hi - lo) * step)
+        rest -= terms[-1]
+    correlators = [s * t for s, t in zip(signs, terms + [rest])]
+    cells = [(1 + a * x + b * y + a * b * e) / 4
+             for (x, y), e in zip(pairs, correlators) for a in (1, -1) for b in (1, -1)]
+    if shifted:
+        assert min(cells) == 0
+        cells = [(1 + 4 * SHIFT_NU) * c - SHIFT_NU for c in cells]
+    box = np.array([float(c) for c in cells]).reshape(4, 2, 2)
+    if pinned:
+        assert [Fraction(v) for v in box.ravel()] == cells
+    return box
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+@pytest.mark.parametrize("family", ["pinned", "rational", "negative cell"])
+def test_fine_decision_agrees_with_exact_arithmetic_at_the_boundary(family, data):
+    # The decision outside the band and the band at exact |S| = 2 follow exact arithmetic on
+    # the floats given, and the reported |S| is within 8 ulps of 2.0 of its exact value.
+    if family == "negative cell":
+        box = data.draw(fine_boxes(kinds=("negative",)))
+    else:
+        box = data.draw(rational_boxes(pinned=family == "pinned"))
+    decision = joint_exists(MarginalSet(*box, tol=TOL))
+    feasible, s = exact_joint_exists(box)
+    # |S(b)| is (1 + 4 nu) |S(b')|: b + nu has the correlators of b.
+    nu = max(Fraction(0), -min(Fraction(v) for v in box.ravel()))
+    ulps = Fraction(8 * np.spacing(2.0))
+    assert abs(Fraction(decision.chsh.max_abs) - (1 + 4 * nu) * s) <= ulps
+    if family == "pinned":
+        assert s == 2
+    if s == 2:
+        assert decision.boundary
+    # Twice the ulps above cover the rounding of |S(b')| in the float route.
+    if abs(s - 2) > Fraction(max(TOL, BOUNDARY_TOL)) + 2 * ulps:
+        assert not decision.boundary and decision.feasible == feasible

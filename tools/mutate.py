@@ -120,6 +120,10 @@ ALLOWED = {
         "equality threshold: a Martens slack exactly at -tol",
     ("srt.py", "drifted = np.flatnonzero(~(drift <= PIPELINE_AGREEMENT_TOL))", "<=", 0):
         "equality threshold: a closed-form drift exactly at PIPELINE_AGREEMENT_TOL",
+    ("measures.py", "if stack.size == 0 or not np.abs(stack.view(float)).max() <= 2.0:",
+     "<=", 0):
+        "equivalent: a stack with an entry part of exactly 2 goes to the reject pass, which reports "
+        "the same violations, or none",
     ("measures.py", "if not (_hermitian_defect(stack).max() <= tol",
      "<=", 0):
         "equality threshold: a Hermitian defect exactly at tol",
