@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .measures import PovmMeasure, PvmMeasure, _born_floor, _stack_violations
+from .measures import PovmMeasure, PvmMeasure, _stack_violations
 from .operators import DEFAULT_TOL, State
 from .tables import ProbabilityTable, _check_tables
 
@@ -93,19 +93,18 @@ def _mirror_weights(gamma: float) -> np.ndarray:
                      0.0, 0.0, r, 0.0, 0.0, g, 0.0, r]).reshape(4, 2, 2)
 
 
-def _born_products(rho: State, first: np.ndarray, second: np.ndarray, tol: float) -> np.ndarray:
-    """``p[..., i, j] = Tr(rho E1_i (x) E2_j)`` for broadcast ``(..., I|J, 2, 2)`` stacks."""
+def _born_products(rho: State, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Unchecked ``p[..., i, j] = Tr(rho E1_i (x) E2_j)`` for broadcast ``(..., I|J, 2, 2)`` stacks."""
     if rho.dim != 4:
         raise DimensionMismatchError(f"two-photon state must have dimension 4, got {rho.dim}")
     r = rho.matrix.reshape(2, 2, 2, 2)
-    return _born_floor(np.real(np.einsum("...ica,...jdb,abcd->...ij", first, second, r)), tol)
+    return np.real(np.einsum("...ica,...jdb,abcd->...ij", first, second, r))
 
 
 def _analyzer_pairs(rho: State, angles, tol: float) -> tuple[np.ndarray, float]:
-    """Born table ``P[s, t, a, b]`` of arm 1's analyzer ``s`` and arm 2's ``t``, and its ``tol``."""
+    """Unchecked Born table ``P[s, t, a, b]`` of arm 1's analyzer ``s`` and arm 2's ``t``, and its ``tol``."""
     pvms = _analyzer_stack(angles, _ANGLE_NAMES, tol)
-    tol = max(tol, rho.tol)
-    return _born_products(rho, pvms[:2, None], pvms[None, 2:], tol), tol
+    return _born_products(rho, pvms[:2, None], pvms[None, 2:]), max(tol, rho.tol)
 
 
 def polarization_pvm(theta: float, tol: float = DEFAULT_TOL) -> PvmMeasure:

@@ -50,7 +50,8 @@ class MarginalSet:
     """Four bivariate 2x2 tables labeled (A,B), (A,B'), (A',B), (A',B').
 
     ``values`` stacks them, in that order, as one read-only ``(4, 2, 2)`` array.
-    Table validity is enforced at construction; mutual no-signaling
+    Table validity is enforced at construction, and the set carries the largest of
+    ``tol`` and the tables' own ``tol``, at which they were checked; mutual no-signaling
     consistency is a soft invariant checked by :func:`check_no_signaling`, so
     deliberately inconsistent sets remain constructible for diagnostics.
     """
@@ -59,7 +60,8 @@ class MarginalSet:
 
     def __init__(self, ab, abp, apb, apbp, tol: float = DEFAULT_TOL):
         tables = tuple(_pair_table(table, tol) for table in (ab, abp, apb, apbp))
-        self._init_valid(np.array([table.values for table in tables]), tables, tol)
+        self._init_valid(np.array([table.values for table in tables]), tables,
+                         max(tol, *(table.tol for table in tables)))
 
     def _init_valid(self, values: np.ndarray, tables: tuple, tol: float) -> "MarginalSet":
         """Set the fields from valid tables and their ``(4, 2, 2)`` stack, with no check; returns self."""

@@ -24,12 +24,11 @@ from .errors import (
     DimensionMismatchError,
     IncompleteMeasureError,
     InfeasibleProbabilitiesError,
-    InternalConsistencyError,
     ValidationError,
 )
 from .operators import (DEFAULT_TOL, State, _hermitian_defect, _lowest_eigenvalues, as_operator,
-                        is_unitary, partial_trace)
-from .tables import ProbabilityTable, _split_axes
+                        is_unitary)
+from .tables import ProbabilityTable, _check_tables, _split_axes
 
 #: Tolerance on the residual ``born(measure, rho) - probabilities`` accepted by
 #: state reconstruction.
@@ -140,16 +139,18 @@ def _measure_violations(measure: np.ndarray, tol: float, projective: bool) -> li
 
 
 def _per_axis_labels(labels: tuple, index_shape) -> tuple[tuple, ...]:
-    """Per-axis labels read off C-ordered tuple labels, else ``range`` per axis."""
+    """Per-axis labels of tuple labels that are their C-ordered product grid, else ``range`` per axis."""
     if index_shape is None:
         return (labels,)
     ndim = len(index_shape)
-    if not all(isinstance(label, tuple) and len(label) == ndim for label in labels):
-        return tuple(tuple(range(size)) for size in index_shape)
-    return tuple(
-        tuple(labels[i * np.prod(index_shape[axis + 1:], dtype=int)][axis] for i in range(size))
-        for axis, size in enumerate(index_shape)
-    )
+    if all(isinstance(label, tuple) and len(label) == ndim for label in labels):
+        axes = tuple(
+            tuple(labels[i * math.prod(index_shape[axis + 1:])][axis] for i in range(size))
+            for axis, size in enumerate(index_shape)
+        )
+        if tuple(itertools.product(*axes)) == labels:
+            return axes
+    return tuple(tuple(range(size)) for size in index_shape)
 
 
 def povm_violations(elements, tol: float = DEFAULT_TOL) -> list[str]:
@@ -340,15 +341,6 @@ class InstrumentModel:
             raise ValidationError("coupling is not unitary within tolerance")
 
 
-def _born_floor(probs: np.ndarray, tol: float) -> np.ndarray:
-    """``probs`` once none is below ``-tol``, which validated inputs cannot produce; NaN fails."""
-    if not probs.min() >= -tol:
-        raise InternalConsistencyError(
-            f"probability {probs.min():.3e} below -tol from validated inputs"
-        )
-    return probs
-
-
 def born_probabilities(measure: PovmMeasure, rho: State) -> ProbabilityTable:
     """Outcome distribution ``p_k = Tr(rho M_k)`` of a measure on a state.
 
@@ -361,42 +353,40 @@ def born_probabilities(measure: PovmMeasure, rho: State) -> ProbabilityTable:
     ------
     DimensionMismatchError
         If the state dimension differs from the measure dimension.
-    InternalConsistencyError
-        If any probability falls below ``-max(measure.tol, rho.tol)``, which
-        signals corrupted inputs since validated measures and states cannot
-        produce one.
+    ValidationError
+        The ``ProbabilityTable`` constructor's error, if the probabilities fail its
+        check at that tolerance, which corrupted inputs can make them do.
     """
     if rho.dim != measure.dim:
         raise DimensionMismatchError(
             f"state dimension {rho.dim} does not match measure dimension {measure.dim}"
         )
     tol = max(measure.tol, rho.tol)
-    probs = _born_floor(np.real(np.einsum("ij,kji->k", rho.matrix, measure.stack())), tol)
+    probs = np.real(np.einsum("ij,kji->k", rho.matrix, measure.stack()))
     if measure.index_shape is not None:
         probs = probs.reshape(measure.index_shape)
-    return ProbabilityTable(probs, axis_labels=measure.axis_label_tuples(), tol=tol)
+    _check_tables(probs[None], tol)
+    return ProbabilityTable.__new__(ProbabilityTable)._init_valid(
+        np.array(probs), measure.axis_label_tuples(), tol)
 
 
 def povm_from_instrument(model: InstrumentModel) -> PovmMeasure:
     """Synthesize the object POVM realized by an instrument model.
 
     For each pointer element ``E`` the object-space element is the apparatus
-    partial trace of ``(I (x) rho_a) U^dag (I (x) E) U``.  Probabilities of the
-    returned measure on any object state agree with the full-space computation
-    on the final object-apparatus state.  The model checked its coupling's
-    unitarity at construction.
+    partial trace of ``(I (x) rho_a) U^dag (I (x) E) U``, formed for every
+    pointer element in one contraction of ``U`` read as ``(d_o, d_a, d_o, d_a)``.
+    Probabilities of the returned measure on any object state agree with the
+    full-space computation on the final object-apparatus state.  The model
+    checked its coupling's unitarity at construction.
     """
-    dims = (model.object_dim, model.apparatus_dim)
-    identity = np.eye(model.object_dim)
-    weighted = np.kron(identity, model.apparatus_state.matrix)
-    u = model.coupling
-    elements = []
-    for pointer_element in model.pointer.elements:
-        rotated = u.conj().T @ np.kron(identity, pointer_element) @ u
-        element = partial_trace(weighted @ rotated, dims, keep=0)
-        # Partial trace of a product of near-Hermitian factors carries
-        # float-level asymmetry; symmetrize before validation.
-        elements.append((element + element.conj().T) / 2.0)
+    d_o, d_a = model.object_dim, model.apparatus_dim
+    u = model.coupling.reshape(d_o, d_a, d_o, d_a)
+    elements = np.einsum("jaib,eaA,jAkc,cb->eik", u.conj(), model.pointer.stack(), u,
+                         model.apparatus_state.matrix)
+    # A contraction of near-Hermitian factors carries float-level asymmetry;
+    # symmetrize before validation.
+    elements = (elements + elements.conj().transpose(0, 2, 1)) / 2.0
     return PovmMeasure(
         elements,
         labels=model.pointer.labels,

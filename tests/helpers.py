@@ -17,6 +17,8 @@ from povmkit import (
     ValidationError,
     arm_povm,
     bell_state,
+    polarization_pvm,
+    quadrivariate_povm,
     srt,
 )
 from povmkit.aspect import (
@@ -42,7 +44,7 @@ from povmkit.nonideality import (
     _stochastic_violation,
     martens_bound,
 )
-from povmkit.operators import DEFAULT_TOL, as_operator, tensor
+from povmkit.operators import DEFAULT_TOL, as_operator, partial_trace, tensor
 
 TSIRELSON_ANGLES = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -113,7 +115,8 @@ def oracle_joint_probabilities(config, tol=DEFAULT_TOL):
     A frozen copy of ``povmkit.aspect.joint_probabilities`` before it ran the
     constructor's table check on its own: the frozen analyzer stack above, the
     nested mirror weight matrices and ``ProbabilityTable(...)``.  The Born
-    contraction is the library's ``_born_products``, which the change left as it was.
+    contraction is the library's ``_born_products``, whose values the change left
+    as they were; it has since stopped checking a floor the constructor checks.
     """
     def mirror_weights(g):
         r = 1.0 - g
@@ -123,10 +126,74 @@ def oracle_joint_probabilities(config, tol=DEFAULT_TOL):
     pvms = oracle_polarization_stack([getattr(config, n) for n in _ANGLE_NAMES], _ANGLE_NAMES)
     assert _stack_violations(pvms, tol, True) == {}
     tol = max(tol, config.state.tol)
-    pairs = _born_products(config.state, pvms[:2, None], pvms[None, 2:], tol)
+    pairs = _born_products(config.state, pvms[:2, None], pvms[None, 2:])
     probs = np.einsum("xsa,stab,ytb->xy", mirror_weights(config.gamma1), pairs,
                       mirror_weights(config.gamma2)).reshape(2, 2, 2, 2)
     return ProbabilityTable(probs, axis_labels=(("+", "-"),) * 4, tol=tol)
+
+
+def constructor_error(tables) -> str:
+    """The message of the ``ProbabilityTable`` constructor's error on the first table it rejects."""
+    for values in tables:
+        try:
+            ProbabilityTable(values)
+        except ValidationError as exc:
+            return str(exc)
+    raise AssertionError("the constructor accepts every table")
+
+
+def explicit_two_photon_tables(state, angles, gammas=None):
+    """``Tr(rho E (x) F)`` element by element, with no check: the four limiting tables, or one joint.
+
+    Without ``gammas``, the setting-pair tables (A, B), (A, B'), (A', B), (A', B') of the
+    analyzer PVMs at ``angles``; with them, the ``(2, 2, 2, 2)`` joint of the quadrivariate POVM.
+    """
+    def born(first, second):
+        return [[np.real(np.trace(state.matrix @ np.kron(e, f))) for f in second] for e in first]
+
+    if gammas is None:
+        pvms = [polarization_pvm(angle).elements for angle in angles]
+        return [born(pvms[i], pvms[j]) for i, j in _SETTING_PAIR_AXES]
+    elements = quadrivariate_povm(AspectConfig(*gammas, *angles, state=state)).elements
+    return [np.array([np.real(np.trace(state.matrix @ e)) for e in elements]).reshape(2, 2, 2, 2)]
+
+
+def oracle_born_probabilities(measure, rho):
+    """The Born table through its own floor check and the public table constructor, frozen.
+
+    A frozen copy of ``povmkit.measures.born_probabilities`` before the table
+    check was its one check: a floor at ``-tol`` that failed NaN, then
+    ``ProbabilityTable(...)`` on the reshaped values and the measure's axis labels.
+    """
+    if rho.dim != measure.dim:
+        raise DimensionMismatchError("state and measure dimensions differ")
+    tol = max(measure.tol, rho.tol)
+    probs = np.real(np.einsum("ij,kji->k", rho.matrix, measure.stack()))
+    if not probs.min() >= -tol:
+        raise InternalConsistencyError(f"probability {probs.min():.3e} below -tol")
+    if measure.index_shape is not None:
+        probs = probs.reshape(measure.index_shape)
+    return ProbabilityTable(probs, axis_labels=measure.axis_label_tuples(), tol=tol)
+
+
+def oracle_povm_from_instrument(model):
+    """The instrument's object POVM, one pair of ``np.kron`` products per pointer element.
+
+    A frozen copy of ``povmkit.measures.povm_from_instrument`` before it formed
+    every element in one contraction: ``Tr_a[(I (x) rho_a) U^dag (I (x) E) U]``,
+    then the Hermitian part, then ``PovmMeasure(...)``.
+    """
+    dims = (model.object_dim, model.apparatus_dim)
+    identity = np.eye(model.object_dim)
+    weighted = np.kron(identity, model.apparatus_state.matrix)
+    u = model.coupling
+    elements = []
+    for pointer_element in model.pointer.elements:
+        rotated = u.conj().T @ np.kron(identity, pointer_element) @ u
+        element = partial_trace(weighted @ rotated, dims, keep=0)
+        elements.append((element + element.conj().T) / 2.0)
+    return PovmMeasure(elements, labels=model.pointer.labels,
+                       index_shape=model.pointer.index_shape, tol=model.tol)
 
 
 def _oracle_lowest_eigenvalues(hermitian):

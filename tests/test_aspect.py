@@ -21,7 +21,13 @@ from povmkit import (
 )
 from povmkit.sampling import random_density_matrix
 
-from helpers import TSIRELSON, TSIRELSON_ANGLES, make_config
+from helpers import (
+    TSIRELSON,
+    TSIRELSON_ANGLES,
+    constructor_error,
+    explicit_two_photon_tables,
+    make_config,
+)
 
 
 class TestArmPovm:
@@ -264,18 +270,28 @@ def test_standard_composite_requires_two_photon_state():
         standard_composite(*TSIRELSON_ANGLES, state=State.maximally_mixed(2))
 
 
-def test_born_kernel_rejects_negative_probability():
-    # Validated inputs cannot produce one; a corrupted state must not pass.
+def test_born_kernels_reject_a_negative_probability_as_the_table_constructor():
+    # Validated inputs cannot produce one; a corrupted state must not pass the
+    # one table check of any Born kernel, which raises the constructor's error.
     from types import SimpleNamespace
 
-    from povmkit import InternalConsistencyError
-    from povmkit.aspect import _analyzer_stack, _born_products
+    corrupted = SimpleNamespace(dim=2, tol=1e-9, matrix=np.diag([-0.5, 1.5]).astype(complex))
+    measure = polarization_pvm(0.0)
+    with pytest.raises(ValidationError) as born:
+        born_probabilities(measure, corrupted)
+    want = [[np.real(np.trace(corrupted.matrix @ e)) for e in measure.elements]]
+    assert str(born.value) == constructor_error(want) == "probability table has negative entry -5.000e-01"
 
-    names = ("theta1", "theta1p", "theta2", "theta2p")
-    pvms = _analyzer_stack([0.0, 0.0, 0.0, 0.0], names, 1e-9)
-    corrupted = SimpleNamespace(dim=4, matrix=np.diag([-0.5, 0.5, 0.5, 0.5]).astype(complex))
-    with pytest.raises(InternalConsistencyError, match="below -tol"):
-        _born_products(corrupted, pvms[0], pvms[2], 1e-9)
+    angles = (0.0, 0.0, 0.0, 0.0)
+    corrupted.dim, corrupted.matrix = 4, np.diag([-0.5, 0.5, 0.5, 0.5]).astype(complex)
+    with pytest.raises(ValidationError) as composite:
+        standard_composite(*angles, state=corrupted)
+    assert str(composite.value) == constructor_error(explicit_two_photon_tables(corrupted, angles))
+    with pytest.raises(ValidationError) as joint:
+        joint_probabilities(AspectConfig(0.5, 0.5, *angles, state=corrupted))
+    want = explicit_two_photon_tables(corrupted, angles, (0.5, 0.5))
+    assert str(joint.value) == constructor_error(want)
+    assert str(joint.value).startswith("probability table has negative entry")
 
 
 def test_composite_tables_reject_as_their_constructor(monkeypatch):

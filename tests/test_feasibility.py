@@ -301,6 +301,15 @@ class TestJointExists:
         with pytest.raises(NoSignalingError):
             joint_exists(MarginalSet(*tables, tol=1e-12))
 
+    def test_set_carries_the_tolerance_its_tables_were_checked_at(self):
+        # Each table is valid at 1e-6 with cells of -5e-7; at the set's own 1e-9
+        # the witness check would reject the decision's own mixture.
+        table = ProbabilityTable([[1 + 1.5e-6, -5e-7], [-5e-7, -5e-7]], tol=1e-6)
+        marginals = MarginalSet(table, table, table, table, tol=1e-9)
+        assert marginals.tol == 1e-6
+        assert joint_exists(marginals).feasible
+        assert MarginalSet(table, table, table, table, tol=1e-5).tol == 1e-5
+
     def test_mixture_carries_the_larger_tolerance(self):
         strict = pr_box_marginals(tol=1e-12)
         assert mix_marginals(strict, strict, 0.5).tol == 1e-12

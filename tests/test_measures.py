@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from povmkit import (
+    AspectConfig,
     DimensionMismatchError,
     IncompleteMeasureError,
     InfeasibleProbabilitiesError,
@@ -16,8 +17,10 @@ from povmkit import (
     ValidationError,
     born_probabilities,
     is_complete,
+    joint_probabilities,
     povm_from_instrument,
     reconstruct_state,
+    standard_composite,
     tetrahedral_qubit_povm,
     trace_distance,
 )
@@ -30,6 +33,8 @@ from povmkit.sampling import (
     random_pure_state,
     random_unitary,
 )
+
+from helpers import constructor_error, explicit_two_photon_tables, oracle_povm_from_instrument
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -203,6 +208,18 @@ class TestMarginal:
         assert flat.axis_label_tuples() == ((0, 1), (0, 1))
         assert flat.marginal(keep=1).labels == (0, 1)
 
+    def test_tuple_labels_off_the_product_grid_label_axes_by_position(self):
+        # One entry per axis, but not the grid (a, b) x (x, y): reading axis
+        # labels off them would name no "b", "d", "z" or "w".
+        labels = (("a", "x"), ("b", "y"), ("c", "z"), ("d", "w"))
+        measure = PovmMeasure([P0 / 2, P0 / 2, P1 / 2, P1 / 2], labels=labels, index_shape=(2, 2))
+        assert measure.labels == labels
+        assert measure.axis_label_tuples() == ((0, 1), (0, 1))
+        table = born_probabilities(measure, State.pure([1.0, 0.0]))
+        assert table.axis_labels == ((0, 1), (0, 1))
+        assert measure.marginal((0, 1)).labels == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert measure.marginal(1).labels == (0, 1)
+
 
 class TestBornRule:
     def test_single_element_identity(self, rng):
@@ -313,6 +330,16 @@ class TestInstrumentModel:
                 worst = max(worst, abs(full - from_povm[k]))
         assert worst < 1e-10
 
+    def test_contraction_equals_the_frozen_kron_route(self, rng):
+        # Object and apparatus dimensions from 1 to 3; labels and tol carried over.
+        for d_o, d_a in itertools.product(range(1, 4), repeat=2):
+            for _ in range(10):
+                model = InstrumentModel(random_density_matrix(d_a, rng), random_unitary(d_o * d_a, rng),
+                                        random_basis_pvm(d_a, rng), object_dim=d_o)
+                got, want = povm_from_instrument(model), oracle_povm_from_instrument(model)
+                assert np.max(np.abs(got.stack() - want.stack())) <= 1e-15
+                assert (got.labels, got.index_shape, got.tol) == (want.labels, want.index_shape, want.tol)
+
     def test_synthesized_povm_always_validates(self, rng):
         for _ in range(100):
             model = InstrumentModel(
@@ -380,18 +407,24 @@ class TestReconstruction:
         assert trace_distance(rho, recovered) < 1e-8
 
 
-def test_born_floor_rejects_nan_probabilities():
-    # A corrupted state with NaN entries must fail the floor check, as a
-    # negative probability does, in both Born kernels.
+def test_born_rule_rejects_nan_as_the_table_constructor():
+    # A corrupted state with a NaN entry fails the one table check of each Born
+    # kernel, with the error the constructor raises on the same values.
     from types import SimpleNamespace
 
-    from povmkit import InternalConsistencyError
-    from povmkit.aspect import _analyzer_stack, _born_products
-
     corrupted = SimpleNamespace(dim=2, tol=1e-9, matrix=np.diag([np.nan, 1.0]).astype(complex))
-    with pytest.raises(InternalConsistencyError, match="probability nan below -tol"):
-        born_probabilities(PovmMeasure([P0, P1]), corrupted)
-    pvms = _analyzer_stack([0.0, 0.0], ("theta", "theta_p"), 1e-9)
+    measure = PovmMeasure([P0, P1])
+    with pytest.raises(ValidationError) as born:
+        born_probabilities(measure, corrupted)
+    want = [[np.real(np.trace(corrupted.matrix @ e)) for e in measure.elements]]
+    assert str(born.value) == constructor_error(want) == "probability table has non-finite entries"
+
+    angles = (0.0, 0.3, 0.0, 0.3)
     corrupted.dim, corrupted.matrix = 4, np.diag([np.nan, 0.5, 0.5, 0.0]).astype(complex)
-    with pytest.raises(InternalConsistencyError, match="probability nan below -tol"):
-        _born_products(corrupted, pvms[0], pvms[1], 1e-9)
+    with pytest.raises(ValidationError) as composite:
+        standard_composite(*angles, state=corrupted)
+    assert str(composite.value) == constructor_error(explicit_two_photon_tables(corrupted, angles))
+    with pytest.raises(ValidationError) as joint:
+        joint_probabilities(AspectConfig(0.5, 0.5, *angles, state=corrupted))
+    want = explicit_two_photon_tables(corrupted, angles, (0.5, 0.5))
+    assert str(joint.value) == constructor_error(want) == "probability table has non-finite entries"

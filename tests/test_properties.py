@@ -66,6 +66,7 @@ from helpers import (
     NEGATIVE_CELL_BOX,
     exact_joint_exists,
     oracle_arm,
+    oracle_born_probabilities,
     oracle_is_hermitian,
     oracle_is_positive,
     oracle_is_projector,
@@ -476,6 +477,32 @@ def test_measure_marginal_is_a_povm_and_commutes_with_born_rule(
     assert got.shape == want.shape
     assert np.max(np.abs(got.values - want.values), initial=0.0) <= 1e-12
     assert got.axis_labels == want.axis_labels
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    shape=st.one_of(st.none(), index_shapes),
+    dim=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    tols=st.tuples(*[st.sampled_from([1e-12, 1e-9, 1e-6])] * 2),
+)
+def test_born_table_is_byte_identical_to_the_frozen_constructor_route(data, shape, dim, seed, tols):
+    # Flat measures, and multi-index ones labelled by a grid, by positions or by
+    # flat names, on random states: values, axis labels and tol as the floor
+    # check and the public constructor gave them.
+    rng = np.random.default_rng(seed)
+    if shape is None:
+        n, labels = data.draw(st.integers(min_value=1, max_value=5)), None
+    else:
+        n, labels = math.prod(shape), drawn_labels(data, shape)
+    measure = PovmMeasure(random_measure(rng, n, dim, projective=False), labels=labels,
+                          index_shape=shape, tol=tols[0])
+    rho = State(random_density_matrix(dim, rng).matrix, tol=tols[1])
+    got, want = born_probabilities(measure, rho), oracle_born_probabilities(measure, rho)
+    assert_same_bits(got.values, want.values)
+    assert got.values.flags.c_contiguous and not got.values.flags.writeable
+    assert (got.axis_labels, got.tol) == (want.axis_labels, want.tol)
 
 
 @PROPERTY_SETTINGS

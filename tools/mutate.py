@@ -160,9 +160,6 @@ ALLOWED = {
     ("measures.py", "return bool(np.abs(np.trace(self._stack, axis1=1, axis2=2) - 1.0).max() <= self.tol)",
      "<=", 0):
         "equality threshold: a projector trace exactly tol from 1",
-    ("measures.py", "if not probs.min() >= -tol:",
-     ">=", 0):
-        "equality threshold: a Born probability exactly at -tol",
     ("measures.py", "if residual > RECONSTRUCTION_TOL:",
      ">", 0):
         "equality threshold: a reconstruction residual exactly at RECONSTRUCTION_TOL",
