@@ -10,6 +10,8 @@ joint outcome distribution always exists at a fixed arrangement.  An arm POVM
 smears its two analyzer PVMs by a ``(4, 2, 2)`` mirror weight matrix
 ``W(gamma)``, and the Born rule is linear, so an arrangement's table is
 ``W(gamma1) P W(gamma2)^T`` with ``P`` the Born table of the analyzer pairs.
+Arrangements at one set of angles share ``P``, so the latest ``P`` is kept and
+reused on the same exact inputs: the analyzers are validated once per setting.
 The four limiting arrangements with ``gamma`` in {0, 1} reproduce the standard
 photon-correlation experiments whose combined statistics violate CHSH; there
 ``W`` holds only 0 and 1, and the tables are ``P``.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .measures import PovmMeasure, PvmMeasure, _stack_violations
-from .operators import DEFAULT_TOL, State
+from .operators import DEFAULT_TOL, State, _checked_tol
 from .tables import ProbabilityTable, _check_tables
 
 #: The four limiting mirror settings of the standard experiments, paired with
@@ -79,6 +82,7 @@ def _polarization_stack(angles, names: Sequence[str]) -> np.ndarray:
 def _analyzer_stack(angles, names: Sequence[str], tol: float) -> np.ndarray:
     """``(N, 2, 2, 2)`` analyzer PVMs ``(E+, E-)`` for N plane angles, validated as one stack."""
     pvms = _polarization_stack(angles, names)
+    _checked_tol(tol)
     invalid = _stack_violations(pvms, tol, True)
     if invalid:
         index, lines = next(iter(invalid.items()))
@@ -101,10 +105,29 @@ def _born_products(rho: State, first: np.ndarray, second: np.ndarray) -> np.ndar
     return np.real(np.einsum("...ica,...jdb,abcd->...ij", first, second, r))
 
 
+#: The key of the latest ``_analyzer_pairs`` call that did not raise, and its result.
+_latest_pairs: tuple = (None, None)
+
+
 def _analyzer_pairs(rho: State, angles, tol: float) -> tuple[np.ndarray, float]:
-    """Unchecked Born table ``P[s, t, a, b]`` of arm 1's analyzer ``s`` and arm 2's ``t``, and its ``tol``."""
+    """Read-only unchecked Born table ``P[s, t, a, b]`` of arm 1's analyzer ``s`` and arm 2's ``t``, and its ``tol``.
+
+    The result is a function of the exact bytes of the angles and the state's matrix,
+    the state's ``tol`` and ``tol``, so the latest one is returned again while they stay
+    the same; bytes tell ``-0.0`` from ``0.0``, whose tables differ in sign bits.
+    """
+    global _latest_pairs
+    angles = _finite_angles(angles, _ANGLE_NAMES)
+    key = (struct.pack("4d", *angles), rho.matrix.tobytes(), rho.tol, tol)
+    latest_key, latest = _latest_pairs
+    if latest_key == key:
+        return latest
     pvms = _analyzer_stack(angles, _ANGLE_NAMES, tol)
-    return _born_products(rho, pvms[:2, None], pvms[None, 2:]), max(tol, rho.tol)
+    pairs = _born_products(rho, pvms[:2, None], pvms[None, 2:])
+    pairs.setflags(write=False)
+    latest = pairs, max(tol, rho.tol)
+    _latest_pairs = key, latest
+    return latest
 
 
 def polarization_pvm(theta: float, tol: float = DEFAULT_TOL) -> PvmMeasure:
@@ -185,6 +208,7 @@ def joint_probabilities(config: AspectConfig, tol: float = DEFAULT_TOL) -> Proba
     The quadrivariate POVM factorizes over the arms and the Born rule is linear
     in each, so the table is the analyzer-pair table contracted with both mirror
     weight matrices; one arm's bivariate marginal never depends on the other's mirror.
+    A sweep over mirror settings at fixed angles, state and ``tol`` reuses one such table.
     """
     pairs, tol = _analyzer_pairs(config.state, [getattr(config, n) for n in _ANGLE_NAMES], tol)
     probs = np.einsum("xsa,stab,ytb->xy", _mirror_weights(config.gamma1), pairs,
@@ -254,7 +278,8 @@ def standard_composite(
     (A', B), (A', B') with A, A' the first arm's angles and B, B' the second's.
     Unlike a single arrangement, these four tables come from four distinct
     experiments and need not admit any joint distribution.  At a limit the
-    mirror weights are 0 and 1, so the four tables are the analyzer-pair table.
+    mirror weights are 0 and 1, so the four tables are the analyzer-pair table,
+    which a ``joint_probabilities`` call on the same inputs next reuses.
     """
     rho = bell_state(tol) if state is None else state
     pairs, tol = _analyzer_pairs(rho, [theta1, theta1p, theta2, theta2p], tol)

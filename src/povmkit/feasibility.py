@@ -22,7 +22,7 @@ from .errors import (
     NoSignalingError,
     ValidationError,
 )
-from .operators import DEFAULT_TOL
+from .operators import DEFAULT_TOL, _checked_tol
 from .tables import ProbabilityTable, _check_tables
 
 #: Bland's-rule pivot tolerance of the simplex solver.
@@ -59,6 +59,7 @@ class MarginalSet:
     __slots__ = ("_values", "_tol", "_tables")
 
     def __init__(self, ab, abp, apb, apbp, tol: float = DEFAULT_TOL):
+        _checked_tol(tol)
         tables = tuple(_pair_table(table, tol) for table in (ab, abp, apb, apbp))
         self._init_valid(np.array([table.values for table in tables]), tables,
                          max(tol, *(table.tol for table in tables)))

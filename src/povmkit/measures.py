@@ -26,8 +26,8 @@ from .errors import (
     InfeasibleProbabilitiesError,
     ValidationError,
 )
-from .operators import (DEFAULT_TOL, State, _hermitian_defect, _lowest_eigenvalues, as_operator,
-                        is_unitary)
+from .operators import (DEFAULT_TOL, State, _checked_tol, _hermitian_defect, _lowest_eigenvalues,
+                        as_operator, is_unitary)
 from .tables import ProbabilityTable, _check_tables, _split_axes
 
 #: Tolerance on the residual ``born(measure, rho) - probabilities`` accepted by
@@ -185,12 +185,13 @@ class PovmMeasure:
         Multi-index shape (e.g. ``(2, 2)`` for a bivariate arrangement); the
         flat element order is C order over this shape.
     tol : float
-        Validation tolerance.
+        Validation tolerance, a finite number greater than 0.
     """
 
     _PROJECTIVE = False
 
     def __init__(self, elements, labels=None, index_shape=None, *, tol: float = DEFAULT_TOL):
+        _checked_tol(tol)
         stack = _coerce_stack(elements)
         n_elements = stack.shape[0]
 

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import PovmMeasure, PvmMeasure
-from .operators import DEFAULT_TOL, _as_array
+from .operators import DEFAULT_TOL, _as_array, _checked_tol
 
 #: Residual above which a solved decomposition is flagged as *not* an exact
 #: nonideal-measurement relation; the floor of ``NonidealityMatrix.is_exact``.
@@ -75,6 +75,7 @@ class NonidealityMatrix:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        _checked_tol(self.tol)
         arr = _as_array(self.matrix, float, "nonideality matrix")
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError("nonideality matrix must be a non-empty 2-D array")

@@ -5,6 +5,7 @@ this module validate shape and algebraic properties under a configurable
 tolerance.  Every value returned here is a read-only array, safe to share
 between callers.  One Hermitian-defect and one lowest-eigenvalue kernel (closed
 form for qubits) serve ``State``, the ``is_*`` predicates and the measures.
+``_checked_tol`` is the one check of a ``tol`` given with raw input.
 """
 
 from __future__ import annotations
@@ -19,6 +20,16 @@ from .errors import DimensionMismatchError, ValidationError
 #: Default tolerance for all algebraic predicates.  Matrices in this package
 #: are at most 16 x 16, so double precision leaves ample headroom.
 DEFAULT_TOL = 1e-9
+
+
+def _checked_tol(tol: float) -> None:
+    """Raise ValidationError unless ``tol`` is a finite number greater than 0.
+
+    A zero, negative, infinite or NaN ``tol`` would let every check pass or fail
+    whatever its input, so each value built from raw input checks its ``tol`` first.
+    """
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tol must be a finite number greater than 0, got {tol!r}")
 
 
 def _as_array(values, dtype, what: str) -> np.ndarray:
@@ -87,6 +98,7 @@ def _lowest_eigenvalues(stack: np.ndarray) -> np.ndarray:
 
 def is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op`` is finite and equals its conjugate transpose within ``tol``."""
+    _checked_tol(tol)
     arr = as_operator(op)
     with np.errstate(over="ignore"):  # a defect beyond the float range reads as inf
         return bool(np.isfinite(arr).all() and _hermitian_defect(arr).max() <= tol)
@@ -108,6 +120,7 @@ def is_projector(op, tol: float = DEFAULT_TOL) -> bool:
 
 def is_unitary(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op.conj().T @ op`` is the identity within ``tol``."""
+    _checked_tol(tol)
     arr = as_operator(op)
     with np.errstate(over="ignore", invalid="ignore"):  # a product beyond float range: inf or nan
         gram = arr.conj().T @ arr
@@ -182,6 +195,7 @@ class State:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        _checked_tol(self.tol)
         arr = as_operator(self.matrix, name="state")
         if not np.isfinite(arr).all():
             raise ValidationError("state has non-finite entries")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .operators import DEFAULT_TOL, _as_array
+from .operators import DEFAULT_TOL, _as_array, _checked_tol
 
 
 def _split_axes(keep, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -58,12 +58,13 @@ class ProbabilityTable:
     axis_labels : sequence of sequences, optional
         One label tuple per axis, each matching that axis' length.
     tol : float
-        Validation tolerance.
+        Validation tolerance, a finite number greater than 0.
     """
 
     __slots__ = ("_values", "_tol", "_axis_labels")
 
     def __init__(self, values, axis_labels=None, *, tol: float = DEFAULT_TOL):
+        _checked_tol(tol)
         arr = _as_array(values, float, "probability table")
         if arr.size == 0:
             raise ValidationError("probability table must not be empty")

@@ -132,6 +132,19 @@ def oracle_joint_probabilities(config, tol=DEFAULT_TOL):
     return ProbabilityTable(probs, axis_labels=(("+", "-"),) * 4, tol=tol)
 
 
+def oracle_standard_composite(angles, state, tol=DEFAULT_TOL):
+    """The four limiting arrangements' tables, each built through the public table constructor.
+
+    The frozen analyzer stack, validated on its own, and the library's
+    ``_born_products``, with no kept analyzer-pair table in between.
+    """
+    pvms = oracle_polarization_stack(angles, _ANGLE_NAMES)
+    assert _stack_violations(pvms, tol, True) == {}
+    pairs = _born_products(state, pvms[:2, None], pvms[None, 2:]).reshape(4, 2, 2)
+    return [ProbabilityTable(t, axis_labels=(("+", "-"),) * 2, tol=max(tol, state.tol))
+            for t in pairs]
+
+
 def constructor_error(tables) -> str:
     """The message of the ``ProbabilityTable`` constructor's error on the first table it rejects."""
     for values in tables:

@@ -1,20 +1,37 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from povmkit import (
+    AspectConfig,
     DimensionMismatchError,
+    MarginalSet,
+    NonidealityMatrix,
+    PovmMeasure,
+    ProbabilityTable,
+    SrtConfig,
     State,
     ValidationError,
+    apply_nonideality,
+    arm_povm,
+    bell_state,
     commutator_bound,
     is_hermitian,
     is_positive,
     is_projector,
     is_unitary,
+    joint_probabilities,
     partial_trace,
+    path_pvm,
+    srt_bivariate,
+    standard_composite,
     tensor,
     trace_distance,
+    tradeoff_sweep,
 )
-from povmkit.sampling import random_density_matrix, random_hermitian, random_unitary
+from povmkit.sampling import pr_box_marginals, random_density_matrix, random_hermitian, random_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -224,3 +241,49 @@ class TestCommutatorBound:
             b = random_hermitian(2, rng)
             result = commutator_bound(a, b, random_density_matrix(2, rng))
             assert result.product >= result.bound - 1e-9
+
+
+#: Every place a ``tol`` given with raw input is checked, each called on valid input,
+#: so the ``tol`` is the only thing that can be wrong.
+TOL_ENTRY_POINTS = {
+    "State": lambda tol: State(np.eye(2) / 2, tol=tol),
+    "PovmMeasure": lambda tol: PovmMeasure([np.eye(2)], tol=tol),
+    "ProbabilityTable": lambda tol: ProbabilityTable([0.5, 0.5], tol=tol),
+    "MarginalSet": lambda tol: MarginalSet(*[ProbabilityTable(np.full((2, 2), 0.25))] * 4, tol=tol),
+    "NonidealityMatrix": lambda tol: NonidealityMatrix(np.eye(2), tol=tol),
+    "is_hermitian": lambda tol: is_hermitian(np.eye(2), tol),
+    "is_positive": lambda tol: is_positive(np.eye(2), tol),
+    "is_projector": lambda tol: is_projector(np.eye(2), tol),
+    "is_unitary": lambda tol: is_unitary(np.eye(2), tol),
+    "arm_povm": lambda tol: arm_povm(0.5, 0.0, 0.0, tol),
+    "standard_composite": lambda tol: standard_composite(0.0, 0.0, 0.0, 0.0, state=bell_state(), tol=tol),
+    "joint_probabilities": lambda tol: joint_probabilities(
+        AspectConfig(0.5, 0.5, 0.0, 0.0, 0.0, 0.0, state=bell_state()), tol=tol),
+    # Builders that reach one of the checks above.
+    "bell_state": bell_state,
+    "commutator_bound": lambda tol: commutator_bound(SX, SZ, State(np.eye(2) / 2), tol),
+    "apply_nonideality": lambda tol: apply_nonideality(path_pvm(), np.eye(2), tol=tol),
+    "pr_box_marginals": pr_box_marginals,
+    "srt_bivariate": lambda tol: srt_bivariate(SrtConfig(0.3), tol),
+    "tradeoff_sweep": lambda tol: tradeoff_sweep([0.0, 0.5, 1.0], tol=tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOL_ENTRY_POINTS))
+def test_a_tol_must_be_finite_and_greater_than_zero(name):
+    build = TOL_ENTRY_POINTS[name]
+    build(1e-9)
+    for tol in (0.0, -0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(f'tol must be a finite number greater than 0, got {tol!r}')}$"):
+            build(tol)
+
+
+def test_an_infinite_tol_no_longer_passes_invalid_values():
+    # Each of these was accepted, or True, with tol=inf.
+    for build in (lambda: PovmMeasure([5 * np.eye(2)], tol=math.inf),
+                  lambda: ProbabilityTable([[-5.0, 6.0]], tol=math.inf),
+                  lambda: State(np.diag([3.0, -2.0]), tol=math.inf),
+                  lambda: is_positive(np.diag([1.0, -7.0]), tol=math.inf)):
+        with pytest.raises(ValidationError, match="^tol must be a finite number greater than 0, got inf$"):
+            build()

@@ -47,8 +47,8 @@ from povmkit import (
     standard_composite,
     tradeoff_sweep,
 )
-from povmkit import (InternalConsistencyError, NoSignalingError, ValidationError, feasibility,
-                     measures, nonideality, serialize)
+from povmkit import (InternalConsistencyError, NoSignalingError, ValidationError, aspect,
+                     feasibility, measures, nonideality, serialize)
 from povmkit.aspect import _ANGLE_NAMES, CHSH_SIGN_PATTERNS, _polarization_stack
 from povmkit.cli import main
 from povmkit.feasibility import _KEEP, _REDUCED, BOUNDARY_TOL, phase1_simplex
@@ -80,6 +80,7 @@ from helpers import (
     oracle_setting_pair_tables,
     oracle_solve_stack,
     oracle_stack_violations,
+    oracle_standard_composite,
     oracle_state_check,
     oracle_stochastic_violation,
     oracle_table_check,
@@ -360,6 +361,39 @@ def test_two_photon_kernels_are_byte_identical_to_their_frozen_copies(
     got, want = joint_probabilities(config), oracle_joint_probabilities(config)
     assert_same_bits(got.values, want.values)
     assert (got.axis_labels, got.tol) == (want.axis_labels, want.tol)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    states=st.lists(st.one_of(st.just(bell_state()), two_photon_states()), min_size=1, max_size=2),
+    angle_sets=st.lists(st.tuples(*[edge_angles] * 4), min_size=1, max_size=2),
+    tols=st.lists(st.sampled_from([1e-9, 1e-7, 1e-6]), min_size=1, max_size=2),
+    calls=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+                             edge_gammas, edge_gammas, st.booleans()), min_size=1, max_size=8),
+)
+def test_kept_analyzer_pairs_give_the_bits_of_a_fresh_computation(states, angle_sets, tols, calls):
+    # A sequence of two-photon calls over a few states, angle sets and tols, so
+    # consecutive calls share some key parts, all of them or none: each result
+    # must equal the result of a call with no kept table, and the frozen oracle.
+    for s, a, t, gamma1, gamma2, composite in calls:
+        state, angles, tol = states[s % len(states)], angle_sets[a % len(angle_sets)], tols[t % len(tols)]
+        if composite:
+            def run():
+                return standard_composite(*angles, state=state, tol=tol).tables
+            want = oracle_standard_composite(angles, state, tol)
+        else:
+            config = AspectConfig(gamma1, gamma2, *angles, state=state)
+
+            def run():
+                return [joint_probabilities(config, tol)]
+            want = [oracle_joint_probabilities(config, tol)]
+        got = run()
+        aspect._latest_pairs = (None, None)
+        fresh = run()
+        for g, f, w in zip(got, fresh, want, strict=True):
+            assert_same_bits(g.values, f.values)
+            assert_same_bits(g.values, w.values)
+            assert (g.axis_labels, g.tol) == (f.axis_labels, f.tol) == (w.axis_labels, w.tol)
 
 
 @PROPERTY_SETTINGS

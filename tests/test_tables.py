@@ -12,6 +12,9 @@ def test_validation():
         ProbabilityTable([1.2, -0.2])
     with pytest.raises(ValidationError):
         ProbabilityTable([])
+    # An entry exactly at -tol is within tolerance, so the error names the total.
+    with pytest.raises(ValidationError, match="^probability table sums to 0.499999999, not 1$"):
+        ProbabilityTable([-1e-9, 0.5])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -61,6 +64,8 @@ def test_marginal_axis_checks():
         table.marginal(keep=(1, 0))
     with pytest.raises(DimensionMismatchError):
         table.marginal(keep=5)
+    with pytest.raises(DimensionMismatchError, match=r"^invalid axes \(2,\) for shape \(2, 2\)$"):
+        table.marginal(keep=2)
 
 
 def test_marginal_of_a_valid_table_at_the_tolerance_edge():

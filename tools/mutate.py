@@ -160,6 +160,22 @@ ALLOWED = {
     ("measures.py", "return bool(np.abs(np.trace(self._stack, axis1=1, axis2=2) - 1.0).max() <= self.tol)",
      "<=", 0):
         "equality threshold: a projector trace exactly tol from 1",
+    ("tables.py", "if min(entries) >= -tol and max(entries) <= 1.0 + 2.0 * bound and all(", ">=", 0):
+        "equivalent: a stricter accept pass sends the table to the reject pass, which accepts "
+        "an entry exactly at -tol too",
+    ("tables.py", "if min(entries) >= -tol and max(entries) <= 1.0 + 2.0 * bound and all(", "<=", 0):
+        "equivalent: a stricter accept pass sends the table to the reject pass, which has no "
+        "upper bound on an entry and judges the total the same way",
+    ("tables.py", "if min(entries) >= -tol and max(entries) <= 1.0 + 2.0 * bound and all(", "*", 0):
+        "equivalent: the entry bound only keeps the totals from overflowing; with entries >= -tol, "
+        "an entry above 1 + 2 bound already puts its total more than bound from 1",
+    ("tables.py", "abs(total - 1.0) <= bound for total in stack.reshape(len(stack), -1).sum(1).tolist()):",
+     "<=", 0):
+        "equivalent: a stricter accept pass sends the table to the reject pass, which accepts "
+        "a total exactly bound from 1 too",
+    ("tables.py", "if abs(total - 1.0) > bound:", ">", 0):
+        "equality threshold: a table total exactly bound from 1, read by the reject pass only "
+        "when another table of the stack fails",
     ("measures.py", "if residual > RECONSTRUCTION_TOL:",
      ">", 0):
         "equality threshold: a reconstruction residual exactly at RECONSTRUCTION_TOL",
