@@ -75,7 +75,6 @@ from .operators import (
     is_positive,
     is_projector,
     is_unitary,
-    partial_trace,
     tensor,
     trace_distance,
 )

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -25,11 +24,11 @@ import numpy as np
 
 from . import serialize
 from .aspect import AspectConfig, bell_state, chsh_value, joint_probabilities, standard_composite
-from .errors import NoSignalingError, PovmkitError
+from .errors import NoSignalingError, PovmkitError, ValidationError
 from .feasibility import MarginalSet, joint_exists
 from .measures import born_probabilities, povm_violations
 from .nonideality import check_martens, solve_nonideality
-from .operators import DEFAULT_TOL
+from .operators import DEFAULT_TOL, _checked_tol
 from .srt import SrtConfig, srt_bivariate, srt_povm, tradeoff_sweep
 
 EX_OK = 0
@@ -308,8 +307,10 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EX_USAGE
-        if not (math.isfinite(args.tol) and args.tol > 0.0):
-            raise _UsageError(f"--tol must be a finite number greater than 0, got {args.tol!r}")
+        try:
+            _checked_tol(args.tol)
+        except ValidationError as exc:
+            raise _UsageError(f"--{exc}") from None
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

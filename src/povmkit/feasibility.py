@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import DEFAULT_TOL, _checked_tol
-from .tables import ProbabilityTable, _check_tables
+from .tables import ProbabilityTable, _check_tables, _marginal_tol
 
 #: Bland's-rule pivot tolerance of the simplex solver.
 PIVOT_TOL = 1e-12
@@ -90,16 +90,18 @@ class MarginalSet:
 
     @classmethod
     def from_quadrivariate(cls, joint: ProbabilityTable) -> "MarginalSet":
-        """The four setting-pair tables of a joint over (A, A', B, B'), views of one stack, at its ``tol``."""
+        """The four setting-pair tables of a joint over (A, A', B, B'), views of one stack, at
+        ``4 * joint.tol``: each cell sums four joint cells (``tables._marginal_tol``)."""
         if joint.values.shape != (2, 2, 2, 2):
             raise DimensionMismatchError(f"expected a (2, 2, 2, 2) joint table, got shape {joint.shape}")
         values, labels = np.empty((4, 2, 2)), joint.axis_labels
         for table, drop in zip(values, _SETTING_PAIR_DROP):
             joint.values.sum(axis=drop, out=table)
+        tol = _marginal_tol(joint.tol, joint.shape, _SETTING_PAIR_DROP[0])
         tables = tuple(ProbabilityTable.__new__(ProbabilityTable)._init_valid(
-            table, None if labels is None else (labels[i], labels[j]), joint.tol)
+            table, None if labels is None else (labels[i], labels[j]), tol)
             for table, (i, j) in zip(values, _SETTING_PAIR_AXES))
-        return cls.__new__(cls)._init_valid(values, tables, joint.tol)
+        return cls.__new__(cls)._init_valid(values, tables, tol)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .operators import (DEFAULT_TOL, State, _checked_tol, _hermitian_defect, _lowest_eigenvalues,
                         as_operator, is_unitary)
-from .tables import ProbabilityTable, _check_tables, _split_axes
+from .tables import ProbabilityTable, _check_tables, _marginal_tol, _split_axes
 
 #: Tolerance on the residual ``born(measure, rho) - probabilities`` accepted by
 #: state reconstruction.
@@ -153,22 +153,24 @@ def _per_axis_labels(labels: tuple, index_shape) -> tuple[tuple, ...]:
     return tuple(tuple(range(size)) for size in index_shape)
 
 
-def povm_violations(elements, tol: float = DEFAULT_TOL) -> list[str]:
-    """List every way ``elements`` fails to form a POVM (empty when valid)."""
+def _violations(elements, tol: float, projective: bool) -> list[str]:
+    """Violations of raw ``elements`` as one measure, after ``_checked_tol`` accepts ``tol``."""
+    _checked_tol(tol)
     try:
         stack = _coerce_stack(elements)
     except (DimensionMismatchError, ValidationError) as exc:
         return [str(exc)]
-    return _stack_violations(stack, tol).get((), [])
+    return _stack_violations(stack, tol, projective).get((), [])
+
+
+def povm_violations(elements, tol: float = DEFAULT_TOL) -> list[str]:
+    """List every way ``elements`` fails to form a POVM (empty when valid); an invalid ``tol`` raises."""
+    return _violations(elements, tol, projective=False)
 
 
 def pvm_violations(elements, tol: float = DEFAULT_TOL) -> list[str]:
-    """POVM violations plus projector and pairwise-orthogonality defects."""
-    try:
-        stack = _coerce_stack(elements)
-    except (DimensionMismatchError, ValidationError) as exc:
-        return [str(exc)]
-    return _stack_violations(stack, tol, projective=True).get((), [])
+    """POVM violations plus projector and pairwise-orthogonality defects; an invalid ``tol`` raises."""
+    return _violations(elements, tol, projective=True)
 
 
 class PovmMeasure:
@@ -188,6 +190,8 @@ class PovmMeasure:
         Validation tolerance, a finite number greater than 0.
     """
 
+    __slots__ = ("_stack", "_elements", "_labels", "_index_shape", "_tol", "_label_index",
+                 "_axis_labels")
     _PROJECTIVE = False
 
     def __init__(self, elements, labels=None, index_shape=None, *, tol: float = DEFAULT_TOL):
@@ -220,14 +224,17 @@ class PovmMeasure:
     def _init_valid(self, stack: np.ndarray, labels: tuple, index_shape, tol) -> "PovmMeasure":
         """Set the fields from a stack known to be valid, with no check; returns self."""
         stack.setflags(write=False)
-        self._stack = stack
-        self.elements = tuple(stack)
-        self.labels = labels
-        self.index_shape = index_shape
-        self.tol = float(tol)
+        self._stack, self._elements, self._labels = stack, tuple(stack), labels
+        self._index_shape, self._tol = index_shape, float(tol)
         self._label_index = {label: k for k, label in enumerate(labels)}
         self._axis_labels = _per_axis_labels(labels, index_shape)
         return self
+
+    #: The elements, their labels, the multi-index shape and ``tol``; none can be reassigned.
+    elements = property(lambda self: self._elements)
+    labels = property(lambda self: self._labels)
+    index_shape = property(lambda self: self._index_shape)
+    tol = property(lambda self: self._tol)
 
     @property
     def dim(self) -> int:
@@ -262,14 +269,15 @@ class PovmMeasure:
         ``keep`` is an axis index or ascending tuple of axis indices into
         ``index_shape``.  The marginal of a POVM is a POVM and is not
         re-checked; it carries the tolerance its sums accumulate, ``tol``
-        times the number of elements summed into each marginal element.
+        times the number of elements summed into each marginal element
+        (``tables._marginal_tol``).
         """
         if self.index_shape is None:
             raise ValidationError("marginal requires a multi-index measure")
         keep, drop = _split_axes(keep, self.index_shape)
         grid = self._stack.reshape(*self.index_shape, self.dim, self.dim)
         elements = grid.sum(axis=drop).reshape(-1, self.dim, self.dim)
-        tol = self.tol * math.prod(self.index_shape[ax] for ax in drop)
+        tol = _marginal_tol(self.tol, self.index_shape, drop)
         axis_labels = tuple(self._axis_labels[ax] for ax in keep)
         marginal = PovmMeasure.__new__(PovmMeasure)
         if len(keep) == 1:
@@ -282,6 +290,7 @@ class PovmMeasure:
 class PvmMeasure(PovmMeasure):
     """POVM whose elements are mutually orthogonal projectors."""
 
+    __slots__ = ()
     _PROJECTIVE = True
 
     def is_maximal(self) -> bool:

@@ -140,40 +140,6 @@ def tensor(a, b) -> np.ndarray:
     return out
 
 
-def partial_trace(op, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one tensor factor of a bipartite operator.
-
-    Parameters
-    ----------
-    op : array_like
-        Operator on a space of dimension ``dims[0] * dims[1]``.
-    dims : (int, int)
-        Dimensions of the two tensor factors.
-    keep : int
-        Index (0 or 1) of the subsystem to keep.
-
-    Returns
-    -------
-    np.ndarray
-        Operator on the kept subsystem; the full trace is preserved.
-    """
-    arr = as_operator(op)
-    d0, d1 = int(dims[0]), int(dims[1])
-    if d0 <= 0 or d1 <= 0 or d0 * d1 != arr.shape[0]:
-        raise DimensionMismatchError(
-            f"operator of dimension {arr.shape[0]} does not factor as {d0} x {d1}"
-        )
-    if keep not in (0, 1):
-        raise DimensionMismatchError(f"keep must be 0 or 1, got {keep!r}")
-    blocks = arr.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        out = np.einsum("ijkj->ik", blocks)
-    else:
-        out = np.einsum("ijil->jl", blocks)
-    out.setflags(write=False)
-    return out
-
-
 def trace_distance(a, b) -> float:
     """Trace distance ``0.5 * ||a - b||_1`` between two Hermitian operators."""
     left = a.matrix if isinstance(a, State) else as_operator(a)

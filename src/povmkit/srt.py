@@ -32,6 +32,7 @@ from .nonideality import (
     martens_bound,
 )
 from .operators import DEFAULT_TOL
+from .tables import _marginal_tol
 
 #: Agreement required between the generic solver pipeline and the closed-form
 #: entropies during a sweep.
@@ -193,11 +194,13 @@ def tradeoff_sweep(
     of the stacked bivariate arrangements, their two marginals as index sums,
     one batched decomposition solve of both marginals against their target
     PVMs, and the row entropies.  Every point is checked as the single-point
-    chain would check it (measure validity, nonideality-matrix validity,
-    Martens slack, and agreement with the closed-form entropies within
-    ``PIPELINE_AGREEMENT_TOL``); the first failing absorber setting is named
-    in the error, path marginal before interference marginal.  Output
-    follows grid order.
+    chain ``srt_bivariate -> marginal -> solve_nonideality -> check_martens``
+    would check it: the arrangement at ``tol``; the zero target elements, the
+    nonideality matrices and the Martens slack at the marginals' ``2 * tol``
+    (each marginal element sums two cells, ``tables._marginal_tol``); and
+    agreement with the closed-form entropies within ``PIPELINE_AGREEMENT_TOL``.
+    The first failing absorber setting is named in the error, path marginal
+    before interference marginal.  Output follows grid order.
 
     Parameters
     ----------
@@ -226,16 +229,17 @@ def tradeoff_sweep(
     # Problem 0 is the path marginal and problem 1 the interference marginal,
     # so in C order every path matrix is checked before any interference one.
     marginals = np.stack([cells[:, :, 0] + cells[:, :, 1], cells[:, 0] + cells[:, 1]])
+    marginal_tol = _marginal_tol(tol, (2, 2), (1,))
     targets = np.stack([_PATH_PVM.stack(), target_interference.stack()])
-    matrices, _ = _solve_stack(marginals, targets, tol)
-    failure = _stochastic_violation(matrices.reshape(-1, 2, 2), tol)
+    matrices, _ = _solve_stack(marginals, targets, marginal_tol)
+    failure = _stochastic_violation(matrices.reshape(-1, 2, 2), marginal_tol)
     if failure is not None:
         n, message = failure
         raise ValidationError(f"absorber={float(values[n % values.size])!r}: {message}")
     j_lambda, j_mu = _row_entropy(matrices)
     slack = j_lambda + j_mu - bound
 
-    violated = np.flatnonzero(~(slack >= -tol))
+    violated = np.flatnonzero(~(slack >= -marginal_tol))
     if violated.size:
         n = violated[0]
         raise InternalConsistencyError(

@@ -1,6 +1,12 @@
-"""Multi-index probability tables with marginalization."""
+"""Multi-index probability tables with marginalization.
+
+A marginal is an index sum.  Each summed cell may sit ``tol`` off, so by the one rule
+``_marginal_tol`` it carries ``tol`` times the number of cells summed into each of its cells.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,6 +25,11 @@ def _split_axes(keep, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if list(keep) != sorted(keep):
         raise DimensionMismatchError("keep axes must be in ascending order")
     return keep, tuple(ax for ax in range(ndim) if ax not in keep)
+
+
+def _marginal_tol(tol: float, shape, drop) -> float:
+    """The ``tol`` of a sum over the ``drop`` axes of ``shape``: ``tol`` times the cells summed into one."""
+    return tol * math.prod(shape[ax] for ax in drop)
 
 
 def _check_tables(stack: np.ndarray, tol: float) -> None:
@@ -99,8 +110,10 @@ class ProbabilityTable:
         return f"ProbabilityTable(shape={self.shape})"
 
     def marginal(self, keep) -> "ProbabilityTable":
-        """Sum out all axes not listed in ``keep`` (ascending); the result inherits validity."""
+        """Sum out all axes not listed in ``keep`` (ascending); the result inherits validity
+        unchecked, at the ``tol`` its sums accumulate (``_marginal_tol``)."""
         keep, drop = _split_axes(keep, self.shape)
         summed = np.asarray(self.values.sum(axis=drop))
         labels = None if self.axis_labels is None else tuple(self.axis_labels[ax] for ax in keep)
-        return ProbabilityTable.__new__(ProbabilityTable)._init_valid(summed, labels, self.tol)
+        return ProbabilityTable.__new__(ProbabilityTable)._init_valid(
+            summed, labels, _marginal_tol(self.tol, self.shape, drop))

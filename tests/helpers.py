@@ -44,7 +44,7 @@ from povmkit.nonideality import (
     _stochastic_violation,
     martens_bound,
 )
-from povmkit.operators import DEFAULT_TOL, as_operator, partial_trace, tensor
+from povmkit.operators import DEFAULT_TOL, as_operator, tensor
 
 TSIRELSON_ANGLES = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -189,6 +189,16 @@ def oracle_born_probabilities(measure, rho):
     return ProbabilityTable(probs, axis_labels=measure.axis_label_tuples(), tol=tol)
 
 
+def _partial_trace_second(op, dims):
+    """Trace out the second factor of an operator on a ``dims[0] * dims[1]`` space.
+
+    A frozen copy of the ``partial_trace(op, dims, keep=0)`` that ``povmkit.operators``
+    exported until the instrument POVM became one contraction.
+    """
+    d0, d1 = dims
+    return np.einsum("ijkj->ik", np.asarray(op).reshape(d0, d1, d0, d1))
+
+
 def oracle_povm_from_instrument(model):
     """The instrument's object POVM, one pair of ``np.kron`` products per pointer element.
 
@@ -203,7 +213,7 @@ def oracle_povm_from_instrument(model):
     elements = []
     for pointer_element in model.pointer.elements:
         rotated = u.conj().T @ np.kron(identity, pointer_element) @ u
-        element = partial_trace(weighted @ rotated, dims, keep=0)
+        element = _partial_trace_second(weighted @ rotated, dims)
         elements.append((element + element.conj().T) / 2.0)
     return PovmMeasure(elements, labels=model.pointer.labels,
                        index_shape=model.pointer.index_shape, tol=model.tol)

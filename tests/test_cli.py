@@ -88,6 +88,19 @@ class TestSrt:
         expected = serialize.measure_to_dict(recovered)
         assert json.loads(out) == expected
 
+    def test_sweep_two_points_is_the_smallest_grid(self, capsys):
+        code, out, _ = run(capsys, "srt", "sweep", "--points", "2")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["0", "1"]
+
+    @pytest.mark.parametrize(("emit", "n_elements", "index_shape"),
+                             [("povm", 3, None), ("bivariate", 4, [2, 2])])
+    def test_emit_chooses_the_arrangement(self, capsys, emit, n_elements, index_shape):
+        code, out, _ = run(capsys, "srt", "--absorber", "0.3", "--emit", emit)
+        assert code == 0
+        record = json.loads(out)
+        assert (len(record["elements"]), record["index_shape"]) == (n_elements, index_shape)
+
     def test_emit_probabilities_needs_state(self, capsys, tmp_path):
         code, _, err = run(capsys, "srt", "--absorber", "0.3", "--emit", "probabilities")
         assert code == 65
@@ -473,7 +486,8 @@ class TestTolerance:
             "--emit", "marginals", "--tol", "1e-12",
         )
         assert code == 0
-        assert [marginals.tol for marginals in built] == [1e-12]
+        # Each setting-pair cell sums four joint cells, so the set carries 4 * --tol.
+        assert [marginals.tol for marginals in built] == [4 * 1e-12]
 
 
 class TestFine:

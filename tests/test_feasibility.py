@@ -76,6 +76,19 @@ class TestMarginalSet:
         with pytest.raises(DimensionMismatchError):
             MarginalSet.from_quadrivariate(ProbabilityTable(np.full((2, 2), 0.25)))
 
+    def test_from_quadrivariate_carries_four_times_the_joint_tol(self):
+        # Four joint cells at -0.9 tol under the AB cell (1, 1) sum to -3.6 tol.
+        raw = np.zeros((2, 2, 2, 2))
+        raw[1, :, 1, :] = -0.9e-9
+        raw[raw == 0.0] = (1.0 + 3.6e-9) / 12
+        marginals = MarginalSet.from_quadrivariate(ProbabilityTable(raw))
+        assert marginals.ab.values[1, 1] == pytest.approx(-3.6e-9, rel=1e-12)
+        assert marginals.tol == 4e-9
+        assert all(table.tol == 4e-9 for table in marginals.tables())
+        rebuilt = MarginalSet(*marginals.values, tol=marginals.tol)
+        assert np.array_equal(rebuilt.values, marginals.values)
+        assert joint_exists(marginals).feasible
+
     @pytest.mark.parametrize("raw", [[0.25] * 4, np.full((1, 4), 0.25), np.full((2, 2, 1), 0.25)])
     def test_raw_arrays_shape_checked(self, raw):
         good = np.full((2, 2), 0.25)

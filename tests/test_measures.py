@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -24,9 +25,9 @@ from povmkit import (
     tetrahedral_qubit_povm,
     trace_distance,
 )
-from povmkit import measures
+from povmkit import measures, serialize
 from povmkit.measures import _coerce_stack
-from povmkit.srt import SrtConfig, srt_povm
+from povmkit.srt import SrtConfig, path_pvm, srt_bivariate, srt_povm
 from povmkit.sampling import (
     random_basis_pvm,
     random_density_matrix,
@@ -129,9 +130,14 @@ class TestMeasureValidation:
         assert any("sum to identity" in line for line in report)
 
     def test_nan_tolerance_accepts_nothing(self):
-        from povmkit import povm_violations
+        # The report checks its tol as the constructors do, so no tol can call 5 I valid.
+        from povmkit import povm_violations, pvm_violations
 
-        assert povm_violations([P0, P1], tol=np.nan)
+        for report in (povm_violations, pvm_violations):
+            for tol in (np.nan, np.inf, 0.0, -1.0):
+                with pytest.raises(ValidationError, match=r"^tol must be a finite number greater "
+                                   rf"than 0, got {re.escape(repr(tol))}$"):
+                    report([5 * np.eye(2)], tol=tol)
 
     @pytest.mark.parametrize(
         ("elements", "expected"),
@@ -165,6 +171,26 @@ class TestMeasureValidation:
         assert np.array_equal(measure.element("down"), P1)
         with pytest.raises(KeyError):
             measure.element("sideways")
+
+
+@pytest.mark.parametrize("field", ["elements", "labels", "index_shape", "tol", "dim", "n_outcomes"])
+@pytest.mark.parametrize("build", [lambda: srt_bivariate(SrtConfig(0.5)), path_pvm], ids=["povm", "pvm"])
+def test_measure_fields_cannot_be_reassigned(build, field):
+    # A reassigned elements left stack() behind, and a reassigned tol moved what a
+    # marginal carries; every field is read-only, and no new one can be added.
+    measure = build()
+    replacement = {"elements": (5 * np.eye(2), 0 * np.eye(2)), "labels": ("x", "y"),
+                   "index_shape": (2, 1), "tol": 0.5, "dim": 3, "n_outcomes": 1}[field]
+    with pytest.raises(AttributeError):
+        setattr(measure, field, replacement)
+    with pytest.raises(AttributeError):
+        measure.extra = None
+    recovered = serialize.measure_from_dict(serialize.measure_to_dict(measure),
+                                            pvm=isinstance(measure, PvmMeasure))
+    assert np.array_equal(recovered.stack(), measure.stack())
+    assert measure.tol == 1e-9
+    if measure.index_shape is not None:
+        assert measure.marginal(0).tol == 2e-9
 
 
 class TestMarginal:

@@ -23,7 +23,6 @@ from povmkit import (
     is_projector,
     is_unitary,
     joint_probabilities,
-    partial_trace,
     path_pvm,
     srt_bivariate,
     standard_composite,
@@ -93,39 +92,6 @@ class TestTensor:
             lhs = np.trace(tensor(a, b))
             rhs = np.trace(a) * np.trace(b)
             assert abs(lhs - rhs) < 1e-12
-
-
-class TestPartialTrace:
-    def test_tensor_then_trace_oracle(self, rng):
-        for _ in range(25):
-            a = random_hermitian(2, rng)
-            b = random_hermitian(2, rng)
-            reduced = partial_trace(tensor(a, b), (2, 2), keep=0)
-            assert np.max(np.abs(reduced - a * np.trace(b))) < 1e-12
-            reduced = partial_trace(tensor(a, b), (2, 2), keep=1)
-            assert np.max(np.abs(reduced - b * np.trace(a))) < 1e-12
-
-    def test_identity(self):
-        assert np.allclose(partial_trace(np.eye(4), (2, 2), keep=1), 2 * np.eye(2))
-
-    def test_maximally_entangled_reduction(self):
-        vec = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-        rho = np.outer(vec, vec)
-        reduced = partial_trace(rho, (2, 2), keep=0)
-        assert np.max(np.abs(reduced - np.eye(2) / 2)) < 1e-12
-
-    def test_linear_and_trace_preserving(self, rng):
-        a = random_hermitian(4, rng)
-        b = random_hermitian(4, rng)
-        s, t = rng.standard_normal(2)
-        combined = partial_trace(s * a + t * b, (2, 2), keep=0)
-        separate = s * partial_trace(a, (2, 2), 0) + t * partial_trace(b, (2, 2), 0)
-        assert np.max(np.abs(combined - separate)) < 1e-12
-        assert abs(np.trace(partial_trace(a, (2, 2), 1)) - np.trace(a)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            partial_trace(np.eye(6), (2, 2), keep=0)
 
 
 def test_projector_implies_positive(rng):

@@ -568,7 +568,38 @@ def test_table_marginal_never_raises(data, shape, total_edge):
     dropped = tuple(ax for ax in range(len(shape)) if ax not in keep)
     assert np.array_equal(marg.values, values.sum(axis=dropped))
     assert marg.axis_labels == tuple(axis_labels[ax] for ax in keep)
-    assert marg.tol == TOL
+    # A marginal carries tol times the cells summed into each of its cells, and is valid there.
+    assert marg.tol == TOL * math.prod(shape[ax] for ax in dropped)
+    ProbabilityTable(marg.values, axis_labels=marg.axis_labels, tol=marg.tol)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    edge_share=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    total_edge=st.sampled_from([-0.9, 0.0, 0.9]),
+)
+def test_joint_marginals_are_valid_at_the_tol_they_carry(seed, edge_share, total_edge):
+    # The edge family above on (2, 2, 2, 2) joints: every table marginal and every
+    # setting-pair set passes its own constructor at the tol it carries.
+    rng = np.random.default_rng(seed)
+    values = rng.random(16)
+    values /= values.sum()
+    keeper = int(np.argmax(values))
+    edge = rng.random(16) < edge_share
+    edge[keeper] = False
+    values[edge] = -0.9 * TOL
+    values[keeper] += 1.0 + total_edge * TOL * 16 - values.sum()
+    joint = ProbabilityTable(values.reshape(2, 2, 2, 2), tol=TOL)
+
+    for keep in itertools.chain.from_iterable(itertools.combinations(range(4), r) for r in range(5)):
+        marg = joint.marginal(keep)
+        assert marg.tol == TOL * 2 ** (4 - len(keep))
+        ProbabilityTable(marg.values, tol=marg.tol)
+    marginals = MarginalSet.from_quadrivariate(joint)
+    assert marginals.tol == 4 * TOL
+    assert all(table.tol == 4 * TOL for table in marginals.tables())
+    MarginalSet(*marginals.values, tol=marginals.tol)
 
 
 # -- (f) the closed-form qubit spectrum against eigvalsh ---------------------

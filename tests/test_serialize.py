@@ -28,6 +28,8 @@ def test_matrix_dict_shape_checked():
         serialize.matrix_from_dict({"dim": 2, "entries": [[1.0, 0.0]]})
     with pytest.raises(ValidationError):
         serialize.matrix_from_dict({"entries": []})
+    with pytest.raises(ValidationError, match=r"declares dim 0 but carries 0 entries"):
+        serialize.matrix_from_dict({"dim": 0, "entries": []})
 
 
 def test_measure_round_trip(rng):

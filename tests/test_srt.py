@@ -248,6 +248,32 @@ class TestTradeoffSweep:
         with pytest.raises(ValidationError, match=r"absorber=0\.75\b.*columns must sum"):
             tradeoff_sweep([0.25, 0.5, 0.75])
 
+    @pytest.mark.parametrize("check", ["stochastic", "slack"])
+    @pytest.mark.parametrize(("shift", "fails"), [(1.5e-9, False), (2.5e-9, True)])
+    def test_marginal_checks_run_at_twice_tol(self, monkeypatch, check, shift, fails):
+        # Each marginal element sums two cells, so the single-point chain checks the
+        # nonideality matrices and the Martens slack at 2 tol; the sweep does the same.
+        if check == "stochastic":
+            solve = srt._solve_stack
+
+            def shifted(observed, target, tol):
+                matrices, zero = solve(observed, target, tol)
+                matrices[0, :, 0, 0] += shift  # at a = 1 the path matrix is [[1, 1], [0, 0]]
+                matrices[0, :, 1, 0] -= shift
+                return matrices, zero
+
+            monkeypatch.setattr(srt, "_solve_stack", shifted)
+            error = ValidationError
+        else:
+            monkeypatch.setattr(srt, "martens_bound", lambda *args: LN2 + shift)
+            error = InternalConsistencyError
+        if fails:
+            with pytest.raises(error, match=r"absorber=1\.0\b"):
+                tradeoff_sweep([1.0], tol=1e-9)
+        else:
+            (point,) = tradeoff_sweep([1.0], tol=1e-9)
+            assert point.absorber == 1.0
+
     def test_slack_violation_names_the_first_failing_absorber(self, monkeypatch):
         # J_lambda + J_mu is ln 2 at the endpoints and about 0.894 at a = 0.5,
         # so a bound of 0.8 holds in the interior and fails at a = 1.

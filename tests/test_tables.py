@@ -78,6 +78,17 @@ def test_marginal_of_a_valid_table_at_the_tolerance_edge():
     assert not marg.values.flags.writeable
 
 
+def test_marginal_carries_tol_times_the_cells_it_sums():
+    # Two cells at -0.9 tol sum to -1.8 tol: outside tol, inside the carried 2 tol.
+    table = ProbabilityTable([[-0.9e-9, -0.9e-9], [0.5 + 0.9e-9, 0.5 + 0.9e-9]])
+    marg = table.marginal(0)
+    assert marg.values[0] == -1.8e-9
+    assert marg.tol == 2e-9
+    ProbabilityTable(marg.values, tol=marg.tol)
+    assert table.marginal((0, 1)).tol == 1e-9
+    assert table.marginal(()).tol == 4e-9
+
+
 def test_values_read_only():
     table = ProbabilityTable([0.5, 0.5])
     with pytest.raises(ValueError):

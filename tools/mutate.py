@@ -86,10 +86,6 @@ ALLOWED = {
      "<=", 0): "equality threshold: an idempotence defect exactly at tol",
     ("operators.py", "return bool(np.max(np.abs(gram - np.eye(arr.shape[0]))) <= tol)", "<=", 0):
         "equality threshold: a unitarity defect exactly at tol",
-    ("operators.py", "if d0 <= 0 or d1 <= 0 or d0 * d1 != arr.shape[0]:", "<=", 0):
-        "equivalent: a zero factor makes d0 * d1 zero, which no non-empty operator matches",
-    ("operators.py", "if d0 <= 0 or d1 <= 0 or d0 * d1 != arr.shape[0]:", "<=", 1):
-        "equivalent: a zero factor makes d0 * d1 zero, which no non-empty operator matches",
     ("operators.py", "if not _hermitian_defect(arr).max() <= self.tol:", "<=", 0):
         "equality threshold: a state's Hermitian defect exactly at tol",
     ("operators.py", "if lowest < -self.tol:", "<", 0):
@@ -116,7 +112,7 @@ ALLOWED = {
     ("nonideality.py", "if report.applicable and report.slack < -max(lam.tol, mu.tol, pvm1.tol, pvm2.tol):",
      "<", 0):
         "equality threshold: a Martens slack exactly at -tol",
-    ("srt.py", "violated = np.flatnonzero(~(slack >= -tol))", ">=", 0):
+    ("srt.py", "violated = np.flatnonzero(~(slack >= -marginal_tol))", ">=", 0):
         "equality threshold: a Martens slack exactly at -tol",
     ("srt.py", "drifted = np.flatnonzero(~(drift <= PIPELINE_AGREEMENT_TOL))", "<=", 0):
         "equality threshold: a closed-form drift exactly at PIPELINE_AGREEMENT_TOL",
