@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .measures import PovmMeasure, PvmMeasure, _stack_violations
-from .operators import DEFAULT_TOL, State, _checked_tol
+from .operators import DEFAULT_TOL, State, _checked_finite, _checked_tol, _checked_unit
 from .tables import ProbabilityTable, _check_tables
 
 #: The four limiting mirror settings of the standard experiments, paired with
@@ -63,25 +63,17 @@ _ARM_LABELS = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
 _ANGLE_NAMES = ("theta1", "theta1p", "theta2", "theta2p")
 
 
-def _finite_angles(angles, names: Sequence[str]) -> list[float]:
-    values = [float(a) for a in angles]
-    for name, value in zip(names, values):
-        if not math.isfinite(value):
-            raise ValidationError(f"angle {name} is non-finite: {value!r}")
-    return values
-
-
-def _polarization_stack(angles, names: Sequence[str]) -> np.ndarray:
-    """Unvalidated ``(N, 2, 2, 2)`` projectors ``(E+, E-)`` onto ``(c, s)`` and ``(-s, c)``, from floats."""
+def _polarization_stack(angles: Sequence[float]) -> np.ndarray:
+    """Unvalidated ``(N, 2, 2, 2)`` projectors ``(E+, E-)`` onto ``(c, s)`` and ``(-s, c)``, from checked floats."""
     entries = []
-    for c, s in ((math.cos(theta), math.sin(theta)) for theta in _finite_angles(angles, names)):
+    for c, s in ((math.cos(theta), math.sin(theta)) for theta in angles):
         entries += (c * c, c * s, c * s, s * s, s * s, -c * s, -c * s, c * c)
     return np.array(entries, dtype=complex).reshape(-1, 2, 2, 2)
 
 
-def _analyzer_stack(angles, names: Sequence[str], tol: float) -> np.ndarray:
-    """``(N, 2, 2, 2)`` analyzer PVMs ``(E+, E-)`` for N plane angles, validated as one stack."""
-    pvms = _polarization_stack(angles, names)
+def _analyzer_stack(angles: Sequence[float], names: Sequence[str], tol: float) -> np.ndarray:
+    """``(N, 2, 2, 2)`` analyzer PVMs ``(E+, E-)`` for N checked plane angles, validated as one stack."""
+    pvms = _polarization_stack(angles)
     _checked_tol(tol)
     invalid = _stack_violations(pvms, tol, True)
     if invalid:
@@ -109,15 +101,14 @@ def _born_products(rho: State, first: np.ndarray, second: np.ndarray) -> np.ndar
 _latest_pairs: tuple = (None, None)
 
 
-def _analyzer_pairs(rho: State, angles, tol: float) -> tuple[np.ndarray, float]:
+def _analyzer_pairs(rho: State, angles: Sequence[float], tol: float) -> tuple[np.ndarray, float]:
     """Read-only unchecked Born table ``P[s, t, a, b]`` of arm 1's analyzer ``s`` and arm 2's ``t``, and its ``tol``.
 
-    The result is a function of the exact bytes of the angles and the state's matrix,
-    the state's ``tol`` and ``tol``, so the latest one is returned again while they stay
-    the same; bytes tell ``-0.0`` from ``0.0``, whose tables differ in sign bits.
+    The result is a function of the exact bytes of the four checked angles and the state's
+    matrix, the state's ``tol`` and ``tol``, so the latest one is returned again while they
+    stay the same; bytes tell ``-0.0`` from ``0.0``, whose tables differ in sign bits.
     """
     global _latest_pairs
-    angles = _finite_angles(angles, _ANGLE_NAMES)
     key = (struct.pack("4d", *angles), rho.matrix.tobytes(), rho.tol, tol)
     latest_key, latest = _latest_pairs
     if latest_key == key:
@@ -132,7 +123,8 @@ def _analyzer_pairs(rho: State, angles, tol: float) -> tuple[np.ndarray, float]:
 
 def polarization_pvm(theta: float, tol: float = DEFAULT_TOL) -> PvmMeasure:
     """Linear-polarization observable at plane angle ``theta`` (radians)."""
-    return PvmMeasure(_polarization_stack([theta], ("theta",))[0], labels=_SIGN_LABELS, tol=tol)
+    theta = _checked_finite(theta, "angle theta")
+    return PvmMeasure(_polarization_stack([theta])[0], labels=_SIGN_LABELS, tol=tol)
 
 
 def arm_povm(
@@ -145,10 +137,9 @@ def arm_povm(
     ``theta'`` observable with ``[[1 - gamma, 0], [gamma, 1]]``; at
     ``gamma = 1`` the latter degenerates to the uninformative family {O, I}.
     """
-    g = float(gamma)
-    if not 0.0 <= g <= 1.0:
-        raise ValidationError(f"mirror transmissivity must lie in [0, 1], got {gamma!r}")
-    pvms = _analyzer_stack([theta, theta_p], ("theta", "theta_p"), tol)
+    g = _checked_unit(gamma, "mirror transmissivity")
+    angles = [_checked_finite(theta, "angle theta"), _checked_finite(theta_p, "angle theta_p")]
+    pvms = _analyzer_stack(angles, ("theta", "theta_p"), tol)
     # Validated PVMs smeared by weights in [0, 1] form a POVM; it is not checked again.
     elements = np.einsum("csa,saij->cij", _mirror_weights(g), pvms)
     return PovmMeasure.__new__(PovmMeasure)._init_valid(elements, _ARM_LABELS, (2, 2), tol)
@@ -176,13 +167,9 @@ class AspectConfig:
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2"):
-            value = float(getattr(self, name))
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, name, value)
-        angles = _finite_angles([getattr(self, name) for name in _ANGLE_NAMES], _ANGLE_NAMES)
-        for name, value in zip(_ANGLE_NAMES, angles):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _checked_unit(getattr(self, name), name))
+        for name in _ANGLE_NAMES:
+            object.__setattr__(self, name, _checked_finite(getattr(self, name), f"angle {name}"))
         if self.state.dim != 4:
             raise DimensionMismatchError(
                 f"two-photon state must have dimension 4, got {self.state.dim}"
@@ -282,7 +269,9 @@ def standard_composite(
     which a ``joint_probabilities`` call on the same inputs next reuses.
     """
     rho = bell_state(tol) if state is None else state
-    pairs, tol = _analyzer_pairs(rho, [theta1, theta1p, theta2, theta2p], tol)
+    angles = [_checked_finite(theta, f"angle {name}")
+              for theta, name in zip((theta1, theta1p, theta2, theta2p), _ANGLE_NAMES)]
+    pairs, tol = _analyzer_pairs(rho, angles, tol)
     # Rows (A, A') against columns (B, B'): the C order is STANDARD_GAMMA_PAIRS.
     sums = pairs.reshape(4, 2, 2)
     labels = (_SIGN_LABELS,) * 2

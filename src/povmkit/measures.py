@@ -320,35 +320,31 @@ class InstrumentModel:
     matrix; callers deriving it from a Hamiltonian do so before construction.
     """
 
-    def __init__(
-        self,
-        apparatus_state: State,
-        coupling,
-        pointer: PvmMeasure,
-        object_dim: int,
-        *,
-        tol: float = DEFAULT_TOL,
-    ):
-        self.apparatus_state = apparatus_state
-        self.coupling = as_operator(coupling, name="coupling")
-        self.pointer = pointer
-        self.object_dim = int(object_dim)
-        self.apparatus_dim = apparatus_state.dim
-        self.tol = float(tol)
+    __slots__ = ("_apparatus_state", "_coupling", "_pointer", "_object_dim", "_tol")
 
-        if self.object_dim <= 0:
+    def __init__(self, apparatus_state: State, coupling, pointer: PvmMeasure, object_dim: int, *,
+                 tol: float = DEFAULT_TOL):
+        _checked_tol(tol)
+        coupling = as_operator(coupling, name="coupling")
+        d_o, d_a = int(object_dim), apparatus_state.dim
+        if d_o <= 0:
             raise ValidationError("object dimension must be positive")
-        if pointer.dim != self.apparatus_dim:
-            raise DimensionMismatchError(
-                f"pointer acts on dimension {pointer.dim}, apparatus has {self.apparatus_dim}"
-            )
-        expected = self.object_dim * self.apparatus_dim
-        if self.coupling.shape[0] != expected:
-            raise DimensionMismatchError(
-                f"coupling has dimension {self.coupling.shape[0]}, expected {expected}"
-            )
-        if not is_unitary(self.coupling, tol):
+        if pointer.dim != d_a:
+            raise DimensionMismatchError(f"pointer acts on dimension {pointer.dim}, apparatus has {d_a}")
+        if coupling.shape[0] != d_o * d_a:
+            raise DimensionMismatchError(f"coupling has dimension {coupling.shape[0]}, expected {d_o * d_a}")
+        if not is_unitary(coupling, tol):
             raise ValidationError("coupling is not unitary within tolerance")
+        self._apparatus_state, self._coupling, self._pointer = apparatus_state, coupling, pointer
+        self._object_dim, self._tol = d_o, float(tol)
+
+    #: The apparatus state, coupling, pointer, object dimension and ``tol``; none can be reassigned.
+    apparatus_state = property(lambda self: self._apparatus_state)
+    coupling = property(lambda self: self._coupling)
+    pointer = property(lambda self: self._pointer)
+    object_dim = property(lambda self: self._object_dim)
+    tol = property(lambda self: self._tol)
+    apparatus_dim = property(lambda self: self._apparatus_state.dim)
 
 
 def born_probabilities(measure: PovmMeasure, rho: State) -> ProbabilityTable:

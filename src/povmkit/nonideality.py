@@ -99,7 +99,7 @@ class NonidealityMatrix:
         return self.residual <= max(self.tol, DECOMPOSITION_TOL)
 
 
-def apply_nonideality(target: PovmMeasure, matrix, labels=None, *, tol: float = DEFAULT_TOL) -> PovmMeasure:
+def apply_nonideality(target: PovmMeasure, matrix, *, tol: float = DEFAULT_TOL) -> PovmMeasure:
     """Build the smeared measure ``M_i = sum_j matrix[i, j] N_j`` from a target."""
     weights = _as_array(matrix, float, "nonideality matrix")
     if weights.ndim != 2 or weights.shape[1] != target.n_outcomes:
@@ -107,7 +107,7 @@ def apply_nonideality(target: PovmMeasure, matrix, labels=None, *, tol: float = 
             f"matrix shape {weights.shape} does not match {target.n_outcomes} target outcomes"
         )
     elements = np.einsum("ij,jab->iab", weights, target.stack())
-    return PovmMeasure(elements, labels=labels, tol=tol)
+    return PovmMeasure(elements, tol=tol)
 
 
 def _solve_stack(observed: np.ndarray, target: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:

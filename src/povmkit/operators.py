@@ -5,7 +5,8 @@ this module validate shape and algebraic properties under a configurable
 tolerance.  Every value returned here is a read-only array, safe to share
 between callers.  One Hermitian-defect and one lowest-eigenvalue kernel (closed
 form for qubits) serve ``State``, the ``is_*`` predicates and the measures.
-``_checked_tol`` is the one check of a ``tol`` given with raw input.
+``_checked_tol``, ``_checked_unit`` and ``_checked_finite`` are the one check of a
+raw ``tol``, of a raw weight in [0, 1] and of a raw angle or phase.
 """
 
 from __future__ import annotations
@@ -30,6 +31,26 @@ def _checked_tol(tol: float) -> None:
     """
     if not 0.0 < tol < np.inf:
         raise ValidationError(f"tol must be a finite number greater than 0, got {tol!r}")
+
+
+def _checked_unit(value, name: str) -> float:
+    """``value`` as a float in [0, 1]; anything else, a non-number included, raises ValidationError."""
+    try:
+        if 0.0 <= (number := float(value)) <= 1.0:
+            return number
+    except (OverflowError, TypeError, ValueError):
+        number = value
+    raise ValidationError(f"{name} must lie in [0, 1], got {number!r}")
+
+
+def _checked_finite(value, name: str) -> float:
+    """``value`` as a finite float; anything else, a non-number included, raises ValidationError."""
+    try:
+        if -np.inf < (number := float(value)) < np.inf:
+            return number
+    except (OverflowError, TypeError, ValueError):
+        number = value
+    raise ValidationError(f"{name} is non-finite: {number!r}")
 
 
 def _as_array(values, dtype, what: str) -> np.ndarray:
@@ -150,11 +171,12 @@ def trace_distance(a, b) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Density operator: Hermitian, positive semidefinite, unit trace.
 
     Invariants are checked eagerly; an invalid state cannot exist as a value.
+    A state compares and hashes by identity: its array field has no truth value.
     """
 
     matrix: np.ndarray

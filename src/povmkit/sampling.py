@@ -10,7 +10,7 @@ import numpy as np
 
 from .feasibility import MarginalSet
 from .measures import PvmMeasure
-from .operators import DEFAULT_TOL, State
+from .operators import DEFAULT_TOL, State, _checked_unit
 from .tables import ProbabilityTable
 
 
@@ -28,18 +28,17 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> State:
     return State.pure(vec)
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> State:
-    """Random mixed state ``G G^dag / Tr`` from a Ginibre block of given rank."""
-    k = dim if rank is None else int(rank)
-    block = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+def random_density_matrix(dim: int, rng: np.random.Generator) -> State:
+    """Random full-rank mixed state ``G G^dag / Tr`` from a square Ginibre matrix."""
+    block = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = block @ block.conj().T
     return State(rho / np.trace(rho).real)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with independent Gaussian entries."""
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (raw + raw.conj().T) / 2.0
+    return (raw + raw.conj().T) / 2.0
 
 
 def random_basis_pvm(dim: int, rng: np.random.Generator) -> PvmMeasure:
@@ -93,8 +92,6 @@ def mix_marginals(first: MarginalSet, second: MarginalSet, weight: float) -> Mar
     toward the extremal one yields samples on both sides of the CHSH boundary.
     The mixture carries the larger of the two sets' ``tol``.
     """
-    w = float(weight)
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {weight!r}")
+    w = _checked_unit(weight, "mixing weight")
     return MarginalSet.from_tables(w * first.values + (1.0 - w) * second.values,
                                    tol=max(first.tol, second.tol))

@@ -31,7 +31,7 @@ from .nonideality import (
     _xlogx,
     martens_bound,
 )
-from .operators import DEFAULT_TOL
+from .operators import DEFAULT_TOL, _checked_finite, _checked_unit
 from .tables import _marginal_tol
 
 #: Agreement required between the generic solver pipeline and the closed-form
@@ -47,12 +47,8 @@ class SrtConfig:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= float(self.absorber) <= 1.0:
-            raise ValidationError(
-                f"absorber transmissivity must lie in [0, 1], got {self.absorber!r}"
-            )
-        object.__setattr__(self, "absorber", float(self.absorber))
-        object.__setattr__(self, "phase", float(self.phase))
+        object.__setattr__(self, "absorber", _checked_unit(self.absorber, "absorber transmissivity"))
+        object.__setattr__(self, "phase", _checked_finite(self.phase, "phase"))
 
 
 _P_PLUS = np.diag([1.0, 0.0]).astype(complex)
@@ -63,10 +59,8 @@ _BIVARIATE_LABELS = (("+", "1"), ("+", "2"), ("-", "1"), ("-", "2"))
 
 
 def _interference_projectors(chi: float) -> np.ndarray:
-    """The ``(2, 2, 2)`` projectors onto ``(|+> +- exp(i chi)|->) / sqrt(2)``."""
-    chi = float(chi)
-    # An infinite phase reads as NaN: no numpy warning, and the PVM check rejects it.
-    phase = np.exp(1j * (chi if np.isfinite(chi) else np.nan))
+    """The ``(2, 2, 2)`` projectors onto ``(|+> +- exp(i chi)|->) / sqrt(2)``, for a checked float ``chi``."""
+    phase = np.exp(1j * chi)
     vectors = np.array([[1.0, phase], [1.0, -phase]]) / np.sqrt(2.0)
     return vectors[:, :, None] * vectors[:, None, :].conj()
 
@@ -86,7 +80,8 @@ def interference_pvm(chi: float = 0.0, tol: float = DEFAULT_TOL) -> PvmMeasure:
     Projectors onto ``(|+> +- exp(i chi)|->) / sqrt(2)``; both overlap each
     path projector with weight one half for every phase.
     """
-    return PvmMeasure(_interference_projectors(chi), labels=("1", "2"), tol=tol)
+    return PvmMeasure(_interference_projectors(_checked_finite(chi, "phase")), labels=("1", "2"),
+                      tol=tol)
 
 
 def _bivariate_stack(absorbers, projectors: np.ndarray) -> np.ndarray:
@@ -138,7 +133,7 @@ def srt_bivariate(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
 
 def path_nonideality_matrix(absorber: float) -> NonidealityMatrix:
     """Closed-form smearing of the path observable at a given transmissivity."""
-    a = float(absorber)
+    a = _checked_unit(absorber, "absorber transmissivity")
     return NonidealityMatrix(
         [[1.0, a], [0.0, 1.0 - a]],
         row_labels=("+", "-"),
@@ -148,7 +143,7 @@ def path_nonideality_matrix(absorber: float) -> NonidealityMatrix:
 
 def interference_nonideality_matrix(absorber: float) -> NonidealityMatrix:
     """Closed-form smearing of the interference observable."""
-    root = np.sqrt(float(absorber))
+    root = np.sqrt(_checked_unit(absorber, "absorber transmissivity"))
     return NonidealityMatrix(
         np.array([[1.0 + root, 1.0 - root], [1.0 - root, 1.0 + root]]) / 2.0,
         row_labels=("1", "2"),
@@ -167,12 +162,12 @@ def _interference_entropy(a):
 
 def path_nonideality_entropy(absorber: float) -> float:
     """Closed-form row entropy of the path smearing matrix."""
-    return float(_path_entropy(SrtConfig(absorber).absorber))
+    return float(_path_entropy(_checked_unit(absorber, "absorber transmissivity")))
 
 
 def interference_nonideality_entropy(absorber: float) -> float:
     """Closed-form row entropy of the interference smearing matrix."""
-    return float(_interference_entropy(SrtConfig(absorber).absorber))
+    return float(_interference_entropy(_checked_unit(absorber, "absorber transmissivity")))
 
 
 class TradeoffPoint(NamedTuple):
@@ -207,16 +202,16 @@ def tradeoff_sweep(
     grid : iterable of float
         Absorber transmissivities, each in [0, 1].
     chi : float
-        Interferometer phase; the entropies are phase-independent.
+        Interferometer phase, checked even for an empty grid; the entropies are phase-independent.
     """
     values = np.fromiter(grid, dtype=float)
     outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
     if outside.size:
         raise ValidationError(f"grid value {float(values[outside[0]])!r} outside [0, 1]")
+    target_interference = interference_pvm(chi, tol)
     if values.size == 0:
         return []
 
-    target_interference = interference_pvm(chi, tol)
     bound = martens_bound(_PATH_PVM, target_interference)
 
     stack = _bivariate_stack(values, target_interference.stack())

@@ -27,7 +27,6 @@ from povmkit.aspect import (
     _SETTING_PAIR_DROP,
     CHSH_SIGN_PATTERNS,
     _born_products,
-    _finite_angles,
 )
 from povmkit.feasibility import (
     _EQUATIONS,
@@ -44,7 +43,7 @@ from povmkit.nonideality import (
     _stochastic_violation,
     martens_bound,
 )
-from povmkit.operators import DEFAULT_TOL, as_operator, tensor
+from povmkit.operators import DEFAULT_TOL, _checked_finite, as_operator, tensor
 
 TSIRELSON_ANGLES = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -97,13 +96,13 @@ def oracle_quadrivariate_povm(config, tol=DEFAULT_TOL):
     return PovmMeasure(elements, labels=labels, index_shape=(2, 2, 2, 2), tol=tol)
 
 
-def oracle_polarization_stack(angles, names):
-    """``(N, 2, 2, 2)`` analyzer projector pairs from numpy ``cos`` and ``sin`` on the angle list.
+def oracle_polarization_stack(angles):
+    """``(N, 2, 2, 2)`` analyzer projector pairs from numpy ``cos`` and ``sin`` on a list of finite floats.
 
     A frozen copy of ``povmkit.aspect._polarization_stack`` before it read
     Python-float products into one array: the library must return the same bits.
     """
-    theta = _finite_angles(angles, names)
+    theta = np.array(angles, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
     vectors = np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
     return (vectors[..., :, None] * vectors[..., None, :]).astype(complex)
@@ -123,7 +122,7 @@ def oracle_joint_probabilities(config, tol=DEFAULT_TOL):
         return np.array([[[0.0, 0.0], [0.0, 0.0]], [[g, 0.0], [0.0, 0.0]],
                          [[0.0, 0.0], [r, 0.0]], [[0.0, g], [0.0, r]]])
 
-    pvms = oracle_polarization_stack([getattr(config, n) for n in _ANGLE_NAMES], _ANGLE_NAMES)
+    pvms = oracle_polarization_stack([getattr(config, n) for n in _ANGLE_NAMES])
     assert _stack_violations(pvms, tol, True) == {}
     tol = max(tol, config.state.tol)
     pairs = _born_products(config.state, pvms[:2, None], pvms[None, 2:])
@@ -138,7 +137,7 @@ def oracle_standard_composite(angles, state, tol=DEFAULT_TOL):
     The frozen analyzer stack, validated on its own, and the library's
     ``_born_products``, with no kept analyzer-pair table in between.
     """
-    pvms = oracle_polarization_stack(angles, _ANGLE_NAMES)
+    pvms = oracle_polarization_stack(angles)
     assert _stack_violations(pvms, tol, True) == {}
     pairs = _born_products(state, pvms[:2, None], pvms[None, 2:]).reshape(4, 2, 2)
     return [ProbabilityTable(t, axis_labels=(("+", "-"),) * 2, tol=max(tol, state.tol))
@@ -593,17 +592,18 @@ def oracle_tradeoff_sweep(grid, chi=0.0, *, tol=DEFAULT_TOL):
     was built once: the projectors as a tuple of outer products, rebuilt inside
     the bivariate stack, the stack built by ``np.stack``, the marginals as
     ``sum`` over a length-2 axis and the rows one constructor call each.  The
-    library's sweep must return equal rows and raise the same errors.
+    library's sweep must return equal rows and raise the same errors; the phase
+    goes through the library's finite-real rule, as ``interference_pvm`` takes it.
     """
     values = np.fromiter(grid, dtype=float)
     outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
     if outside.size:
         raise ValidationError(f"grid value {float(values[outside[0]])!r} outside [0, 1]")
-    if values.size == 0:
-        return []
-
+    chi = _checked_finite(chi, "phase")
     target_interference = PvmMeasure(_oracle_interference_projectors(chi), labels=("1", "2"),
                                      tol=tol)
+    if values.size == 0:
+        return []
     bound = martens_bound(srt._PATH_PVM, target_interference)
 
     stack = _oracle_bivariate_stack(values, chi)

@@ -140,10 +140,7 @@ class TestSrt:
             warnings.simplefilter("always")
             code, out, err = run(capsys, *argv)
         assert (code, out) == (65, "")
-        assert err == (
-            "error: element 0 has non-finite entries; element 1 has non-finite entries; "
-            "elements do not sum to identity (defect nan)\n"
-        )
+        assert err == "error: phase is non-finite: inf\n"
         assert "Warning" not in err and caught == []
 
 

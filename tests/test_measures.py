@@ -376,6 +376,35 @@ class TestInstrumentModel:
             )
             povm_from_instrument(model)  # construction validates
 
+    @pytest.mark.parametrize("field", ["apparatus_state", "coupling", "pointer", "object_dim", "tol",
+                                       "apparatus_dim"])
+    def test_fields_cannot_be_reassigned(self, rng, field):
+        # A pointer reassigned to a qutrit PVM made povm_from_instrument raise a builtin
+        # ValueError, and a reassigned tol of NaN was accepted; every field is read-only.
+        model = InstrumentModel(random_density_matrix(2, rng), np.eye(4), PvmMeasure([P0, P1]), object_dim=2)
+        replacement = {"apparatus_state": random_density_matrix(3, rng), "coupling": np.eye(6),
+                       "pointer": PvmMeasure(np.eye(3)[:, None, :] * np.eye(3)[:, :, None]),
+                       "object_dim": 3, "tol": float("nan"), "apparatus_dim": 3}[field]
+        with pytest.raises(AttributeError):
+            setattr(model, field, replacement)
+        with pytest.raises(AttributeError):
+            model.extra = 1
+        assert povm_from_instrument(model).dim == 2
+
+    def test_dimension_errors_name_both_dimensions(self, rng):
+        qutrit = PvmMeasure(np.eye(3)[:, None, :] * np.eye(3)[:, :, None])
+        with pytest.raises(DimensionMismatchError, match=r"^pointer acts on dimension 3, apparatus has 2$"):
+            InstrumentModel(random_density_matrix(2, rng), np.eye(4), qutrit, object_dim=2)
+        with pytest.raises(DimensionMismatchError, match=r"^coupling has dimension 6, expected 4$"):
+            InstrumentModel(random_density_matrix(2, rng), np.eye(6), PvmMeasure([P0, P1]), object_dim=2)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_tol_is_checked_first(self, rng, tol):
+        # A qutrit pointer on a qubit apparatus and a zero object dimension fail later checks.
+        qutrit = PvmMeasure(np.eye(3)[:, None, :] * np.eye(3)[:, :, None])
+        with pytest.raises(ValidationError, match=f"^tol must be a finite number greater than 0, got {tol!r}$"):
+            InstrumentModel(random_density_matrix(2, rng), np.eye(5), qutrit, object_dim=0, tol=tol)
+
 
 class TestCompleteness:
     def test_qubit_pvm_is_incomplete(self):

@@ -18,19 +18,27 @@ from povmkit import (
     arm_povm,
     bell_state,
     commutator_bound,
+    interference_nonideality_entropy,
+    interference_nonideality_matrix,
+    interference_pvm,
     is_hermitian,
     is_positive,
     is_projector,
     is_unitary,
     joint_probabilities,
+    path_nonideality_entropy,
+    path_nonideality_matrix,
     path_pvm,
+    polarization_pvm,
     srt_bivariate,
     standard_composite,
     tensor,
     trace_distance,
     tradeoff_sweep,
 )
-from povmkit.sampling import pr_box_marginals, random_density_matrix, random_hermitian, random_unitary
+from povmkit import aspect
+from povmkit.sampling import (mix_marginals, pr_box_marginals, random_density_matrix, random_hermitian,
+                              random_unitary)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -253,3 +261,96 @@ def test_an_infinite_tol_no_longer_passes_invalid_values():
                   lambda: is_positive(np.diag([1.0, -7.0]), tol=math.inf)):
         with pytest.raises(ValidationError, match="^tol must be a finite number greater than 0, got inf$"):
             build()
+
+
+def _config(gamma1=0.5, gamma2=0.5, theta1=0.1, theta1p=0.2, theta2=0.3, theta2p=0.4, state=None):
+    return AspectConfig(gamma1, gamma2, theta1, theta1p, theta2, theta2p,
+                        state=bell_state() if state is None else state)
+
+
+#: Every public entry that takes a raw weight in [0, 1]: the parameter's name in the
+#: message, and a build from one raw value.
+WEIGHT_ENTRY_POINTS = {
+    "SrtConfig(absorber)": ("absorber transmissivity", lambda v: SrtConfig(v)),
+    "path_nonideality_matrix": ("absorber transmissivity", path_nonideality_matrix),
+    "interference_nonideality_matrix": ("absorber transmissivity", interference_nonideality_matrix),
+    "path_nonideality_entropy": ("absorber transmissivity", path_nonideality_entropy),
+    "interference_nonideality_entropy": ("absorber transmissivity", interference_nonideality_entropy),
+    "AspectConfig(gamma1)": ("gamma1", lambda v: _config(gamma1=v)),
+    "AspectConfig(gamma2)": ("gamma2", lambda v: _config(gamma2=v)),
+    "arm_povm(gamma)": ("mirror transmissivity", lambda v: arm_povm(v, 0.1, 0.2)),
+    "mix_marginals(weight)": ("mixing weight", lambda v: mix_marginals(pr_box_marginals(), pr_box_marginals(), v)),
+}
+
+#: Every public entry that takes a raw angle or phase, which must be a finite real.
+FINITE_ENTRY_POINTS = {
+    "SrtConfig(phase)": ("phase", lambda v: SrtConfig(0.5, phase=v)),
+    "interference_pvm(chi)": ("phase", interference_pvm),
+    "tradeoff_sweep(chi)": ("phase", lambda v: tradeoff_sweep([0.5], chi=v)),
+    "tradeoff_sweep(chi), empty grid": ("phase", lambda v: tradeoff_sweep([], chi=v)),
+    "polarization_pvm(theta)": ("angle theta", polarization_pvm),
+    "arm_povm(theta)": ("angle theta", lambda v: arm_povm(0.5, v, 0.2)),
+    "arm_povm(theta_p)": ("angle theta_p", lambda v: arm_povm(0.5, 0.1, v)),
+    **{f"AspectConfig({name})": (f"angle {name}", lambda v, name=name: _config(**{name: v}))
+       for name in ("theta1", "theta1p", "theta2", "theta2p")},
+    **{f"standard_composite({name})": (
+        f"angle {name}",
+        lambda v, k=k: standard_composite(*[v if j == k else 0.1 * j for j in range(4)]))
+       for k, name in enumerate(("theta1", "theta1p", "theta2", "theta2p"))},
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
+def test_a_weight_must_be_a_number_in_the_unit_interval(entry):
+    name, build = WEIGHT_ENTRY_POINTS[entry]
+    for value in (0.0, 0.5, 1.0, np.float64(0.25), 1):
+        build(value)
+    for value in (math.nan, math.inf, -math.inf, -0.1, 1.1, 2.0, "x", None, 1j):
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{name} must lie in [0, 1], got {value!r}')}$"):
+            build(value)
+
+
+@pytest.mark.parametrize("entry", sorted(FINITE_ENTRY_POINTS))
+def test_an_angle_or_phase_must_be_a_finite_number(entry):
+    name, build = FINITE_ENTRY_POINTS[entry]
+    for value in (0.0, -2.5, 1e6, np.float64(0.25), 3):
+        build(value)
+    for value in (math.nan, math.inf, -math.inf, "x", None, 1j):
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{name} is non-finite: {value!r}')}$"):
+            build(value)
+
+
+def test_each_raw_angle_is_checked_once_per_public_entry(monkeypatch):
+    # The private builders take checked floats: a fixed arrangement checks its four
+    # angles in its config, and its joint table checks none of them again.
+    calls = []
+
+    def spy(value, name):
+        calls.append(name)
+        return check(value, name)
+
+    check = aspect._checked_finite
+    monkeypatch.setattr(aspect, "_checked_finite", spy)
+    config = _config()
+    assert calls == ["angle theta1", "angle theta1p", "angle theta2", "angle theta2p"]
+    joint_probabilities(config)
+    standard_composite(0.1, 0.2, 0.3, 0.4)
+    assert calls == ["angle theta1", "angle theta1p", "angle theta2", "angle theta2p"] * 2
+
+
+def test_states_compare_and_hash_by_identity():
+    # An array field has no truth value, so value equality raised on two states.
+    first, second = bell_state(), bell_state()
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second}) == 2
+    assert _config(state=first) == _config(state=first)
+    assert _config(state=first) != _config(state=second)
+
+
+def test_a_new_state_of_the_same_matrix_reuses_the_analyzer_pairs():
+    # The kept table's key holds the state's matrix bytes, not the state object.
+    first = bell_state()
+    standard_composite(0.1, 0.2, 0.3, 0.4, state=first)
+    kept = aspect._latest_pairs
+    joint_probabilities(_config(state=State(first.matrix)))
+    assert aspect._latest_pairs is kept

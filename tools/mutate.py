@@ -172,6 +172,10 @@ ALLOWED = {
     ("tables.py", "if abs(total - 1.0) > bound:", ">", 0):
         "equality threshold: a table total exactly bound from 1, read by the reject pass only "
         "when another table of the stack fails",
+    ("sampling.py", "values[i, j] = (1.0 + sx * mean_x + sy * mean_y + sx * sy * corr) / 4.0", "*", 2):
+        "equivalent: sy is +-1, and x / -1 equals x * -1 bit for bit, signed zeros included",
+    ("sampling.py", "corr = rng.uniform(low, high) if high > low else low", ">", 0):
+        "equality threshold: it differs only at high == low exactly, where uniform(low, low) is low too",
     ("measures.py", "if residual > RECONSTRUCTION_TOL:",
      ">", 0):
         "equality threshold: a reconstruction residual exactly at RECONSTRUCTION_TOL",
