@@ -74,7 +74,7 @@ def _polarization_stack(angles: Sequence[float]) -> np.ndarray:
 def _analyzer_stack(angles: Sequence[float], names: Sequence[str], tol: float) -> np.ndarray:
     """``(N, 2, 2, 2)`` analyzer PVMs ``(E+, E-)`` for N checked plane angles, validated as one stack."""
     pvms = _polarization_stack(angles)
-    _checked_tol(tol)
+    tol = _checked_tol(tol)
     invalid = _stack_violations(pvms, tol, True)
     if invalid:
         index, lines = next(iter(invalid.items()))

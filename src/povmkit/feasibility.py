@@ -59,7 +59,7 @@ class MarginalSet:
     __slots__ = ("_values", "_tol", "_tables")
 
     def __init__(self, ab, abp, apb, apbp, tol: float = DEFAULT_TOL):
-        _checked_tol(tol)
+        tol = _checked_tol(tol)
         tables = tuple(_pair_table(table, tol) for table in (ab, abp, apb, apbp))
         self._init_valid(np.array([table.values for table in tables]), tables,
                          max(tol, *(table.tol for table in tables)))

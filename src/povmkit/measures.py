@@ -155,7 +155,7 @@ def _per_axis_labels(labels: tuple, index_shape) -> tuple[tuple, ...]:
 
 def _violations(elements, tol: float, projective: bool) -> list[str]:
     """Violations of raw ``elements`` as one measure, after ``_checked_tol`` accepts ``tol``."""
-    _checked_tol(tol)
+    tol = _checked_tol(tol)
     try:
         stack = _coerce_stack(elements)
     except (DimensionMismatchError, ValidationError) as exc:
@@ -195,16 +195,18 @@ class PovmMeasure:
     _PROJECTIVE = False
 
     def __init__(self, elements, labels=None, index_shape=None, *, tol: float = DEFAULT_TOL):
-        _checked_tol(tol)
+        tol = _checked_tol(tol)
         stack = _coerce_stack(elements)
         n_elements = stack.shape[0]
 
         if index_shape is not None:
-            index_shape = tuple(int(n) for n in index_shape)
-            if any(n <= 0 for n in index_shape) or int(np.prod(index_shape)) != n_elements:
-                raise ValidationError(
-                    f"index_shape {index_shape} does not match {n_elements} elements"
-                )
+            try:
+                index_shape = tuple(int(n) for n in index_shape)
+                matches = all(n > 0 for n in index_shape) and math.prod(index_shape) == n_elements
+            except (OverflowError, TypeError, ValueError):  # not a sequence of integers
+                matches = False
+            if not matches:
+                raise ValidationError(f"index_shape {index_shape} does not match {n_elements} elements")
 
         if labels is None:
             if index_shape is None:
@@ -324,7 +326,7 @@ class InstrumentModel:
 
     def __init__(self, apparatus_state: State, coupling, pointer: PvmMeasure, object_dim: int, *,
                  tol: float = DEFAULT_TOL):
-        _checked_tol(tol)
+        tol = _checked_tol(tol)
         coupling = as_operator(coupling, name="coupling")
         d_o, d_a = int(object_dim), apparatus_state.dim
         if d_o <= 0:

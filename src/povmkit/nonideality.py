@@ -1,8 +1,8 @@
 """Nonideal-measurement relations between measures and the Martens bound.
 
 One measure is a nonideal (smeared) version of a standard observable, a PVM,
-when every observed element decomposes as ``M_i = sum_j lambda_ij P_j`` with
-a column-stochastic nonnegative matrix ``lambda``.  This module solves for that
+when every observed element decomposes as ``M_i = sum_j lambda_ij P_j`` and each column
+of ``lambda`` is a probability distribution (the table rule).  This module solves for that
 matrix, quantifies the smearing with an average row entropy, and checks the
 state-independent complementarity bound on joint nonideal measurements of two
 maximal PVMs (H. Martens and W. M. de Muynck, Found. Phys. 20, 255, 1990).
@@ -27,34 +27,11 @@ from .errors import (
 )
 from .measures import PovmMeasure, PvmMeasure
 from .operators import DEFAULT_TOL, _as_array, _checked_tol
+from .tables import _table_violation
 
 #: Residual above which a solved decomposition is flagged as *not* an exact
 #: nonideal-measurement relation; the floor of ``NonidealityMatrix.is_exact``.
 DECOMPOSITION_TOL = 1e-8
-
-
-def _stochastic_accepts(matrices: np.ndarray, tol: float) -> bool:
-    """True when no matrix of an ``(..., I, J)`` stack has an entry below ``-tol`` or a column sum off 1.
-
-    A column sum may miss 1 by ``max(tol, tol * I)``; a NaN entry fails.
-    """
-    bound = max(tol, tol * matrices.shape[-2])
-    return bool(matrices.min() >= -tol and np.abs(matrices.sum(axis=-2) - 1.0).max() <= bound)
-
-
-def _stochastic_violation(matrices: np.ndarray, tol: float) -> tuple[int, str] | None:
-    """First matrix of an ``(N, I, J)`` stack with a negative entry or a column sum off 1.
-
-    Returns its batch index and message, or None when every matrix passes.
-    The whole stack is tested first; only a rejected one is read matrix by matrix.
-    """
-    if _stochastic_accepts(matrices, tol):
-        return None
-    n, matrix = next((n, m) for n, m in enumerate(matrices) if not _stochastic_accepts(m, tol))
-    lowest = matrix.min()
-    if not lowest >= -tol:
-        return n, f"nonideality matrix has negative entry {lowest:.3e}"
-    return n, f"columns must sum to 1, got {matrix.sum(axis=0).tolist()}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +39,10 @@ class NonidealityMatrix:
     """Column-stochastic nonnegative matrix relating two measures.
 
     ``matrix[i, j]`` is the weight of target outcome ``j`` inside observed
-    outcome ``i``; each column sums to one.  ``residual`` is the
-    Hilbert-Schmidt misfit of the decomposition that produced the matrix and
-    ``unique`` records whether the target elements determined it uniquely.
+    outcome ``i``; each column is a probability distribution, checked as a
+    ``ProbabilityTable`` is and named by its index when it fails.  ``residual``
+    is the Hilbert-Schmidt misfit of the decomposition that produced the matrix
+    and ``unique`` records whether the target elements determined it uniquely.
     """
 
     matrix: np.ndarray
@@ -75,13 +53,13 @@ class NonidealityMatrix:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        _checked_tol(self.tol)
+        object.__setattr__(self, "tol", _checked_tol(self.tol))
         arr = _as_array(self.matrix, float, "nonideality matrix")
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError("nonideality matrix must be a non-empty 2-D array")
-        failure = _stochastic_violation(arr[None], self.tol)
+        failure = _table_violation(arr.T, self.tol)
         if failure is not None:
-            raise ValidationError(failure[1])
+            raise ValidationError(f"nonideality matrix column {failure[0]} {failure[1]}")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
         if self.row_labels and len(self.row_labels) != arr.shape[0]:

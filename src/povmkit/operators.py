@@ -23,14 +23,18 @@ from .errors import DimensionMismatchError, ValidationError
 DEFAULT_TOL = 1e-9
 
 
-def _checked_tol(tol: float) -> None:
-    """Raise ValidationError unless ``tol`` is a finite number greater than 0.
+def _checked_tol(tol) -> float:
+    """``tol`` as a float in (0, inf); anything else, a non-number included, raises ValidationError.
 
     A zero, negative, infinite or NaN ``tol`` would let every check pass or fail
     whatever its input, so each value built from raw input checks its ``tol`` first.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValidationError(f"tol must be a finite number greater than 0, got {tol!r}")
+    try:
+        if 0.0 < (number := float(tol)) < np.inf:
+            return number
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise ValidationError(f"tol must be a finite number greater than 0, got {tol!r}")
 
 
 def _checked_unit(value, name: str) -> float:
@@ -119,7 +123,7 @@ def _lowest_eigenvalues(stack: np.ndarray) -> np.ndarray:
 
 def is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op`` is finite and equals its conjugate transpose within ``tol``."""
-    _checked_tol(tol)
+    tol = _checked_tol(tol)
     arr = as_operator(op)
     with np.errstate(over="ignore"):  # a defect beyond the float range reads as inf
         return bool(np.isfinite(arr).all() and _hermitian_defect(arr).max() <= tol)
@@ -141,7 +145,7 @@ def is_projector(op, tol: float = DEFAULT_TOL) -> bool:
 
 def is_unitary(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op.conj().T @ op`` is the identity within ``tol``."""
-    _checked_tol(tol)
+    tol = _checked_tol(tol)
     arr = as_operator(op)
     with np.errstate(over="ignore", invalid="ignore"):  # a product beyond float range: inf or nan
         gram = arr.conj().T @ arr
@@ -183,7 +187,7 @@ class State:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        _checked_tol(self.tol)
+        object.__setattr__(self, "tol", _checked_tol(self.tol))
         arr = as_operator(self.matrix, name="state")
         if not np.isfinite(arr).all():
             raise ValidationError("state has non-finite entries")

@@ -129,7 +129,7 @@ def table_from_dict(data: dict, tol: float = DEFAULT_TOL) -> ProbabilityTable:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"table object must carry consistent 'shape' and 'values': {exc}")
     labels = data.get("axis_labels")
-    if labels is not None:
+    if isinstance(labels, list) and all(isinstance(axis, list) for axis in labels):
         labels = tuple(tuple(_label_from_json(x) for x in axis) for axis in labels)
     return ProbabilityTable(values, axis_labels=labels, tol=tol)
 

@@ -27,12 +27,11 @@ from .nonideality import (
     NonidealityMatrix,
     _row_entropy,
     _solve_stack,
-    _stochastic_violation,
     _xlogx,
     martens_bound,
 )
 from .operators import DEFAULT_TOL, _checked_finite, _checked_unit
-from .tables import _marginal_tol
+from .tables import _marginal_tol, _table_violation
 
 #: Agreement required between the generic solver pipeline and the closed-form
 #: entropies during a sweep.
@@ -191,9 +190,9 @@ def tradeoff_sweep(
     PVMs, and the row entropies.  Every point is checked as the single-point
     chain ``srt_bivariate -> marginal -> solve_nonideality -> check_martens``
     would check it: the arrangement at ``tol``; the zero target elements, the
-    nonideality matrices and the Martens slack at the marginals' ``2 * tol``
-    (each marginal element sums two cells, ``tables._marginal_tol``); and
-    agreement with the closed-form entropies within ``PIPELINE_AGREEMENT_TOL``.
+    nonideality matrices' columns (one call of the table rule) and the Martens slack at
+    the marginals' ``2 * tol`` (each marginal element sums two cells, ``tables._marginal_tol``);
+    and agreement with the closed-form entropies within ``PIPELINE_AGREEMENT_TOL``.
     The first failing absorber setting is named in the error, path marginal
     before interference marginal.  Output follows grid order.
 
@@ -204,7 +203,10 @@ def tradeoff_sweep(
     chi : float
         Interferometer phase, checked even for an empty grid; the entropies are phase-independent.
     """
-    values = np.fromiter(grid, dtype=float)
+    try:
+        values = np.fromiter(grid, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValidationError(f"grid cannot be read as a float array: {exc}") from None
     outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
     if outside.size:
         raise ValidationError(f"grid value {float(values[outside[0]])!r} outside [0, 1]")
@@ -221,16 +223,17 @@ def tradeoff_sweep(
         raise ValidationError(f"absorber={float(values[n])!r}: " + "; ".join(lines))
     cells = stack.reshape(values.size, 2, 2, 2, 2)
 
-    # Problem 0 is the path marginal and problem 1 the interference marginal,
-    # so in C order every path matrix is checked before any interference one.
+    # Problem 0 is the path marginal and problem 1 the interference marginal, so with the
+    # columns as tables in (problem, point, column) order every path column comes first.
     marginals = np.stack([cells[:, :, 0] + cells[:, :, 1], cells[:, 0] + cells[:, 1]])
     marginal_tol = _marginal_tol(tol, (2, 2), (1,))
     targets = np.stack([_PATH_PVM.stack(), target_interference.stack()])
     matrices, _ = _solve_stack(marginals, targets, marginal_tol)
-    failure = _stochastic_violation(matrices.reshape(-1, 2, 2), marginal_tol)
+    failure = _table_violation(matrices.swapaxes(-1, -2).reshape(-1, 2), marginal_tol)
     if failure is not None:
-        n, message = failure
-        raise ValidationError(f"absorber={float(values[n % values.size])!r}: {message}")
+        k, reason = failure
+        absorber = float(values[k // 2 % values.size])
+        raise ValidationError(f"absorber={absorber!r}: nonideality matrix column {k % 2} {reason}")
     j_lambda, j_mu = _row_entropy(matrices)
     slack = j_lambda + j_mu - bound
 

@@ -1,5 +1,6 @@
-"""Multi-index probability tables with marginalization.
+"""Multi-index probability tables, the one probability-distribution rule, and marginalization.
 
+Tables, Born tables, Fine witnesses and nonideality-matrix columns pass ``_table_violation``.
 A marginal is an index sum.  Each summed cell may sit ``tol`` off, so by the one rule
 ``_marginal_tol`` it carries ``tol`` times the number of cells summed into each of its cells.
 """
@@ -32,30 +33,36 @@ def _marginal_tol(tol: float, shape, drop) -> float:
     return tol * math.prod(shape[ax] for ax in drop)
 
 
-def _check_tables(stack: np.ndarray, tol: float) -> None:
-    """Raise the constructor's error for the first invalid table of an ``(N, ...)`` stack.
+def _table_violation(stack: np.ndarray, tol: float) -> tuple[int, str] | None:
+    """The index and reason of the first invalid table of an ``(N, ...)`` stack, or None.
 
-    The accept pass reads the entries as Python floats first: every valid table
-    has them within ``[-tol, 1 + 2 * bound]``, with ``bound = max(tol, tol *
-    size)``, so the per-table totals it then sums cannot overflow, and a total
-    within ``bound`` of one excludes NaN and ``+-inf``.  A rejected stack is
-    read table by table: finite entries, then entries ``>= -tol``, then the
+    This is the one rule of a probability distribution: finite entries ``>= -tol``
+    whose total is within ``bound = max(tol, tol * size)`` of one.  The accept pass
+    bounds the entries to ``[-tol, 1 + 2 * bound]`` first, so the per-table totals
+    it then sums cannot overflow, and NaN and ``+-inf`` fail it.  A rejected stack
+    is read table by table: finite entries, then entries ``>= -tol``, then the
     total, whose overflow reads as ``inf``.
     """
     bound = max(tol, tol * stack[0].size)
-    entries = stack.ravel().tolist()
-    if min(entries) >= -tol and max(entries) <= 1.0 + 2.0 * bound and all(
-            abs(total - 1.0) <= bound for total in stack.reshape(len(stack), -1).sum(1).tolist()):
-        return
-    for table in stack:
+    flat = stack.reshape(len(stack), -1)
+    if flat.min() >= -tol and flat.max() <= 1.0 + 2.0 * bound and np.abs(flat.sum(1) - 1.0).max() <= bound:
+        return None
+    for n, table in enumerate(stack):
         if not np.isfinite(table).all():
-            raise ValidationError("probability table has non-finite entries")
+            return n, "has non-finite entries"
         if float(table.min()) < -tol:
-            raise ValidationError(f"probability table has negative entry {table.min():.3e}")
+            return n, f"has negative entry {table.min():.3e}"
         with np.errstate(over="ignore"):
             total = float(table.sum())
         if abs(total - 1.0) > bound:
-            raise ValidationError(f"probability table sums to {total!r}, not 1")
+            return n, f"sums to {total!r}, not 1"
+
+
+def _check_tables(stack: np.ndarray, tol: float) -> None:
+    """Raise the constructor's error for the first invalid table of an ``(N, ...)`` stack."""
+    failure = _table_violation(stack, tol)
+    if failure is not None:
+        raise ValidationError(f"probability table {failure[1]}")
 
 
 class ProbabilityTable:
@@ -75,16 +82,19 @@ class ProbabilityTable:
     __slots__ = ("_values", "_tol", "_axis_labels")
 
     def __init__(self, values, axis_labels=None, *, tol: float = DEFAULT_TOL):
-        _checked_tol(tol)
+        tol = _checked_tol(tol)
         arr = _as_array(values, float, "probability table")
         if arr.size == 0:
             raise ValidationError("probability table must not be empty")
         _check_tables(arr[None], tol)
         if axis_labels is not None:
-            axis_labels = tuple(tuple(axis) for axis in axis_labels)
-            if len(axis_labels) != arr.ndim or any(
-                len(axis) != size for axis, size in zip(axis_labels, arr.shape)
-            ):
+            try:
+                axis_labels = tuple(tuple(axis) for axis in axis_labels)
+                matches = len(axis_labels) == arr.ndim and all(
+                    len(axis) == size for axis, size in zip(axis_labels, arr.shape))
+            except TypeError:  # not a sequence of sequences
+                matches = False
+            if not matches:
                 raise ValidationError("axis_labels do not match the table shape")
         self._init_valid(arr, axis_labels, tol)
 

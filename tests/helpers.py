@@ -40,7 +40,6 @@ from povmkit.measures import _stack_violations
 from povmkit.nonideality import (
     _row_entropy,
     _solve_stack,
-    _stochastic_violation,
     martens_bound,
 )
 from povmkit.operators import DEFAULT_TOL, _checked_finite, as_operator, tensor
@@ -593,7 +592,8 @@ def oracle_tradeoff_sweep(grid, chi=0.0, *, tol=DEFAULT_TOL):
     the bivariate stack, the stack built by ``np.stack``, the marginals as
     ``sum`` over a length-2 axis and the rows one constructor call each.  The
     library's sweep must return equal rows and raise the same errors; the phase
-    goes through the library's finite-real rule, as ``interference_pvm`` takes it.
+    goes through the library's finite-real rule, as ``interference_pvm`` takes it,
+    and each nonideality matrix column through the frozen table constructor.
     """
     values = np.fromiter(grid, dtype=float)
     outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
@@ -616,10 +616,13 @@ def oracle_tradeoff_sweep(grid, chi=0.0, *, tol=DEFAULT_TOL):
     marginals = np.stack([cells.sum(axis=2), cells.sum(axis=1)])
     targets = np.stack([srt._PATH_PVM.stack(), target_interference.stack()])
     matrices, _ = _solve_stack(marginals, targets, tol)
-    failure = _stochastic_violation(matrices.reshape(-1, 2, 2), tol)
-    if failure is not None:
-        n, message = failure
-        raise ValidationError(f"absorber={float(values[n % values.size])!r}: {message}")
+    for k, column in enumerate(matrices.swapaxes(-1, -2).reshape(-1, 2)):
+        try:
+            oracle_table_check(column, tol)
+        except ValidationError as exc:
+            reason = str(exc).removeprefix("probability table ")
+            raise ValidationError(f"absorber={float(values[k // 2 % values.size])!r}: "
+                                  f"nonideality matrix column {k % 2} {reason}") from None
     j_lambda, j_mu = _row_entropy(matrices)
     slack = j_lambda + j_mu - bound
 

@@ -163,8 +163,10 @@ class TestMeasureValidation:
             assert povm_violations(elements) == expected
 
     def test_index_shape_must_match(self):
-        with pytest.raises(ValidationError):
-            PovmMeasure([np.eye(2)], index_shape=(2, 2))
+        for index_shape in ((2, 2), (-1, -1), ("x",), 5):
+            message = f"index_shape {index_shape} does not match 1 elements"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                PovmMeasure([np.eye(2)], index_shape=index_shape)
 
     def test_labels_address_elements(self):
         measure = PovmMeasure([P0, P1], labels=("up", "down"))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,16 +34,27 @@ LN2 = np.log(2.0)
 
 class TestMatrixValidation:
     def test_columns_must_be_stochastic(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^nonideality matrix column 0 sums to 0.9, not 1$"):
             NonidealityMatrix([[0.5, 0.5], [0.4, 0.5]])
 
     def test_entries_must_be_nonnegative(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^nonideality matrix column 0 has negative entry -2.000e-01$"):
             NonidealityMatrix([[1.2, 0.0], [-0.2, 1.0]])
 
     def test_nan_entries_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^nonideality matrix column 0 has non-finite entries$"):
             NonidealityMatrix([[np.nan, 0.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize(("matrix", "message"), [
+        ([[np.inf, 0.0], [0.0, 1.0]], "nonideality matrix column 0 has non-finite entries"),
+        # The column total overflows; no warning escapes (warnings fail tier-1).
+        ([[1e308, 0.0], [1e308, 1.0]], "nonideality matrix column 0 sums to inf, not 1"),
+        # A column-sum failure in column 0 comes before a negative entry in column 1.
+        ([[0.5, 1.5], [0.4, -0.5]], "nonideality matrix column 0 sums to 0.9, not 1"),
+    ], ids=["inf", "overflow", "column-order"])
+    def test_columns_get_the_table_rule_messages(self, matrix, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            NonidealityMatrix(matrix)
 
     @pytest.mark.parametrize("container", [list, np.array], ids=["list", "ndarray"])
     def test_complex_matrix_is_rejected_not_truncated(self, container):

@@ -247,7 +247,7 @@ TOL_ENTRY_POINTS = {
 def test_a_tol_must_be_finite_and_greater_than_zero(name):
     build = TOL_ENTRY_POINTS[name]
     build(1e-9)
-    for tol in (0.0, -0.0, -1.0, math.inf, -math.inf, math.nan):
+    for tol in (0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, "x", None, 1j):
         with pytest.raises(ValidationError,
                            match=f"^{re.escape(f'tol must be a finite number greater than 0, got {tol!r}')}$"):
             build(tol)

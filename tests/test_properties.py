@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from povmkit import (
     AspectConfig,
     MarginalSet,
+    NonidealityMatrix,
     PovmMeasure,
     PvmMeasure,
     ProbabilityTable,
@@ -48,7 +49,7 @@ from povmkit import (
     tradeoff_sweep,
 )
 from povmkit import (InternalConsistencyError, NoSignalingError, ValidationError, aspect,
-                     feasibility, measures, nonideality, serialize)
+                     feasibility, measures, serialize)
 from povmkit.aspect import _ANGLE_NAMES, CHSH_SIGN_PATTERNS, _polarization_stack
 from povmkit.cli import main
 from povmkit.feasibility import _KEEP, _REDUCED, BOUNDARY_TOL, phase1_simplex
@@ -784,30 +785,53 @@ def test_pvm_targets_take_the_trace_form(seed, dim, splits, n_elements):
     assert result.unique
 
 
-# -- (i) the accept-first stochasticity check against its per-matrix oracle --
+# -- (i) a nonideality matrix's columns go through the one table rule ----------
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def first_column_error(matrix):
+    """The table constructor's reason for the first column it rejects, named as the matrix names it."""
+    for j, column in enumerate(matrix.T):
+        try:
+            ProbabilityTable(column, tol=TOL)
+        except ValidationError as exc:
+            return f"nonideality matrix column {j} " + str(exc).removeprefix("probability table ")
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    shape=st.tuples(*(st.integers(min_value=1, max_value=3),) * 3),
-    kind=st.sampled_from(["none", "negative", "column-sum", "nan"]),
-    scale=st.sampled_from(EDGE_SCALES),
+    shape=st.tuples(*(st.integers(min_value=1, max_value=3),) * 2),
+    defects=st.lists(st.tuples(st.sampled_from(["negative", "column-sum", "nan", "inf", "overflow"]),
+                               st.sampled_from(EDGE_SCALES)), max_size=2),
 )
-def test_accept_first_stochastic_check_equals_per_matrix_oracle(seed, shape, kind, scale):
-    # One entry per stack sits just inside or just outside the bound of one test.
+def test_nonideality_matrix_accepts_exactly_the_columns_the_table_rule_accepts(seed, shape, defects):
+    # Each defect puts one entry just inside or just outside the bound of one test.
     rng = np.random.default_rng(seed)
-    matrices = rng.dirichlet(np.ones(shape[1]), size=(shape[0], shape[2])).swapaxes(1, 2)
-    n, i, j = (int(rng.integers(size)) for size in shape)
-    if kind == "negative":
-        shift = matrices[n, i, j] - scale * TOL
-        matrices[n, i, j] -= shift
-        matrices[n, (i + 1) % shape[1], j] += shift
-    elif kind == "column-sum":
-        matrices[n, i, j] += scale * max(TOL, TOL * shape[1])
-    elif kind == "nan":
-        matrices[n, i, j] = np.nan
-    found = nonideality._stochastic_violation(matrices, TOL)
-    assert found == oracle_stochastic_violation(matrices, TOL)
+    matrix = rng.dirichlet(np.ones(shape[0]), size=shape[1]).T
+    # Two defects on one entry may stack into inf or nan, and the frozen check's column
+    # sums may overflow; the library itself must warn about none of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind, scale in defects:
+            i, j = (int(rng.integers(size)) for size in shape)
+            if kind == "negative":
+                shift = matrix[i, j] - scale * TOL
+                matrix[i, j] -= shift
+                matrix[(i + 1) % shape[0], j] += shift
+            elif kind == "column-sum":
+                matrix[i, j] += scale * max(TOL, TOL * shape[0])
+            elif kind == "overflow":
+                matrix[i, j] = matrix[(i + 1) % shape[0], j] = 1e308
+            else:
+                matrix[i, j] = np.nan if kind == "nan" else np.inf
+        oracle_accepts = oracle_stochastic_violation(matrix[None], TOL) is None
+    want = first_column_error(matrix)
+    assert (want is None) == oracle_accepts
+    try:
+        NonidealityMatrix(matrix, tol=TOL)
+        got = None
+    except ValidationError as exc:
+        got = str(exc)
+    assert got == want
 
 
 # -- (j) the array set against the frozen per-table loops ---------------------

@@ -119,6 +119,13 @@ def test_measure_fields_are_guarded(field, value, message):
         serialize.measure_from_dict(data)
 
 
+@pytest.mark.parametrize("value", [5, [5]])
+def test_table_axis_labels_are_guarded(value):
+    data = {"shape": [1], "values": [1.0], "axis_labels": value}
+    with pytest.raises(ValidationError, match="^axis_labels do not match the table shape$"):
+        serialize.table_from_dict(data)
+
+
 @pytest.mark.parametrize("value", [5, "text", [1, 2], None, True])
 @pytest.mark.parametrize(
     "loader, what",

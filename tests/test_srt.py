@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povmkit import InternalConsistencyError, ValidationError
-from povmkit import nonideality, srt
+from povmkit import srt
 from povmkit.srt import (
     SrtConfig,
     interference_nonideality_entropy,
@@ -172,6 +172,8 @@ class TestTradeoffSweep:
         for bad in (np.nan, -0.1, np.inf):
             with pytest.raises(ValidationError, match="outside"):
                 tradeoff_sweep([0.5, bad])
+        with pytest.raises(ValidationError, match="^grid cannot be read as a float array: "):
+            tradeoff_sweep(["a"])
 
     def test_non_finite_phase_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
@@ -207,19 +209,19 @@ class TestTradeoffSweep:
 
     @pytest.mark.parametrize("chi", PHASES + (-2.3,))
     def test_whole_stack_exits_accept_the_sweep(self, monkeypatch, chi):
-        # The stochasticity check accepts the sweep's whole stack in one call;
-        # a call per matrix would mean the exit stopped accepting, which only
-        # speed would otherwise show.  The trace-form solve itself checks nothing.
+        # The table rule accepts the columns of all 202 nonideality matrices in
+        # one call; a call per matrix would mean the exit stopped accepting, which
+        # only speed would otherwise show.  The trace-form solve itself checks nothing.
         calls = []
-        accepts = nonideality._stochastic_accepts
+        violation = srt._table_violation
 
-        def recorded(matrices, tol):
-            calls.append((matrices.shape, accepts(matrices, tol)))
+        def recorded(stack, tol):
+            calls.append((stack.shape, violation(stack, tol)))
             return calls[-1][-1]
 
-        monkeypatch.setattr(nonideality, "_stochastic_accepts", recorded)
+        monkeypatch.setattr(srt, "_table_violation", recorded)
         tradeoff_sweep(np.linspace(0.0, 1.0, 101), chi=chi)
-        assert calls == [((202, 2, 2), True)]
+        assert calls == [((404, 2), None)]
 
     def test_drift_names_the_first_failing_absorber(self, monkeypatch):
         path_entropy = srt._path_entropy
@@ -244,7 +246,8 @@ class TestTradeoffSweep:
             return matrices, zero
 
         monkeypatch.setattr(srt, "_solve_stack", corrupted)
-        with pytest.raises(ValidationError, match=r"absorber=0\.75\b.*columns must sum"):
+        with pytest.raises(ValidationError,
+                           match=r"^absorber=0\.75: nonideality matrix column 0 sums to 0\.999, not 1$"):
             tradeoff_sweep([0.25, 0.5, 0.75])
 
     @pytest.mark.parametrize("check", ["stochastic", "slack"])

@@ -40,8 +40,9 @@ def test_complex_values_are_rejected_not_truncated(container):
 
 def test_axis_labels_checked():
     ProbabilityTable([[0.5, 0.0], [0.0, 0.5]], axis_labels=(("+", "-"), ("1", "2")))
-    with pytest.raises(ValidationError):
-        ProbabilityTable([[0.5, 0.0], [0.0, 0.5]], axis_labels=(("+",), ("1", "2")))
+    for axis_labels in ((("+",), ("1", "2")), 5):
+        with pytest.raises(ValidationError, match="^axis_labels do not match the table shape$"):
+            ProbabilityTable([[0.5, 0.0], [0.0, 0.5]], axis_labels=axis_labels)
 
 
 def test_marginal_against_brute_force(rng):

@@ -94,15 +94,6 @@ ALLOWED = {
         "equality threshold: a state's trace exactly tol away from 1",
     ("operators.py", "if product < bound - tol:", "<", 0):
         "equality threshold: an uncertainty product exactly tol below its bound",
-    ("nonideality.py", "return bool(matrices.min() >= -tol and np.abs(matrices.sum(axis=-2) - 1.0).max() <= bound)",
-     ">=", 0):
-        "equality threshold: a stochastic matrix entry exactly at -tol",
-    ("nonideality.py", "return bool(matrices.min() >= -tol and np.abs(matrices.sum(axis=-2) - 1.0).max() <= bound)",
-     "<=", 0):
-        "equality threshold: a column sum exactly max(tol, tol * I) from 1",
-    ("nonideality.py", "if not lowest >= -tol:",
-     ">=", 0):
-        "equality threshold: which message a rejected matrix with an entry exactly at -tol gets",
     ("nonideality.py", "zero = norms <= tol",
      "<=", 0):
         "equality threshold: a target Gram diagonal entry exactly at tol",
@@ -150,23 +141,26 @@ ALLOWED = {
     ("measures.py", "if not overlaps[j, k] <= tol]",
      "<=", 0):
         "equality threshold: an overlap exactly at tol",
-    ("measures.py", "if any(n <= 0 for n in index_shape) or int(np.prod(index_shape)) != n_elements:",
-     "<=", 0):
+    ("measures.py", "matches = all(n > 0 for n in index_shape) and math.prod(index_shape) == n_elements",
+     ">", 0):
         "equivalent: a zero axis makes the product 0, which no non-empty stack matches, with the same message",
     ("measures.py", "return bool(np.abs(np.trace(self._stack, axis1=1, axis2=2) - 1.0).max() <= self.tol)",
      "<=", 0):
         "equality threshold: a projector trace exactly tol from 1",
-    ("tables.py", "if min(entries) >= -tol and max(entries) <= 1.0 + 2.0 * bound and all(", ">=", 0):
+    ("tables.py", "if flat.min() >= -tol and flat.max() <= 1.0 + 2.0 * bound and np.abs(flat.sum(1) - 1.0).max() <= bound:",
+     ">=", 0):
         "equivalent: a stricter accept pass sends the table to the reject pass, which accepts "
         "an entry exactly at -tol too",
-    ("tables.py", "if min(entries) >= -tol and max(entries) <= 1.0 + 2.0 * bound and all(", "<=", 0):
+    ("tables.py", "if flat.min() >= -tol and flat.max() <= 1.0 + 2.0 * bound and np.abs(flat.sum(1) - 1.0).max() <= bound:",
+     "<=", 0):
         "equivalent: a stricter accept pass sends the table to the reject pass, which has no "
         "upper bound on an entry and judges the total the same way",
-    ("tables.py", "if min(entries) >= -tol and max(entries) <= 1.0 + 2.0 * bound and all(", "*", 0):
+    ("tables.py", "if flat.min() >= -tol and flat.max() <= 1.0 + 2.0 * bound and np.abs(flat.sum(1) - 1.0).max() <= bound:",
+     "*", 0):
         "equivalent: the entry bound only keeps the totals from overflowing; with entries >= -tol, "
         "an entry above 1 + 2 bound already puts its total more than bound from 1",
-    ("tables.py", "abs(total - 1.0) <= bound for total in stack.reshape(len(stack), -1).sum(1).tolist()):",
-     "<=", 0):
+    ("tables.py", "if flat.min() >= -tol and flat.max() <= 1.0 + 2.0 * bound and np.abs(flat.sum(1) - 1.0).max() <= bound:",
+     "<=", 1):
         "equivalent: a stricter accept pass sends the table to the reject pass, which accepts "
         "a total exactly bound from 1 too",
     ("tables.py", "if abs(total - 1.0) > bound:", ">", 0):
