@@ -72,9 +72,8 @@ def _polarization_stack(angles: Sequence[float]) -> np.ndarray:
 
 
 def _analyzer_stack(angles: Sequence[float], names: Sequence[str], tol: float) -> np.ndarray:
-    """``(N, 2, 2, 2)`` analyzer PVMs ``(E+, E-)`` for N checked plane angles, validated as one stack."""
+    """``(N, 2, 2, 2)`` analyzer PVMs ``(E+, E-)`` for N checked plane angles and ``tol``, validated as one stack."""
     pvms = _polarization_stack(angles)
-    tol = _checked_tol(tol)
     invalid = _stack_violations(pvms, tol, True)
     if invalid:
         index, lines = next(iter(invalid.items()))
@@ -139,6 +138,7 @@ def arm_povm(
     """
     g = _checked_unit(gamma, "mirror transmissivity")
     angles = [_checked_finite(theta, "angle theta"), _checked_finite(theta_p, "angle theta_p")]
+    tol = _checked_tol(tol)
     pvms = _analyzer_stack(angles, ("theta", "theta_p"), tol)
     # Validated PVMs smeared by weights in [0, 1] form a POVM; it is not checked again.
     elements = np.einsum("csa,saij->cij", _mirror_weights(g), pvms)
@@ -197,7 +197,7 @@ def joint_probabilities(config: AspectConfig, tol: float = DEFAULT_TOL) -> Proba
     weight matrices; one arm's bivariate marginal never depends on the other's mirror.
     A sweep over mirror settings at fixed angles, state and ``tol`` reuses one such table.
     """
-    pairs, tol = _analyzer_pairs(config.state, [getattr(config, n) for n in _ANGLE_NAMES], tol)
+    pairs, tol = _analyzer_pairs(config.state, [getattr(config, n) for n in _ANGLE_NAMES], _checked_tol(tol))
     probs = np.einsum("xsa,stab,ytb->xy", _mirror_weights(config.gamma1), pairs,
                       _mirror_weights(config.gamma2)).reshape(2, 2, 2, 2)
     _check_tables(probs[None], tol)
@@ -271,7 +271,7 @@ def standard_composite(
     rho = bell_state(tol) if state is None else state
     angles = [_checked_finite(theta, f"angle {name}")
               for theta, name in zip((theta1, theta1p, theta2, theta2p), _ANGLE_NAMES)]
-    pairs, tol = _analyzer_pairs(rho, angles, tol)
+    pairs, tol = _analyzer_pairs(rho, angles, _checked_tol(tol))
     # Rows (A, A') against columns (B, B'): the C order is STANDARD_GAMMA_PAIRS.
     sums = pairs.reshape(4, 2, 2)
     labels = (_SIGN_LABELS,) * 2

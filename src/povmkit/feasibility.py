@@ -83,7 +83,7 @@ class MarginalSet:
 
     @classmethod
     def from_tables(cls, tables, tol: float = DEFAULT_TOL) -> "MarginalSet":
-        tables = tuple(tables)
+        tables = tuple(tables) if hasattr(tables, "__iter__") else ()
         if len(tables) != 4:
             raise DimensionMismatchError("exactly four tables are required")
         return cls(*tables, tol=tol)

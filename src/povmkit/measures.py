@@ -26,8 +26,8 @@ from .errors import (
     InfeasibleProbabilitiesError,
     ValidationError,
 )
-from .operators import (DEFAULT_TOL, State, _checked_tol, _hermitian_defect, _lowest_eigenvalues,
-                        as_operator, is_unitary)
+from .operators import (DEFAULT_TOL, State, _checked_dim, _checked_labels, _checked_tol, _hermitian_defect,
+                        _lowest_eigenvalues, as_operator, is_unitary)
 from .tables import ProbabilityTable, _check_tables, _marginal_tol, _split_axes
 
 #: Tolerance on the residual ``born(measure, rho) - probabilities`` accepted by
@@ -47,7 +47,10 @@ def _coerce_stack(elements) -> np.ndarray:
         stack = np.empty(0)
     if stack.ndim == 3 and stack.size and stack.shape[1] == stack.shape[2]:
         return stack
-    arrays = [as_operator(e, name=f"element {k}") for k, e in enumerate(elements)]
+    try:
+        arrays = [as_operator(e, name=f"element {k}") for k, e in enumerate(elements)]
+    except TypeError:  # ``elements`` is not iterable; ``as_operator`` raises no TypeError
+        raise ValidationError(f"measure elements must be a sequence, got {type(elements).__name__}") from None
     if not arrays:
         raise ValidationError("measure must contain at least one element")
     if any(arr.shape != arrays[0].shape for arr in arrays):
@@ -154,8 +157,7 @@ def _per_axis_labels(labels: tuple, index_shape) -> tuple[tuple, ...]:
 
 
 def _violations(elements, tol: float, projective: bool) -> list[str]:
-    """Violations of raw ``elements`` as one measure, after ``_checked_tol`` accepts ``tol``."""
-    tol = _checked_tol(tol)
+    """Violations of raw ``elements`` as one measure, at a checked ``tol``."""
     try:
         stack = _coerce_stack(elements)
     except (DimensionMismatchError, ValidationError) as exc:
@@ -165,12 +167,12 @@ def _violations(elements, tol: float, projective: bool) -> list[str]:
 
 def povm_violations(elements, tol: float = DEFAULT_TOL) -> list[str]:
     """List every way ``elements`` fails to form a POVM (empty when valid); an invalid ``tol`` raises."""
-    return _violations(elements, tol, projective=False)
+    return _violations(elements, _checked_tol(tol), projective=False)
 
 
 def pvm_violations(elements, tol: float = DEFAULT_TOL) -> list[str]:
     """POVM violations plus projector and pairwise-orthogonality defects; an invalid ``tol`` raises."""
-    return _violations(elements, tol, projective=True)
+    return _violations(elements, _checked_tol(tol), projective=True)
 
 
 class PovmMeasure:
@@ -208,15 +210,12 @@ class PovmMeasure:
             if not matches:
                 raise ValidationError(f"index_shape {index_shape} does not match {n_elements} elements")
 
-        if labels is None:
-            if index_shape is None:
-                labels = tuple(range(n_elements))
-            else:
-                labels = tuple(itertools.product(*(range(n) for n in index_shape)))
+        if labels is not None:
+            labels = _checked_labels(labels, n_elements, "one label is required per element")
+        elif index_shape is None:
+            labels = tuple(range(n_elements))
         else:
-            labels = tuple(labels)
-            if len(labels) != n_elements:
-                raise ValidationError("one label is required per element")
+            labels = tuple(itertools.product(*(range(n) for n in index_shape)))
 
         violations = _stack_violations(stack, tol, self._PROJECTIVE).get(())
         if violations:
@@ -328,9 +327,7 @@ class InstrumentModel:
                  tol: float = DEFAULT_TOL):
         tol = _checked_tol(tol)
         coupling = as_operator(coupling, name="coupling")
-        d_o, d_a = int(object_dim), apparatus_state.dim
-        if d_o <= 0:
-            raise ValidationError("object dimension must be positive")
+        d_o, d_a = _checked_dim(object_dim, "object dimension"), apparatus_state.dim
         if pointer.dim != d_a:
             raise DimensionMismatchError(f"pointer acts on dimension {pointer.dim}, apparatus has {d_a}")
         if coupling.shape[0] != d_o * d_a:

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import PovmMeasure, PvmMeasure
-from .operators import DEFAULT_TOL, _as_array, _checked_tol
+from .operators import DEFAULT_TOL, _as_array, _checked_labels, _checked_tol
 from .tables import _table_violation
 
 #: Residual above which a solved decomposition is flagged as *not* an exact
@@ -62,10 +62,9 @@ class NonidealityMatrix:
             raise ValidationError(f"nonideality matrix column {failure[0]} {failure[1]}")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
-        if self.row_labels and len(self.row_labels) != arr.shape[0]:
-            raise ValidationError("row_labels do not match the matrix shape")
-        if self.col_labels and len(self.col_labels) != arr.shape[1]:
-            raise ValidationError("col_labels do not match the matrix shape")
+        for name, size in (("row_labels", arr.shape[0]), ("col_labels", arr.shape[1])):
+            if not isinstance(labels := getattr(self, name), tuple) or labels:  # () leaves it unlabeled
+                object.__setattr__(self, name, _checked_labels(labels, size, f"{name} do not match the matrix shape"))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -177,9 +176,11 @@ def nonideality_entropy(lam) -> float:
     continuous at degenerate parameter values.  The averaging constant is the
     number of observed outcomes (matrix rows).
     """
-    matrix = lam.matrix if isinstance(lam, NonidealityMatrix) else np.asarray(lam, dtype=float)
+    matrix = lam.matrix if isinstance(lam, NonidealityMatrix) else _as_array(lam, float, "nonideality matrix")
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValidationError("nonideality entropy requires a non-empty 2-D matrix")
+    if not np.isfinite(matrix).all():
+        raise ValidationError("nonideality entropy requires finite entries")
     return float(_row_entropy(matrix))
 
 

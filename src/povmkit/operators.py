@@ -5,12 +5,13 @@ this module validate shape and algebraic properties under a configurable
 tolerance.  Every value returned here is a read-only array, safe to share
 between callers.  One Hermitian-defect and one lowest-eigenvalue kernel (closed
 form for qubits) serve ``State``, the ``is_*`` predicates and the measures.
-``_checked_tol``, ``_checked_unit`` and ``_checked_finite`` are the one check of a
-raw ``tol``, of a raw weight in [0, 1] and of a raw angle or phase.
+``_checked_tol``, ``_checked_unit``, ``_checked_finite``, ``_checked_labels`` and ``_checked_dim`` are the
+one check of a raw ``tol``, weight in [0, 1], angle or phase, label sequence and dimension.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,6 +56,26 @@ def _checked_finite(value, name: str) -> float:
     except (OverflowError, TypeError, ValueError):
         number = value
     raise ValidationError(f"{name} is non-finite: {number!r}")
+
+
+def _checked_labels(labels, size: int, message: str) -> tuple:
+    """``labels`` as a tuple of ``size`` hashables; anything else raises ValidationError(message)."""
+    try:
+        if len(checked := tuple(labels)) == size and hash(checked) is not None:  # hash each label
+            return checked
+    except TypeError:  # not iterable, or a label is unhashable
+        pass
+    raise ValidationError(message)
+
+
+def _checked_dim(value, name: str) -> int:
+    """``value`` as a positive int read by ``operator.index``; a bool or anything else raises ValidationError."""
+    try:
+        if not isinstance(value, bool) and (number := operator.index(value)) > 0:
+            return number
+    except TypeError:
+        pass
+    raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _as_array(values, dtype, what: str) -> np.ndarray:
@@ -131,14 +152,14 @@ def is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
 
 def is_positive(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op`` is finite and Hermitian within ``tol`` with spectrum >= -tol."""
-    arr = as_operator(op)
+    tol, arr = _checked_tol(tol), as_operator(op)
     with np.errstate(over="ignore"):  # an eigenvalue below the float range reads as -inf
         return is_hermitian(arr, tol) and bool(_lowest_eigenvalues(arr) >= -tol)
 
 
 def is_projector(op, tol: float = DEFAULT_TOL) -> bool:
     """Return True when ``op`` is finite, Hermitian and idempotent within ``tol``."""
-    arr = as_operator(op)
+    tol, arr = _checked_tol(tol), as_operator(op)
     with np.errstate(over="ignore", invalid="ignore"):  # a square beyond float range: inf or nan
         return is_hermitian(arr, tol) and bool(np.abs(arr @ arr - arr).max() <= tol)
 
@@ -171,6 +192,8 @@ def trace_distance(a, b) -> float:
     right = b.matrix if isinstance(b, State) else as_operator(b)
     if left.shape != right.shape:
         raise DimensionMismatchError("operands must share the same dimension")
+    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        raise ValidationError("trace distance operands have non-finite entries")
     diff = (left - right + (left - right).conj().T) / 2.0
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
@@ -220,6 +243,7 @@ class State:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "State":
+        dim = _checked_dim(dim, "dimension")
         return cls(np.eye(dim) / dim)
 
     def expectation(self, op) -> float:
@@ -250,8 +274,7 @@ def commutator_bound(a, b, rho: State, tol: float = DEFAULT_TOL) -> UncertaintyC
     DimensionMismatchError
         If dimensions are incompatible with the state.
     """
-    op_a = as_operator(a, name="A")
-    op_b = as_operator(b, name="B")
+    tol, op_a, op_b = _checked_tol(tol), as_operator(a, name="A"), as_operator(b, name="B")
     if not is_hermitian(op_a, tol) or not is_hermitian(op_b, tol):
         raise ValidationError("commutator_bound requires Hermitian operators")
     if op_a.shape != op_b.shape or op_a.shape != rho.matrix.shape:

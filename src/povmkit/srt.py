@@ -189,9 +189,9 @@ def tradeoff_sweep(
     one batched decomposition solve of both marginals against their target
     PVMs, and the row entropies.  Every point is checked as the single-point
     chain ``srt_bivariate -> marginal -> solve_nonideality -> check_martens``
-    would check it: the arrangement at ``tol``; the zero target elements, the
-    nonideality matrices' columns (one call of the table rule) and the Martens slack at
-    the marginals' ``2 * tol`` (each marginal element sums two cells, ``tables._marginal_tol``);
+    would check it: the arrangement at ``tol``, as the interference PVM read it; the zero target
+    elements, the nonideality matrices' columns (one call of the table rule) and the Martens slack
+    at the marginals' ``2 * tol`` (each marginal element sums two cells, ``tables._marginal_tol``);
     and agreement with the closed-form entropies within ``PIPELINE_AGREEMENT_TOL``.
     The first failing absorber setting is named in the error, path marginal
     before interference marginal.  Output follows grid order.
@@ -217,7 +217,7 @@ def tradeoff_sweep(
     bound = martens_bound(_PATH_PVM, target_interference)
 
     stack = _bivariate_stack(values, target_interference.stack())
-    invalid = _stack_violations(stack, tol)
+    invalid = _stack_violations(stack, target_interference.tol)
     if invalid:
         (n,), lines = next(iter(invalid.items()))
         raise ValidationError(f"absorber={float(values[n])!r}: " + "; ".join(lines))
@@ -226,7 +226,7 @@ def tradeoff_sweep(
     # Problem 0 is the path marginal and problem 1 the interference marginal, so with the
     # columns as tables in (problem, point, column) order every path column comes first.
     marginals = np.stack([cells[:, :, 0] + cells[:, :, 1], cells[:, 0] + cells[:, 1]])
-    marginal_tol = _marginal_tol(tol, (2, 2), (1,))
+    marginal_tol = _marginal_tol(target_interference.tol, (2, 2), (1,))
     targets = np.stack([_PATH_PVM.stack(), target_interference.stack()])
     matrices, _ = _solve_stack(marginals, targets, marginal_tol)
     failure = _table_violation(matrices.swapaxes(-1, -2).reshape(-1, 2), marginal_tol)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .operators import DEFAULT_TOL, _as_array, _checked_tol
+from .operators import DEFAULT_TOL, _as_array, _checked_labels, _checked_tol
 
 
 def _split_axes(keep, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -88,14 +88,12 @@ class ProbabilityTable:
             raise ValidationError("probability table must not be empty")
         _check_tables(arr[None], tol)
         if axis_labels is not None:
-            try:
-                axis_labels = tuple(tuple(axis) for axis in axis_labels)
-                matches = len(axis_labels) == arr.ndim and all(
-                    len(axis) == size for axis, size in zip(axis_labels, arr.shape))
-            except TypeError:  # not a sequence of sequences
-                matches = False
-            if not matches:
-                raise ValidationError("axis_labels do not match the table shape")
+            message = "axis_labels do not match the table shape"
+            try:  # zip raises TypeError on a non-sequence, ValueError on a wrong number of axes
+                axis_labels = tuple(_checked_labels(axis, size, message)
+                                    for axis, size in zip(axis_labels, arr.shape, strict=True))
+            except (TypeError, ValueError):
+                raise ValidationError(message) from None
         self._init_valid(arr, axis_labels, tol)
 
     def _init_valid(self, arr: np.ndarray, axis_labels, tol: float) -> "ProbabilityTable":

@@ -319,7 +319,7 @@ class TestInstrumentModel:
 
     def test_zero_object_dimension_rejected(self, rng):
         pointer = PvmMeasure([P0, P1])
-        with pytest.raises(ValidationError, match="object dimension must be positive"):
+        with pytest.raises(ValidationError, match="^object dimension must be a positive integer, got 0$"):
             InstrumentModel(random_density_matrix(2, rng), np.eye(2), pointer, object_dim=0)
 
     def test_trivial_coupling_gives_state_independent_povm(self, rng):

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from povmkit import (
     AspectConfig,
     DimensionMismatchError,
+    InstrumentModel,
     MarginalSet,
     NonidealityMatrix,
     PovmMeasure,
@@ -26,10 +29,12 @@ from povmkit import (
     is_projector,
     is_unitary,
     joint_probabilities,
+    nonideality_entropy,
     path_nonideality_entropy,
     path_nonideality_matrix,
     path_pvm,
     polarization_pvm,
+    povm_violations,
     srt_bivariate,
     standard_composite,
     tensor,
@@ -253,6 +258,49 @@ def test_a_tol_must_be_finite_and_greater_than_zero(name):
             build(tol)
 
 
+def _snapshot(value):
+    """A comparable image of a result: arrays as dtype, shape and bytes, values field by field."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(map(_snapshot, value))
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(_snapshot(getattr(value, f.name)) for f in dataclasses.fields(value))
+    slots = [slot for cls in type(value).__mro__ for slot in getattr(cls, "__slots__", ())]
+    if slots:
+        return type(value), tuple(_snapshot(getattr(value, slot)) for slot in slots)
+    return type(value), value
+
+
+@pytest.mark.parametrize("name", sorted(TOL_ENTRY_POINTS))
+@pytest.mark.parametrize("tol", ["1e-9", np.float64(1e-9), Decimal("1e-9")], ids=["str", "float64", "Decimal"])
+def test_a_tol_is_read_once_as_a_float(name, tol):
+    # Each entry reads its tol once and computes with the float only: the result equals
+    # the float call's field by field, and so every tol it carries is the float 1e-9.
+    build = TOL_ENTRY_POINTS[name]
+    assert _snapshot(build(tol)) == _snapshot(build(1e-9))
+
+
+def test_the_private_two_photon_builders_read_no_tol(monkeypatch):
+    # arm_povm, joint_probabilities and standard_composite each read tol once and
+    # hand the analyzer builders the checked float.
+    calls = []
+
+    def spy(tol):
+        calls.append(tol)
+        return check(tol)
+
+    check = aspect._checked_tol
+    monkeypatch.setattr(aspect, "_checked_tol", spy)
+    aspect._analyzer_stack([0.1, 0.2], ("theta", "theta_p"), 1e-9)
+    aspect._analyzer_pairs(bell_state(), [0.1, 0.2, 0.3, 0.4], 1e-9)
+    assert calls == []
+    arm_povm(0.5, 0.1, 0.2, "1e-9")
+    joint_probabilities(_config(), "1e-9")
+    standard_composite(0.1, 0.2, 0.3, 0.4, state=bell_state(), tol="1e-9")
+    assert calls == ["1e-9"] * 3
+
+
 def test_an_infinite_tol_no_longer_passes_invalid_values():
     # Each of these was accepted, or True, with tol=inf.
     for build in (lambda: PovmMeasure([5 * np.eye(2)], tol=math.inf),
@@ -318,6 +366,80 @@ def test_an_angle_or_phase_must_be_a_finite_number(entry):
     for value in (math.nan, math.inf, -math.inf, "x", None, 1j):
         with pytest.raises(ValidationError, match=f"^{re.escape(f'{name} is non-finite: {value!r}')}$"):
             build(value)
+
+
+def _pointer_model(object_dim):
+    return InstrumentModel(State(np.eye(2) / 2), np.eye(4), path_pvm(), object_dim=object_dim)
+
+
+#: Raw labels, dimensions, element sequences and matrices that no rule read before: each
+#: raised a builtin error or returned NaN.  Every case names its error and exact message.
+RAW_INPUT_CASES = {
+    "PovmMeasure(labels=5)": (lambda: PovmMeasure([np.eye(2)], labels=5),
+                              ValidationError, "one label is required per element"),
+    "PovmMeasure(labels=[[1]])": (lambda: PovmMeasure([np.eye(2)], labels=[[1]]),
+                                  ValidationError, "one label is required per element"),
+    "NonidealityMatrix(row_labels=5)": (lambda: NonidealityMatrix(np.eye(2), row_labels=5),
+                                        ValidationError, "row_labels do not match the matrix shape"),
+    "NonidealityMatrix(col_labels=5)": (lambda: NonidealityMatrix(np.eye(2), col_labels=5),
+                                        ValidationError, "col_labels do not match the matrix shape"),
+    "NonidealityMatrix(row_labels=[[1], [2]])": (
+        lambda: NonidealityMatrix(np.eye(2), row_labels=[[1], [2]]),
+        ValidationError, "row_labels do not match the matrix shape"),
+    "ProbabilityTable(unhashable axis labels)": (
+        lambda: ProbabilityTable([0.5, 0.5], axis_labels=[[[1], [2]]]),
+        ValidationError, "axis_labels do not match the table shape"),
+    "ProbabilityTable(0-d, axis_labels=5)": (lambda: ProbabilityTable(1.0, axis_labels=5),
+                                             ValidationError, "axis_labels do not match the table shape"),
+    **{f"State.maximally_mixed({dim!r})": (lambda dim=dim: State.maximally_mixed(dim), ValidationError,
+                                           f"dimension must be a positive integer, got {dim!r}")
+       for dim in (2.5, "2", -1, 0, True, np.float64(2.0), None)},
+    **{f"InstrumentModel(object_dim={dim!r})": (
+        lambda dim=dim: _pointer_model(dim), ValidationError,
+        f"object dimension must be a positive integer, got {dim!r}")
+       for dim in ("x", 2.5, 0, -2, True)},
+    "PovmMeasure(5)": (lambda: PovmMeasure(5), ValidationError, "measure elements must be a sequence, got int"),
+    "PovmMeasure(None)": (lambda: PovmMeasure(None), ValidationError,
+                          "measure elements must be a sequence, got NoneType"),
+    "MarginalSet.from_tables(5)": (lambda: MarginalSet.from_tables(5),
+                                   DimensionMismatchError, "exactly four tables are required"),
+    "nonideality_entropy([[nan]])": (lambda: nonideality_entropy([[math.nan]]),
+                                     ValidationError, "nonideality entropy requires finite entries"),
+    "nonideality_entropy([[inf, 1]])": (lambda: nonideality_entropy([[math.inf, 1.0]]),
+                                        ValidationError, "nonideality entropy requires finite entries"),
+    "nonideality_entropy('x')": (lambda: nonideality_entropy("x"), ValidationError,
+                                 "nonideality matrix cannot be read as a float array: "
+                                 "could not convert string to float: 'x'"),
+    "trace_distance([[nan]], [[0]])": (lambda: trace_distance([[math.nan]], [[0.0]]),
+                                       ValidationError, "trace distance operands have non-finite entries"),
+    "trace_distance([[inf]], [[0]])": (lambda: trace_distance([[math.inf]], [[0.0]]),
+                                       ValidationError, "trace distance operands have non-finite entries"),
+    "trace_distance([[0]], [[-inf]])": (lambda: trace_distance([[0.0]], [[-math.inf]]),
+                                        ValidationError, "trace distance operands have non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_INPUT_CASES))
+def test_raw_input_raises_its_rule_error(case):
+    # The suite turns warnings into errors, so no numpy RuntimeWarning may come first.
+    build, error, message = RAW_INPUT_CASES[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        build()
+    assert type(info.value) is error
+
+
+def test_valid_labels_and_dimensions_read_as_before():
+    assert NonidealityMatrix(np.eye(2), row_labels=["a", "b"]).row_labels == ("a", "b")
+    assert NonidealityMatrix(np.eye(2), col_labels=iter("xy")).col_labels == ("x", "y")
+    assert NonidealityMatrix(np.eye(2)).row_labels == ()
+    assert PovmMeasure([np.eye(2)], labels=["only"]).labels == ("only",)
+    assert ProbabilityTable([0.5, 0.5], axis_labels=[["a", "b"]]).axis_labels == (("a", "b"),)
+    for dim in (1, 3, np.int64(2)):
+        state = State.maximally_mixed(dim)
+        assert state.dim == dim and type(state.dim) is int
+    assert _pointer_model(np.int64(2)).object_dim == 2
+    assert povm_violations(5) == ["measure elements must be a sequence, got int"]
+    assert nonideality_entropy(np.eye(2)) == 0.0
 
 
 def test_each_raw_angle_is_checked_once_per_public_entry(monkeypatch):
