@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from pathlib import Path
 
@@ -317,7 +316,7 @@ def main(argv=None) -> int:
         return EX_DATAERR
     except SystemExit as exc:  # argparse -h/--help
         return int(exc.code or 0)
-    except (PovmkitError, OSError, json.JSONDecodeError) as exc:
+    except (PovmkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
 

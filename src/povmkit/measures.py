@@ -203,15 +203,15 @@ class PovmMeasure:
 
         if index_shape is not None:
             try:
-                index_shape = tuple(int(n) for n in index_shape)
-                matches = all(n > 0 for n in index_shape) and math.prod(index_shape) == n_elements
-            except (OverflowError, TypeError, ValueError):  # not a sequence of integers
+                index_shape = tuple(_checked_dim(n, "index_shape axis") for n in index_shape)
+                matches = math.prod(index_shape) == n_elements
+            except (TypeError, ValidationError):  # not a sequence of positive integers
                 matches = False
             if not matches:
                 raise ValidationError(f"index_shape {index_shape} does not match {n_elements} elements")
 
         if labels is not None:
-            labels = _checked_labels(labels, n_elements, "one label is required per element")
+            labels = _checked_labels(labels, n_elements, "one hashable label is required per element")
         elif index_shape is None:
             labels = tuple(range(n_elements))
         else:

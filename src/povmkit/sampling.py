@@ -10,12 +10,13 @@ import numpy as np
 
 from .feasibility import MarginalSet
 from .measures import PvmMeasure
-from .operators import DEFAULT_TOL, State, _checked_unit
+from .operators import DEFAULT_TOL, State, _checked_dim, _checked_unit
 from .tables import ProbabilityTable
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix with phase fixing."""
+    dim = _checked_dim(dim, "dimension")
     ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(ginibre)
     phases = np.diag(r) / np.abs(np.diag(r))
@@ -24,12 +25,14 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> State:
     """Haar-random pure state."""
+    dim = _checked_dim(dim, "dimension")
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return State.pure(vec)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> State:
     """Random full-rank mixed state ``G G^dag / Tr`` from a square Ginibre matrix."""
+    dim = _checked_dim(dim, "dimension")
     block = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = block @ block.conj().T
     return State(rho / np.trace(rho).real)
@@ -37,15 +40,14 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> State:
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with independent Gaussian entries."""
+    dim = _checked_dim(dim, "dimension")
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (raw + raw.conj().T) / 2.0
 
 
 def random_basis_pvm(dim: int, rng: np.random.Generator) -> PvmMeasure:
     """Maximal PVM of a Haar-random orthonormal basis."""
-    u = random_unitary(dim, rng)
-    elements = [np.outer(u[:, k], u[:, k].conj()) for k in range(dim)]
-    return PvmMeasure(elements)
+    return PvmMeasure([np.outer(column, column.conj()) for column in random_unitary(dim, rng).T])
 
 
 def random_no_signaling_marginals(rng: np.random.Generator, tol: float = DEFAULT_TOL) -> MarginalSet:

@@ -1,5 +1,8 @@
 """JSON encodings shared by the library, the CLI and on-disk artifacts.
 
+The readers check only the layout (an object, a list) and leave every value rule to
+the constructor they call.
+
 Formats
 -------
 Matrix:    ``{"dim": n, "entries": [[re, im], ...]}`` with ``n**2`` row-major
@@ -23,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .feasibility import MarginalSet, _pair_table
 from .measures import PovmMeasure, PvmMeasure
-from .operators import DEFAULT_TOL, State, as_operator
+from .operators import DEFAULT_TOL, State, _checked_dim, as_operator
 from .tables import ProbabilityTable
 
 _MARGINAL_KEYS = ("AB", "ABp", "ApB", "ApBp")
@@ -32,7 +35,7 @@ _MARGINAL_KEYS = ("AB", "ABp", "ApB", "ApBp")
 def matrix_to_dict(matrix) -> dict:
     arr = as_operator(matrix)
     entries = [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
-    return {"dim": int(arr.shape[0]), "entries": entries}
+    return {"dim": arr.shape[0], "entries": entries}
 
 
 def _require_object(data, what: str) -> dict:
@@ -44,14 +47,12 @@ def _require_object(data, what: str) -> dict:
 def matrix_from_dict(data: dict) -> np.ndarray:
     _require_object(data, "a matrix")
     try:
-        dim = int(data["dim"])
+        dim = _checked_dim(data["dim"], "matrix 'dim'")
         entries = list(data["entries"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"matrix object must carry 'dim' and 'entries': {exc}")
-    if dim <= 0 or len(entries) != dim * dim:
-        raise ValidationError(
-            f"matrix declares dim {dim} but carries {len(entries)} entries"
-        )
+    if len(entries) != dim * dim:
+        raise ValidationError(f"matrix declares dim {dim} but carries {len(entries)} entries")
     try:
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -85,19 +86,12 @@ def _elements_from_dict(data: dict) -> list[np.ndarray]:
 
 def measure_from_dict(data: dict, *, pvm: bool = False, tol: float = DEFAULT_TOL) -> PovmMeasure:
     elements = _elements_from_dict(data)
+    for field in ("labels", "index_shape"):
+        if not isinstance(data.get(field), (list, type(None))):
+            raise ValidationError(f"measure '{field}' must be a list")
     labels, index_shape = data.get("labels"), data.get("index_shape")
-    if not isinstance(labels, (list, type(None))):
-        raise ValidationError("measure 'labels' must be a list")
-    if index_shape is not None and not (
-        isinstance(index_shape, list) and all(type(n) is int for n in index_shape)
-    ):
-        raise ValidationError("measure 'index_shape' must be a list of integers")
     if labels is not None:
-        labels = tuple(_label_from_json(label) for label in labels)
-        try:
-            hash(labels)
-        except TypeError:
-            raise ValidationError("measure labels must be numbers, strings or flat lists") from None
+        labels = [_label_from_json(label) for label in labels]
     cls = PvmMeasure if pvm else PovmMeasure
     return cls(elements, labels=labels, index_shape=index_shape, tol=tol)
 
@@ -124,8 +118,10 @@ def table_to_dict(table: ProbabilityTable) -> dict:
 def table_from_dict(data: dict, tol: float = DEFAULT_TOL) -> ProbabilityTable:
     _require_object(data, "a table")
     try:
-        shape = tuple(int(n) for n in data["shape"])
+        shape = tuple(_checked_dim(n, "table 'shape' entry") for n in data["shape"])
         values = np.array(data["values"], dtype=float).reshape(shape)
+    except ValidationError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"table object must carry consistent 'shape' and 'values': {exc}")
     labels = data.get("axis_labels")
@@ -152,8 +148,11 @@ def marginals_from_dict(data: dict, tol: float = DEFAULT_TOL) -> MarginalSet:
 
 
 def load_json(path) -> dict:
-    with open(Path(path), "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    """The JSON value in the file at ``path``; text that is not UTF-8 JSON raises ValidationError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ValidationError(str(exc)) from None
 
 
 def dump_json(obj: dict, path=None) -> str:

@@ -600,6 +600,21 @@ def test_martens_rejects_malformed_measure_fields(capsys, tmp_path, field, value
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("fine", "--marginals"), ("measure", "validate")])
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+     (b"[" * 100000, "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+     (b"{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")],
+    ids=["not-utf8", "too-deep", "not-json"],
+)
+def test_a_file_that_is_not_utf8_json_exits_65_with_one_line(capsys, tmp_path, argv, content, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (65, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("value", [5, [1, 2], "text"])
 def test_fine_rejects_marginals_that_are_not_an_object(capsys, tmp_path, value):
     path = tmp_path / "marginals.json"

@@ -41,9 +41,9 @@ from povmkit import (
     trace_distance,
     tradeoff_sweep,
 )
-from povmkit import aspect
-from povmkit.sampling import (mix_marginals, pr_box_marginals, random_density_matrix, random_hermitian,
-                              random_unitary)
+from povmkit import aspect, serialize
+from povmkit.sampling import (mix_marginals, pr_box_marginals, random_basis_pvm, random_density_matrix,
+                              random_hermitian, random_pure_state, random_unitary)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -373,12 +373,13 @@ def _pointer_model(object_dim):
 
 
 #: Raw labels, dimensions, element sequences and matrices that no rule read before: each
-#: raised a builtin error or returned NaN.  Every case names its error and exact message.
+#: raised a builtin error, returned NaN or was accepted.  Every case names its error and
+#: exact message.
 RAW_INPUT_CASES = {
     "PovmMeasure(labels=5)": (lambda: PovmMeasure([np.eye(2)], labels=5),
-                              ValidationError, "one label is required per element"),
+                              ValidationError, "one hashable label is required per element"),
     "PovmMeasure(labels=[[1]])": (lambda: PovmMeasure([np.eye(2)], labels=[[1]]),
-                                  ValidationError, "one label is required per element"),
+                                  ValidationError, "one hashable label is required per element"),
     "NonidealityMatrix(row_labels=5)": (lambda: NonidealityMatrix(np.eye(2), row_labels=5),
                                         ValidationError, "row_labels do not match the matrix shape"),
     "NonidealityMatrix(col_labels=5)": (lambda: NonidealityMatrix(np.eye(2), col_labels=5),
@@ -398,6 +399,24 @@ RAW_INPUT_CASES = {
         lambda dim=dim: _pointer_model(dim), ValidationError,
         f"object dimension must be a positive integer, got {dim!r}")
        for dim in ("x", 2.5, 0, -2, True)},
+    **{f"PovmMeasure(index_shape={shape!r})": (
+        lambda shape=shape: PovmMeasure([np.eye(2) / 2] * 2, index_shape=shape), ValidationError,
+        f"index_shape {shape!r} does not match 2 elements")
+       for shape in ((2.5,), (True,), ("2",), (0,), (-1,), (True, 2))},
+    **{f"matrix_from_dict(dim={dim!r})": (
+        lambda dim=dim: serialize.matrix_from_dict({"dim": dim, "entries": [[1, 0]]}), ValidationError,
+        f"matrix 'dim' must be a positive integer, got {dim!r}")
+       for dim in (1.7, 2.5, True, "2", 0, -1)},
+    **{f"table_from_dict(shape={shape!r})": (
+        lambda shape=shape: serialize.table_from_dict({"shape": shape, "values": [0.5, 0.5]}),
+        ValidationError, f"table 'shape' entry must be a positive integer, got {shape[0]!r}")
+       for shape in ([2.5], [True], ["2"], [0], [-1], [True, 2])},
+    **{f"{generate.__name__}({dim!r})": (
+        lambda generate=generate, dim=dim: generate(dim, np.random.default_rng(0)), ValidationError,
+        f"dimension must be a positive integer, got {dim!r}")
+       for generate in (random_unitary, random_pure_state, random_density_matrix, random_hermitian,
+                        random_basis_pvm)
+       for dim in (2.5, True, "2", 0, -1)},
     "PovmMeasure(5)": (lambda: PovmMeasure(5), ValidationError, "measure elements must be a sequence, got int"),
     "PovmMeasure(None)": (lambda: PovmMeasure(None), ValidationError,
                           "measure elements must be a sequence, got NoneType"),

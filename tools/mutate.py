@@ -141,9 +141,6 @@ ALLOWED = {
     ("measures.py", "if not overlaps[j, k] <= tol]",
      "<=", 0):
         "equality threshold: an overlap exactly at tol",
-    ("measures.py", "matches = all(n > 0 for n in index_shape) and math.prod(index_shape) == n_elements",
-     ">", 0):
-        "equivalent: a zero axis makes the product 0, which no non-empty stack matches, with the same message",
     ("measures.py", "return bool(np.abs(np.trace(self._stack, axis1=1, axis2=2) - 1.0).max() <= self.tol)",
      "<=", 0):
         "equality threshold: a projector trace exactly tol from 1",
