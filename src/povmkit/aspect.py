@@ -10,8 +10,8 @@ joint outcome distribution always exists at a fixed arrangement.  An arm POVM
 smears its two analyzer PVMs by a ``(4, 2, 2)`` mirror weight matrix
 ``W(gamma)``, and the Born rule is linear, so an arrangement's table is
 ``W(gamma1) P W(gamma2)^T`` with ``P`` the Born table of the analyzer pairs.
-Arrangements at one set of angles share ``P``, so the latest ``P`` is kept and
-reused on the same exact inputs: the analyzers are validated once per setting.
+The analyzer PVMs are closed forms in ``(cos theta, sin theta)``, which a closed-form filter
+accepts, with the generic validator behind it; nothing is kept between calls.
 The four limiting arrangements with ``gamma`` in {0, 1} reproduce the standard
 photon-correlation experiments whose combined statistics violate CHSH; there
 ``W`` holds only 0 and 1, and the tables are ``P``.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,17 +62,33 @@ _ARM_LABELS = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
 _ANGLE_NAMES = ("theta1", "theta1p", "theta2", "theta2p")
 
 
-def _polarization_stack(angles: Sequence[float]) -> np.ndarray:
-    """Unvalidated ``(N, 2, 2, 2)`` projectors ``(E+, E-)`` onto ``(c, s)`` and ``(-s, c)``, from checked floats."""
-    entries = []
-    for c, s in ((math.cos(theta), math.sin(theta)) for theta in angles):
-        entries += (c * c, c * s, c * s, s * s, s * s, -c * s, -c * s, c * c)
-    return np.array(entries, dtype=complex).reshape(-1, 2, 2, 2)
+#: How far a defect of the generic check of an analyzer PVM can exceed its completeness defect (``_analyzer_stack``).
+ANALYZER_ROUNDING = 4 * 2.0**-53
 
 
 def _analyzer_stack(angles: Sequence[float], names: Sequence[str], tol: float) -> np.ndarray:
-    """``(N, 2, 2, 2)`` analyzer PVMs ``(E+, E-)`` for N checked plane angles and ``tol``, validated as one stack."""
-    pvms = _polarization_stack(angles)
+    """``(N, 2, 2, 2)`` PVMs ``(E+, E-)`` onto ``(c, s)`` and ``(-s, c)`` at N checked plane angles, checked at ``tol``.
+
+    A stack with ``max |c*c + s*s - 1| + ANALYZER_ROUNDING <= tol`` over its angles passes every
+    check of ``_stack_violations``, so it is accepted as built; any other goes through them, and
+    they decide and word the error.  The bound, to first order in ``u = 2**-53``: ``c, s`` are
+    ``cos, sin theta`` within an ulp, and ``a, b, d = fl(c*c), fl(c*s), fl(s*s)``, so
+    ``|a d - b^2| <= 4u c^2 s^2 <= u`` and ``|a + d - 1| <= delta + u`` with
+    ``delta = |fl(a + d) - 1|``.  Then ``E+ = [[a, b], [b, d]]`` and ``E- = [[d, -b], [-b, a]]``
+    have Hermitian defect 0; completeness defect ``delta`` exactly (``b - b = 0``, and
+    ``fl(a + d) - 1`` is exact); lowest eigenvalue ``(a d - b^2) / (a + d) >= -u``, less ``2u`` of
+    rounding in the closed form; idempotence defects ``a (a + d - 1) + b^2 - a d``, at most
+    ``a (delta + u) + 4u c^2 s^2`` plus ``2u a`` of rounding, and the smaller ``b (a + d - 1)``; and
+    overlap ``2 |a d - b^2| <= 8u c^2 s^2`` plus ``5u c^2 s^2`` of rounding in any summation order.
+    So none exceeds ``delta + 3.25u``, and ``4u`` leaves room for second-order terms.
+    """
+    entries, rounding = [], 0.0
+    for c, s in ((math.cos(theta), math.sin(theta)) for theta in angles):
+        entries += (c * c, c * s, c * s, s * s, s * s, -c * s, -c * s, c * c)
+        rounding = max(rounding, abs(c * c + s * s - 1.0))
+    pvms = np.array(entries, dtype=complex).reshape(-1, 2, 2, 2)
+    if rounding + ANALYZER_ROUNDING <= tol:
+        return pvms
     invalid = _stack_violations(pvms, tol, True)
     if invalid:
         index, lines = next(iter(invalid.items()))
@@ -96,34 +111,17 @@ def _born_products(rho: State, first: np.ndarray, second: np.ndarray) -> np.ndar
     return np.real(np.einsum("...ica,...jdb,abcd->...ij", first, second, r))
 
 
-#: The key of the latest ``_analyzer_pairs`` call that did not raise, and its result.
-_latest_pairs: tuple = (None, None)
-
-
 def _analyzer_pairs(rho: State, angles: Sequence[float], tol: float) -> tuple[np.ndarray, float]:
-    """Read-only unchecked Born table ``P[s, t, a, b]`` of arm 1's analyzer ``s`` and arm 2's ``t``, and its ``tol``.
-
-    The result is a function of the exact bytes of the four checked angles and the state's
-    matrix, the state's ``tol`` and ``tol``, so the latest one is returned again while they
-    stay the same; bytes tell ``-0.0`` from ``0.0``, whose tables differ in sign bits.
-    """
-    global _latest_pairs
-    key = (struct.pack("4d", *angles), rho.matrix.tobytes(), rho.tol, tol)
-    latest_key, latest = _latest_pairs
-    if latest_key == key:
-        return latest
+    """Unchecked Born table ``P[s, t, a, b]`` of arm 1's analyzer ``s`` and arm 2's ``t``, and its ``tol``."""
     pvms = _analyzer_stack(angles, _ANGLE_NAMES, tol)
-    pairs = _born_products(rho, pvms[:2, None], pvms[None, 2:])
-    pairs.setflags(write=False)
-    latest = pairs, max(tol, rho.tol)
-    _latest_pairs = key, latest
-    return latest
+    return _born_products(rho, pvms[:2, None], pvms[None, 2:]), max(tol, rho.tol)
 
 
 def polarization_pvm(theta: float, tol: float = DEFAULT_TOL) -> PvmMeasure:
     """Linear-polarization observable at plane angle ``theta`` (radians)."""
-    theta = _checked_finite(theta, "angle theta")
-    return PvmMeasure(_polarization_stack([theta])[0], labels=_SIGN_LABELS, tol=tol)
+    theta, tol = _checked_finite(theta, "angle theta"), _checked_tol(tol)
+    pvm = _analyzer_stack([theta], ("theta",), tol)[0]
+    return PvmMeasure.__new__(PvmMeasure)._init_valid(pvm, _SIGN_LABELS, None, tol)
 
 
 def arm_povm(
@@ -195,7 +193,6 @@ def joint_probabilities(config: AspectConfig, tol: float = DEFAULT_TOL) -> Proba
     The quadrivariate POVM factorizes over the arms and the Born rule is linear
     in each, so the table is the analyzer-pair table contracted with both mirror
     weight matrices; one arm's bivariate marginal never depends on the other's mirror.
-    A sweep over mirror settings at fixed angles, state and ``tol`` reuses one such table.
     """
     pairs, tol = _analyzer_pairs(config.state, [getattr(config, n) for n in _ANGLE_NAMES], _checked_tol(tol))
     probs = np.einsum("xsa,stab,ytb->xy", _mirror_weights(config.gamma1), pairs,
@@ -265,8 +262,7 @@ def standard_composite(
     (A', B), (A', B') with A, A' the first arm's angles and B, B' the second's.
     Unlike a single arrangement, these four tables come from four distinct
     experiments and need not admit any joint distribution.  At a limit the
-    mirror weights are 0 and 1, so the four tables are the analyzer-pair table,
-    which a ``joint_probabilities`` call on the same inputs next reuses.
+    mirror weights are 0 and 1, so the four tables are the analyzer-pair table.
     """
     rho = bell_state(tol) if state is None else state
     angles = [_checked_finite(theta, f"angle {name}")

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import PovmMeasure, PvmMeasure
-from .operators import DEFAULT_TOL, _as_array, _checked_labels, _checked_tol
+from .operators import DEFAULT_TOL, _as_array, _checked_finite, _checked_labels, _checked_tol
 from .tables import _table_violation
 
 #: Residual above which a solved decomposition is flagged as *not* an exact
@@ -40,9 +40,9 @@ class NonidealityMatrix:
 
     ``matrix[i, j]`` is the weight of target outcome ``j`` inside observed
     outcome ``i``; each column is a probability distribution, checked as a
-    ``ProbabilityTable`` is and named by its index when it fails.  ``residual``
-    is the Hilbert-Schmidt misfit of the decomposition that produced the matrix
-    and ``unique`` records whether the target elements determined it uniquely.
+    ``ProbabilityTable`` is and named by its index when it fails.  ``residual``, a
+    finite number >= 0, is the Hilbert-Schmidt misfit of the decomposition that produced
+    the matrix, and ``unique`` records whether the target elements determined it uniquely.
     """
 
     matrix: np.ndarray
@@ -54,6 +54,9 @@ class NonidealityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "tol", _checked_tol(self.tol))
+        if (residual := _checked_finite(self.residual, "residual")) < 0.0:
+            raise ValidationError(f"residual must be nonnegative, got {residual!r}")
+        object.__setattr__(self, "residual", residual)
         arr = _as_array(self.matrix, float, "nonideality matrix")
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError("nonideality matrix must be a non-empty 2-D array")

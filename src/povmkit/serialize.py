@@ -71,7 +71,7 @@ def _label_from_json(label):
 def measure_to_dict(measure: PovmMeasure) -> dict:
     return {
         "labels": [_label_to_json(label) for label in measure.labels],
-        "index_shape": list(measure.index_shape) if measure.index_shape else None,
+        "index_shape": None if measure.index_shape is None else list(measure.index_shape),
         "elements": [matrix_to_dict(e) for e in measure.elements],
     }
 

@@ -98,8 +98,8 @@ def oracle_quadrivariate_povm(config, tol=DEFAULT_TOL):
 def oracle_polarization_stack(angles):
     """``(N, 2, 2, 2)`` analyzer projector pairs from numpy ``cos`` and ``sin`` on a list of finite floats.
 
-    A frozen copy of ``povmkit.aspect._polarization_stack`` before it read
-    Python-float products into one array: the library must return the same bits.
+    A frozen copy of the closed form ``povmkit.aspect._analyzer_stack`` builds, from before it
+    read Python-float products into one array: the library must return the same bits.
     """
     theta = np.array(angles, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
@@ -133,8 +133,8 @@ def oracle_joint_probabilities(config, tol=DEFAULT_TOL):
 def oracle_standard_composite(angles, state, tol=DEFAULT_TOL):
     """The four limiting arrangements' tables, each built through the public table constructor.
 
-    The frozen analyzer stack, validated on its own, and the library's
-    ``_born_products``, with no kept analyzer-pair table in between.
+    The frozen analyzer stack, validated on its own by the generic check, and the
+    library's ``_born_products``.
     """
     pvms = oracle_polarization_stack(angles)
     assert _stack_violations(pvms, tol, True) == {}

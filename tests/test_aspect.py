@@ -240,7 +240,7 @@ def test_non_finite_polarization_angle_rejected(theta):
 
 
 def test_polarization_pvm_rejects_as_its_constructor():
-    # The PvmMeasure constructor's text, with no angle prefix: it rejects tol < 0 first.
+    # The constructor's tol rule and text, with no angle prefix: tol < 0 is rejected first.
     with pytest.raises(ValidationError, match=r"^tol must be a finite number greater than 0, got -1\.0$"):
         polarization_pvm(0.3, tol=-1.0)
 
@@ -249,6 +249,8 @@ def test_arm_analyzer_rejected_below_rounding_names_its_angle():
     # At tol 1e-300, the 1.1e-16 rounding of cos(0.1)^2 + sin(0.1)^2 fails the analyzer check.
     with pytest.raises(ValidationError, match=r"^angle theta_p: element 0 is not a projector "):
         arm_povm(0.5, 0.0, 0.1, tol=1e-300)
+    with pytest.raises(ValidationError, match=r"^angle theta: element 0 is not a projector "):
+        polarization_pvm(0.1, tol=1e-300)
 
 
 @pytest.mark.filterwarnings("error")
@@ -295,8 +297,9 @@ def test_born_kernels_reject_a_negative_probability_as_the_table_constructor():
 
 
 def test_one_analyzer_validation_per_analyzer_setting(monkeypatch):
-    # A composite and a fixed arrangement on one state, angle set and tol validate
-    # the analyzers once; a change to any one of them, down to a sign bit, validates again.
+    # Closed-form analyzers pass the filter at tol 1e-9, and at ANALYZER_ROUNDING when their
+    # completeness defect is 0, with no generic check; below the filter's bound, at 1e-300,
+    # each builder runs the generic check once (it accepts the exact analyzers at 0 and -0).
     from povmkit import aspect
 
     calls = []
@@ -308,70 +311,34 @@ def test_one_analyzer_validation_per_analyzer_setting(monkeypatch):
     validate = aspect._stack_violations
     monkeypatch.setattr(aspect, "_stack_violations", spy)
     singlet = bell_state()
-    base = dict(state=singlet, angles=(0.0, 0.3, 0.1, 0.7), tol=1e-9)
 
-    def validations(first, second):
-        aspect._latest_pairs = (None, None)
-        calls.clear()
-        standard_composite(*first["angles"], state=first["state"], tol=first["tol"])
-        joint_probabilities(AspectConfig(0.3, 0.6, *second["angles"], state=second["state"]),
-                            tol=second["tol"])
-        return len(calls)
+    def validations(angles, tol):
+        counts = []
+        for build in (lambda: standard_composite(*angles, state=singlet, tol=tol),
+                      lambda: joint_probabilities(AspectConfig(0.3, 0.6, *angles, state=singlet), tol=tol),
+                      lambda: arm_povm(0.3, *angles[:2], tol=tol),
+                      lambda: polarization_pvm(angles[2], tol=tol)):
+            calls.clear()
+            build()
+            counts.append(len(calls))
+        return counts
 
-    assert validations(base, base) == 1
-    assert validations(base, dict(base, state=State(singlet.matrix))) == 1
-    changed = [dict(base, state=State(np.eye(4) / 4)), dict(base, state=State(singlet.matrix, tol=1e-8)),
-               dict(base, tol=1e-8)]
-    for k in range(4):
-        angles = list(base["angles"])
-        angles[k] = -angles[k]
-        changed.append(dict(base, angles=tuple(angles)))
-    assert [validations(base, other) for other in changed] == [2] * len(changed)
+    exact = (0.0, -0.0, 0.0, -0.0)
+    assert validations((0.0, 0.3, 0.1, 0.7), 1e-9) == [0, 0, 0, 0]
+    assert validations(exact, 1e-9) == [0, 0, 0, 0]
+    assert validations(exact, aspect.ANALYZER_ROUNDING) == [0, 0, 0, 0]
+    assert validations(exact, 1e-300) == [1, 1, 1, 1]
 
 
 def test_a_rejected_analyzer_setting_is_not_kept():
     # At tol 1e-300 the rounding of cos(0.1)^2 + sin(0.1)^2 fails the analyzer
-    # check, on every call: a call that raises leaves no table behind.
+    # check through the generic path, on every call, with its own message.
     config = AspectConfig(0.5, 0.5, 0.0, 0.1, 0.0, 0.0, state=bell_state())
     for _ in range(2):
         with pytest.raises(ValidationError, match=r"^angle theta1p: element 0 is not a projector "):
             standard_composite(0.0, 0.1, 0.0, 0.0, state=config.state, tol=1e-300)
         with pytest.raises(ValidationError, match=r"^angle theta1p: element 0 is not a projector "):
             joint_probabilities(config, tol=1e-300)
-
-
-def test_threads_sharing_the_kept_table_get_their_own_tables():
-    # The key and the table are kept as one tuple, so a thread never reads one
-    # call's key with another's table, however often the threads switch.
-    import sys
-    import threading
-
-    states = [bell_state(), State(np.eye(4) / 4), State(np.diag([0.4, 0.1, 0.2, 0.3]))]
-    settings = [((0.1 * k, 0.3, -0.0, 1.1 + k), states[k]) for k in range(3)]
-    want = [[t.values.tobytes() for t in standard_composite(*a, state=s).tables] for a, s in settings]
-    errors = []
-
-    def run(k):
-        # Each thread cycles through every setting, so threads share keys.
-        for i in range(400):
-            j = (i + k) % len(settings)
-            angles, state = settings[j]
-            got = [t.values.tobytes() for t in standard_composite(*angles, state=state).tables]
-            if got != want[j]:
-                errors.append(j)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
 
 
 def test_composite_tables_reject_as_their_constructor(monkeypatch):
@@ -393,11 +360,7 @@ def test_composite_tables_reject_as_their_constructor(monkeypatch):
 
 
 def test_composite_tables_are_read_only_and_labelled():
-    from povmkit import aspect
-
     result = standard_composite(*TSIRELSON_ANGLES, tol=1e-10)
-    # The kept analyzer-pair table, which the next call on these inputs returns, too.
-    assert not aspect._latest_pairs[1][0].flags.writeable
     for table in result.tables:
         assert not table.values.flags.writeable
         assert table.axis_labels == (("+", "-"), ("+", "-"))

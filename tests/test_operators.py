@@ -234,6 +234,7 @@ TOL_ENTRY_POINTS = {
     "is_positive": lambda tol: is_positive(np.eye(2), tol),
     "is_projector": lambda tol: is_projector(np.eye(2), tol),
     "is_unitary": lambda tol: is_unitary(np.eye(2), tol),
+    "polarization_pvm": lambda tol: polarization_pvm(0.0, tol),
     "arm_povm": lambda tol: arm_povm(0.5, 0.0, 0.0, tol),
     "standard_composite": lambda tol: standard_composite(0.0, 0.0, 0.0, 0.0, state=bell_state(), tol=tol),
     "joint_probabilities": lambda tol: joint_probabilities(
@@ -282,8 +283,8 @@ def test_a_tol_is_read_once_as_a_float(name, tol):
 
 
 def test_the_private_two_photon_builders_read_no_tol(monkeypatch):
-    # arm_povm, joint_probabilities and standard_composite each read tol once and
-    # hand the analyzer builders the checked float.
+    # polarization_pvm, arm_povm, joint_probabilities and standard_composite each read
+    # tol once and hand the analyzer builders the checked float.
     calls = []
 
     def spy(tol):
@@ -295,10 +296,11 @@ def test_the_private_two_photon_builders_read_no_tol(monkeypatch):
     aspect._analyzer_stack([0.1, 0.2], ("theta", "theta_p"), 1e-9)
     aspect._analyzer_pairs(bell_state(), [0.1, 0.2, 0.3, 0.4], 1e-9)
     assert calls == []
+    polarization_pvm(0.1, "1e-9")
     arm_povm(0.5, 0.1, 0.2, "1e-9")
     joint_probabilities(_config(), "1e-9")
     standard_composite(0.1, 0.2, 0.3, 0.4, state=bell_state(), tol="1e-9")
-    assert calls == ["1e-9"] * 3
+    assert calls == ["1e-9"] * 4
 
 
 def test_an_infinite_tol_no_longer_passes_invalid_values():
@@ -387,6 +389,12 @@ RAW_INPUT_CASES = {
     "NonidealityMatrix(row_labels=[[1], [2]])": (
         lambda: NonidealityMatrix(np.eye(2), row_labels=[[1], [2]]),
         ValidationError, "row_labels do not match the matrix shape"),
+    "NonidealityMatrix(residual=-1.0)": (lambda: NonidealityMatrix(np.eye(2), residual=-1.0),
+                                         ValidationError, "residual must be nonnegative, got -1.0"),
+    "NonidealityMatrix(residual=nan)": (lambda: NonidealityMatrix(np.eye(2), residual=math.nan),
+                                        ValidationError, "residual is non-finite: nan"),
+    "NonidealityMatrix(residual='x')": (lambda: NonidealityMatrix(np.eye(2), residual="x"),
+                                        ValidationError, "residual is non-finite: 'x'"),
     "ProbabilityTable(unhashable axis labels)": (
         lambda: ProbabilityTable([0.5, 0.5], axis_labels=[[[1], [2]]]),
         ValidationError, "axis_labels do not match the table shape"),
@@ -486,12 +494,3 @@ def test_states_compare_and_hash_by_identity():
     assert hash(first) == hash(first) and len({first, second}) == 2
     assert _config(state=first) == _config(state=first)
     assert _config(state=first) != _config(state=second)
-
-
-def test_a_new_state_of_the_same_matrix_reuses_the_analyzer_pairs():
-    # The kept table's key holds the state's matrix bytes, not the state object.
-    first = bell_state()
-    standard_composite(0.1, 0.2, 0.3, 0.4, state=first)
-    kept = aspect._latest_pairs
-    joint_probabilities(_config(state=State(first.matrix)))
-    assert aspect._latest_pairs is kept

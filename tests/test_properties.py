@@ -48,9 +48,9 @@ from povmkit import (
     standard_composite,
     tradeoff_sweep,
 )
-from povmkit import (InternalConsistencyError, NoSignalingError, ValidationError, aspect,
+from povmkit import (InternalConsistencyError, NoSignalingError, ValidationError,
                      feasibility, measures, serialize)
-from povmkit.aspect import _ANGLE_NAMES, CHSH_SIGN_PATTERNS, _polarization_stack
+from povmkit.aspect import _ANGLE_NAMES, ANALYZER_ROUNDING, CHSH_SIGN_PATTERNS, _analyzer_stack
 from povmkit.cli import main
 from povmkit.feasibility import _KEEP, _REDUCED, BOUNDARY_TOL, phase1_simplex
 from povmkit.measures import _lowest_eigenvalues, _stack_accepts, _stack_violations
@@ -355,11 +355,57 @@ def assert_same_bits(got, want):
 def test_two_photon_kernels_are_byte_identical_to_their_frozen_copies(
     stack_angles, angles, gamma1, gamma2, state
 ):
-    assert_same_bits(_polarization_stack(stack_angles), oracle_polarization_stack(stack_angles))
+    assert_same_bits(_analyzer_stack(stack_angles, _ANGLE_NAMES, TOL), oracle_polarization_stack(stack_angles))
     config = AspectConfig(gamma1, gamma2, *angles, state=state)
     got, want = joint_probabilities(config), oracle_joint_probabilities(config)
     assert_same_bits(got.values, want.values)
     assert (got.axis_labels, got.tol) == (want.axis_labels, want.tol)
+
+
+ANALYZER_FILTER_TOLS = {"1e-9": 1e-9, "1e-12": 1e-12, "1e-15": 1e-15, "rounding": ANALYZER_ROUNDING,
+                        "rounding+4u": ANALYZER_ROUNDING + 4 * 2.0**-53, "1e-300": 1e-300}
+
+
+@pytest.fixture(scope="module")
+def analyzer_filter_angles() -> list[float]:
+    """106,008 seeded angles: uniform in +-10 and in +-1e15, magnitudes log-uniform from 1e-304
+    to 1e15 with either sign, signed zeros, subnormals and multiples of pi/4 up to 1e15.
+
+    They are ordered by their analyzers' completeness defect, so each stack of 256 holds
+    analyzers of one rounding (0, 1 or 2 units of 2**-53) but at the borders between them.
+    """
+    rng = np.random.default_rng(31)
+    magnitudes = 10.0 ** rng.uniform(-304.0, 15.0, 30_000) * rng.choice([-1.0, 1.0], 30_000)
+    steps = np.concatenate([np.arange(-1_000, 1_001), np.round(np.geomspace(1e3, 1.27e15, 1_000))])
+    quarters = np.concatenate([steps, -steps]) * (np.pi / 4)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308]
+    angles = np.concatenate([rng.uniform(-10.0, 10.0, 40_000), rng.uniform(-1e15, 1e15, 30_000),
+                             magnitudes, quarters, edges])
+    # At tol 1 the filter or the generic check accepts any finite angle: the unchecked stack.
+    defects = measures._completeness_defect(_analyzer_stack(angles.tolist(), None, 1.0)).max(axis=-1)
+    return angles[np.argsort(defects, kind="stable")].tolist()
+
+
+@pytest.mark.parametrize("tol", ANALYZER_FILTER_TOLS.values(), ids=ANALYZER_FILTER_TOLS.keys())
+def test_the_analyzer_filter_decides_as_the_generic_check(analyzer_filter_angles, tol):
+    # _analyzer_stack raises exactly when the generic check rejects a stack of analyzers,
+    # with its message.  At 1e-300 the filter cannot accept and nearly every analyzer is
+    # read one measure at a time, so every 20th angle keeps the run short.
+    angles = analyzer_filter_angles if tol > 1e-300 else analyzer_filter_angles[::20]
+    for start in range(0, len(angles), 256):
+        chunk = angles[start:start + 256]
+        names = [repr(theta) for theta in chunk]
+        invalid = _stack_violations(_analyzer_stack(chunk, names, 1.0), tol, True)
+        want = None
+        if invalid:
+            index, lines = next(iter(invalid.items()))
+            want = f"angle {names[index[0]]}: " + "; ".join(lines)
+        try:
+            _analyzer_stack(chunk, names, tol)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -372,8 +418,8 @@ def test_two_photon_kernels_are_byte_identical_to_their_frozen_copies(
 )
 def test_kept_analyzer_pairs_give_the_bits_of_a_fresh_computation(states, angle_sets, tols, calls):
     # A sequence of two-photon calls over a few states, angle sets and tols, so
-    # consecutive calls share some key parts, all of them or none: each result
-    # must equal the result of a call with no kept table, and the frozen oracle.
+    # consecutive calls share some inputs, all of them or none: no call depends on
+    # the ones before it, so each result equals its repeat and the frozen oracle.
     for s, a, t, gamma1, gamma2, composite in calls:
         state, angles, tol = states[s % len(states)], angle_sets[a % len(angle_sets)], tols[t % len(tols)]
         if composite:
@@ -386,9 +432,7 @@ def test_kept_analyzer_pairs_give_the_bits_of_a_fresh_computation(states, angle_
             def run():
                 return [joint_probabilities(config, tol)]
             want = [oracle_joint_probabilities(config, tol)]
-        got = run()
-        aspect._latest_pairs = (None, None)
-        fresh = run()
+        got, fresh = run(), run()
         for g, f, w in zip(got, fresh, want, strict=True):
             assert_same_bits(g.values, f.values)
             assert_same_bits(g.values, w.values)

@@ -45,6 +45,19 @@ def test_measure_round_trip(rng):
         assert np.array_equal(got, want)
 
 
+def test_an_empty_index_shape_round_trips_through_a_file(tmp_path):
+    # An empty index_shape is written as [] (it was written as null and read back as None).
+    from povmkit import PovmMeasure
+
+    measure = PovmMeasure([np.eye(2)], index_shape=())
+    path = tmp_path / "measure.json"
+    serialize.dump_json(serialize.measure_to_dict(measure), path)
+    assert serialize.load_json(path)["index_shape"] == []
+    recovered = serialize.measure_from_dict(serialize.load_json(path))
+    assert (recovered.index_shape, recovered.labels) == ((), ((),))
+    assert np.array_equal(recovered.stack(), measure.stack())
+
+
 def test_pvm_round_trip_preserves_kind(rng):
     pvm = random_basis_pvm(2, rng)
     data = through_json(serialize.measure_to_dict(pvm))
