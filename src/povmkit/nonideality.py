@@ -41,8 +41,8 @@ class NonidealityMatrix:
     ``matrix[i, j]`` is the weight of target outcome ``j`` inside observed
     outcome ``i``; each column is a probability distribution, checked as a
     ``ProbabilityTable`` is and named by its index when it fails.  ``residual``, a
-    finite number >= 0, is the Hilbert-Schmidt misfit of the decomposition that produced
-    the matrix, and ``unique`` records whether the target elements determined it uniquely.
+    finite number >= 0, is the Hilbert-Schmidt misfit of the decomposition that produced the
+    matrix, and ``unique``, a ``bool`` (``np.bool_`` too), whether the targets determined it uniquely.
     """
 
     matrix: np.ndarray
@@ -57,6 +57,9 @@ class NonidealityMatrix:
         if (residual := _checked_finite(self.residual, "residual")) < 0.0:
             raise ValidationError(f"residual must be nonnegative, got {residual!r}")
         object.__setattr__(self, "residual", residual)
+        if not isinstance(self.unique, (bool, np.bool_)):
+            raise ValidationError(f"unique must be a bool, got {self.unique!r}")
+        object.__setattr__(self, "unique", bool(self.unique))
         arr = _as_array(self.matrix, float, "nonideality matrix")
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError("nonideality matrix must be a non-empty 2-D array")

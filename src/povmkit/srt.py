@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -30,12 +31,11 @@ from .nonideality import (
     _xlogx,
     martens_bound,
 )
-from .operators import DEFAULT_TOL, _checked_finite, _checked_unit
+from .operators import DEFAULT_TOL, _checked_finite, _checked_tol, _checked_unit
 from .tables import _marginal_tol, _table_violation
 
-#: Agreement required between the generic solver pipeline and the closed-form
-#: entropies during a sweep.
-PIPELINE_AGREEMENT_TOL = 1e-8
+#: How far a generic-check defect of an interference PVM or a bivariate stack on it can exceed the PVM's completeness defect.
+INTERFERENCE_ROUNDING = 4 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,26 @@ _P_MINUS.setflags(write=False)
 _BIVARIATE_LABELS = (("+", "1"), ("+", "2"), ("-", "1"), ("-", "2"))
 
 
-def _interference_projectors(chi: float) -> np.ndarray:
-    """The ``(2, 2, 2)`` projectors onto ``(|+> +- exp(i chi)|->) / sqrt(2)``, for a checked float ``chi``."""
+def _interference_projectors(chi: float) -> tuple[np.ndarray, float]:
+    """The ``(2, 2, 2)`` projectors onto ``(|+> +- exp(i chi)|->) / sqrt(2)`` at a checked float, and a bound.
+
+    The bound is ``delta + INTERFERENCE_ROUNDING``, ``delta = max |2 p - 1|, |2 d - 1|`` over the
+    diagonal ``p, d`` of ``Q1``; at a ``tol`` it does not exceed, the PVM and any ``_bivariate_stack``
+    on it pass every check of ``_stack_violations``.  To first order in ``u = 2**-53``: ``Q1 = [[p, b],
+    [b*, d]]`` and ``Q2 = [[p, -b], [-b*, d]]`` in the same bits, each product rounded once or fused,
+    so ``g = p d - |b|^2`` is within ``1.25u``.  Hermitian defect ``2 |Im d| <= u / 2``; completeness
+    ``delta`` plus that; lowest eigenvalue ``g / (p + d)``, less ``1.5u`` of rounding; idempotence
+    ``p (p + d - 1) - g`` or ``b (p + d - 1)``, and overlap ``(p - d)^2 + 2 g``, each within ``delta / 2
+    + 1.25u`` plus ``u``.  A bivariate stack weighs ``P+-`` and ``Q1 - Q2 = [[0, 2b], [2b*, 0]]`` in
+    ``[0, 1]``: Hermitian defect 0, total ``|a + fl(1 - a) - 1| <= u``, and as ``4 |b|^2 <= 1 + 2 delta
+    + 5u``, a detector cell ``[[1, s], [s*, a]] / 2`` has eigenvalues ``>= -(delta / 2 + 1.75u) - u``.
+    So none exceeds ``delta + 3.5u``; ``4u`` leaves room for second-order terms.
+    """
     phase = np.exp(1j * chi)
     vectors = np.array([[1.0, phase], [1.0, -phase]]) / np.sqrt(2.0)
-    return vectors[:, :, None] * vectors[:, None, :].conj()
+    projectors = vectors[:, :, None] * vectors[:, None, :].conj()
+    p, d = projectors[0].real.diagonal().tolist()
+    return projectors, max(abs(2.0 * p - 1.0), abs(2.0 * d - 1.0)) + INTERFERENCE_ROUNDING
 
 
 def path_pvm(tol: float = DEFAULT_TOL) -> PvmMeasure:
@@ -79,8 +94,11 @@ def interference_pvm(chi: float = 0.0, tol: float = DEFAULT_TOL) -> PvmMeasure:
     Projectors onto ``(|+> +- exp(i chi)|->) / sqrt(2)``; both overlap each
     path projector with weight one half for every phase.
     """
-    return PvmMeasure(_interference_projectors(_checked_finite(chi, "phase")), labels=("1", "2"),
-                      tol=tol)
+    chi, tol = _checked_finite(chi, "phase"), _checked_tol(tol)
+    projectors, rounding = _interference_projectors(chi)
+    if rounding > tol and (invalid := _stack_violations(projectors, tol, True)):
+        raise ValidationError("; ".join(invalid[()]))
+    return PvmMeasure.__new__(PvmMeasure)._init_valid(projectors, ("1", "2"), None, tol)
 
 
 def _bivariate_stack(absorbers, projectors: np.ndarray) -> np.ndarray:
@@ -109,7 +127,7 @@ def srt_povm(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
     absorbed neutrons.  At ``a = 1`` the family reduces to the interference
     PVM plus a zero element, at ``a = 0`` to a split path measurement.
     """
-    projectors = _interference_projectors(config.phase)
+    projectors, _ = _interference_projectors(config.phase)
     m1, m2, absorbed_1, absorbed_2 = _bivariate_stack([config.absorber], projectors)[0]
     return PovmMeasure([m1, m2, absorbed_1 + absorbed_2], labels=("1", "2", "3"), tol=tol)
 
@@ -122,12 +140,12 @@ def srt_bivariate(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
     split evenly over the ``m = '-'`` row.  The ``n``-marginal is a smeared
     interference observable and the ``m``-marginal a smeared path observable.
     """
-    return PovmMeasure(
-        _bivariate_stack([config.absorber], _interference_projectors(config.phase))[0],
-        labels=_BIVARIATE_LABELS,
-        index_shape=(2, 2),
-        tol=tol,
-    )
+    tol = _checked_tol(tol)
+    projectors, rounding = _interference_projectors(config.phase)
+    cells = _bivariate_stack([config.absorber], projectors)[0]
+    if rounding > tol and (invalid := _stack_violations(cells, tol)):
+        raise ValidationError("; ".join(invalid[()]))
+    return PovmMeasure.__new__(PovmMeasure)._init_valid(cells, _BIVARIATE_LABELS, (2, 2), tol)
 
 
 def path_nonideality_matrix(absorber: float) -> NonidealityMatrix:
@@ -184,17 +202,22 @@ def tradeoff_sweep(
 ) -> list[TradeoffPoint]:
     """Entropy trade-off across a grid of absorber settings.
 
-    The whole grid goes through the generic pipeline at once: one validation
-    of the stacked bivariate arrangements, their two marginals as index sums,
+    The whole grid goes through the generic pipeline at once: the stacked
+    bivariate arrangements, checked as one stack, their two marginals as index sums,
     one batched decomposition solve of both marginals against their target
     PVMs, and the row entropies.  Every point is checked as the single-point
     chain ``srt_bivariate -> marginal -> solve_nonideality -> check_martens``
-    would check it: the arrangement at ``tol``, as the interference PVM read it; the zero target
+    would check it: the interference PVM and the arrangement at ``tol``, by the closed-form filter
+    of ``_interference_projectors`` with the generic check behind it; the zero target
     elements, the nonideality matrices' columns (one call of the table rule) and the Martens slack
     at the marginals' ``2 * tol`` (each marginal element sums two cells, ``tables._marginal_tol``);
-    and agreement with the closed-form entropies within ``PIPELINE_AGREEMENT_TOL``.
-    The first failing absorber setting is named in the error, path marginal
-    before interference marginal.  Output follows grid order.
+    and each point's drift from the closed-form entropies within ``c eps (1 + L)``, ``c = 4``,
+    ``eps = 2**-52``, ``L`` the largest ``|ln x|`` over the positive entries ``x`` of its two matrices:
+    each entry and row sum is within about ``eps`` of its closed form and ``|d(x ln x) / dx| = |1 +
+    ln x|``, so a row entropy, half the signed sum of six ``x ln x`` terms, moves by ``3 eps (1 + L)``,
+    and ``c = 4`` also covers the rounding of the sums and closed forms (the largest drift measured
+    was ``1.05 eps (1 + L)``).  The first failing absorber setting is named in the error, path
+    marginal before interference marginal.  Output follows grid order.
 
     Parameters
     ----------
@@ -210,24 +233,28 @@ def tradeoff_sweep(
     outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
     if outside.size:
         raise ValidationError(f"grid value {float(values[outside[0]])!r} outside [0, 1]")
-    target_interference = interference_pvm(chi, tol)
+    chi, tol = _checked_finite(chi, "phase"), _checked_tol(tol)
+    projectors, rounding = _interference_projectors(chi)
+    target_interference = interference_pvm(chi, tol) if rounding > tol else None
     if values.size == 0:
         return []
 
-    bound = martens_bound(_PATH_PVM, target_interference)
-
-    stack = _bivariate_stack(values, target_interference.stack())
-    invalid = _stack_violations(stack, target_interference.tol)
-    if invalid:
-        (n,), lines = next(iter(invalid.items()))
-        raise ValidationError(f"absorber={float(values[n])!r}: " + "; ".join(lines))
+    stack = _bivariate_stack(values, projectors)
+    if target_interference is None:  # Tr(P_m Q_n) is (Q_n)_mm exactly; Q1 and Q2 share a diagonal
+        bound = float(-np.log(min(projectors[0].real.diagonal().max(), 1.0)))
+    else:
+        bound = martens_bound(_PATH_PVM, target_interference)
+        invalid = _stack_violations(stack, tol)
+        if invalid:
+            (n,), lines = next(iter(invalid.items()))
+            raise ValidationError(f"absorber={float(values[n])!r}: " + "; ".join(lines))
     cells = stack.reshape(values.size, 2, 2, 2, 2)
 
     # Problem 0 is the path marginal and problem 1 the interference marginal, so with the
     # columns as tables in (problem, point, column) order every path column comes first.
     marginals = np.stack([cells[:, :, 0] + cells[:, :, 1], cells[:, 0] + cells[:, 1]])
-    marginal_tol = _marginal_tol(target_interference.tol, (2, 2), (1,))
-    targets = np.stack([_PATH_PVM.stack(), target_interference.stack()])
+    marginal_tol = _marginal_tol(tol, (2, 2), (1,))
+    targets = np.stack([_PATH_PVM.stack(), projectors])
     matrices, _ = _solve_stack(marginals, targets, marginal_tol)
     failure = _table_violation(matrices.swapaxes(-1, -2).reshape(-1, 2), marginal_tol)
     if failure is not None:
@@ -245,18 +272,14 @@ def tradeoff_sweep(
             f"at absorber={float(values[n])!r}; "
             "the matrices do not come from one bivariate arrangement"
         )
-    drift = np.maximum(
-        np.abs(j_lambda - _path_entropy(values)),
-        np.abs(j_mu - _interference_entropy(values)),
-    )
-    drifted = np.flatnonzero(~(drift <= PIPELINE_AGREEMENT_TOL))
+    drift = np.maximum(np.abs(j_lambda - _path_entropy(values)), np.abs(j_mu - _interference_entropy(values)))
+    logs = np.abs(np.log(np.where(matrices > 0.0, matrices, 1.0))).max(axis=(0, 2, 3))
+    drifted = np.flatnonzero(~(drift <= 4 * 2.0**-52 * (1.0 + logs)))
     if drifted.size:
         n = drifted[0]
         raise InternalConsistencyError(
             f"solver pipeline drifted {drift[n]:.3e} from the closed-form entropies "
             f"at absorber={float(values[n])!r}"
         )
-    rows = zip(
-        values.tolist(), j_lambda.tolist(), j_mu.tolist(), itertools.repeat(bound), slack.tolist()
-    )
-    return list(map(TradeoffPoint._make, rows))
+    rows = zip(values.tolist(), j_lambda.tolist(), j_mu.tolist(), itertools.repeat(bound), slack.tolist())
+    return list(map(partial(tuple.__new__, TradeoffPoint), rows))

@@ -395,6 +395,14 @@ RAW_INPUT_CASES = {
                                         ValidationError, "residual is non-finite: nan"),
     "NonidealityMatrix(residual='x')": (lambda: NonidealityMatrix(np.eye(2), residual="x"),
                                         ValidationError, "residual is non-finite: 'x'"),
+    "NonidealityMatrix(unique='no')": (lambda: NonidealityMatrix(np.eye(2), unique="no"),
+                                       ValidationError, "unique must be a bool, got 'no'"),
+    "NonidealityMatrix(unique=None)": (lambda: NonidealityMatrix(np.eye(2), unique=None),
+                                       ValidationError, "unique must be a bool, got None"),
+    "NonidealityMatrix(unique=0)": (lambda: NonidealityMatrix(np.eye(2), unique=0),
+                                    ValidationError, "unique must be a bool, got 0"),
+    "NonidealityMatrix(unique=1)": (lambda: NonidealityMatrix(np.eye(2), unique=1),
+                                    ValidationError, "unique must be a bool, got 1"),
     "ProbabilityTable(unhashable axis labels)": (
         lambda: ProbabilityTable([0.5, 0.5], axis_labels=[[[1], [2]]]),
         ValidationError, "axis_labels do not match the table shape"),
@@ -467,6 +475,9 @@ def test_valid_labels_and_dimensions_read_as_before():
     assert _pointer_model(np.int64(2)).object_dim == 2
     assert povm_violations(5) == ["measure elements must be a sequence, got int"]
     assert nonideality_entropy(np.eye(2)) == 0.0
+    for flag in (True, False, np.bool_(True), np.bool_(False)):
+        unique = NonidealityMatrix(np.eye(2), unique=flag).unique
+        assert type(unique) is bool and unique == flag
 
 
 def test_each_raw_angle_is_checked_once_per_public_entry(monkeypatch):

@@ -1,6 +1,7 @@
 """Property tests of the stacked kernels against their per-point references."""
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -49,7 +50,7 @@ from povmkit import (
     tradeoff_sweep,
 )
 from povmkit import (InternalConsistencyError, NoSignalingError, ValidationError,
-                     feasibility, measures, serialize)
+                     feasibility, measures, serialize, srt)
 from povmkit.aspect import _ANGLE_NAMES, ANALYZER_ROUNDING, CHSH_SIGN_PATTERNS, _analyzer_stack
 from povmkit.cli import main
 from povmkit.feasibility import _KEEP, _REDUCED, BOUNDARY_TOL, phase1_simplex
@@ -61,6 +62,7 @@ from povmkit.sampling import (
     random_no_signaling_marginals,
     random_unitary,
 )
+from povmkit.srt import INTERFERENCE_ROUNDING
 from povmkit.tables import _check_tables
 
 from helpers import (
@@ -1717,3 +1719,76 @@ def test_fine_decision_agrees_with_exact_arithmetic_at_the_boundary(family, data
     # Twice the ulps above cover the rounding of |S(b')| in the float route.
     if abs(s - 2) > Fraction(max(TOL, BOUNDARY_TOL)) + 2 * ulps:
         assert not decision.boundary and decision.feasible == feasible
+
+
+# -- (w) the interference filter against the generic check -----------------------
+
+INTERFERENCE_FILTER_TOLS = {"1e-9": 1e-9, "1e-12": 1e-12, "1e-15": 1e-15, "rounding": INTERFERENCE_ROUNDING,
+                            "rounding+4u": INTERFERENCE_ROUNDING + 4 * 2.0**-53, "1e-300": 1e-300}
+
+#: Absorbers at and next to both ends of [0, 1], where a bivariate cell's eigenvalue and total
+#: round the most, and between them.
+FILTER_ABSORBERS = [0.0, 5e-324, 1e-300, 1e-9, 0.25, 0.5, 0.9, 0.999999, 1.0 - 1e-16, 1.0]
+
+
+@pytest.fixture(scope="module")
+def interference_filter_phases() -> list[float]:
+    """101,008 seeded phases: uniform in +-10 and in +-1e6, magnitudes log-uniform from 1e-300
+    to 1e6 with either sign, multiples of pi/4 up to 1e6, signed zeros and subnormals.
+
+    They are ordered by the filter's bound, so each chunk of 256 holds PVMs of one rounding
+    but at the borders between them.
+    """
+    rng = np.random.default_rng(32)
+    magnitudes = 10.0 ** rng.uniform(-300.0, 6.0, 25_000) * rng.choice([-1.0, 1.0], 25_000)
+    steps = np.concatenate([np.arange(-2_000, 2_001), np.round(np.geomspace(2e3, 1.27e6, 1_000))])
+    quarters = np.concatenate([steps, -steps[4_001:]]) * (np.pi / 4)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, -1e-300]
+    phases = np.concatenate([rng.uniform(-10.0, 10.0, 40_000), rng.uniform(-1e6, 1e6, 30_000),
+                             magnitudes, quarters, edges])
+    bounds = [srt._interference_projectors(chi)[1] for chi in phases.tolist()]
+    return phases[np.argsort(bounds, kind="stable")].tolist()
+
+
+def raised(build):
+    """The message of the ``ValidationError`` that ``build()`` raises, or None."""
+    try:
+        build()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("tol", INTERFERENCE_FILTER_TOLS.values(), ids=INTERFERENCE_FILTER_TOLS.keys())
+def test_the_interference_filter_decides_as_the_generic_check(interference_filter_phases, tol):
+    # interference_pvm raises exactly when the generic check rejects the PVM, with its message;
+    # every bivariate stack on a PVM the filter accepts passes the generic check; and on every
+    # 500th phase the sweep's rows or error equal the frozen pipeline's.  The filter's bound is
+    # at least 6 units of 2**-53, so at the two smallest tols it accepts nothing and every
+    # PVM is read by the generic check one at a time: every 20th phase keeps the run short.
+    phases = interference_filter_phases if tol > 6 * 2.0**-53 else interference_filter_phases[::20]
+    for start in range(0, len(phases), 256):
+        chunk = phases[start:start + 256]
+        built = [srt._interference_projectors(chi) for chi in chunk]
+        invalid = _stack_violations(np.array([q for q, _ in built]), tol, True)
+        for i, chi in enumerate(chunk):
+            assert raised(lambda: interference_pvm(chi, tol)) == ("; ".join(invalid[(i,)]) if (i,) in invalid
+                                                                    else None)
+        accepted = np.array([q for q, bound in built if bound <= tol]).reshape(-1, 2, 2, 2)
+        # The builder is elementwise, so one call builds every accepted PVM's stack at once.
+        stacks = srt._bivariate_stack(FILTER_ABSORBERS * len(accepted),
+                                      np.repeat(accepted, len(FILTER_ABSORBERS), axis=0).swapaxes(0, 1))
+        assert _stack_violations(stacks, tol) == {}
+    for chi in interference_filter_phases[::500]:
+        got, want = (sweep_outcome(functools.partial(sweep, tol=tol), FILTER_ABSORBERS, chi)
+                     for sweep in (tradeoff_sweep, oracle_tradeoff_sweep))
+        assert got == want
+
+
+def test_the_sweep_bound_is_martens_bound_bit_for_bit(interference_filter_phases):
+    # At the default tol the filter accepts every phase, and the sweep reads the bound off the
+    # interference projectors' diagonal; it must equal the generic overlap maximum's bits.
+    path = path_pvm()
+    for chi in interference_filter_phases[::10]:
+        (point,) = tradeoff_sweep([0.5], chi)
+        assert point.bound.hex() == martens_bound(path, interference_pvm(chi)).hex()

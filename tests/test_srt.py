@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -191,7 +193,10 @@ class TestTradeoffSweep:
     def test_invalid_bivariate_cell_names_its_absorber(self, monkeypatch):
         # At a = 0.5 both absorption cells are 0.25 P-; moving 0.5 P- from the
         # second to the first leaves the sum the identity and one cell negative.
+        # The closed-form filter vouches for the real builder only, so it is
+        # turned off here and the generic check finds the defect and words it.
         build = srt._bivariate_stack
+        monkeypatch.setattr(srt, "INTERFERENCE_ROUNDING", math.inf)
 
         def corrupted(absorbers, projectors):
             cells = build(absorbers, projectors)
@@ -255,18 +260,22 @@ class TestTradeoffSweep:
     def test_marginal_checks_run_at_twice_tol(self, monkeypatch, check, shift, fails):
         # Each marginal element sums two cells, so the single-point chain checks the
         # nonideality matrices and the Martens slack at 2 tol; the sweep does the same.
+        # At a = 1 the path matrix is [[1, 1], [0, 0]]; a zero entry moved below 0 is
+        # clipped out of the row entropy, so the drift check, a few ulps wide, stays
+        # quiet and the column's table check decides.  Only the generic route reads
+        # the bound from martens_bound, so the slack case turns the filter off.
         if check == "stochastic":
             solve = srt._solve_stack
 
             def shifted(observed, target, tol):
                 matrices, zero = solve(observed, target, tol)
-                matrices[0, :, 0, 0] += shift  # at a = 1 the path matrix is [[1, 1], [0, 0]]
                 matrices[0, :, 1, 0] -= shift
                 return matrices, zero
 
             monkeypatch.setattr(srt, "_solve_stack", shifted)
             error = ValidationError
         else:
+            monkeypatch.setattr(srt, "INTERFERENCE_ROUNDING", math.inf)
             monkeypatch.setattr(srt, "martens_bound", lambda *args: LN2 + shift)
             error = InternalConsistencyError
         if fails:
@@ -278,7 +287,73 @@ class TestTradeoffSweep:
 
     def test_slack_violation_names_the_first_failing_absorber(self, monkeypatch):
         # J_lambda + J_mu is ln 2 at the endpoints and about 0.894 at a = 0.5,
-        # so a bound of 0.8 holds in the interior and fails at a = 1.
+        # so a bound of 0.8 holds in the interior and fails at a = 1.  The generic
+        # route reads the bound from martens_bound.
+        monkeypatch.setattr(srt, "INTERFERENCE_ROUNDING", math.inf)
         monkeypatch.setattr(srt, "martens_bound", lambda *args: 0.8)
         with pytest.raises(InternalConsistencyError, match=r"slack.*absorber=1\.0\b"):
             tradeoff_sweep([0.5, 1.0])
+
+
+class TestInterferenceFilter:
+    @staticmethod
+    def validations(monkeypatch, chi, tol):
+        """Generic-check calls made by the sweep, ``interference_pvm`` and ``srt_bivariate`` at ``tol``."""
+        calls = []
+        validate = srt._stack_violations
+
+        def spy(*args):
+            calls.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(srt, "_stack_violations", spy)
+        counts = []
+        for build in (lambda: tradeoff_sweep(np.linspace(0.0, 1.0, 101), chi, tol=tol),
+                      lambda: interference_pvm(chi, tol),
+                      lambda: srt_bivariate(SrtConfig(0.3, chi), tol)):
+            calls.clear()
+            try:
+                build()
+            except ValidationError:
+                pass
+            counts.append(len(calls))
+        return counts
+
+    @pytest.mark.parametrize("chi", PHASES + (-2.3, 1e6))
+    def test_closed_form_pvms_and_stacks_take_no_generic_check(self, monkeypatch, chi):
+        assert self.validations(monkeypatch, chi, 1e-9) == [0, 0, 0]
+        # The filter's bound is reached exactly: still accepted.
+        assert self.validations(monkeypatch, chi, srt._interference_projectors(chi)[1]) == [0, 0, 0]
+
+    def test_a_tol_below_the_filter_bound_runs_the_generic_check(self, monkeypatch):
+        # At chi = 0 every defect is within 2 units of 2**-53, so at 5 units the filter
+        # rejects and the generic check accepts: the sweep checks the PVM and its stack.
+        # At 1e-300 the generic check rejects the PVM, and each builder raises its error.
+        assert self.validations(monkeypatch, 0.0, 5 * 2.0**-53) == [2, 1, 1]
+        assert self.validations(monkeypatch, 0.0, 1e-300) == [1, 1, 1]
+        with pytest.raises(ValidationError) as pvm:
+            interference_pvm(0.0, 1e-300)
+        assert str(pvm.value) == ("elements do not sum to identity (defect 2.220e-16); element 0 is not a "
+                                  "projector (defect 1.110e-16); element 1 is not a projector (defect 1.110e-16)")
+        with pytest.raises(ValidationError, match=r"^elements do not sum to identity \(defect 1\.110e-16\)$"):
+            srt_bivariate(SrtConfig(0.3, 0.0), 1e-300)
+
+    def test_a_generic_route_sweep_gives_the_rows_of_the_filter_route(self, monkeypatch):
+        grid = np.linspace(0.0, 1.0, 101)
+        want = [tuple(map(float.hex, row)) for row in tradeoff_sweep(grid, 0.7)]
+        monkeypatch.setattr(srt, "INTERFERENCE_ROUNDING", math.inf)
+        assert [tuple(map(float.hex, row)) for row in tradeoff_sweep(grid, 0.7)] == want
+
+    def test_rows_are_tradeoff_points(self):
+        (point,) = tradeoff_sweep([0.5])
+        assert type(point) is srt.TradeoffPoint and point.absorber == 0.5
+
+
+def test_a_drift_of_1e_12_raises(monkeypatch):
+    # The drift bound is a few ulps times 1 + max |ln x|, at most ~7e-13 even at
+    # subnormal entries; the 1e-8 floor it replaced let this drift through.
+    path_entropy = srt._path_entropy
+    monkeypatch.setattr(srt, "_path_entropy", lambda a: path_entropy(a) + 1e-12)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^solver pipeline drifted 1\.000e-12 from the closed-form entropies at absorber=0\.25$"):
+        tradeoff_sweep([0.25, 0.5, 0.75])

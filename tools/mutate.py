@@ -105,8 +105,8 @@ ALLOWED = {
         "equality threshold: a Martens slack exactly at -tol",
     ("srt.py", "violated = np.flatnonzero(~(slack >= -marginal_tol))", ">=", 0):
         "equality threshold: a Martens slack exactly at -tol",
-    ("srt.py", "drifted = np.flatnonzero(~(drift <= PIPELINE_AGREEMENT_TOL))", "<=", 0):
-        "equality threshold: a closed-form drift exactly at PIPELINE_AGREEMENT_TOL",
+    ("srt.py", "drifted = np.flatnonzero(~(drift <= 4 * 2.0**-52 * (1.0 + logs)))", "<=", 0):
+        "equality threshold: a closed-form drift exactly at its derived bound",
     ("measures.py", "if stack.size == 0 or not np.abs(stack.view(float)).max() <= 2.0:",
      "<=", 0):
         "equivalent: a stack with an entry part of exactly 2 goes to the reject pass, which reports "
