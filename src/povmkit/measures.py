@@ -3,9 +3,9 @@
 A measure is an ordered family of positive operators summing to the identity.
 Values are validated where they enter: public constructors, deserialization
 and the stacked kernels that build measures from raw parameters.  One stacked
-validator checks whole ``(..., K, d, d)`` stacks at once and reads a rejected
-stack one measure at a time, with the operator defect kernels of ``operators``
-(the closed-form qubit spectrum among them).  An invalid measure cannot
+validator checks a whole ``(..., K, d, d)`` stack in one pass: each defect
+once, by the operator defect kernels of ``operators`` (the closed-form qubit
+spectrum among them), and each threshold once.  An invalid measure cannot
 exist as a value, so every downstream computation presumes the
 decomposition-of-identity property; a marginal inherits validity unchecked,
 at the tolerance its sums accumulate.
@@ -66,32 +66,10 @@ def _completeness_defect(stack: np.ndarray) -> np.ndarray:
 
 
 def _projector_defects(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise ``|E_k^2 - E_k|`` and the ``(..., K, K)`` overlaps ``|Tr(E_j E_k)|``, 0 at ``j == k``."""
-    batch, k = stack.shape[:-3], stack.shape[-3]
-    overlaps = np.abs(np.einsum("...jab,...kba->...jk", stack, stack)).reshape(*batch, k * k)
-    overlaps[..., :: k + 1] = 0.0
-    return np.abs(stack @ stack - stack), overlaps.reshape(*batch, k, k)
-
-
-def _stack_accepts(stack: np.ndarray, tol: float, projective: bool) -> bool:
-    """True when a non-empty stack passes every check of ``_stack_violations``.
-
-    Entries are first bounded to real and imaginary parts within 2: a valid measure
-    meets that at any tol below 1, NaN and +-inf fail it, and no check below can then
-    overflow; a valid stack beyond it is left to the reject pass.  Each other test bounds
-    the extreme of one defect over the whole stack, computed by the per-measure check's
-    own expression, so acceptance here means no violation there.  ``stack`` is C-ordered.
-    """
-    if stack.size == 0 or not np.abs(stack.view(float)).max() <= 2.0:
-        return False
-    if not (_hermitian_defect(stack).max() <= tol
-            and _lowest_eigenvalues(stack).min() >= -tol
-            and _completeness_defect(stack).max() <= tol):
-        return False
-    if not projective:
-        return True
-    idempotence, overlaps = _projector_defects(stack)
-    return bool(idempotence.max() <= tol and overlaps.max() <= tol)
+    """Entrywise ``|E_k^2 - E_k|`` and the ``(..., K, K)`` overlaps ``|Tr(E_j E_k)|`` at ``j < k``, 0 elsewhere."""
+    overlaps = np.abs(np.einsum("...jab,...kba->...jk", stack, stack))
+    pairs = np.arange(stack.shape[-3])
+    return np.abs(stack @ stack - stack), np.where(pairs[:, None] < pairs, overlaps, 0.0)
 
 
 def _stack_violations(
@@ -101,44 +79,49 @@ def _stack_violations(
 
     Maps the batch index of each invalid measure (``()`` for a single
     ``(K, d, d)`` measure) to its violation messages, in C order; valid
-    measures are absent.  Every predicate reads ``not (defect <= tol)`` so a
+    measures are absent.  Each defect is computed once over the whole stack
+    and each threshold is tested once, as a mask; only the measures a mask
+    flags are worded.  Every predicate reads ``not (defect <= tol)`` so a
     NaN defect is a violation.  Non-finite elements are reported as such and
-    left out of the per-element checks.  Whole-stack reductions decide first;
-    a stack they reject is read one measure at a time.
+    left out of the per-element checks.
     """
-    if _stack_accepts(stack, tol, projective):
+    if stack.size == 0:
         return {}
     with np.errstate(over="ignore", invalid="ignore"):  # a defect beyond the float range: inf or nan
-        found = [(index, _measure_violations(stack[index], tol, projective))
-                 for index in np.ndindex(stack.shape[:-3])]
-    return {index: lines for index, lines in found if lines}
-
-
-def _measure_violations(measure: np.ndarray, tol: float, projective: bool) -> list[str]:
-    """Violation messages of one ``(K, d, d)`` measure, in check order; empty when valid."""
-    finite = np.isfinite(measure).all(axis=(-2, -1))
-    clean = np.where(finite[:, None, None], measure, 0.0)
-    herm, lowest = _hermitian_defect(clean).max(axis=(-2, -1)), _lowest_eigenvalues(clean)
-    lines = []
-    for k in range(len(measure)):
-        if not finite[k]:
-            lines.append(f"element {k} has non-finite entries")
-        elif not herm[k] <= tol:
-            lines.append(f"element {k} is not Hermitian (defect {herm[k]:.3e})")
-        elif not lowest[k] >= -tol:
-            lines.append(f"element {k} is not positive (eigenvalue {lowest[k]:.3e})")
-    completeness = _completeness_defect(measure).max()
-    if not completeness <= tol:
-        lines.append(f"elements do not sum to identity (defect {completeness:.3e})")
-    if projective:
-        idempotence, overlaps = _projector_defects(clean)
-        idempotence = idempotence.max(axis=(-2, -1))
-        lines += [f"element {k} is not a projector (defect {idempotence[k]:.3e})"
-                  for k in np.flatnonzero(finite & ~(idempotence <= tol))]
-        lines += [f"elements {j} and {k} are not orthogonal (Tr = {overlaps[j, k]:.3e})"
-                  for j, k in itertools.combinations(np.flatnonzero(finite), 2)
-                  if not overlaps[j, k] <= tol]
-    return lines
+        finite = np.isfinite(stack).all(axis=(-2, -1))
+        clean = np.where(finite[..., None, None], stack, 0.0)
+        herm, lowest = _hermitian_defect(clean).max(axis=(-2, -1)), _lowest_eigenvalues(clean)
+        completeness = _completeness_defect(stack).max(axis=-1)
+        not_hermitian = finite & ~(herm <= tol)
+        not_positive = finite & ~not_hermitian & ~(lowest >= -tol)
+        incomplete = ~(completeness <= tol)
+        bad = (~finite | not_hermitian | not_positive).any(axis=-1) | incomplete
+        if projective:
+            idempotence, overlaps = _projector_defects(clean)
+            idempotence = idempotence.max(axis=(-2, -1))
+            not_projector = finite & ~(idempotence <= tol)
+            not_orthogonal = ~(overlaps <= tol) & finite[..., :, None] & finite[..., None, :]
+            bad |= not_projector.any(axis=-1) | not_orthogonal.any(axis=(-2, -1))
+    found = {}
+    for index in map(tuple, np.argwhere(bad).tolist()):
+        lines = []
+        for k in range(stack.shape[-3]):
+            at = (*index, k)
+            if not finite[at]:
+                lines.append(f"element {k} has non-finite entries")
+            elif not_hermitian[at]:
+                lines.append(f"element {k} is not Hermitian (defect {herm[at]:.3e})")
+            elif not_positive[at]:
+                lines.append(f"element {k} is not positive (eigenvalue {lowest[at]:.3e})")
+        if incomplete[index]:
+            lines.append(f"elements do not sum to identity (defect {completeness[index]:.3e})")
+        if projective:
+            lines += [f"element {k} is not a projector (defect {idempotence[(*index, k)]:.3e})"
+                      for k in np.flatnonzero(not_projector[index])]
+            lines += [f"elements {j} and {k} are not orthogonal (Tr = {overlaps[(*index, j, k)]:.3e})"
+                      for j, k in np.argwhere(not_orthogonal[index])]
+        found[index] = lines
+    return found
 
 
 def _per_axis_labels(labels: tuple, index_shape) -> tuple[tuple, ...]:

@@ -29,7 +29,6 @@ from .nonideality import (
     _row_entropy,
     _solve_stack,
     _xlogx,
-    martens_bound,
 )
 from .operators import DEFAULT_TOL, _checked_finite, _checked_tol, _checked_unit
 from .tables import _marginal_tol, _table_violation
@@ -82,10 +81,6 @@ def _interference_projectors(chi: float) -> tuple[np.ndarray, float]:
 def path_pvm(tol: float = DEFAULT_TOL) -> PvmMeasure:
     """Which-path observable: projectors onto the two interferometer paths."""
     return PvmMeasure([_P_PLUS, _P_MINUS], labels=("+", "-"), tol=tol)
-
-
-#: The path PVM, built and validated once; exact at every tolerance.
-_PATH_PVM = path_pvm()
 
 
 def interference_pvm(chi: float = 0.0, tol: float = DEFAULT_TOL) -> PvmMeasure:
@@ -208,7 +203,8 @@ def tradeoff_sweep(
     PVMs, and the row entropies.  Every point is checked as the single-point
     chain ``srt_bivariate -> marginal -> solve_nonideality -> check_martens``
     would check it: the interference PVM and the arrangement at ``tol``, by the closed-form filter
-    of ``_interference_projectors`` with the generic check behind it; the zero target
+    of ``_interference_projectors`` with the generic check behind it, and the Martens bound read off
+    the diagonal of ``Q1`` (each projector is rank one by construction, so none is tested); the zero target
     elements, the nonideality matrices' columns (one call of the table rule) and the Martens slack
     at the marginals' ``2 * tol`` (each marginal element sums two cells, ``tables._marginal_tol``);
     and each point's drift from the closed-form entropies within ``c eps (1 + L)``, ``c = 4``,
@@ -235,26 +231,24 @@ def tradeoff_sweep(
         raise ValidationError(f"grid value {float(values[outside[0]])!r} outside [0, 1]")
     chi, tol = _checked_finite(chi, "phase"), _checked_tol(tol)
     projectors, rounding = _interference_projectors(chi)
-    target_interference = interference_pvm(chi, tol) if rounding > tol else None
+    if rounding > tol and (invalid := _stack_violations(projectors, tol, True)):
+        raise ValidationError("; ".join(invalid[()]))
     if values.size == 0:
         return []
 
     stack = _bivariate_stack(values, projectors)
-    if target_interference is None:  # Tr(P_m Q_n) is (Q_n)_mm exactly; Q1 and Q2 share a diagonal
-        bound = float(-np.log(min(projectors[0].real.diagonal().max(), 1.0)))
-    else:
-        bound = martens_bound(_PATH_PVM, target_interference)
-        invalid = _stack_violations(stack, tol)
-        if invalid:
-            (n,), lines = next(iter(invalid.items()))
-            raise ValidationError(f"absorber={float(values[n])!r}: " + "; ".join(lines))
+    if rounding > tol and (invalid := _stack_violations(stack, tol)):
+        (n,), lines = next(iter(invalid.items()))
+        raise ValidationError(f"absorber={float(values[n])!r}: " + "; ".join(lines))
+    # Tr(P_m Q_n) is (Q_n)_mm exactly, and Q1 and Q2 share a diagonal.
+    bound = float(-np.log(min(projectors[0].real.diagonal().max(), 1.0)))
     cells = stack.reshape(values.size, 2, 2, 2, 2)
 
     # Problem 0 is the path marginal and problem 1 the interference marginal, so with the
     # columns as tables in (problem, point, column) order every path column comes first.
     marginals = np.stack([cells[:, :, 0] + cells[:, :, 1], cells[:, 0] + cells[:, 1]])
     marginal_tol = _marginal_tol(tol, (2, 2), (1,))
-    targets = np.stack([_PATH_PVM.stack(), projectors])
+    targets = np.stack([(_P_PLUS, _P_MINUS), projectors])
     matrices, _ = _solve_stack(marginals, targets, marginal_tol)
     failure = _table_violation(matrices.swapaxes(-1, -2).reshape(-1, 2), marginal_tol)
     if failure is not None:
@@ -273,7 +267,7 @@ def tradeoff_sweep(
             "the matrices do not come from one bivariate arrangement"
         )
     drift = np.maximum(np.abs(j_lambda - _path_entropy(values)), np.abs(j_mu - _interference_entropy(values)))
-    logs = np.abs(np.log(np.where(matrices > 0.0, matrices, 1.0))).max(axis=(0, 2, 3))
+    logs = np.abs(np.log(np.where(matrices > 0.0, matrices, 1.0))).transpose(0, 2, 3, 1).reshape(8, -1).max(axis=0)
     drifted = np.flatnonzero(~(drift <= 4 * 2.0**-52 * (1.0 + logs)))
     if drifted.size:
         n = drifted[0]

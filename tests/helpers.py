@@ -226,11 +226,11 @@ def _oracle_lowest_eigenvalues(hermitian):
 
 
 def oracle_stack_violations(stack, tol, projective=False):
-    """Per-measure stacked validation with no whole-stack accept pass.
+    """Stacked validation by masks and messages, written out apart from the library.
 
-    A frozen copy of the masks-and-messages path of
-    ``povmkit.measures._stack_violations``, kept here as the oracle that the
-    library's accept-first validator must equal on every stack.
+    A frozen copy of ``povmkit.measures._stack_violations`` with its own
+    defect expressions, kept here as the oracle that the library's one-pass
+    stack validator must equal on every stack.
     """
     n_elements, dim = stack.shape[-3], stack.shape[-1]
     finite = np.isfinite(stack).all(axis=(-2, -1))
@@ -604,7 +604,8 @@ def oracle_tradeoff_sweep(grid, chi=0.0, *, tol=DEFAULT_TOL):
                                      tol=tol)
     if values.size == 0:
         return []
-    bound = martens_bound(srt._PATH_PVM, target_interference)
+    path = srt.path_pvm()
+    bound = martens_bound(path, target_interference)
 
     stack = _oracle_bivariate_stack(values, chi)
     invalid = _stack_violations(stack, tol)
@@ -614,7 +615,7 @@ def oracle_tradeoff_sweep(grid, chi=0.0, *, tol=DEFAULT_TOL):
     cells = stack.reshape(values.size, 2, 2, 2, 2)
 
     marginals = np.stack([cells.sum(axis=2), cells.sum(axis=1)])
-    targets = np.stack([srt._PATH_PVM.stack(), target_interference.stack()])
+    targets = np.stack([path.stack(), target_interference.stack()])
     matrices, _ = _solve_stack(marginals, targets, tol)
     for k, column in enumerate(matrices.swapaxes(-1, -2).reshape(-1, 2)):
         try:

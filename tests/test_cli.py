@@ -73,6 +73,14 @@ class TestSrt:
         assert all(s >= -1e-9 for s in slack)
         assert abs(slack[0]) <= 1e-9 and abs(slack[-1]) <= 1e-9
 
+    def test_sweep_at_two_ulps_prints_its_rows(self, capsys):
+        # The generic check accepts the interference PVM at this tol and phase, and the
+        # sweep reads its bound off the projector diagonal: no maximality check rejects it.
+        code, out, err = run(capsys, "srt", "sweep", "--points", "3", "--phase", "0.1",
+                             "--tol", "2.220446049250313e-16")
+        assert (code, err) == (0, "")
+        assert len(out.strip().splitlines()) == 4
+
     def test_sweep_to_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run(capsys, "srt", "sweep", "--points", "5", "--out", str(target))

@@ -26,7 +26,7 @@ from povmkit import (
     trace_distance,
 )
 from povmkit import measures, serialize
-from povmkit.measures import _coerce_stack
+from povmkit.measures import _coerce_stack, _stack_violations
 from povmkit.srt import SrtConfig, path_pvm, srt_bivariate, srt_povm
 from povmkit.sampling import (
     random_basis_pvm,
@@ -161,6 +161,9 @@ class TestMeasureValidation:
                 PovmMeasure(elements)
             assert str(caught.value) == "; ".join(expected)
             assert povm_violations(elements) == expected
+            # Batched with a valid measure, only the overflowing one is reported.
+            batch = np.array([elements, [P0, P1]], dtype=complex)
+            assert _stack_violations(batch, 1e-9) == {(0,): expected}
 
     def test_index_shape_must_match(self):
         for index_shape in ((2, 2), (-1, -1), ("x",), 5):

@@ -54,7 +54,7 @@ from povmkit import (InternalConsistencyError, NoSignalingError, ValidationError
 from povmkit.aspect import _ANGLE_NAMES, ANALYZER_ROUNDING, CHSH_SIGN_PATTERNS, _analyzer_stack
 from povmkit.cli import main
 from povmkit.feasibility import _KEEP, _REDUCED, BOUNDARY_TOL, phase1_simplex
-from povmkit.measures import _lowest_eigenvalues, _stack_accepts, _stack_violations
+from povmkit.measures import _lowest_eigenvalues, _stack_violations
 from povmkit.sampling import (
     mix_marginals,
     pr_box_marginals,
@@ -392,7 +392,7 @@ def analyzer_filter_angles() -> list[float]:
 def test_the_analyzer_filter_decides_as_the_generic_check(analyzer_filter_angles, tol):
     # _analyzer_stack raises exactly when the generic check rejects a stack of analyzers,
     # with its message.  At 1e-300 the filter cannot accept and nearly every analyzer is
-    # read one measure at a time, so every 20th angle keeps the run short.
+    # rejected and worded by the generic check, so every 20th angle keeps the run short.
     angles = analyzer_filter_angles if tol > 1e-300 else analyzer_filter_angles[::20]
     for start in range(0, len(angles), 256):
         chunk = angles[start:start + 256]
@@ -439,24 +439,6 @@ def test_kept_analyzer_pairs_give_the_bits_of_a_fresh_computation(states, angle_
             assert_same_bits(g.values, f.values)
             assert_same_bits(g.values, w.values)
             assert (g.axis_labels, g.tol) == (f.axis_labels, f.tol) == (w.axis_labels, w.tol)
-
-
-@PROPERTY_SETTINGS
-@given(
-    angles=st.tuples(*[st.one_of(edge_angles, st.floats(-1e6, 1e6))] * 4),
-    gamma1=edge_gammas,
-    gamma2=edge_gammas,
-)
-def test_two_photon_kernels_take_the_accept_first_path(angles, gamma1, gamma2):
-    # Analyzer PVMs at finite angles are valid, so the whole-stack pass must take
-    # them: the per-measure reading would give the same verdict, only slower.
-    def refuse(*args):
-        raise AssertionError("the per-measure check ran")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(measures, "_measure_violations", refuse)
-        standard_composite(*angles)
-        joint_probabilities(AspectConfig(gamma1, gamma2, *angles, state=bell_state()))
 
 
 # -- (d) joint_exists witnesses against their input tables ------------------
@@ -710,7 +692,7 @@ def test_lowest_eigenvalues_beyond_qubits_is_eigvalsh():
         assert np.array_equal(_lowest_eigenvalues(raw), np.linalg.eigvalsh(h / 2.0)[:, 0])
 
 
-# -- (g) the accept-first validator against the per-element oracle ----------
+# -- (g) the stack validator against the per-element oracle -----------------
 
 EDGE_KINDS = ("none", "non-hermitian", "negative", "incomplete", "non-projector",
               "non-orthogonal", "nan", "inf")
@@ -776,11 +758,11 @@ def edge_defect(rng, elements, kind, scale, tol, projective):
     spare=st.sampled_from([0, 2]),
     batch=st.sampled_from([(), (1,), (3,), (2, 2), (0,), (2, 0)]),
 )
-def test_accept_first_validator_equals_per_element_oracle(
+def test_stack_validator_equals_per_element_oracle(
     seed, kind, projective, dim, n_elements, spare, batch
 ):
     # One defect kind per stack, at a drawn edge scale per measure, so a stack
-    # can fail on one predicate alone and reach the accept pass's last test.
+    # can fail on one predicate alone.
     rng = np.random.default_rng(seed)
     measures = [
         edge_defect(rng, edge_base(rng, n_elements, dim, projective, spare),
@@ -1567,7 +1549,7 @@ def test_table_checks_equal_the_frozen_constructor(stack):
     assert got == want
 
 
-# -- (t) the accept-first passes accept exactly what their oracles accept ------
+# -- (t) the accept-first table pass accepts exactly what its oracle accepts ----
 
 class _NoTableLoop(np.ndarray):
     """A table stack that raises when read table by table: only whole-stack
@@ -1590,44 +1572,6 @@ def test_table_accept_pass_takes_every_valid_stack(stack):
     except LookupError:
         accepted = False
     assert accepted == all(map(oracle_accepts_table, stack))
-
-
-def grouped_projectors(rng, dim, ranks):
-    """Projectors of the given ranks onto consecutive columns of a Haar unitary."""
-    columns = random_unitary(dim, rng)
-    edges = np.cumsum([0, *ranks])
-    return np.stack([columns[:, a:b] @ columns[:, a:b].conj().T
-                     for a, b in zip(edges, edges[1:])])
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    kind=st.sampled_from(EDGE_KINDS),
-    projective=st.booleans(),
-    dim=st.sampled_from([2, 3]),
-    ranks=st.sampled_from([(1, 1), (2,), (1, 2), (2, 1), (1, 1, 1)]),
-    n_elements=st.integers(min_value=2, max_value=4),
-    batch=st.integers(min_value=1, max_value=3),
-)
-def test_stack_accept_pass_takes_every_valid_stack(
-    seed, kind, projective, dim, ranks, n_elements, batch
-):
-    # POVMs, and PVMs of rank-1 and rank-2 projectors, with one defect per
-    # stack at +-0.9 or +-1.1 tol: the whole-stack pass accepts a stack
-    # exactly when the per-measure oracle finds nothing.
-    assume(not projective or sum(ranks) == dim)
-    rng = np.random.default_rng(seed)
-    measures = [
-        edge_defect(rng, grouped_projectors(rng, dim, ranks) if projective
-                    else random_measure(rng, n_elements, dim, False),
-                    kind, rng.choice(EDGE_SCALES), TOL, projective)
-        for _ in range(batch)
-    ]
-    stack = np.array(measures, dtype=complex)
-    assert _stack_accepts(stack, TOL, projective) == (
-        oracle_stack_violations(stack, TOL, projective) == {}
-    )
 
 
 # -- (u) the product POVM against the frozen tensor route ----------------------
@@ -1765,7 +1709,7 @@ def test_the_interference_filter_decides_as_the_generic_check(interference_filte
     # every bivariate stack on a PVM the filter accepts passes the generic check; and on every
     # 500th phase the sweep's rows or error equal the frozen pipeline's.  The filter's bound is
     # at least 6 units of 2**-53, so at the two smallest tols it accepts nothing and every
-    # PVM is read by the generic check one at a time: every 20th phase keeps the run short.
+    # interference_pvm call runs the generic check: every 20th phase keeps the run short.
     phases = interference_filter_phases if tol > 6 * 2.0**-53 else interference_filter_phases[::20]
     for start in range(0, len(phases), 256):
         chunk = phases[start:start + 256]

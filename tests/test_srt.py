@@ -255,6 +255,18 @@ class TestTradeoffSweep:
                            match=r"^absorber=0\.75: nonideality matrix column 0 sums to 0\.999, not 1$"):
             tradeoff_sweep([0.25, 0.5, 0.75])
 
+    @staticmethod
+    def lower_the_path_entropy(monkeypatch, shift):
+        """Lower the solved and the closed-form path entropy by ``shift``: the slack moves, the drift does not."""
+        row_entropy, path_entropy = srt._row_entropy, srt._path_entropy
+
+        def lowered(matrices):
+            j_lambda, j_mu = row_entropy(matrices)
+            return j_lambda - shift, j_mu
+
+        monkeypatch.setattr(srt, "_row_entropy", lowered)
+        monkeypatch.setattr(srt, "_path_entropy", lambda a: path_entropy(a) - shift)
+
     @pytest.mark.parametrize("check", ["stochastic", "slack"])
     @pytest.mark.parametrize(("shift", "fails"), [(1.5e-9, False), (2.5e-9, True)])
     def test_marginal_checks_run_at_twice_tol(self, monkeypatch, check, shift, fails):
@@ -262,8 +274,8 @@ class TestTradeoffSweep:
         # nonideality matrices and the Martens slack at 2 tol; the sweep does the same.
         # At a = 1 the path matrix is [[1, 1], [0, 0]]; a zero entry moved below 0 is
         # clipped out of the row entropy, so the drift check, a few ulps wide, stays
-        # quiet and the column's table check decides.  Only the generic route reads
-        # the bound from martens_bound, so the slack case turns the filter off.
+        # quiet and the column's table check decides.  There J_lambda + J_mu equals the
+        # bound, ln 2, so the slack case lowers the entropies by the shift.
         if check == "stochastic":
             solve = srt._solve_stack
 
@@ -275,8 +287,7 @@ class TestTradeoffSweep:
             monkeypatch.setattr(srt, "_solve_stack", shifted)
             error = ValidationError
         else:
-            monkeypatch.setattr(srt, "INTERFERENCE_ROUNDING", math.inf)
-            monkeypatch.setattr(srt, "martens_bound", lambda *args: LN2 + shift)
+            self.lower_the_path_entropy(monkeypatch, shift)
             error = InternalConsistencyError
         if fails:
             with pytest.raises(error, match=r"absorber=1\.0\b"):
@@ -286,11 +297,10 @@ class TestTradeoffSweep:
             assert point.absorber == 1.0
 
     def test_slack_violation_names_the_first_failing_absorber(self, monkeypatch):
-        # J_lambda + J_mu is ln 2 at the endpoints and about 0.894 at a = 0.5,
-        # so a bound of 0.8 holds in the interior and fails at a = 1.  The generic
-        # route reads the bound from martens_bound.
-        monkeypatch.setattr(srt, "INTERFERENCE_ROUNDING", math.inf)
-        monkeypatch.setattr(srt, "martens_bound", lambda *args: 0.8)
+        # J_lambda + J_mu is ln 2 at the endpoints and about 0.894 at a = 0.5, so
+        # lowered by 0.8 - ln 2 it stays above the bound ln 2 in the interior and
+        # falls below it at a = 1.
+        self.lower_the_path_entropy(monkeypatch, 0.8 - LN2)
         with pytest.raises(InternalConsistencyError, match=r"slack.*absorber=1\.0\b"):
             tradeoff_sweep([0.5, 1.0])
 
@@ -343,6 +353,14 @@ class TestInterferenceFilter:
         want = [tuple(map(float.hex, row)) for row in tradeoff_sweep(grid, 0.7)]
         monkeypatch.setattr(srt, "INTERFERENCE_ROUNDING", math.inf)
         assert [tuple(map(float.hex, row)) for row in tradeoff_sweep(grid, 0.7)] == want
+
+    def test_a_sweep_at_two_ulps_reads_the_bound_off_the_diagonal(self):
+        # At tol 2**-52 the generic check accepts the interference PVM at phase 0.1, whose
+        # complex trace |-2.22e-16 - 2.97e-18j| is beyond tol, so is_maximal reads it as not
+        # maximal.  The sweep reads the bound off the diagonal and gives the default-tol rows.
+        grid, tol = [0.0, 0.5, 1.0], 2.0**-52
+        assert interference_pvm(0.1, tol).tol == tol
+        assert tradeoff_sweep(grid, 0.1, tol=tol) == tradeoff_sweep(grid, 0.1)
 
     def test_rows_are_tradeoff_points(self):
         (point,) = tradeoff_sweep([0.5])

@@ -107,38 +107,16 @@ ALLOWED = {
         "equality threshold: a Martens slack exactly at -tol",
     ("srt.py", "drifted = np.flatnonzero(~(drift <= 4 * 2.0**-52 * (1.0 + logs)))", "<=", 0):
         "equality threshold: a closed-form drift exactly at its derived bound",
-    ("measures.py", "if stack.size == 0 or not np.abs(stack.view(float)).max() <= 2.0:",
-     "<=", 0):
-        "equivalent: a stack with an entry part of exactly 2 goes to the reject pass, which reports "
-        "the same violations, or none",
-    ("measures.py", "if not (_hermitian_defect(stack).max() <= tol",
+    ("measures.py", "not_hermitian = finite & ~(herm <= tol)",
      "<=", 0):
         "equality threshold: a Hermitian defect exactly at tol",
-    ("measures.py", "and _lowest_eigenvalues(stack).min() >= -tol",
+    ("measures.py", "not_positive = finite & ~not_hermitian & ~(lowest >= -tol)",
      ">=", 0):
         "equality threshold: a lowest eigenvalue exactly at -tol",
-    ("measures.py", "and _completeness_defect(stack).max() <= tol):",
-     "<=", 0):
-        "equality threshold: a completeness defect exactly at tol",
-    ("measures.py", "return bool(idempotence.max() <= tol and overlaps.max() <= tol)",
+    ("measures.py", "not_projector = finite & ~(idempotence <= tol)",
      "<=", 0):
         "equality threshold: an idempotence defect exactly at tol",
-    ("measures.py", "return bool(idempotence.max() <= tol and overlaps.max() <= tol)",
-     "<=", 1):
-        "equality threshold: an overlap exactly at tol",
-    ("measures.py", "elif not herm[k] <= tol:",
-     "<=", 0):
-        "equality threshold: a Hermitian defect exactly at tol",
-    ("measures.py", "elif not lowest[k] >= -tol:",
-     ">=", 0):
-        "equality threshold: a lowest eigenvalue exactly at -tol",
-    ("measures.py", "if not completeness <= tol:",
-     "<=", 0):
-        "equality threshold: a completeness defect exactly at tol",
-    ("measures.py", "for k in np.flatnonzero(finite & ~(idempotence <= tol))]",
-     "<=", 0):
-        "equality threshold: an idempotence defect exactly at tol",
-    ("measures.py", "if not overlaps[j, k] <= tol]",
+    ("measures.py", "not_orthogonal = ~(overlaps <= tol) & finite[..., :, None] & finite[..., None, :]",
      "<=", 0):
         "equality threshold: an overlap exactly at tol",
     ("measures.py", "return bool(np.abs(np.trace(self._stack, axis1=1, axis2=2) - 1.0).max() <= self.tol)",
