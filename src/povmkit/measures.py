@@ -11,6 +11,9 @@ decomposition-of-identity property; a marginal inherits validity unchecked,
 at the tolerance its sums accumulate.
 Multi-outcome-variable arrangements (bivariate, quadrivariate) are stored flat
 together with an ``index_shape``; marginalization is an index sum.
+Derived values carry the error they can hold: a Born table carries ``d *
+(tol_M + tol_rho)``, and a reconstructed state the bound that the one SVD of
+the operator frame and the inputs' tolerances give; each docstring derives its own.
 """
 
 from __future__ import annotations
@@ -29,10 +32,6 @@ from .errors import (
 from .operators import (DEFAULT_TOL, State, _checked_dim, _checked_labels, _checked_tol, _hermitian_defect,
                         _lowest_eigenvalues, as_operator, is_unitary)
 from .tables import ProbabilityTable, _check_tables, _marginal_tol, _split_axes
-
-#: Tolerance on the residual ``born(measure, rho) - probabilities`` accepted by
-#: state reconstruction.
-RECONSTRUCTION_TOL = 1e-8
 
 
 def _coerce_stack(elements) -> np.ndarray:
@@ -278,8 +277,11 @@ class PvmMeasure(PovmMeasure):
     _PROJECTIVE = True
 
     def is_maximal(self) -> bool:
-        """True when every projector is rank one, within the measure's ``tol``."""
-        return bool(np.abs(np.trace(self._stack, axis1=1, axis2=2) - 1.0).max() <= self.tol)
+        """True when every projector is rank one, within the measure's ``tol``.
+
+        The real part of each trace is read: the Hermitian check already bounds the imaginary part.
+        """
+        return bool(np.abs(np.trace(self._stack, axis1=1, axis2=2).real - 1.0).max() <= self.tol)
 
 
 def tetrahedral_qubit_povm(tol: float = DEFAULT_TOL) -> PovmMeasure:
@@ -333,9 +335,13 @@ def born_probabilities(measure: PovmMeasure, rho: State) -> ProbabilityTable:
     """Outcome distribution ``p_k = Tr(rho M_k)`` of a measure on a state.
 
     The result is indexed like the measure (flat, or reshaped to its
-    ``index_shape``) and carries the measure's outcome labels per axis.  It
-    is checked at, and carries, ``max(measure.tol, rho.tol)``: a measure valid
-    at its own tolerance (a marginal's is accumulated) yields its probabilities.
+    ``index_shape``) and carries the measure's outcome labels per axis.  It is
+    checked at, and carries, ``d * (tol_M + tol_rho)``: to first order in the
+    two tolerances, the error a table of valid inputs can hold.  Split ``rho =
+    rho+ - rho-``; as no eigenvalue is below ``-tol_rho``, ``Tr rho-`` is at most
+    ``d tol_rho``, so a cell is at least ``-(tol_M Tr rho+ + lambda_max(M_k) Tr
+    rho-)``, about ``-(tol_M + d tol_rho)``.  Completeness is checked entrywise,
+    so the total ``Tr(rho sum_k M_k)`` is within ``tol_rho + d tol_M`` of 1.
 
     Raises
     ------
@@ -349,7 +355,7 @@ def born_probabilities(measure: PovmMeasure, rho: State) -> ProbabilityTable:
         raise DimensionMismatchError(
             f"state dimension {rho.dim} does not match measure dimension {measure.dim}"
         )
-    tol = max(measure.tol, rho.tol)
+    tol = measure.dim * (measure.tol + rho.tol)
     probs = np.real(np.einsum("ij,kji->k", rho.matrix, measure.stack()))
     if measure.index_shape is not None:
         probs = probs.reshape(measure.index_shape)
@@ -383,62 +389,80 @@ def povm_from_instrument(model: InstrumentModel) -> PovmMeasure:
     )
 
 
+def _frame_svd(measure: PovmMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Thin SVD ``(u, s, vh)`` of a measure's ``(K, d * d)`` operator frame, and whether it spans operator space.
+
+    Row ``k`` of the frame is ``vec(M_k^T)``, so ``Tr(rho M_k)`` is its product with row-major
+    ``vec(rho)``.  The frame spans operator space when it has ``d**2`` singular values above
+    ``measure.tol``.
+    """
+    d = measure.dim
+    frame = np.swapaxes(measure.stack(), 1, 2).reshape(measure.n_outcomes, d * d)
+    u, s, vh = np.linalg.svd(frame, full_matrices=False)
+    return u, s, vh, s.size == d * d and bool(s[-1] > measure.tol)
+
+
 def is_complete(measure: PovmMeasure) -> bool:
     """True when the elements span the full operator space of their dimension.
 
-    Elements are flattened to vectors and the rank is computed with singular
-    values thresholded at ``measure.tol``; completeness requires rank ``d**2``.
+    Elements are flattened to vectors; completeness requires ``d**2`` singular
+    values above ``measure.tol``.
     """
-    d = measure.dim
-    frame = measure.stack().reshape(measure.n_outcomes, d * d)
-    rank = int(np.linalg.matrix_rank(frame, tol=measure.tol))
-    return rank == d * d
+    return _frame_svd(measure)[3]
 
 
 def reconstruct_state(measure: PovmMeasure, probabilities: ProbabilityTable) -> State:
     """Recover the density operator from a complete measure's outcome distribution.
 
-    Linear inversion on the flattened operator frame (least-squares
-    pseudo-inverse) followed by Hermitization.  No positivity projection is
-    applied: probabilities that fail to produce a density operator within the
-    inputs' larger ``tol`` raise instead of being silently repaired.
+    Linear inversion by the pseudo-inverse ``V diag(1 / s) U^dag`` of the frame's
+    one SVD, followed by Hermitization.  No positivity projection is applied:
+    probabilities that no density operator reproduces within the bound ``B``
+    below raise instead of being silently repaired.
+
+    ``B = sqrt(d K) (tol_p + d tol_M / 2) / s_min`` for ``K`` outcomes, the table's
+    ``tol_p``, the measure's ``tol_M`` and the frame's least singular value
+    ``s_min``.  To first order, the table is within ``tol_p`` per cell of the
+    Born table of a state ``rho``, which is the error a table carries (a Born
+    table's ``tol`` is derived so).  The frame's own product ``Tr(rho M_k)`` is
+    off that real table by ``Tr(rho A_k)``, where ``A_k`` is the anti-Hermitian
+    part of ``M_k`` with entries within ``tol_M / 2``: at most ``d tol_M / 2``.
+    So the error vector has 2-norm at most ``sqrt(K) (tol_p + d tol_M / 2)``, and
+    the inversion moves ``rho`` by at most that over ``s_min`` in Frobenius norm
+    (N. J. Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 20).
+    That bounds the shift of every eigenvalue and, times ``sqrt(d)``, of the
+    trace; the residual, the error's part outside the frame's range, is at most
+    the error itself, and ``s_min <= 1 / sqrt(d)``.  The residual is tested at
+    ``B``; positivity and trace are tested once, by the returned ``State``, which
+    carries ``B``.
 
     Raises
     ------
     IncompleteMeasureError
         If the measure does not span operator space.
     InfeasibleProbabilitiesError
-        If the inverted matrix violates positivity or unit trace beyond
-        tolerance, or cannot reproduce the given probabilities.
+        If the probabilities are outside the frame's range, or the inverted matrix
+        is not a state, beyond ``B``.
     """
-    if not is_complete(measure):
+    u, s, vh, complete = _frame_svd(measure)
+    if not complete:
         raise IncompleteMeasureError(
             "measure elements do not span operator space; inversion is underdetermined"
         )
-    p = np.asarray(probabilities.values, dtype=float).reshape(-1)
+    p = probabilities.values.reshape(-1)
     if p.size != measure.n_outcomes:
         raise DimensionMismatchError(
             f"{p.size} probabilities given for {measure.n_outcomes} outcomes"
         )
     d = measure.dim
-    tol = max(measure.tol, probabilities.tol)
-    # Tr(rho M) is linear in row-major vec(rho) with coefficient row vec(M^T).
-    frame = np.swapaxes(measure.stack(), 1, 2).reshape(measure.n_outcomes, d * d)
-    solution, *_ = np.linalg.lstsq(frame, p.astype(complex), rcond=None)
-    rho = solution.reshape(d, d)
-    rho = (rho + rho.conj().T) / 2.0
-
-    residual = float(np.max(np.abs(frame @ rho.reshape(-1) - p)))
-    if residual > RECONSTRUCTION_TOL:
+    bound = math.sqrt(d * p.size) * (probabilities.tol + d * measure.tol / 2.0) / s[-1]
+    coefficients = u.conj().T @ p
+    residual = float(np.max(np.abs(u @ coefficients - p)))
+    if residual > bound:
         raise InfeasibleProbabilitiesError(
-            f"probabilities are outside the measure's range (residual {residual:.3e})"
+            f"probabilities are outside the measure's range (residual {residual:.3e} > {bound:.3e})"
         )
-    lowest = _lowest_eigenvalues(rho)
-    if lowest < -tol:
-        raise InfeasibleProbabilitiesError(
-            f"inverted matrix fails positivity (eigenvalue {lowest:.3e})"
-        )
-    tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > max(tol, RECONSTRUCTION_TOL):
-        raise InfeasibleProbabilitiesError(f"inverted matrix has trace {tr!r}")
-    return State(rho, tol=max(tol, RECONSTRUCTION_TOL))
+    rho = (vh.conj().T @ (coefficients / s)).reshape(d, d)
+    try:
+        return State((rho + rho.conj().T) / 2.0, tol=bound)
+    except ValidationError as exc:
+        raise InfeasibleProbabilitiesError(f"inverted matrix is not a state within {bound:.3e}: {exc}") from None

@@ -69,13 +69,24 @@ def _interference_projectors(chi: float) -> tuple[np.ndarray, float]:
     + 1.25u`` plus ``u``.  A bivariate stack weighs ``P+-`` and ``Q1 - Q2 = [[0, 2b], [2b*, 0]]`` in
     ``[0, 1]``: Hermitian defect 0, total ``|a + fl(1 - a) - 1| <= u``, and as ``4 |b|^2 <= 1 + 2 delta
     + 5u``, a detector cell ``[[1, s], [s*, a]] / 2`` has eigenvalues ``>= -(delta / 2 + 1.75u) - u``.
-    So none exceeds ``delta + 3.5u``; ``4u`` leaves room for second-order terms.
+    So none exceeds ``delta + 3.5u``; ``4u`` leaves room for second-order terms.  ``srt_povm``'s
+    stack, the two detector cells and ``(1 - a) P-`` (twice an absorption cell, exactly), has the
+    same Hermitian and eigenvalue defects; its total is exact but at ``(1, 1)``, where ``fl(1 - a)``
+    and two halves of ``a`` sum with at most two roundings: within ``3u``.
     """
     phase = np.exp(1j * chi)
     vectors = np.array([[1.0, phase], [1.0, -phase]]) / np.sqrt(2.0)
     projectors = vectors[:, :, None] * vectors[:, None, :].conj()
     p, d = projectors[0].real.diagonal().tolist()
     return projectors, max(abs(2.0 * p - 1.0), abs(2.0 * d - 1.0)) + INTERFERENCE_ROUNDING
+
+
+def _filtered(kind: type, elements: np.ndarray, rounding: float, tol: float, labels: tuple, index_shape=None):
+    """``elements`` as a ``kind`` measure at a checked ``tol``: as built when the filter's ``rounding``
+    is within ``tol``, else by the generic check, which raises its message."""
+    if rounding > tol and (invalid := _stack_violations(elements, tol, kind._PROJECTIVE)):
+        raise ValidationError("; ".join(invalid[()]))
+    return kind.__new__(kind)._init_valid(elements, labels, index_shape, tol)
 
 
 def path_pvm(tol: float = DEFAULT_TOL) -> PvmMeasure:
@@ -90,10 +101,7 @@ def interference_pvm(chi: float = 0.0, tol: float = DEFAULT_TOL) -> PvmMeasure:
     path projector with weight one half for every phase.
     """
     chi, tol = _checked_finite(chi, "phase"), _checked_tol(tol)
-    projectors, rounding = _interference_projectors(chi)
-    if rounding > tol and (invalid := _stack_violations(projectors, tol, True)):
-        raise ValidationError("; ".join(invalid[()]))
-    return PvmMeasure.__new__(PvmMeasure)._init_valid(projectors, ("1", "2"), None, tol)
+    return _filtered(PvmMeasure, *_interference_projectors(chi), tol, ("1", "2"))
 
 
 def _bivariate_stack(absorbers, projectors: np.ndarray) -> np.ndarray:
@@ -120,11 +128,14 @@ def srt_povm(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
 
     Outcomes 1 and 2 are the interferometer detectors; outcome 3 collects the
     absorbed neutrons.  At ``a = 1`` the family reduces to the interference
-    PVM plus a zero element, at ``a = 0`` to a split path measurement.
+    PVM plus a zero element, at ``a = 0`` to a split path measurement.  The
+    elements are the bivariate detector cells and twice an absorption cell, so
+    the filter of ``srt_bivariate`` checks them.
     """
-    projectors, _ = _interference_projectors(config.phase)
-    m1, m2, absorbed_1, absorbed_2 = _bivariate_stack([config.absorber], projectors)[0]
-    return PovmMeasure([m1, m2, absorbed_1 + absorbed_2], labels=("1", "2", "3"), tol=tol)
+    projectors, rounding = _interference_projectors(config.phase)
+    cells = _bivariate_stack([config.absorber], projectors)[0]
+    elements = np.stack([cells[0], cells[1], 2.0 * cells[2]])
+    return _filtered(PovmMeasure, elements, rounding, _checked_tol(tol), ("1", "2", "3"))
 
 
 def srt_bivariate(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
@@ -135,12 +146,9 @@ def srt_bivariate(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
     split evenly over the ``m = '-'`` row.  The ``n``-marginal is a smeared
     interference observable and the ``m``-marginal a smeared path observable.
     """
-    tol = _checked_tol(tol)
     projectors, rounding = _interference_projectors(config.phase)
     cells = _bivariate_stack([config.absorber], projectors)[0]
-    if rounding > tol and (invalid := _stack_violations(cells, tol)):
-        raise ValidationError("; ".join(invalid[()]))
-    return PovmMeasure.__new__(PovmMeasure)._init_valid(cells, _BIVARIATE_LABELS, (2, 2), tol)
+    return _filtered(PovmMeasure, cells, rounding, _checked_tol(tol), _BIVARIATE_LABELS, (2, 2))
 
 
 def path_nonideality_matrix(absorber: float) -> NonidealityMatrix:

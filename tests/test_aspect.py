@@ -369,7 +369,8 @@ def test_composite_tables_are_read_only_and_labelled():
 
 def test_two_photon_kernels_check_at_the_state_tol():
     # A state valid at its own tol 1e-6 gives a Born probability of -5e-7; the
-    # kernels check, and the tables carry, the larger of the two tols.
+    # kernels check, and the tables carry, the larger of the two tols.  The
+    # general Born rule carries its derived d (tol_M + tol_rho) instead.
     state = State(np.diag([0.5 + 5e-7, -5e-7, 0.0, 0.5]), tol=1e-6)
     result = standard_composite(0.0, 0.3, 0.0, 0.3, state=state)
     assert min(table.values.min() for table in result.tables) == pytest.approx(-5e-7, abs=1e-12)
@@ -377,4 +378,5 @@ def test_two_photon_kernels_check_at_the_state_tol():
     config = AspectConfig(1.0, 1.0, 0.0, 0.3, 0.0, 0.3, state=state)
     joint = joint_probabilities(config)
     assert joint.values.min() == pytest.approx(-5e-7, abs=1e-12)
-    assert joint.tol == born_probabilities(quadrivariate_povm(config), state).tol == 1e-6
+    assert joint.tol == 1e-6
+    assert born_probabilities(quadrivariate_povm(config), state).tol == 4 * (1e-9 + 1e-6)

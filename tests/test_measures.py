@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import warnings
 
@@ -39,6 +40,9 @@ from helpers import constructor_error, explicit_two_photon_tables, oracle_povm_f
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+#: The six-outcome Pauli POVM ``(I +- sigma_i) / 6``: an overcomplete frame for qubit operators.
+PAULI_POVM = PovmMeasure([(np.eye(2) + sign * sigma) / 6.0 for sigma in PAULIS for sign in (1, -1)])
 
 
 def swap_gate() -> np.ndarray:
@@ -290,11 +294,22 @@ class TestBornRule:
 
     def test_measure_tolerance_bounds_the_negative_probability_guard(self):
         # Valid at its own tolerance of 1e-6, so a probability of -5e-7 is
-        # inside what the measure promises, whatever the call's tol.
+        # inside what the measure promises, whatever the call's tol.  The table
+        # carries the derived d (tol_M + tol_rho).
         measure = PovmMeasure([P0 - 5e-7 * P1, (1 + 5e-7) * P1], tol=1e-6)
         table = born_probabilities(measure, State.pure([0.0, 1.0]))
         assert table.values[0] == pytest.approx(-5e-7, rel=1e-12)
-        assert table.tol == 1e-6
+        assert table.tol == 2 * (1e-6 + 1e-9)
+
+    def test_a_table_of_edge_inputs_is_valid_at_the_tol_it_carries(self):
+        # Measure and state each valid at 1e-9, with an entry -1.8e-9 in their Born table:
+        # beyond the larger input tol, within the derived d (tol_M + tol_rho) = 4e-9.
+        eps = 0.9e-9
+        measure = PovmMeasure([np.diag([1.0, -eps]), np.diag([0.0, 1.0 + eps])])
+        table = born_probabilities(measure, State(np.diag([-eps, 1.0 + eps])))
+        assert table.values[0] == pytest.approx(-2 * eps, rel=1e-6)
+        assert table.tol == 4e-9
+        ProbabilityTable(table.values, tol=table.tol)
 
     def test_relabeling_invariance(self, rng):
         pvm = random_basis_pvm(3, rng)
@@ -420,8 +435,7 @@ class TestCompleteness:
 
     def test_tetrahedral_povm_has_its_documented_bloch_vectors(self):
         # E_k = (I + n_k . sigma) / 4, so Tr(E_k sigma_i) = n_k[i] / 2.
-        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-        bloch = 2.0 * np.real(np.einsum("kab,iba->ki", tetrahedral_qubit_povm().stack(), paulis))
+        bloch = 2.0 * np.real(np.einsum("kab,iba->ki", tetrahedral_qubit_povm().stack(), PAULIS))
         signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
         assert np.max(np.abs(bloch - signs / np.sqrt(3.0))) < 1e-12
 
@@ -438,6 +452,14 @@ class TestReconstruction:
         rho = State.maximally_mixed(2)
         recovered = reconstruct_state(povm, born_probabilities(povm, rho))
         assert trace_distance(rho, recovered) < 1e-12
+
+    def test_the_state_carries_the_derived_bound(self, rng):
+        # sqrt(d K) (tol_p + d tol_M / 2) / s_min, with the tetrahedral frame's s_min = 1 / sqrt(6).
+        povm = tetrahedral_qubit_povm()
+        table = born_probabilities(povm, random_density_matrix(2, rng))
+        assert table.tol == 4e-9
+        want = math.sqrt(2 * 4) * (4e-9 + 2 * 1e-9 / 2) * math.sqrt(6.0)
+        assert reconstruct_state(povm, table).tol == pytest.approx(want, rel=1e-12)
 
     def test_round_trip_random_states(self, rng):
         povm = tetrahedral_qubit_povm()
@@ -456,6 +478,34 @@ class TestReconstruction:
         skewed = ProbabilityTable([0.97, 0.01, 0.01, 0.01])
         with pytest.raises(InfeasibleProbabilitiesError):
             reconstruct_state(povm, skewed)
+
+    def test_overcomplete_frame_rejects_a_table_outside_its_range(self):
+        # K = 6 > d**2 = 4: each +-pair of a Pauli POVM sums to 1/3 on every state.
+        with pytest.raises(InfeasibleProbabilitiesError, match="outside the measure's range"):
+            reconstruct_state(PAULI_POVM, ProbabilityTable([0.2, 0.2, 0.1, 0.1, 0.2, 0.2]))
+
+    def test_overcomplete_frame_round_trip(self, rng):
+        rho = random_density_matrix(2, rng)
+        recovered = reconstruct_state(PAULI_POVM, born_probabilities(PAULI_POVM, rho))
+        assert trace_distance(rho, recovered) < 1e-12
+        State(recovered.matrix, tol=recovered.tol)
+
+    def test_one_svd_per_reconstruction(self, rng, monkeypatch):
+        calls = []
+
+        def spy(name, kernel):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+            return counted
+
+        for name in ("svd", "matrix_rank", "lstsq", "pinv"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        povm = tetrahedral_qubit_povm()
+        table = born_probabilities(povm, random_density_matrix(2, rng))
+        calls.clear()
+        reconstruct_state(povm, table)
+        assert calls == ["svd"]
 
     def test_round_trip_with_random_rotated_frame(self, rng):
         base = tetrahedral_qubit_povm()

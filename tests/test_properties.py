@@ -44,9 +44,12 @@ from povmkit import (
     povm_violations,
     pvm_violations,
     quadrivariate_povm,
+    reconstruct_state,
     solve_nonideality,
     srt_bivariate,
+    srt_povm,
     standard_composite,
+    tetrahedral_qubit_povm,
     tradeoff_sweep,
 )
 from povmkit import (InternalConsistencyError, NoSignalingError, ValidationError,
@@ -59,7 +62,9 @@ from povmkit.sampling import (
     mix_marginals,
     pr_box_marginals,
     random_density_matrix,
+    random_hermitian,
     random_no_signaling_marginals,
+    random_pure_state,
     random_unitary,
 )
 from povmkit.srt import INTERFERENCE_ROUNDING
@@ -550,8 +555,8 @@ def test_measure_marginal_is_a_povm_and_commutes_with_born_rule(
 )
 def test_born_table_is_byte_identical_to_the_frozen_constructor_route(data, shape, dim, seed, tols):
     # Flat measures, and multi-index ones labelled by a grid, by positions or by
-    # flat names, on random states: values, axis labels and tol as the floor
-    # check and the public constructor gave them.
+    # flat names, on random states: values and axis labels as the floor check and
+    # the public constructor gave them, and the derived tol d (tol_M + tol_rho).
     rng = np.random.default_rng(seed)
     if shape is None:
         n, labels = data.draw(st.integers(min_value=1, max_value=5)), None
@@ -563,7 +568,7 @@ def test_born_table_is_byte_identical_to_the_frozen_constructor_route(data, shap
     got, want = born_probabilities(measure, rho), oracle_born_probabilities(measure, rho)
     assert_same_bits(got.values, want.values)
     assert got.values.flags.c_contiguous and not got.values.flags.writeable
-    assert (got.axis_labels, got.tol) == (want.axis_labels, want.tol)
+    assert (got.axis_labels, got.tol) == (want.axis_labels, dim * (tols[0] + tols[1]))
 
 
 @PROPERTY_SETTINGS
@@ -1723,6 +1728,8 @@ def test_the_interference_filter_decides_as_the_generic_check(interference_filte
         stacks = srt._bivariate_stack(FILTER_ABSORBERS * len(accepted),
                                       np.repeat(accepted, len(FILTER_ABSORBERS), axis=0).swapaxes(0, 1))
         assert _stack_violations(stacks, tol) == {}
+        # srt_povm's stack: the two detector cells and twice an absorption cell.
+        assert _stack_violations(np.concatenate([stacks[:, :2], 2.0 * stacks[:, 2:3]], axis=1), tol) == {}
     for chi in interference_filter_phases[::500]:
         got, want = (sweep_outcome(functools.partial(sweep, tol=tol), FILTER_ABSORBERS, chi)
                      for sweep in (tradeoff_sweep, oracle_tradeoff_sweep))
@@ -1736,3 +1743,80 @@ def test_the_sweep_bound_is_martens_bound_bit_for_bit(interference_filter_phases
     for chi in interference_filter_phases[::10]:
         (point,) = tradeoff_sweep([0.5], chi)
         assert point.bound.hex() == martens_bound(path, interference_pvm(chi)).hex()
+
+
+def test_srt_povm_is_bit_identical_to_the_constructor_route():
+    # The filter route keeps the elements the constructor took, the detector cells and the sum
+    # of the two absorption cells, and raises the constructor's message where the filter cannot vouch.
+    for absorber, phase in itertools.product(FILTER_ABSORBERS, [0.0, 0.1, -2.5, np.pi / 4, 1e6]):
+        m1, m2, absorbed_1, absorbed_2 = srt._bivariate_stack([absorber], srt._interference_projectors(phase)[0])[0]
+        config = SrtConfig(absorber, phase)
+        for tol in (1e-9, 2.0**-52, 1e-300):
+            want = raised(lambda: PovmMeasure([m1, m2, absorbed_1 + absorbed_2], labels=("1", "2", "3"), tol=tol))
+            assert raised(lambda: srt_povm(config, tol)) == want
+            if want is None:
+                got = srt_povm(config, tol)
+                assert_same_bits(got.stack(), np.array([m1, m2, absorbed_1 + absorbed_2]))
+                assert (got.labels, got.index_shape, got.tol) == (("1", "2", "3"), None, tol)
+
+
+# -- (x) derived tolerances of Born tables and reconstructions ----------------------
+
+def edge_multiple(accepts, tol: float) -> float:
+    """The largest ``t`` that ``accepts`` takes, by doubling from ``tol`` and 40 bisections."""
+    low, high = 0.0, tol
+    while accepts(high):
+        low, high = high, 2.0 * high
+    for _ in range(40):
+        middle = (low + high) / 2.0
+        low, high = (middle, high) if accepts(middle) else (low, middle)
+    return low
+
+
+def edge_direction(rng, dim: int, count: int, anti_hermitian: bool) -> np.ndarray:
+    """``count`` random Hermitian matrices, or ``-I`` each, with an optional anti-Hermitian part; max entry 1."""
+    if rng.random() < 0.25:
+        direction = np.broadcast_to(-np.eye(dim, dtype=complex), (count, dim, dim)).copy()
+    else:
+        direction = np.array([random_hermitian(dim, rng) for _ in range(count)])
+    if anti_hermitian and rng.random() < 0.5:
+        direction = direction + 1j * np.array([random_hermitian(dim, rng) for _ in range(count)])
+    return direction / np.abs(direction).max()
+
+
+def test_born_tables_of_edge_inputs_pass_at_the_tol_they_carry():
+    # 1,200 seeded draws: d in 2-4, K in 1-4, a POVM that splits a random basis PVM by random
+    # weights and a pure state, each pushed along a random direction to the largest multiple its
+    # own validator accepts at a tol log-uniform in [1e-12, 1e-6].  Every Born table builds and
+    # passes the table constructor at the tol it carries, d (tol_M + tol_rho).
+    rng = np.random.default_rng(9)
+    for _ in range(1_200):
+        dim, n_outcomes = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        tol_m, tol_rho = 10.0 ** rng.uniform(-12.0, -6.0, 2)
+        basis = random_unitary(dim, rng)
+        projectors = np.einsum("ai,bi->iab", basis, basis.conj())
+        weights = rng.dirichlet(np.ones(n_outcomes), dim).T
+        base = np.einsum("ki,iab->kab", weights, projectors)
+        direction = edge_direction(rng, dim, n_outcomes, anti_hermitian=True)
+        t = edge_multiple(lambda t: _stack_violations(base + t * direction, tol_m) == {}, tol_m)
+        measure = PovmMeasure(base + t * direction, tol=tol_m)
+        pure = random_pure_state(dim, rng).matrix
+        direction = edge_direction(rng, dim, 1, anti_hermitian=False)[0]
+        t = edge_multiple(lambda t: raised(lambda: State(pure + t * direction, tol=tol_rho)) is None, tol_rho)
+        table = born_probabilities(measure, State(pure + t * direction, tol=tol_rho))
+        assert table.tol == dim * (tol_m + tol_rho)
+        ProbabilityTable(table.values, tol=table.tol)
+
+
+def test_tomography_of_perturbed_born_tables_reconstructs():
+    # 1,200 seeded draws: Born tables of pure states on the tetrahedral POVM, each moved by a
+    # zero-sum perturbation whose largest cell is 0.9e-9, so each is valid at 1e-9.  Every one
+    # reconstructs, and the state passes its own constructor at the tol it carries.
+    rng = np.random.default_rng(3)
+    tetra = tetrahedral_qubit_povm()
+    for _ in range(1_200):
+        exact = born_probabilities(tetra, random_pure_state(2, rng)).values
+        shift = rng.normal(size=4)
+        shift -= shift.mean()
+        state = reconstruct_state(tetra, ProbabilityTable(exact + shift * (0.9e-9 / np.abs(shift).max())))
+        State(state.matrix, tol=state.tol)

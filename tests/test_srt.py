@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from povmkit import InternalConsistencyError, ValidationError
+from povmkit import InternalConsistencyError, ValidationError, martens_bound
 from povmkit import srt
 from povmkit.srt import (
     SrtConfig,
@@ -308,7 +308,7 @@ class TestTradeoffSweep:
 class TestInterferenceFilter:
     @staticmethod
     def validations(monkeypatch, chi, tol):
-        """Generic-check calls made by the sweep, ``interference_pvm`` and ``srt_bivariate`` at ``tol``."""
+        """Generic-check calls made by the sweep, ``interference_pvm``, ``srt_bivariate`` and ``srt_povm`` at ``tol``."""
         calls = []
         validate = srt._stack_violations
 
@@ -320,7 +320,8 @@ class TestInterferenceFilter:
         counts = []
         for build in (lambda: tradeoff_sweep(np.linspace(0.0, 1.0, 101), chi, tol=tol),
                       lambda: interference_pvm(chi, tol),
-                      lambda: srt_bivariate(SrtConfig(0.3, chi), tol)):
+                      lambda: srt_bivariate(SrtConfig(0.3, chi), tol),
+                      lambda: srt_povm(SrtConfig(0.3, chi), tol)):
             calls.clear()
             try:
                 build()
@@ -331,22 +332,24 @@ class TestInterferenceFilter:
 
     @pytest.mark.parametrize("chi", PHASES + (-2.3, 1e6))
     def test_closed_form_pvms_and_stacks_take_no_generic_check(self, monkeypatch, chi):
-        assert self.validations(monkeypatch, chi, 1e-9) == [0, 0, 0]
+        assert self.validations(monkeypatch, chi, 1e-9) == [0, 0, 0, 0]
         # The filter's bound is reached exactly: still accepted.
-        assert self.validations(monkeypatch, chi, srt._interference_projectors(chi)[1]) == [0, 0, 0]
+        assert self.validations(monkeypatch, chi, srt._interference_projectors(chi)[1]) == [0, 0, 0, 0]
 
     def test_a_tol_below_the_filter_bound_runs_the_generic_check(self, monkeypatch):
         # At chi = 0 every defect is within 2 units of 2**-53, so at 5 units the filter
         # rejects and the generic check accepts: the sweep checks the PVM and its stack.
-        # At 1e-300 the generic check rejects the PVM, and each builder raises its error.
-        assert self.validations(monkeypatch, 0.0, 5 * 2.0**-53) == [2, 1, 1]
-        assert self.validations(monkeypatch, 0.0, 1e-300) == [1, 1, 1]
+        # At 1e-300 the generic check rejects the PVM, and each builder raises its error but srt_povm.
+        assert self.validations(monkeypatch, 0.0, 5 * 2.0**-53) == [2, 1, 1, 1]
+        assert self.validations(monkeypatch, 0.0, 1e-300) == [1, 1, 1, 1]
         with pytest.raises(ValidationError) as pvm:
             interference_pvm(0.0, 1e-300)
         assert str(pvm.value) == ("elements do not sum to identity (defect 2.220e-16); element 0 is not a "
                                   "projector (defect 1.110e-16); element 1 is not a projector (defect 1.110e-16)")
         with pytest.raises(ValidationError, match=r"^elements do not sum to identity \(defect 1\.110e-16\)$"):
             srt_bivariate(SrtConfig(0.3, 0.0), 1e-300)
+        # srt_povm's total, with 0.3 + 0.7 summed once, is exact: the generic check accepts it.
+        assert srt_povm(SrtConfig(0.3, 0.0), 1e-300).tol == 1e-300
 
     def test_a_generic_route_sweep_gives_the_rows_of_the_filter_route(self, monkeypatch):
         grid = np.linspace(0.0, 1.0, 101)
@@ -356,11 +359,20 @@ class TestInterferenceFilter:
 
     def test_a_sweep_at_two_ulps_reads_the_bound_off_the_diagonal(self):
         # At tol 2**-52 the generic check accepts the interference PVM at phase 0.1, whose
-        # complex trace |-2.22e-16 - 2.97e-18j| is beyond tol, so is_maximal reads it as not
-        # maximal.  The sweep reads the bound off the diagonal and gives the default-tol rows.
+        # traces are 1 - 2.22e-16 - 2.97e-18j.  The sweep reads the bound off the diagonal,
+        # tests no rank, and gives the default-tol rows.
         grid, tol = [0.0, 0.5, 1.0], 2.0**-52
         assert interference_pvm(0.1, tol).tol == tol
         assert tradeoff_sweep(grid, 0.1, tol=tol) == tradeoff_sweep(grid, 0.1)
+
+    def test_martens_bound_at_two_ulps_equals_the_sweep_bound(self):
+        # is_maximal reads the real part of each trace, 1 - 2.22e-16, within tol 2**-52; the
+        # imaginary -2.97e-18 is bounded by the Hermitian check, so the PVM is maximal.
+        tol = 2.0**-52
+        pvm = interference_pvm(0.1, tol)
+        assert pvm.is_maximal()
+        (point,) = tradeoff_sweep([0.5], 0.1, tol=tol)
+        assert martens_bound(path_pvm(tol), pvm) == point.bound
 
     def test_rows_are_tradeoff_points(self):
         (point,) = tradeoff_sweep([0.5])

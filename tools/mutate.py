@@ -119,9 +119,10 @@ ALLOWED = {
     ("measures.py", "not_orthogonal = ~(overlaps <= tol) & finite[..., :, None] & finite[..., None, :]",
      "<=", 0):
         "equality threshold: an overlap exactly at tol",
-    ("measures.py", "return bool(np.abs(np.trace(self._stack, axis1=1, axis2=2) - 1.0).max() <= self.tol)",
-     "<=", 0):
-        "equality threshold: a projector trace exactly tol from 1",
+    ("measures.py", "return u, s, vh, s.size == d * d and bool(s[-1] > measure.tol)", ">", 0):
+        "equality threshold: a frame singular value exactly at tol",
+    ("measures.py", "if residual > bound:", ">", 0):
+        "equality threshold: a reconstruction residual exactly at its derived bound",
     ("tables.py", "if flat.min() >= -tol and flat.max() <= 1.0 + 2.0 * bound and np.abs(flat.sum(1) - 1.0).max() <= bound:",
      ">=", 0):
         "equivalent: a stricter accept pass sends the table to the reject pass, which accepts "
@@ -145,15 +146,6 @@ ALLOWED = {
         "equivalent: sy is +-1, and x / -1 equals x * -1 bit for bit, signed zeros included",
     ("sampling.py", "corr = rng.uniform(low, high) if high > low else low", ">", 0):
         "equality threshold: it differs only at high == low exactly, where uniform(low, low) is low too",
-    ("measures.py", "if residual > RECONSTRUCTION_TOL:",
-     ">", 0):
-        "equality threshold: a reconstruction residual exactly at RECONSTRUCTION_TOL",
-    ("measures.py", "if lowest < -tol:",
-     "<", 0):
-        "equality threshold: a reconstructed eigenvalue exactly at -tol",
-    ("measures.py", "if abs(tr - 1.0) > max(tol, RECONSTRUCTION_TOL):",
-     ">", 0):
-        "equality threshold: a reconstructed trace exactly at its tolerance from 1",
 }
 
 
