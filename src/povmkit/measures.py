@@ -31,7 +31,7 @@ from .errors import (
 )
 from .operators import (DEFAULT_TOL, State, _checked_dim, _checked_labels, _checked_tol, _hermitian_defect,
                         _lowest_eigenvalues, as_operator, is_unitary)
-from .tables import ProbabilityTable, _check_tables, _marginal_tol, _split_axes
+from .tables import ProbabilityTable, _check_tables, _marginal_tol, _reduce_trailing, _split_axes
 
 
 def _coerce_stack(elements) -> np.ndarray:
@@ -86,18 +86,20 @@ def _stack_violations(
     """
     if stack.size == 0:
         return {}
+    cells = (*stack.shape[:-2], -1)  # each element's entries as one trailing axis
     with np.errstate(over="ignore", invalid="ignore"):  # a defect beyond the float range: inf or nan
-        finite = np.isfinite(stack).all(axis=(-2, -1))
+        finite = _reduce_trailing(np.logical_and, np.isfinite(stack).reshape(cells))
         clean = np.where(finite[..., None, None], stack, 0.0)
-        herm, lowest = _hermitian_defect(clean).max(axis=(-2, -1)), _lowest_eigenvalues(clean)
-        completeness = _completeness_defect(stack).max(axis=-1)
+        herm = _reduce_trailing(np.maximum, _hermitian_defect(clean).reshape(cells))
+        lowest = _lowest_eigenvalues(clean)
+        completeness = _reduce_trailing(np.maximum, _completeness_defect(stack))
         not_hermitian = finite & ~(herm <= tol)
         not_positive = finite & ~not_hermitian & ~(lowest >= -tol)
         incomplete = ~(completeness <= tol)
         bad = (~finite | not_hermitian | not_positive).any(axis=-1) | incomplete
         if projective:
             idempotence, overlaps = _projector_defects(clean)
-            idempotence = idempotence.max(axis=(-2, -1))
+            idempotence = _reduce_trailing(np.maximum, idempotence.reshape(cells))
             not_projector = finite & ~(idempotence <= tol)
             not_orthogonal = ~(overlaps <= tol) & finite[..., :, None] & finite[..., None, :]
             bad |= not_projector.any(axis=-1) | not_orthogonal.any(axis=(-2, -1))

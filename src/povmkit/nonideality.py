@@ -27,7 +27,7 @@ from .errors import (
 )
 from .measures import PovmMeasure, PvmMeasure
 from .operators import DEFAULT_TOL, _as_array, _checked_finite, _checked_labels, _checked_tol
-from .tables import _table_violation
+from .tables import _reduce_trailing, _table_violation
 
 #: Residual above which a solved decomposition is flagged as *not* an exact
 #: nonideal-measurement relation; the floor of ``NonidealityMatrix.is_exact``.
@@ -107,7 +107,8 @@ def _solve_stack(observed: np.ndarray, target: np.ndarray, tol: float) -> tuple[
     norms = np.diagonal(gram, axis1=-2, axis2=-1)[..., None, None, :]
     cross = np.real(np.einsum("...niab,...jba->...nij", observed, target))
     zero = norms <= tol
-    matrices = np.where(zero, 1.0 / cross.shape[-2], cross / np.where(zero, 1.0, norms))
+    matrices = (np.where(zero, 1.0 / cross.shape[-2], cross / np.where(zero, 1.0, norms)) if zero.any()
+                else cross / norms)
     return matrices, zero[..., 0, 0, :]
 
 
@@ -168,9 +169,11 @@ def _xlogx(x) -> np.ndarray:
 
 def _row_entropy(matrices: np.ndarray) -> np.ndarray:
     """Average row entropy of each matrix in an ``(..., I, J)`` stack."""
-    clipped = np.clip(matrices, 0.0, None)
-    row_sums = clipped.sum(axis=-1)
-    entropy = _xlogx(row_sums).sum(axis=-1) - _xlogx(clipped).sum(axis=(-2, -1))
+    clipped = np.maximum(matrices, 0.0)
+    terms = _xlogx(clipped)  # numpy adds a matrix's cells in memory order: one trailing axis only in C order
+    cell_sums = (_reduce_trailing(np.add, terms.reshape(*terms.shape[:-2], -1)) if terms.flags.c_contiguous
+                 else terms.sum(axis=(-2, -1)))
+    entropy = _reduce_trailing(np.add, _xlogx(_reduce_trailing(np.add, clipped))) - cell_sums
     return np.maximum(entropy, 0.0) / matrices.shape[-2]
 
 

@@ -54,6 +54,9 @@ _P_MINUS = np.diag([0.0, 1.0]).astype(complex)
 _P_PLUS.setflags(write=False)
 _P_MINUS.setflags(write=False)
 _BIVARIATE_LABELS = (("+", "1"), ("+", "2"), ("-", "1"), ("-", "2"))
+#: The sweep's two targets, the path PVM and a slot for the interference projectors.
+_TARGETS = np.stack([(_P_PLUS, _P_MINUS), np.zeros((2, 2, 2))])
+_TARGETS.setflags(write=False)
 
 
 def _interference_projectors(chi: float) -> tuple[np.ndarray, float]:
@@ -230,12 +233,20 @@ def tradeoff_sweep(
     chi : float
         Interferometer phase, checked even for an empty grid; the entropies are phase-independent.
     """
-    try:
-        values = np.fromiter(grid, dtype=float)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ValidationError(f"grid cannot be read as a float array: {exc}") from None
-    outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
-    if outside.size:
+    if type(grid) is np.ndarray and grid.ndim == 1 and grid.dtype.kind == "f":
+        values = grid.astype(float)  # the floats its entries convert to one by one
+    else:
+        try:
+            # numpy would read a string's characters, the integers of bytes and the real part of complex entries.
+            if isinstance(grid, (str, bytes, bytearray)):
+                raise TypeError(f"a {type(grid).__name__} is not a sequence of numbers")
+            if isinstance(grid, np.ndarray) and grid.dtype.kind == "c":
+                raise TypeError("complex entries")
+            values = np.fromiter(grid, dtype=float)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ValidationError(f"grid cannot be read as a float array: {exc}") from None
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
         raise ValidationError(f"grid value {float(values[outside[0]])!r} outside [0, 1]")
     chi, tol = _checked_finite(chi, "phase"), _checked_tol(tol)
     projectors, rounding = _interference_projectors(chi)
@@ -254,9 +265,12 @@ def tradeoff_sweep(
 
     # Problem 0 is the path marginal and problem 1 the interference marginal, so with the
     # columns as tables in (problem, point, column) order every path column comes first.
-    marginals = np.stack([cells[:, :, 0] + cells[:, :, 1], cells[:, 0] + cells[:, 1]])
+    marginals = np.empty((2, values.size, 2, 2, 2), dtype=complex)
+    np.add(cells[:, :, 0], cells[:, :, 1], out=marginals[0])
+    np.add(cells[:, 0], cells[:, 1], out=marginals[1])
     marginal_tol = _marginal_tol(tol, (2, 2), (1,))
-    targets = np.stack([(_P_PLUS, _P_MINUS), projectors])
+    targets = _TARGETS.copy()
+    targets[1] = projectors
     matrices, _ = _solve_stack(marginals, targets, marginal_tol)
     failure = _table_violation(matrices.swapaxes(-1, -2).reshape(-1, 2), marginal_tol)
     if failure is not None:
@@ -266,9 +280,8 @@ def tradeoff_sweep(
     j_lambda, j_mu = _row_entropy(matrices)
     slack = j_lambda + j_mu - bound
 
-    violated = np.flatnonzero(~(slack >= -marginal_tol))
-    if violated.size:
-        n = violated[0]
+    if not (held := slack >= -marginal_tol).all():
+        n = np.flatnonzero(~held)[0]
         raise InternalConsistencyError(
             f"joint-measurement bound violated (slack {slack[n]:.3e}) "
             f"at absorber={float(values[n])!r}; "
@@ -276,9 +289,8 @@ def tradeoff_sweep(
         )
     drift = np.maximum(np.abs(j_lambda - _path_entropy(values)), np.abs(j_mu - _interference_entropy(values)))
     logs = np.abs(np.log(np.where(matrices > 0.0, matrices, 1.0))).transpose(0, 2, 3, 1).reshape(8, -1).max(axis=0)
-    drifted = np.flatnonzero(~(drift <= 4 * 2.0**-52 * (1.0 + logs)))
-    if drifted.size:
-        n = drifted[0]
+    if not (held := drift <= 4 * 2.0**-52 * (1.0 + logs)).all():
+        n = np.flatnonzero(~held)[0]
         raise InternalConsistencyError(
             f"solver pipeline drifted {drift[n]:.3e} from the closed-form entropies "
             f"at absorber={float(values[n])!r}"

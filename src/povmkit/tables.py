@@ -33,6 +33,23 @@ def _marginal_tol(tol: float, shape, drop) -> float:
     return tol * math.prod(shape[ax] for ax in drop)
 
 
+def _reduce_trailing(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1)`` in numpy's own bits, for ``np.add``, ``np.maximum`` or ``np.logical_and``.
+
+    numpy reduces a short trailing axis one row at a time.  Up to 7 entries it sums ``((0.0 + x0) + x1) + ...``
+    (a row of ``-0.0`` sums to ``+0.0``; from 8 entries it adds pairwise) and takes maxima and ``all`` in the
+    same order, so slice arithmetic over all rows at once gives its bits.  A longer or empty axis goes to numpy,
+    and so do fewer than 64 rows, which numpy's per-row loop reduces faster than the slice calls.
+    """
+    n = x.shape[-1]
+    if not 0 < n <= 7 or x.size < 64 * n:
+        return ufunc.reduce(x, axis=-1)
+    out = 0.0 + x[..., 0] if ufunc is np.add else x[..., 0]
+    for k in range(1, n):
+        out = ufunc(out, x[..., k])
+    return out
+
+
 def _table_violation(stack: np.ndarray, tol: float) -> tuple[int, str] | None:
     """The index and reason of the first invalid table of an ``(N, ...)`` stack, or None.
 
@@ -45,7 +62,8 @@ def _table_violation(stack: np.ndarray, tol: float) -> tuple[int, str] | None:
     """
     bound = max(tol, tol * stack[0].size)
     flat = stack.reshape(len(stack), -1)
-    if flat.min() >= -tol and flat.max() <= 1.0 + 2.0 * bound and np.abs(flat.sum(1) - 1.0).max() <= bound:
+    if (flat.min() >= -tol and flat.max() <= 1.0 + 2.0 * bound
+            and np.abs(_reduce_trailing(np.add, flat) - 1.0).max() <= bound):
         return None
     for n, table in enumerate(stack):
         if not np.isfinite(table).all():

@@ -37,11 +37,7 @@ from povmkit.feasibility import (
     PIVOT_TOL,
 )
 from povmkit.measures import _stack_violations
-from povmkit.nonideality import (
-    _row_entropy,
-    _solve_stack,
-    martens_bound,
-)
+from povmkit.nonideality import martens_bound
 from povmkit.operators import DEFAULT_TOL, _checked_finite, as_operator, tensor
 
 TSIRELSON_ANGLES = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
@@ -359,6 +355,39 @@ def oracle_solve_stack(observed, target, tol):
     return candidates
 
 
+def oracle_trace_form_stack(observed, target, tol):
+    """A frozen copy of ``povmkit.nonideality._solve_stack`` before its exit for targets with
+    no zero element: both ``np.where`` calls run on every stack."""
+    gram = np.real(np.einsum("...jab,...kba->...jk", target, target))
+    norms = np.diagonal(gram, axis1=-2, axis2=-1)[..., None, None, :]
+    cross = np.real(np.einsum("...niab,...jba->...nij", observed, target))
+    zero = norms <= tol
+    matrices = np.where(zero, 1.0 / cross.shape[-2], cross / np.where(zero, 1.0, norms))
+    return matrices, zero[..., 0, 0, :]
+
+
+def _oracle_xlogx(x):
+    x = np.asarray(x, dtype=float)
+    return x * np.log(x + (x == 0))
+
+
+def oracle_row_entropy(matrices):
+    """A frozen copy of ``povmkit.nonideality._row_entropy`` before its sums went through
+    ``tables._reduce_trailing``: numpy's own reductions, and ``np.clip``."""
+    clipped = np.clip(matrices, 0.0, None)
+    row_sums = clipped.sum(axis=-1)
+    entropy = _oracle_xlogx(row_sums).sum(axis=-1) - _oracle_xlogx(clipped).sum(axis=(-2, -1))
+    return np.maximum(entropy, 0.0) / matrices.shape[-2]
+
+
+def oracle_table_accept_pass(stack, tol):
+    """A frozen copy of the accept pass of ``povmkit.tables._table_violation`` before its
+    per-table totals went through ``_reduce_trailing``: True when it accepts the whole stack."""
+    bound = max(tol, tol * stack[0].size)
+    flat = stack.reshape(len(stack), -1)
+    return bool(flat.min() >= -tol and flat.max() <= 1.0 + 2.0 * bound and np.abs(flat.sum(1) - 1.0).max() <= bound)
+
+
 def oracle_stochastic_violation(matrices, tol):
     """Per-matrix stochasticity check with no whole-stack accept pass.
 
@@ -593,7 +622,8 @@ def oracle_tradeoff_sweep(grid, chi=0.0, *, tol=DEFAULT_TOL):
     ``sum`` over a length-2 axis and the rows one constructor call each.  The
     library's sweep must return equal rows and raise the same errors; the phase
     goes through the library's finite-real rule, as ``interference_pvm`` takes it,
-    and each nonideality matrix column through the frozen table constructor.
+    each nonideality matrix column through the frozen table constructor, and the
+    trace-form solve and the row entropies through their frozen copies above.
     """
     values = np.fromiter(grid, dtype=float)
     outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
@@ -616,7 +646,7 @@ def oracle_tradeoff_sweep(grid, chi=0.0, *, tol=DEFAULT_TOL):
 
     marginals = np.stack([cells.sum(axis=2), cells.sum(axis=1)])
     targets = np.stack([path.stack(), target_interference.stack()])
-    matrices, _ = _solve_stack(marginals, targets, tol)
+    matrices, _ = oracle_trace_form_stack(marginals, targets, tol)
     for k, column in enumerate(matrices.swapaxes(-1, -2).reshape(-1, 2)):
         try:
             oracle_table_check(column, tol)
@@ -624,7 +654,7 @@ def oracle_tradeoff_sweep(grid, chi=0.0, *, tol=DEFAULT_TOL):
             reason = str(exc).removeprefix("probability table ")
             raise ValidationError(f"absorber={float(values[k // 2 % values.size])!r}: "
                                   f"nonideality matrix column {k % 2} {reason}") from None
-    j_lambda, j_mu = _row_entropy(matrices)
+    j_lambda, j_mu = oracle_row_entropy(matrices)
     slack = j_lambda + j_mu - bound
 
     violated = np.flatnonzero(~(slack >= -tol))

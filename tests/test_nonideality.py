@@ -129,13 +129,19 @@ class TestSolver:
     def test_dependent_targets_flagged_non_unique(self):
         # A zero element of a PVM target is linearly dependent on the others and
         # constrains nothing: its column is exactly 1 / I, the other columns keep
-        # the trace form, and the exact decomposition is flagged not unique.
-        observed = PovmMeasure([np.diag([0.5, 0.0]), np.diag([0.5, 0.0]), np.diag([0.0, 1.0])])
-        target = PvmMeasure([np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([0.0, 1.0])])
-        result = solve_nonideality(observed, target)
-        assert not result.unique
-        assert result.residual == 0.0
-        assert result.matrix.tolist() == [[0.5, 1 / 3, 0.0], [0.5, 1 / 3, 0.0], [0.0, 1 / 3, 1.0]]
+        # the trace form, and the decomposition is flagged not unique.  In the
+        # second case a rank-2 element, Tr(P P) = 2, sits next to the zero one.
+        cases = [
+            ([np.diag([0.5, 0.0]), np.diag([0.5, 0.0]), np.diag([0.0, 1.0])],
+             [np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([0.0, 1.0])], 0.0),
+            ([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])],
+             [np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3)), np.diag([0.0, 0.0, 1.0])], 1.0),
+        ]
+        for observed, target, residual in cases:
+            result = solve_nonideality(PovmMeasure(observed), PvmMeasure(target))
+            assert not result.unique
+            assert result.residual == residual
+            assert result.matrix.tolist() == [[0.5, 1 / 3, 0.0], [0.5, 1 / 3, 0.0], [0.0, 1 / 3, 1.0]]
 
     def test_pvm_with_a_zero_element_keeps_the_pseudo_inverse(self):
         # A zero projector has a zero Gram diagonal entry: the minimum-norm

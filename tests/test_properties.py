@@ -58,6 +58,7 @@ from povmkit.aspect import _ANGLE_NAMES, ANALYZER_ROUNDING, CHSH_SIGN_PATTERNS, 
 from povmkit.cli import main
 from povmkit.feasibility import _KEEP, _REDUCED, BOUNDARY_TOL, phase1_simplex
 from povmkit.measures import _lowest_eigenvalues, _stack_violations
+from povmkit.nonideality import _row_entropy
 from povmkit.sampling import (
     mix_marginals,
     pr_box_marginals,
@@ -68,7 +69,7 @@ from povmkit.sampling import (
     random_unitary,
 )
 from povmkit.srt import INTERFERENCE_ROUNDING
-from povmkit.tables import _check_tables
+from povmkit.tables import _check_tables, _reduce_trailing, _table_violation
 
 from helpers import (
     NEGATIVE_CELL_BOX,
@@ -84,6 +85,7 @@ from helpers import (
     oracle_polarization_stack,
     oracle_quadrivariate_povm,
     oracle_no_signaling,
+    oracle_row_entropy,
     oracle_phase1_simplex,
     oracle_setting_pair_tables,
     oracle_solve_stack,
@@ -91,6 +93,7 @@ from helpers import (
     oracle_standard_composite,
     oracle_state_check,
     oracle_stochastic_violation,
+    oracle_table_accept_pass,
     oracle_table_check,
     oracle_tradeoff_sweep,
 )
@@ -1820,3 +1823,100 @@ def test_tomography_of_perturbed_born_tables_reconstructs():
         shift -= shift.mean()
         state = reconstruct_state(tetra, ProbabilityTable(exact + shift * (0.9e-9 / np.abs(shift).max())))
         State(state.matrix, tol=state.tol)
+
+
+# -- (y) the short-axis reductions against numpy's own and the frozen kernels ------
+
+#: Entries where a reduction's bits can differ: signed zeros, subnormals, 1 +- ulp, entries
+#: whose sums overflow, infinities and NaN.
+REDUCE_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53,
+                -1.0, 1e-300, 1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
+def reduction_outcome(reduce):
+    """The dtype, shape and bytes of ``reduce()``, or its error type and message."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = np.asarray(reduce())
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return result.dtype, result.shape, result.tobytes()
+
+
+def edge_array(seed, shape, edge_share, layout):
+    """Random entries of mixed scale, a share of them ``REDUCE_EDGES``, in C or Fortran order or as a strided view."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    x = np.where(rng.random(shape) < edge_share, rng.choice(REDUCE_EDGES, size=shape), x)
+    if layout == "F":
+        return np.asfortranarray(x)
+    return np.repeat(x, 2, axis=0)[::2] if layout == "strided" else x
+
+
+#: Row axes on both sides of the helper's 64-row switch.
+ROW_SIZES = (1, 2, 3, 4, 63, 64, 101)
+
+
+@settings(max_examples=1_200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=0, max_value=9),
+       rows=st.lists(st.sampled_from(ROW_SIZES), max_size=2),
+       edge_share=st.sampled_from([0.0, 0.3, 1.0]), layout=st.sampled_from(["C", "F", "strided"]))
+def test_short_axis_reductions_have_numpys_bits(seed, n, rows, edge_share, layout):
+    # From 64 rows of up to 7 entries the helper's slice arithmetic must give the bits of numpy's
+    # own reduction, sign bit and NaN included; fewer rows and a longer or empty axis go to numpy
+    # (the maximum of an empty axis raises numpy's error).
+    x = edge_array(seed, (*rows, n), edge_share, layout)
+    for ufunc, data, method in ((np.add, x, "sum"), (np.maximum, x, "max"),
+                                (np.logical_and, np.isfinite(x), "all")):
+        assert (reduction_outcome(lambda: _reduce_trailing(ufunc, data))
+                == reduction_outcome(lambda: getattr(data, method)(axis=-1)))
+
+
+@settings(max_examples=1_000, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), stack=st.lists(st.sampled_from(ROW_SIZES), max_size=2),
+       matrix=st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)),
+       zero_share=st.sampled_from([0.0, 0.3, 1.0]), layout=st.sampled_from(["C", "F", "strided"]))
+def test_row_entropies_equal_the_frozen_kernel_bit_for_bit(seed, stack, matrix, zero_share, layout):
+    # Nonnegative entries of every scale, with zeros of either sign, subnormals, 1 +- ulp and
+    # entries a few tol below 0 that the entropy clips; Fortran order is what a transposed
+    # matrix passed to nonideality_entropy gives.
+    rng = np.random.default_rng(seed)
+    shape = (*stack, *matrix)
+    m = np.abs(rng.normal(size=shape)) * 10.0 ** rng.integers(-8, 2, size=shape)
+    edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, -1e-9]
+    m = np.where(rng.random(shape) < zero_share, rng.choice(edges, size=shape), m)
+    m = np.asfortranarray(m) if layout == "F" else np.repeat(m, 2, axis=-1)[..., ::2] if layout == "strided" else m
+    assert np.asarray(_row_entropy(m)).tobytes() == np.asarray(oracle_row_entropy(m)).tobytes()
+
+
+def near_total_tables(seed, n_tables, size, offsets, layout):
+    """``n_tables`` tables of ``size`` entries whose totals sit ``offset`` bounds (plus a few ulps) from 1,
+    some with an entry near ``-TOL``."""
+    rng = np.random.default_rng(seed)
+    bound = max(TOL, TOL * size)
+    stack = rng.dirichlet(np.ones(size), n_tables)
+    for table, offset in zip(stack, itertools.cycle(offsets)):
+        k = int(rng.integers(size))
+        table[k] += offset * bound + int(rng.integers(-3, 4)) * 2.0**-52
+        if size > 1 and rng.random() < 0.3:
+            table[(k + 1) % size] += table[k - 1] + float(rng.choice([0.9, 1.0, 1.1])) * TOL
+            table[k - 1] = -float(rng.choice([0.9, 1.0, 1.1])) * TOL
+    return np.asfortranarray(stack) if layout == "F" else stack
+
+
+@settings(max_examples=1_000, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n_tables=st.sampled_from([1, 2, 5, 63, 64, 404]),
+       size=st.integers(min_value=1, max_value=9),
+       offsets=st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5]), min_size=1, max_size=3),
+       layout=st.sampled_from(["C", "F"]))
+def test_table_accept_pass_decides_as_its_frozen_copy(seed, n_tables, size, offsets, layout):
+    # Totals at, next to and beyond the bound, in the (N, 2) column layout of the sweep's
+    # nonideality matrices and in longer rows: the whole-stack pass accepts exactly the
+    # stacks its frozen copy accepted.
+    stack = near_total_tables(seed, n_tables, size, offsets, layout)
+    try:
+        _table_violation(stack.view(_NoTableLoop), TOL)
+        accepted = True
+    except LookupError:
+        accepted = False
+    assert accepted == oracle_table_accept_pass(stack, TOL)

@@ -174,8 +174,34 @@ class TestTradeoffSweep:
         for bad in (np.nan, -0.1, np.inf):
             with pytest.raises(ValidationError, match="outside"):
                 tradeoff_sweep([0.5, bad])
+        # Both endpoints lie inside [0, 1]: the error names the first value outside it.
+        for grid, bad in (([0.0, 1.0, 1.5], "1.5"), ([1.0, 0.0, -0.5], "-0.5")):
+            with pytest.raises(ValidationError, match=rf"^grid value {bad} outside \[0, 1\]$"):
+                tradeoff_sweep(grid)
         with pytest.raises(ValidationError, match="^grid cannot be read as a float array: "):
             tradeoff_sweep(["a"])
+
+    @pytest.mark.parametrize(("grid", "reason"), [
+        ("01", "a str is not a sequence of numbers"),
+        (b"\x00\x01", "a bytes is not a sequence of numbers"),
+        (bytearray(b"\x00"), "a bytearray is not a sequence of numbers"),
+        (np.array([0.5 + 1j]), "complex entries"),
+        (np.array([0.5 + 0j]), "complex entries"),
+    ])
+    def test_strings_bytes_and_complex_arrays_are_not_grids(self, grid, reason):
+        # numpy reads a string's characters and the integers of bytes as absorbers, and a complex
+        # array's real part with a ComplexWarning (an error under tier-1's warning filter).
+        with pytest.raises(ValidationError, match=rf"^grid cannot be read as a float array: {reason}$"):
+            tradeoff_sweep(grid, 0.3)
+
+    def test_a_float_array_grid_gives_the_rows_of_its_entries(self):
+        # A plain 1-D float array converts as a whole; a 2-D one is read row by row and fails.
+        grid = np.array([0.0, 1e-300, 0.3, 1.0 - 2.0**-53, 1.0], dtype=np.float64)
+        for array in (grid, grid.astype(np.float32), grid[::-1]):
+            want = [tuple(map(float.hex, row)) for row in tradeoff_sweep(list(array), 0.3)]
+            assert [tuple(map(float.hex, row)) for row in tradeoff_sweep(array, 0.3)] == want
+        with pytest.raises(ValidationError, match="^grid cannot be read as a float array: "):
+            tradeoff_sweep(grid.reshape(1, -1), 0.3)
 
     def test_non_finite_phase_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
