@@ -153,10 +153,11 @@ def _cmd_measure(args) -> int:
     data = serialize.load_json(args.file)
     try:
         elements = serialize._elements_from_dict(data)
+        tol = serialize._loaded_tol(data, args.tol)
     except PovmkitError as exc:
         print(f"unreadable measure file: {exc}", file=sys.stderr)
         return 1
-    violations = povm_violations(elements, tol=args.tol)
+    violations = povm_violations(elements, tol=tol)
     _emit(args, {"valid": not violations, "violations": violations})
     return 1 if violations else EX_OK
 
@@ -249,8 +250,8 @@ def _cmd_aspect(args) -> int:
     marginals = MarginalSet.from_quadrivariate(joint)
     if args.emit == "marginals":
         record = serialize.marginals_to_dict(marginals)
-        rows = ((key, i, j, p) for key, table in record.items()
-                for i, row in enumerate(table) for j, p in enumerate(row))
+        rows = ((key, i, j, p) for key in serialize._MARGINAL_KEYS
+                for i, row in enumerate(record[key]) for j, p in enumerate(row))
         _emit(args, record, "table,row,col,p", rows)
         return EX_OK
 

@@ -35,13 +35,13 @@ from .tables import ProbabilityTable, _check_tables, _marginal_tol, _reduce_trai
 
 
 def _coerce_stack(elements) -> np.ndarray:
-    """Coerce a sequence of square matrices of one dimension to a (K, d, d) stack.
+    """Coerce a sequence of square matrices of one dimension to a C-ordered (K, d, d) stack.
 
     One whole-input conversion accepts a non-empty square stack; any other
     input goes element by element, so each error names its element.
     """
     try:
-        stack = np.array(elements, dtype=complex)
+        stack = np.array(elements, dtype=complex, order="C")
     except (OverflowError, TypeError, ValueError):
         stack = np.empty(0)
     if stack.ndim == 3 and stack.size and stack.shape[1] == stack.shape[2]:

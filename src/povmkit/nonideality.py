@@ -94,22 +94,22 @@ def apply_nonideality(target: PovmMeasure, matrix, *, tol: float = DEFAULT_TOL) 
 
 
 def _solve_stack(observed: np.ndarray, target: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Trace-form nonideality matrices of ``(..., N, I, d, d)`` stacks of observed measures.
+    """Trace-form nonideality matrices of ``(..., I, d, d, N)`` stacks of observed measures.
 
-    Each leading index ``...`` is one problem: its N observed measures share
-    one ``(..., J, d, d)`` PVM target.  Entry ``(i, j)`` is ``Tr(M_i P_j) / G_jj``,
+    Each leading index ``...`` is one problem: its N observed measures, on the last axis so each
+    step runs over all N, share one ``(..., J, d, d)`` PVM target.  Entry ``(i, j)`` is ``Tr(M_i P_j) / G_jj``,
     with ``G_jj`` read from the diagonal of the full target Gram matrix; a
     diagonal-only ``einsum`` or ``Tr(P_j)`` rounds differently.  An element with ``G_jj <= tol`` is a zero projector; its column is the
-    uniform ``1 / I``.  Returns the ``(..., N, I, J)`` matrices and the
+    uniform ``1 / I``.  Returns the ``(..., I, J, N)`` matrices and the
     ``(..., J)`` mask of zero elements.
     """
     gram = np.real(np.einsum("...jab,...kba->...jk", target, target))
-    norms = np.diagonal(gram, axis1=-2, axis2=-1)[..., None, None, :]
-    cross = np.real(np.einsum("...niab,...jba->...nij", observed, target))
+    norms = np.diagonal(gram, axis1=-2, axis2=-1)[..., None, :, None]
+    cross = np.real(np.einsum("...iabn,...jba->...ijn", observed, target))
     zero = norms <= tol
-    matrices = (np.where(zero, 1.0 / cross.shape[-2], cross / np.where(zero, 1.0, norms)) if zero.any()
+    matrices = (np.where(zero, 1.0 / cross.shape[-3], cross / np.where(zero, 1.0, norms)) if zero.any()
                 else cross / norms)
-    return matrices, zero[..., 0, 0, :]
+    return matrices, zero[..., 0, :, 0]
 
 
 def solve_nonideality(observed: PovmMeasure, target: PvmMeasure) -> NonidealityMatrix:
@@ -149,7 +149,8 @@ def solve_nonideality(observed: PovmMeasure, target: PvmMeasure) -> NonidealityM
         )
     tol = max(observed.tol, target.tol)
     targets = target.stack()
-    (matrix,), zero = _solve_stack(observed.stack()[None], targets, tol)
+    matrices, zero = _solve_stack(observed.stack()[..., None], targets, tol)
+    matrix = matrices[..., 0]
     misfit = observed.stack() - np.einsum("ij,jab->iab", matrix, targets)
     return NonidealityMatrix(
         matrix,
@@ -167,14 +168,16 @@ def _xlogx(x) -> np.ndarray:
     return x * np.log(x + (x == 0))
 
 
-def _row_entropy(matrices: np.ndarray) -> np.ndarray:
-    """Average row entropy of each matrix in an ``(..., I, J)`` stack."""
+def _row_entropy(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average row entropy of each matrix in an ``(..., I, J, N)`` stack, and ``ln x`` of its entries
+    ``x`` clipped at 0 (0 at the zeros).  Each sum adds whole rows of N in a C-ordered matrix's cell order,
+    with the bits numpy gives one such matrix (``_reduce_trailing``)."""
     clipped = np.maximum(matrices, 0.0)
-    terms = _xlogx(clipped)  # numpy adds a matrix's cells in memory order: one trailing axis only in C order
-    cell_sums = (_reduce_trailing(np.add, terms.reshape(*terms.shape[:-2], -1)) if terms.flags.c_contiguous
-                 else terms.sum(axis=(-2, -1)))
-    entropy = _reduce_trailing(np.add, _xlogx(_reduce_trailing(np.add, clipped))) - cell_sums
-    return np.maximum(entropy, 0.0) / matrices.shape[-2]
+    logs = np.log(clipped + (clipped == 0))
+    cells = (clipped * logs).reshape(*matrices.shape[:-3], -1, matrices.shape[-1])
+    rows = _xlogx(_reduce_trailing(np.add, clipped.swapaxes(-1, -2)))
+    entropy = _reduce_trailing(np.add, rows.swapaxes(-1, -2)) - _reduce_trailing(np.add, cells.swapaxes(-1, -2))
+    return np.maximum(entropy, 0.0) / matrices.shape[-3], logs
 
 
 def nonideality_entropy(lam) -> float:
@@ -190,7 +193,7 @@ def nonideality_entropy(lam) -> float:
         raise ValidationError("nonideality entropy requires a non-empty 2-D matrix")
     if not np.isfinite(matrix).all():
         raise ValidationError("nonideality entropy requires finite entries")
-    return float(_row_entropy(matrix))
+    return float(_row_entropy(matrix[..., None])[0][0])
 
 
 def _require_maximal_pvm(measure: PovmMeasure, name: str) -> None:

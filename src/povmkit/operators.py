@@ -79,14 +79,15 @@ def _checked_dim(value, name: str) -> int:
 
 
 def _as_array(values, dtype, what: str) -> np.ndarray:
-    """A fresh ``dtype`` array of ``values``; input numpy cannot convert raises ValidationError.
+    """A fresh C-ordered ``dtype`` array of ``values``; input numpy cannot convert raises ValidationError.
 
-    Complex input to a real ``dtype`` raises too, rather than losing its imaginary part.
+    Complex input to a real ``dtype`` raises too, rather than losing its imaginary part.  numpy
+    reduces in memory order, so one layout for every input makes each result depend on the values alone.
     """
     try:
         if dtype is not complex and np.iscomplexobj(values):
             raise TypeError("complex entries")
-        return np.array(values, dtype=dtype)
+        return np.array(values, dtype=dtype, order="C")
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"{what} cannot be read as a {dtype.__name__} array: {exc}") from None
 

@@ -1,19 +1,22 @@
 """JSON encodings shared by the library, the CLI and on-disk artifacts.
 
 The readers check only the layout (an object, a list) and leave every value rule to
-the constructor they call.
+the constructor they call.  A measure, state, table or marginal set is written with the
+``"tol"`` it carries, and read back at the larger of that ``tol`` and the reader's ``tol``
+argument, so a file the library wrote always loads; a file without ``"tol"`` is read at the
+argument alone.
 
 Formats
 -------
 Matrix:    ``{"dim": n, "entries": [[re, im], ...]}`` with ``n**2`` row-major
            entry pairs.  Doubles round-trip bit-exactly through ``json``.
 Measure:   ``{"labels": [...], "index_shape": [...] | null,
-           "elements": [Matrix, ...]}``.
-State:     a Matrix holding the density operator.
-Table:     ``{"shape": [...], "values": [...], "axis_labels": [...] | null}``
+           "elements": [Matrix, ...], "tol": t}``.
+State:     a Matrix holding the density operator, and ``"tol"``.
+Table:     ``{"shape": [...], "values": [...], "axis_labels": [...] | null, "tol": t}``
            with values flat in row-major order.
-Marginals: ``{"AB": [[..], [..]], "ABp": ..., "ApB": ..., "ApBp": ...}`` with
-           nested 2x2 probability lists per setting pair.
+Marginals: ``{"AB": [[..], [..]], "ABp": ..., "ApB": ..., "ApBp": ..., "tol": t}``
+           with nested 2x2 probability lists per setting pair.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .feasibility import MarginalSet, _pair_table
 from .measures import PovmMeasure, PvmMeasure
-from .operators import DEFAULT_TOL, State, _checked_dim, as_operator
+from .operators import DEFAULT_TOL, State, _checked_dim, _checked_tol, as_operator
 from .tables import ProbabilityTable
 
 _MARGINAL_KEYS = ("AB", "ABp", "ApB", "ApBp")
@@ -36,6 +39,11 @@ def matrix_to_dict(matrix) -> dict:
     arr = as_operator(matrix)
     entries = [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
     return {"dim": arr.shape[0], "entries": entries}
+
+
+def _loaded_tol(data: dict, tol) -> float:
+    """The argument ``tol``, or the larger of it and the file's ``"tol"``, both checked, when the file has one."""
+    return max(_checked_tol(data["tol"]), _checked_tol(tol)) if "tol" in data else tol
 
 
 def _require_object(data, what: str) -> dict:
@@ -73,6 +81,7 @@ def measure_to_dict(measure: PovmMeasure) -> dict:
         "labels": [_label_to_json(label) for label in measure.labels],
         "index_shape": None if measure.index_shape is None else list(measure.index_shape),
         "elements": [matrix_to_dict(e) for e in measure.elements],
+        "tol": measure.tol,
     }
 
 
@@ -93,15 +102,15 @@ def measure_from_dict(data: dict, *, pvm: bool = False, tol: float = DEFAULT_TOL
     if labels is not None:
         labels = [_label_from_json(label) for label in labels]
     cls = PvmMeasure if pvm else PovmMeasure
-    return cls(elements, labels=labels, index_shape=index_shape, tol=tol)
+    return cls(elements, labels=labels, index_shape=index_shape, tol=_loaded_tol(data, tol))
 
 
 def state_to_dict(state: State) -> dict:
-    return matrix_to_dict(state.matrix)
+    return {**matrix_to_dict(state.matrix), "tol": state.tol}
 
 
 def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> State:
-    return State(matrix_from_dict(_require_object(data, "a state")), tol=tol)
+    return State(matrix_from_dict(_require_object(data, "a state")), tol=_loaded_tol(data, tol))
 
 
 def table_to_dict(table: ProbabilityTable) -> dict:
@@ -112,6 +121,7 @@ def table_to_dict(table: ProbabilityTable) -> dict:
         "shape": list(table.shape),
         "values": [float(v) for v in table.values.reshape(-1)],
         "axis_labels": labels,
+        "tol": table.tol,
     }
 
 
@@ -127,17 +137,18 @@ def table_from_dict(data: dict, tol: float = DEFAULT_TOL) -> ProbabilityTable:
     labels = data.get("axis_labels")
     if isinstance(labels, list) and all(isinstance(axis, list) for axis in labels):
         labels = tuple(tuple(_label_from_json(x) for x in axis) for axis in labels)
-    return ProbabilityTable(values, axis_labels=labels, tol=tol)
+    return ProbabilityTable(values, axis_labels=labels, tol=_loaded_tol(data, tol))
 
 
 def marginals_to_dict(marginals: MarginalSet) -> dict:
-    return dict(zip(_MARGINAL_KEYS, marginals.values.tolist()))
+    return dict(zip(_MARGINAL_KEYS, marginals.values.tolist()), tol=marginals.tol)
 
 
 def marginals_from_dict(data: dict, tol: float = DEFAULT_TOL) -> MarginalSet:
     missing = [key for key in _MARGINAL_KEYS if key not in _require_object(data, "marginals")]
     if missing:
         raise ValidationError(f"marginals object is missing tables {missing}")
+    tol = _loaded_tol(data, tol)
     tables = []
     for key in _MARGINAL_KEYS:
         try:

@@ -108,21 +108,22 @@ def interference_pvm(chi: float = 0.0, tol: float = DEFAULT_TOL) -> PvmMeasure:
 
 
 def _bivariate_stack(absorbers, projectors: np.ndarray) -> np.ndarray:
-    """Unvalidated ``(N, 4, 2, 2)`` bivariate elements for N transmissivities.
+    """Unvalidated ``(4, 2, 2, N)`` bivariate elements for N transmissivities, the grid on the last axis.
 
-    ``projectors`` is the ``(2, 2, 2)`` interference stack ``(Q1, Q2)``.
+    ``projectors`` is the interference stack ``(Q1, Q2)`` with a trailing axis that broadcasts
+    against the grid: ``(2, 2, 2, 1)``, or ``(2, 2, 2, N)`` with one pair per transmissivity.
     Cells in ``_BIVARIATE_LABELS`` order: the two detector elements
     ``0.5 (P+ + a P- +- sqrt(a) (Q1 - Q2))`` and the absorption element
     ``(1 - a) P-`` split evenly over the ``'-'`` row.
     """
-    a = np.asarray(absorbers, dtype=float)[:, None, None]
-    common = _P_PLUS + a * _P_MINUS
+    a = np.asarray(absorbers, dtype=float)
+    common = _P_PLUS[..., None] + a * _P_MINUS[..., None]
     shift = np.sqrt(a) * (projectors[0] - projectors[1])
-    cells = np.empty((a.shape[0], 4, 2, 2), dtype=complex)
-    np.multiply(0.5, common + shift, out=cells[:, 0])
-    np.multiply(0.5, common - shift, out=cells[:, 1])
-    np.multiply(0.5, (1.0 - a) * _P_MINUS, out=cells[:, 2])
-    cells[:, 3] = cells[:, 2]
+    cells = np.empty((4, 2, 2, a.shape[0]), dtype=complex)
+    np.multiply(0.5, common + shift, out=cells[0])
+    np.multiply(0.5, common - shift, out=cells[1])
+    np.multiply(0.5, (1.0 - a) * _P_MINUS[..., None], out=cells[2])
+    cells[3] = cells[2]
     return cells
 
 
@@ -136,7 +137,7 @@ def srt_povm(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
     the filter of ``srt_bivariate`` checks them.
     """
     projectors, rounding = _interference_projectors(config.phase)
-    cells = _bivariate_stack([config.absorber], projectors)[0]
+    cells = _bivariate_stack([config.absorber], projectors[..., None])[..., 0]
     elements = np.stack([cells[0], cells[1], 2.0 * cells[2]])
     return _filtered(PovmMeasure, elements, rounding, _checked_tol(tol), ("1", "2", "3"))
 
@@ -150,7 +151,7 @@ def srt_bivariate(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
     interference observable and the ``m``-marginal a smeared path observable.
     """
     projectors, rounding = _interference_projectors(config.phase)
-    cells = _bivariate_stack([config.absorber], projectors)[0]
+    cells = _bivariate_stack([config.absorber], projectors[..., None])[..., 0]
     return _filtered(PovmMeasure, cells, rounding, _checked_tol(tol), _BIVARIATE_LABELS, (2, 2))
 
 
@@ -211,7 +212,8 @@ def tradeoff_sweep(
     The whole grid goes through the generic pipeline at once: the stacked
     bivariate arrangements, checked as one stack, their two marginals as index sums,
     one batched decomposition solve of both marginals against their target
-    PVMs, and the row entropies.  Every point is checked as the single-point
+    PVMs, and the row entropies.  Each stacked array holds the grid on its last axis,
+    so every step of a kernel runs one loop over all the points.  Every point is checked as the single-point
     chain ``srt_bivariate -> marginal -> solve_nonideality -> check_martens``
     would check it: the interference PVM and the arrangement at ``tol``, by the closed-form filter
     of ``_interference_projectors`` with the generic check behind it, and the Martens bound read off
@@ -237,12 +239,15 @@ def tradeoff_sweep(
         values = grid.astype(float)  # the floats its entries convert to one by one
     else:
         try:
-            # numpy would read a string's characters, the integers of bytes and the real part of complex entries.
+            # numpy would read a string's characters, the integers of bytes and the real part of numpy complex entries.
             if isinstance(grid, (str, bytes, bytearray)):
                 raise TypeError(f"a {type(grid).__name__} is not a sequence of numbers")
             if isinstance(grid, np.ndarray) and grid.dtype.kind == "c":
                 raise TypeError("complex entries")
-            values = np.fromiter(grid, dtype=float)
+            items = list(grid)
+            if any(isinstance(x, (np.complexfloating, np.ndarray)) and np.iscomplexobj(x) for x in items):
+                raise TypeError("complex entries")
+            values = np.fromiter(items, dtype=float)
         except (OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"grid cannot be read as a float array: {exc}") from None
     if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
@@ -255,29 +260,29 @@ def tradeoff_sweep(
     if values.size == 0:
         return []
 
-    stack = _bivariate_stack(values, projectors)
-    if rounding > tol and (invalid := _stack_violations(stack, tol)):
+    stack = _bivariate_stack(values, projectors[..., None])
+    if rounding > tol and (invalid := _stack_violations(np.moveaxis(stack, -1, 0).copy(), tol)):
         (n,), lines = next(iter(invalid.items()))
         raise ValidationError(f"absorber={float(values[n])!r}: " + "; ".join(lines))
     # Tr(P_m Q_n) is (Q_n)_mm exactly, and Q1 and Q2 share a diagonal.
     bound = float(-np.log(min(projectors[0].real.diagonal().max(), 1.0)))
-    cells = stack.reshape(values.size, 2, 2, 2, 2)
+    cells = stack.reshape(2, 2, 2, 2, values.size)
 
-    # Problem 0 is the path marginal and problem 1 the interference marginal, so with the
-    # columns as tables in (problem, point, column) order every path column comes first.
-    marginals = np.empty((2, values.size, 2, 2, 2), dtype=complex)
-    np.add(cells[:, :, 0], cells[:, :, 1], out=marginals[0])
-    np.add(cells[:, 0], cells[:, 1], out=marginals[1])
+    # Problem 0 is the path marginal and problem 1 the interference marginal; the table rule reads
+    # the columns in (problem, point, column) order, so every path column comes first.
+    marginals = np.empty((2, 2, 2, 2, values.size), dtype=complex)
+    np.add(cells[:, 0], cells[:, 1], out=marginals[0])
+    np.add(cells[0], cells[1], out=marginals[1])
     marginal_tol = _marginal_tol(tol, (2, 2), (1,))
     targets = _TARGETS.copy()
     targets[1] = projectors
     matrices, _ = _solve_stack(marginals, targets, marginal_tol)
-    failure = _table_violation(matrices.swapaxes(-1, -2).reshape(-1, 2), marginal_tol)
+    failure = _table_violation(matrices.transpose(0, 3, 2, 1).reshape(-1, 2), marginal_tol)
     if failure is not None:
         k, reason = failure
         absorber = float(values[k // 2 % values.size])
         raise ValidationError(f"absorber={absorber!r}: nonideality matrix column {k % 2} {reason}")
-    j_lambda, j_mu = _row_entropy(matrices)
+    (j_lambda, j_mu), logs = _row_entropy(matrices)
     slack = j_lambda + j_mu - bound
 
     if not (held := slack >= -marginal_tol).all():
@@ -288,7 +293,7 @@ def tradeoff_sweep(
             "the matrices do not come from one bivariate arrangement"
         )
     drift = np.maximum(np.abs(j_lambda - _path_entropy(values)), np.abs(j_mu - _interference_entropy(values)))
-    logs = np.abs(np.log(np.where(matrices > 0.0, matrices, 1.0))).transpose(0, 2, 3, 1).reshape(8, -1).max(axis=0)
+    logs = np.abs(logs).reshape(8, -1).max(axis=0)
     if not (held := drift <= 4 * 2.0**-52 * (1.0 + logs)).all():
         n = np.flatnonzero(~held)[0]
         raise InternalConsistencyError(

@@ -156,3 +156,53 @@ def test_table_axis_labels_are_guarded(value):
 def test_loaders_require_a_json_object(loader, what, value):
     with pytest.raises(ValidationError, match=f"^{what} must be a JSON object, not "):
         loader(value)
+
+
+def wide_tol_values():
+    """A measure and a table valid at ``tol=1e-6`` but not at the default ``1e-9``."""
+    from povmkit import PovmMeasure, ProbabilityTable
+
+    return (PovmMeasure([np.diag([1.0, 1e-7]), np.diag([0.0, 1.0])], tol=1e-6),
+            ProbabilityTable([0.5 + 4e-7, 0.5], tol=1e-6))
+
+
+def test_a_value_the_library_wrote_loads_at_the_tol_it_carries(tmp_path):
+    measure, table = wide_tol_values()
+    for value, write, read in ((measure, serialize.measure_to_dict, serialize.measure_from_dict),
+                               (table, serialize.table_to_dict, serialize.table_from_dict)):
+        path = tmp_path / "value.json"
+        serialize.dump_json(write(value), path)
+        data = serialize.load_json(path)
+        assert data["tol"] == 1e-6
+        recovered = read(data)
+        assert recovered.tol == 1e-6
+        # The larger of the file's tol and the argument wins.
+        assert read(data, tol=1e-3).tol == 1e-3
+
+
+def test_a_file_without_tol_loads_at_the_argument_as_before():
+    measure, table = wide_tol_values()
+    data = serialize.measure_to_dict(measure)
+    del data["tol"]
+    with pytest.raises(ValidationError, match=r"^elements do not sum to identity \(defect 1\.000e-07\)$"):
+        serialize.measure_from_dict(data)
+    assert serialize.measure_from_dict(data, tol=1e-6).tol == 1e-6
+    data = serialize.table_to_dict(table)
+    del data["tol"]
+    with pytest.raises(ValidationError, match=r"^probability table sums to 1\.0000004, not 1$"):
+        serialize.table_from_dict(data)
+
+
+@pytest.mark.parametrize("value", ["x", 0.0, -1.0, None, [1e-6]])
+@pytest.mark.parametrize(
+    "loader, data",
+    [
+        (serialize.measure_from_dict, serialize.measure_to_dict(srt_bivariate(SrtConfig(0.5)))),
+        (serialize.state_from_dict, serialize.state_to_dict(bell_state())),
+        (serialize.table_from_dict, {"shape": [2], "values": [0.5, 0.5], "axis_labels": None}),
+        (serialize.marginals_from_dict, serialize.marginals_to_dict(MarginalSet(*(np.full((2, 2), 0.25),) * 4))),
+    ],
+)
+def test_a_file_tol_goes_through_the_tol_rule(loader, data, value):
+    with pytest.raises(ValidationError, match=r"^tol must be a finite number greater than 0, got "):
+        loader({**data, "tol": value})

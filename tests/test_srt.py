@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,10 +195,25 @@ class TestTradeoffSweep:
         with pytest.raises(ValidationError, match=rf"^grid cannot be read as a float array: {reason}$"):
             tradeoff_sweep(grid, 0.3)
 
+    @pytest.mark.parametrize("grid", [[np.complex128(0.5 + 1j)], [0.25, np.complex64(0.5)], [np.array(0.5 + 0j)]])
+    def test_numpy_complex_entries_are_not_grid_values(self, grid):
+        # A Python complex entry raises; a numpy one used to give its real part with numpy's
+        # ComplexWarning.  Under the default warning filters it now raises the same way, and warns nothing.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match="^grid cannot be read as a float array: complex entries$"):
+                tradeoff_sweep(grid, 0.3)
+        assert caught == []
+
+    def test_real_numpy_scalars_are_read_as_their_values(self):
+        want = tradeoff_sweep([0.0, 0.25, 0.5, 1.0], 0.3)
+        assert tradeoff_sweep([np.float64(0.0), np.float32(0.25), np.float16(0.5), np.int64(1)], 0.3) == want
+
     def test_a_float_array_grid_gives_the_rows_of_its_entries(self):
-        # A plain 1-D float array converts as a whole; a 2-D one is read row by row and fails.
+        # A plain 1-D float array converts as a whole and an integer array entry by entry;
+        # a 2-D one is read row by row and fails.
         grid = np.array([0.0, 1e-300, 0.3, 1.0 - 2.0**-53, 1.0], dtype=np.float64)
-        for array in (grid, grid.astype(np.float32), grid[::-1]):
+        for array in (grid, grid.astype(np.float32), grid[::-1], np.array([0, 1, 1, 0])):
             want = [tuple(map(float.hex, row)) for row in tradeoff_sweep(list(array), 0.3)]
             assert [tuple(map(float.hex, row)) for row in tradeoff_sweep(array, 0.3)] == want
         with pytest.raises(ValidationError, match="^grid cannot be read as a float array: "):
@@ -225,9 +241,9 @@ class TestTradeoffSweep:
         monkeypatch.setattr(srt, "INTERFERENCE_ROUNDING", math.inf)
 
         def corrupted(absorbers, projectors):
-            cells = build(absorbers, projectors)
-            cells[1, 2] += 0.5 * srt._P_MINUS
-            cells[1, 3] -= 0.5 * srt._P_MINUS
+            cells = build(absorbers, projectors)  # (cell, 2, 2, absorber)
+            cells[2, :, :, 1] += 0.5 * srt._P_MINUS
+            cells[3, :, :, 1] -= 0.5 * srt._P_MINUS
             return cells
 
         monkeypatch.setattr(srt, "_bivariate_stack", corrupted)
@@ -273,7 +289,7 @@ class TestTradeoffSweep:
             matrices, zero = solve(observed, target, tol)
             for problem, elements in enumerate(target):
                 n = 2 if np.array_equal(elements, path_pvm().stack()) else 0
-                matrices[problem, n, 0, 0] -= 1e-3
+                matrices[problem, 0, 0, n] -= 1e-3  # (problem, row, column, absorber)
             return matrices, zero
 
         monkeypatch.setattr(srt, "_solve_stack", corrupted)
@@ -287,8 +303,8 @@ class TestTradeoffSweep:
         row_entropy, path_entropy = srt._row_entropy, srt._path_entropy
 
         def lowered(matrices):
-            j_lambda, j_mu = row_entropy(matrices)
-            return j_lambda - shift, j_mu
+            (j_lambda, j_mu), logs = row_entropy(matrices)
+            return (j_lambda - shift, j_mu), logs
 
         monkeypatch.setattr(srt, "_row_entropy", lowered)
         monkeypatch.setattr(srt, "_path_entropy", lambda a: path_entropy(a) - shift)
@@ -307,7 +323,7 @@ class TestTradeoffSweep:
 
             def shifted(observed, target, tol):
                 matrices, zero = solve(observed, target, tol)
-                matrices[0, :, 1, 0] -= shift
+                matrices[0, 1, 0, :] -= shift  # (problem, row, column, absorber)
                 return matrices, zero
 
             monkeypatch.setattr(srt, "_solve_stack", shifted)
