@@ -10,8 +10,7 @@ joint outcome distribution always exists at a fixed arrangement.  An arm POVM
 smears its two analyzer PVMs by a ``(4, 2, 2)`` mirror weight matrix
 ``W(gamma)``, and the Born rule is linear, so an arrangement's table is
 ``W(gamma1) P W(gamma2)^T`` with ``P`` the Born table of the analyzer pairs.
-The analyzer PVMs are closed forms in ``(cos theta, sin theta)``, which a closed-form filter
-accepts, with the generic validator behind it; nothing is kept between calls.
+The analyzer PVMs are closed forms checked by the qubit PVM filter of ``measures``; nothing is kept.
 The four limiting arrangements with ``gamma`` in {0, 1} reproduce the standard
 photon-correlation experiments whose combined statistics violate CHSH; there
 ``W`` holds only 0 and 1, and the tables are ``P``.
@@ -37,8 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
-from .measures import PovmMeasure, PvmMeasure, _stack_violations
+from .errors import DimensionMismatchError
+from .measures import PovmMeasure, PvmMeasure, _check_qubit_pvms
 from .operators import DEFAULT_TOL, State, _checked_finite, _checked_tol, _checked_unit
 from .tables import ProbabilityTable, _check_tables
 
@@ -62,38 +61,18 @@ _ARM_LABELS = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
 _ANGLE_NAMES = ("theta1", "theta1p", "theta2", "theta2p")
 
 
-#: How far a defect of the generic check of an analyzer PVM can exceed its completeness defect (``_analyzer_stack``).
-ANALYZER_ROUNDING = 4 * 2.0**-53
-
-
 def _analyzer_stack(angles: Sequence[float], names: Sequence[str], tol: float) -> np.ndarray:
     """``(N, 2, 2, 2)`` PVMs ``(E+, E-)`` onto ``(c, s)`` and ``(-s, c)`` at N checked plane angles, checked at ``tol``.
 
-    A stack with ``max |c*c + s*s - 1| + ANALYZER_ROUNDING <= tol`` over its angles passes every
-    check of ``_stack_violations``, so it is accepted as built; any other goes through them, and
-    they decide and word the error.  The bound, to first order in ``u = 2**-53``: ``c, s`` are
-    ``cos, sin theta`` within an ulp, and ``a, b, d = fl(c*c), fl(c*s), fl(s*s)``, so
-    ``|a d - b^2| <= 4u c^2 s^2 <= u`` and ``|a + d - 1| <= delta + u`` with
-    ``delta = |fl(a + d) - 1|``.  Then ``E+ = [[a, b], [b, d]]`` and ``E- = [[d, -b], [-b, a]]``
-    have Hermitian defect 0; completeness defect ``delta`` exactly (``b - b = 0``, and
-    ``fl(a + d) - 1`` is exact); lowest eigenvalue ``(a d - b^2) / (a + d) >= -u``, less ``2u`` of
-    rounding in the closed form; idempotence defects ``a (a + d - 1) + b^2 - a d``, at most
-    ``a (delta + u) + 4u c^2 s^2`` plus ``2u a`` of rounding, and the smaller ``b (a + d - 1)``; and
-    overlap ``2 |a d - b^2| <= 8u c^2 s^2`` plus ``5u c^2 s^2`` of rounding in any summation order.
-    So none exceeds ``delta + 3.25u``, and ``4u`` leaves room for second-order terms.
+    Real products of ``c, s = cos, sin theta``, ``E-`` with ``E+``'s diagonal swapped, checked by
+    ``measures._check_qubit_pvms`` at the largest ``|fl(c*c + s*s) - 1|`` (an exact subtraction).
     """
-    entries, rounding = [], 0.0
+    entries, delta = [], 0.0
     for c, s in ((math.cos(theta), math.sin(theta)) for theta in angles):
         entries += (c * c, c * s, c * s, s * s, s * s, -c * s, -c * s, c * c)
-        rounding = max(rounding, abs(c * c + s * s - 1.0))
+        delta = max(delta, abs(c * c + s * s - 1.0))
     pvms = np.array(entries, dtype=complex).reshape(-1, 2, 2, 2)
-    if rounding + ANALYZER_ROUNDING <= tol:
-        return pvms
-    invalid = _stack_violations(pvms, tol, True)
-    if invalid:
-        index, lines = next(iter(invalid.items()))
-        raise ValidationError(f"angle {names[index[0]]}: " + "; ".join(lines))
-    return pvms
+    return _check_qubit_pvms(pvms, delta, tol, True, lambda n: f"angle {names[n]}")
 
 
 def _mirror_weights(gamma: float) -> np.ndarray:

@@ -125,6 +125,33 @@ def _stack_violations(
     return found
 
 
+#: How far a defect of the generic check of a closed-form rank-one qubit PVM can exceed its completeness defect.
+QUBIT_PVM_ROUNDING = 4 * 2.0**-53
+
+
+def _check_qubit_pvms(stack: np.ndarray, delta: float, tol: float, projective: bool, name=None) -> np.ndarray:
+    """``stack``, built on closed-form rank-one qubit PVMs of completeness defect ``delta``, checked at ``tol``.
+
+    Accepted as built when ``delta + QUBIT_PVM_ROUNDING <= tol``; else ``_stack_violations`` decides in C order and
+    words the error, after ``f"{name(n)}: "`` for the first failing batch entry ``n`` if ``name`` is given.  Proof,
+    to first order in ``u = 2**-53``, for PVMs ``[[p, b], [b*, q]]`` and ``[[p', -b], [-b*, q']]``, ``(p', q')``
+    being ``(q, p)`` or ``(p, q)`` in the same bits, whose entries are products of a unit vector's ``(x, y)``, within
+    an ulp, each rounded once (a complex ``|y|^2`` sums two): ``g = p q - |b|^2`` is within ``4u |x y|^2`` (real) or
+    ``5u |x y|^2`` (complex), at most ``1.25u``; a diagonal imaginary part within ``u / 4``; and
+    ``|p + q - 1| <= delta + u``.  Hermitian defect: at most ``u / 2``.  Completeness: ``delta`` plus that
+    (``b - b = 0``).  Lowest eigenvalue: ``g / (p + q)``, less ``2u`` of rounding.  Idempotence:
+    ``p (p + q - 1) - g`` and ``b (p + q - 1)``, plus ``2u p`` (real) or ``3u p`` (complex, ``p`` within ``delta`` of
+    ``1 / 2``).  Overlap: ``2 g``, or ``(p - q)^2 + 2 g`` with ``|p - q| <= delta``, plus ``5u |x y|^2`` or ``u``.
+    None exceeds ``delta + 3.5u``; ``4u`` leaves room for second-order terms.
+    """
+    if delta + QUBIT_PVM_ROUNDING <= tol:
+        return stack
+    if invalid := _stack_violations(np.ascontiguousarray(stack), tol, projective):
+        index, lines = next(iter(invalid.items()))
+        raise ValidationError(("" if name is None else f"{name(*index)}: ") + "; ".join(lines))
+    return stack
+
+
 def _per_axis_labels(labels: tuple, index_shape) -> tuple[tuple, ...]:
     """Per-axis labels of tuple labels that are their C-ordered product grid, else ``range`` per axis."""
     if index_shape is None:

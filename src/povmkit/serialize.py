@@ -69,11 +69,13 @@ def matrix_from_dict(data: dict) -> np.ndarray:
 
 
 def _label_to_json(label):
-    return list(label) if isinstance(label, tuple) else label
+    """A label with each tuple in it, at any depth, as a JSON list."""
+    return [_label_to_json(x) for x in label] if isinstance(label, tuple) else label
 
 
 def _label_from_json(label):
-    return tuple(label) if isinstance(label, list) else label
+    """A JSON label with each list in it, at any depth, as a tuple."""
+    return tuple(map(_label_from_json, label)) if isinstance(label, list) else label
 
 
 def measure_to_dict(measure: PovmMeasure) -> dict:
@@ -114,13 +116,10 @@ def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> State:
 
 
 def table_to_dict(table: ProbabilityTable) -> dict:
-    labels = None
-    if table.axis_labels is not None:
-        labels = [[_label_to_json(x) for x in axis] for axis in table.axis_labels]
     return {
         "shape": list(table.shape),
         "values": [float(v) for v in table.values.reshape(-1)],
-        "axis_labels": labels,
+        "axis_labels": _label_to_json(table.axis_labels),
         "tol": table.tol,
     }
 
@@ -134,9 +133,7 @@ def table_from_dict(data: dict, tol: float = DEFAULT_TOL) -> ProbabilityTable:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"table object must carry consistent 'shape' and 'values': {exc}")
-    labels = data.get("axis_labels")
-    if isinstance(labels, list) and all(isinstance(axis, list) for axis in labels):
-        labels = tuple(tuple(_label_from_json(x) for x in axis) for axis in labels)
+    labels = _label_from_json(data.get("axis_labels"))
     return ProbabilityTable(values, axis_labels=labels, tol=_loaded_tol(data, tol))
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .measures import PovmMeasure, PvmMeasure, _stack_violations
+from .measures import PovmMeasure, PvmMeasure, _check_qubit_pvms
 from .nonideality import (
     NonidealityMatrix,
     _row_entropy,
@@ -32,9 +32,6 @@ from .nonideality import (
 )
 from .operators import DEFAULT_TOL, _checked_finite, _checked_tol, _checked_unit
 from .tables import _marginal_tol, _table_violation
-
-#: How far a generic-check defect of an interference PVM or a bivariate stack on it can exceed the PVM's completeness defect.
-INTERFERENCE_ROUNDING = 4 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -60,36 +57,21 @@ _TARGETS.setflags(write=False)
 
 
 def _interference_projectors(chi: float) -> tuple[np.ndarray, float]:
-    """The ``(2, 2, 2)`` projectors onto ``(|+> +- exp(i chi)|->) / sqrt(2)`` at a checked float, and a bound.
+    """The ``(2, 2, 2)`` projectors onto ``(|+> +- exp(i chi)|->) / sqrt(2)`` at a checked float, and ``delta``.
 
-    The bound is ``delta + INTERFERENCE_ROUNDING``, ``delta = max |2 p - 1|, |2 d - 1|`` over the
-    diagonal ``p, d`` of ``Q1``; at a ``tol`` it does not exceed, the PVM and any ``_bivariate_stack``
-    on it pass every check of ``_stack_violations``.  To first order in ``u = 2**-53``: ``Q1 = [[p, b],
-    [b*, d]]`` and ``Q2 = [[p, -b], [-b*, d]]`` in the same bits, each product rounded once or fused,
-    so ``g = p d - |b|^2`` is within ``1.25u``.  Hermitian defect ``2 |Im d| <= u / 2``; completeness
-    ``delta`` plus that; lowest eigenvalue ``g / (p + d)``, less ``1.5u`` of rounding; idempotence
-    ``p (p + d - 1) - g`` or ``b (p + d - 1)``, and overlap ``(p - d)^2 + 2 g``, each within ``delta / 2
-    + 1.25u`` plus ``u``.  A bivariate stack weighs ``P+-`` and ``Q1 - Q2 = [[0, 2b], [2b*, 0]]`` in
-    ``[0, 1]``: Hermitian defect 0, total ``|a + fl(1 - a) - 1| <= u``, and as ``4 |b|^2 <= 1 + 2 delta
-    + 5u``, a detector cell ``[[1, s], [s*, a]] / 2`` has eigenvalues ``>= -(delta / 2 + 1.75u) - u``.
-    So none exceeds ``delta + 3.5u``; ``4u`` leaves room for second-order terms.  ``srt_povm``'s
-    stack, the two detector cells and ``(1 - a) P-`` (twice an absorption cell, exactly), has the
-    same Hermitian and eigenvalue defects; its total is exact but at ``(1, 1)``, where ``fl(1 - a)``
-    and two halves of ``a`` sum with at most two roundings: within ``3u``.
+    ``delta = max |2 p - 1|, |2 d - 1|`` over the diagonal ``p, d`` that ``Q1`` and ``Q2`` share is the completeness
+    defect at which ``measures._check_qubit_pvms`` checks the PVM and the stacks on it, as its proof extends.  A
+    bivariate stack weighs ``P+-`` and ``Q1 - Q2 = [[0, 2b], [2b*, 0]]`` in ``[0, 1]``: Hermitian defect 0, total
+    ``|a + fl(1 - a) - 1| <= u``, and as ``4 |b|^2 <= 1 + 2 delta + 5u``, a detector cell ``[[1, s], [s*, a]] / 2``
+    has eigenvalues ``>= -(delta / 2 + 1.75u) - u``.  ``srt_povm``'s stack (the detector cells and ``(1 - a) P-``,
+    exactly twice an absorption cell) has the same Hermitian and eigenvalue defects, and an exact total but at
+    ``(1, 1)``, where ``fl(1 - a)`` and two halves of ``a`` sum with two roundings: within ``3u``.
     """
     phase = np.exp(1j * chi)
     vectors = np.array([[1.0, phase], [1.0, -phase]]) / np.sqrt(2.0)
     projectors = vectors[:, :, None] * vectors[:, None, :].conj()
     p, d = projectors[0].real.diagonal().tolist()
-    return projectors, max(abs(2.0 * p - 1.0), abs(2.0 * d - 1.0)) + INTERFERENCE_ROUNDING
-
-
-def _filtered(kind: type, elements: np.ndarray, rounding: float, tol: float, labels: tuple, index_shape=None):
-    """``elements`` as a ``kind`` measure at a checked ``tol``: as built when the filter's ``rounding``
-    is within ``tol``, else by the generic check, which raises its message."""
-    if rounding > tol and (invalid := _stack_violations(elements, tol, kind._PROJECTIVE)):
-        raise ValidationError("; ".join(invalid[()]))
-    return kind.__new__(kind)._init_valid(elements, labels, index_shape, tol)
+    return projectors, max(abs(2.0 * p - 1.0), abs(2.0 * d - 1.0))
 
 
 def path_pvm(tol: float = DEFAULT_TOL) -> PvmMeasure:
@@ -104,7 +86,8 @@ def interference_pvm(chi: float = 0.0, tol: float = DEFAULT_TOL) -> PvmMeasure:
     path projector with weight one half for every phase.
     """
     chi, tol = _checked_finite(chi, "phase"), _checked_tol(tol)
-    return _filtered(PvmMeasure, *_interference_projectors(chi), tol, ("1", "2"))
+    pvm = _check_qubit_pvms(*_interference_projectors(chi), tol, True)
+    return PvmMeasure.__new__(PvmMeasure)._init_valid(pvm, ("1", "2"), None, tol)
 
 
 def _bivariate_stack(absorbers, projectors: np.ndarray) -> np.ndarray:
@@ -136,10 +119,10 @@ def srt_povm(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
     elements are the bivariate detector cells and twice an absorption cell, so
     the filter of ``srt_bivariate`` checks them.
     """
-    projectors, rounding = _interference_projectors(config.phase)
+    (projectors, delta), tol = _interference_projectors(config.phase), _checked_tol(tol)
     cells = _bivariate_stack([config.absorber], projectors[..., None])[..., 0]
-    elements = np.stack([cells[0], cells[1], 2.0 * cells[2]])
-    return _filtered(PovmMeasure, elements, rounding, _checked_tol(tol), ("1", "2", "3"))
+    elements = _check_qubit_pvms(np.stack([cells[0], cells[1], 2.0 * cells[2]]), delta, tol, False)
+    return PovmMeasure.__new__(PovmMeasure)._init_valid(elements, ("1", "2", "3"), None, tol)
 
 
 def srt_bivariate(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
@@ -150,9 +133,9 @@ def srt_bivariate(config: SrtConfig, tol: float = DEFAULT_TOL) -> PovmMeasure:
     split evenly over the ``m = '-'`` row.  The ``n``-marginal is a smeared
     interference observable and the ``m``-marginal a smeared path observable.
     """
-    projectors, rounding = _interference_projectors(config.phase)
-    cells = _bivariate_stack([config.absorber], projectors[..., None])[..., 0]
-    return _filtered(PovmMeasure, cells, rounding, _checked_tol(tol), _BIVARIATE_LABELS, (2, 2))
+    (projectors, delta), tol = _interference_projectors(config.phase), _checked_tol(tol)
+    cells = _check_qubit_pvms(_bivariate_stack([config.absorber], projectors[..., None])[..., 0], delta, tol, False)
+    return PovmMeasure.__new__(PovmMeasure)._init_valid(cells, _BIVARIATE_LABELS, (2, 2), tol)
 
 
 def path_nonideality_matrix(absorber: float) -> NonidealityMatrix:
@@ -209,14 +192,12 @@ def tradeoff_sweep(
 ) -> list[TradeoffPoint]:
     """Entropy trade-off across a grid of absorber settings.
 
-    The whole grid goes through the generic pipeline at once: the stacked
-    bivariate arrangements, checked as one stack, their two marginals as index sums,
-    one batched decomposition solve of both marginals against their target
-    PVMs, and the row entropies.  Each stacked array holds the grid on its last axis,
-    so every step of a kernel runs one loop over all the points.  Every point is checked as the single-point
-    chain ``srt_bivariate -> marginal -> solve_nonideality -> check_martens``
-    would check it: the interference PVM and the arrangement at ``tol``, by the closed-form filter
-    of ``_interference_projectors`` with the generic check behind it, and the Martens bound read off
+    The whole grid goes through the generic pipeline at once: the stacked bivariate arrangements, checked as one
+    stack, their two marginals as index sums, one batched decomposition solve of both marginals against their target
+    PVMs, and the row entropies.  Each stacked array holds the grid on its last axis, so every step of a kernel runs
+    one loop over all the points.  Every point is checked as the single-point chain
+    ``srt_bivariate -> marginal -> solve_nonideality -> check_martens`` would check it: the interference PVM and the
+    arrangement at ``tol``, by the closed-form filter ``measures._check_qubit_pvms``, and the Martens bound read off
     the diagonal of ``Q1`` (each projector is rank one by construction, so none is tested); the zero target
     elements, the nonideality matrices' columns (one call of the table rule) and the Martens slack
     at the marginals' ``2 * tol`` (each marginal element sums two cells, ``tables._marginal_tol``);
@@ -254,16 +235,13 @@ def tradeoff_sweep(
         outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
         raise ValidationError(f"grid value {float(values[outside[0]])!r} outside [0, 1]")
     chi, tol = _checked_finite(chi, "phase"), _checked_tol(tol)
-    projectors, rounding = _interference_projectors(chi)
-    if rounding > tol and (invalid := _stack_violations(projectors, tol, True)):
-        raise ValidationError("; ".join(invalid[()]))
+    projectors, delta = _interference_projectors(chi)
+    _check_qubit_pvms(projectors, delta, tol, True)
     if values.size == 0:
         return []
 
     stack = _bivariate_stack(values, projectors[..., None])
-    if rounding > tol and (invalid := _stack_violations(np.moveaxis(stack, -1, 0).copy(), tol)):
-        (n,), lines = next(iter(invalid.items()))
-        raise ValidationError(f"absorber={float(values[n])!r}: " + "; ".join(lines))
+    _check_qubit_pvms(stack.transpose(3, 0, 1, 2), delta, tol, False, lambda n: f"absorber={float(values[n])!r}")
     # Tr(P_m Q_n) is (Q_n)_mm exactly, and Q1 and Q2 share a diagonal.
     bound = float(-np.log(min(projectors[0].real.diagonal().max(), 1.0)))
     cells = stack.reshape(2, 2, 2, 2, values.size)

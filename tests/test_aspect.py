@@ -297,10 +297,10 @@ def test_born_kernels_reject_a_negative_probability_as_the_table_constructor():
 
 
 def test_one_analyzer_validation_per_analyzer_setting(monkeypatch):
-    # Closed-form analyzers pass the filter at tol 1e-9, and at ANALYZER_ROUNDING when their
+    # Closed-form analyzers pass the filter at tol 1e-9, and at QUBIT_PVM_ROUNDING when their
     # completeness defect is 0, with no generic check; below the filter's bound, at 1e-300,
     # each builder runs the generic check once (it accepts the exact analyzers at 0 and -0).
-    from povmkit import aspect
+    from povmkit import measures
 
     calls = []
 
@@ -308,8 +308,8 @@ def test_one_analyzer_validation_per_analyzer_setting(monkeypatch):
         calls.append(args)
         return validate(*args)
 
-    validate = aspect._stack_violations
-    monkeypatch.setattr(aspect, "_stack_violations", spy)
+    validate = measures._stack_violations
+    monkeypatch.setattr(measures, "_stack_violations", spy)
     singlet = bell_state()
 
     def validations(angles, tol):
@@ -326,7 +326,7 @@ def test_one_analyzer_validation_per_analyzer_setting(monkeypatch):
     exact = (0.0, -0.0, 0.0, -0.0)
     assert validations((0.0, 0.3, 0.1, 0.7), 1e-9) == [0, 0, 0, 0]
     assert validations(exact, 1e-9) == [0, 0, 0, 0]
-    assert validations(exact, aspect.ANALYZER_ROUNDING) == [0, 0, 0, 0]
+    assert validations(exact, measures.QUBIT_PVM_ROUNDING) == [0, 0, 0, 0]
     assert validations(exact, 1e-300) == [1, 1, 1, 1]
 
 

@@ -57,10 +57,10 @@ from povmkit import (
 )
 from povmkit import (InternalConsistencyError, NoSignalingError, PovmkitError, ValidationError,
                      feasibility, measures, serialize, srt)
-from povmkit.aspect import _ANGLE_NAMES, ANALYZER_ROUNDING, CHSH_SIGN_PATTERNS, _analyzer_stack
+from povmkit.aspect import _ANGLE_NAMES, CHSH_SIGN_PATTERNS, _analyzer_stack, polarization_pvm
 from povmkit.cli import main
 from povmkit.feasibility import _KEEP, _REDUCED, BOUNDARY_TOL, phase1_simplex
-from povmkit.measures import _lowest_eigenvalues, _stack_violations
+from povmkit.measures import QUBIT_PVM_ROUNDING, _lowest_eigenvalues, _stack_violations
 from povmkit.nonideality import _row_entropy
 from povmkit.operators import DEFAULT_TOL
 from povmkit.sampling import (
@@ -72,7 +72,6 @@ from povmkit.sampling import (
     random_pure_state,
     random_unitary,
 )
-from povmkit.srt import INTERFERENCE_ROUNDING
 from povmkit.tables import _check_tables, _reduce_trailing, _table_violation
 
 from helpers import (
@@ -374,52 +373,6 @@ def test_two_photon_kernels_are_byte_identical_to_their_frozen_copies(
     got, want = joint_probabilities(config), oracle_joint_probabilities(config)
     assert_same_bits(got.values, want.values)
     assert (got.axis_labels, got.tol) == (want.axis_labels, want.tol)
-
-
-ANALYZER_FILTER_TOLS = {"1e-9": 1e-9, "1e-12": 1e-12, "1e-15": 1e-15, "rounding": ANALYZER_ROUNDING,
-                        "rounding+4u": ANALYZER_ROUNDING + 4 * 2.0**-53, "1e-300": 1e-300}
-
-
-@pytest.fixture(scope="module")
-def analyzer_filter_angles() -> list[float]:
-    """106,008 seeded angles: uniform in +-10 and in +-1e15, magnitudes log-uniform from 1e-304
-    to 1e15 with either sign, signed zeros, subnormals and multiples of pi/4 up to 1e15.
-
-    They are ordered by their analyzers' completeness defect, so each stack of 256 holds
-    analyzers of one rounding (0, 1 or 2 units of 2**-53) but at the borders between them.
-    """
-    rng = np.random.default_rng(31)
-    magnitudes = 10.0 ** rng.uniform(-304.0, 15.0, 30_000) * rng.choice([-1.0, 1.0], 30_000)
-    steps = np.concatenate([np.arange(-1_000, 1_001), np.round(np.geomspace(1e3, 1.27e15, 1_000))])
-    quarters = np.concatenate([steps, -steps]) * (np.pi / 4)
-    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308]
-    angles = np.concatenate([rng.uniform(-10.0, 10.0, 40_000), rng.uniform(-1e15, 1e15, 30_000),
-                             magnitudes, quarters, edges])
-    # At tol 1 the filter or the generic check accepts any finite angle: the unchecked stack.
-    defects = measures._completeness_defect(_analyzer_stack(angles.tolist(), None, 1.0)).max(axis=-1)
-    return angles[np.argsort(defects, kind="stable")].tolist()
-
-
-@pytest.mark.parametrize("tol", ANALYZER_FILTER_TOLS.values(), ids=ANALYZER_FILTER_TOLS.keys())
-def test_the_analyzer_filter_decides_as_the_generic_check(analyzer_filter_angles, tol):
-    # _analyzer_stack raises exactly when the generic check rejects a stack of analyzers,
-    # with its message.  At 1e-300 the filter cannot accept and nearly every analyzer is
-    # rejected and worded by the generic check, so every 20th angle keeps the run short.
-    angles = analyzer_filter_angles if tol > 1e-300 else analyzer_filter_angles[::20]
-    for start in range(0, len(angles), 256):
-        chunk = angles[start:start + 256]
-        names = [repr(theta) for theta in chunk]
-        invalid = _stack_violations(_analyzer_stack(chunk, names, 1.0), tol, True)
-        want = None
-        if invalid:
-            index, lines = next(iter(invalid.items()))
-            want = f"angle {names[index[0]]}: " + "; ".join(lines)
-        try:
-            _analyzer_stack(chunk, names, tol)
-            got = None
-        except ValidationError as exc:
-            got = str(exc)
-        assert got == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -1677,33 +1630,51 @@ def test_fine_decision_agrees_with_exact_arithmetic_at_the_boundary(family, data
         assert not decision.boundary and decision.feasible == feasible
 
 
-# -- (w) the interference filter against the generic check -----------------------
+# -- (w) the qubit PVM filter against the generic check ------------------------------
 
-INTERFERENCE_FILTER_TOLS = {"1e-9": 1e-9, "1e-12": 1e-12, "1e-15": 1e-15, "rounding": INTERFERENCE_ROUNDING,
-                            "rounding+4u": INTERFERENCE_ROUNDING + 4 * 2.0**-53, "1e-300": 1e-300}
+#: The filter's tols, one dict for both builders: three round ones, the filter's own margin
+#: (where only a PVM of completeness defect 0 is accepted), 4u above it, and one below every defect.
+QUBIT_FILTER_TOLS = {"1e-9": 1e-9, "1e-12": 1e-12, "1e-15": 1e-15, "rounding": QUBIT_PVM_ROUNDING,
+                     "rounding+4u": QUBIT_PVM_ROUNDING + 4 * 2.0**-53, "1e-300": 1e-300}
 
 #: Absorbers at and next to both ends of [0, 1], where a bivariate cell's eigenvalue and total
 #: round the most, and between them.
 FILTER_ABSORBERS = [0.0, 5e-324, 1e-300, 1e-9, 0.25, 0.5, 0.9, 0.999999, 1.0 - 1e-16, 1.0]
 
 
-class FilterPhases(NamedTuple):
-    """Seeded phases with their interference projectors and filter bounds, each built once."""
+class FilterDraws(NamedTuple):
+    """Seeded draws of one closed-form builder with their ``(2, 2, 2)`` PVMs and completeness
+    defects, each built once; the draws are ordered by defect, so each chunk of 256 holds PVMs of
+    one rounding but at the borders between them."""
 
-    phases: list
-    projectors: np.ndarray
-    bounds: np.ndarray
+    builder: str
+    draws: list
+    pvms: np.ndarray
+    deltas: np.ndarray
 
 
 @pytest.fixture(scope="module")
-def interference_filter_phases() -> FilterPhases:
-    """101,008 seeded phases: uniform in +-10 and in +-1e6, magnitudes log-uniform from 1e-300
-    to 1e6 with either sign, multiples of pi/4 up to 1e6, signed zeros and subnormals.
+def analyzer_filter_angles() -> FilterDraws:
+    """106,008 seeded angles: uniform in +-10 and in +-1e15, magnitudes log-uniform from 1e-304
+    to 1e15 with either sign, signed zeros, subnormals and multiples of pi/4 up to 1e15."""
+    rng = np.random.default_rng(31)
+    magnitudes = 10.0 ** rng.uniform(-304.0, 15.0, 30_000) * rng.choice([-1.0, 1.0], 30_000)
+    steps = np.concatenate([np.arange(-1_000, 1_001), np.round(np.geomspace(1e3, 1.27e15, 1_000))])
+    quarters = np.concatenate([steps, -steps]) * (np.pi / 4)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308]
+    angles = np.concatenate([rng.uniform(-10.0, 10.0, 40_000), rng.uniform(-1e15, 1e15, 30_000),
+                             magnitudes, quarters, edges])
+    # At tol 1 the filter or the generic check accepts any finite angle: the unchecked stack.
+    pvms = _analyzer_stack(angles.tolist(), None, 1.0)
+    defects = measures._completeness_defect(pvms).max(axis=-1)
+    order = np.argsort(defects, kind="stable")
+    return FilterDraws("analyzer", angles[order].tolist(), pvms[order], defects[order])
 
-    They are ordered by the filter's bound, so each chunk of 256 holds PVMs of one rounding
-    but at the borders between them.  Each phase's ``(2, 2, 2)`` projectors and bound are built
-    once, here, and every tol of the filter property reads them.
-    """
+
+@pytest.fixture(scope="module")
+def interference_filter_phases() -> FilterDraws:
+    """101,008 seeded phases: uniform in +-10 and in +-1e6, magnitudes log-uniform from 1e-300
+    to 1e6 with either sign, multiples of pi/4 up to 1e6, signed zeros and subnormals."""
     rng = np.random.default_rng(32)
     magnitudes = 10.0 ** rng.uniform(-300.0, 6.0, 25_000) * rng.choice([-1.0, 1.0], 25_000)
     steps = np.concatenate([np.arange(-2_000, 2_001), np.round(np.geomspace(2e3, 1.27e6, 1_000))])
@@ -1712,9 +1683,9 @@ def interference_filter_phases() -> FilterPhases:
     phases = np.concatenate([rng.uniform(-10.0, 10.0, 40_000), rng.uniform(-1e6, 1e6, 30_000),
                              magnitudes, quarters, edges])
     built = [srt._interference_projectors(chi) for chi in phases.tolist()]
-    order = np.argsort([bound for _, bound in built], kind="stable")
-    return FilterPhases(phases[order].tolist(), np.array([built[k][0] for k in order]),
-                        np.array([built[k][1] for k in order]))
+    order = np.argsort([delta for _, delta in built], kind="stable")
+    return FilterDraws("interference", phases[order].tolist(), np.array([built[k][0] for k in order]),
+                       np.array([built[k][1] for k in order]))
 
 
 def raised(build):
@@ -1726,24 +1697,34 @@ def raised(build):
     return None
 
 
-@pytest.mark.parametrize("tol", INTERFERENCE_FILTER_TOLS.values(), ids=INTERFERENCE_FILTER_TOLS.keys())
-def test_the_interference_filter_decides_as_the_generic_check(interference_filter_phases, tol):
-    # interference_pvm raises exactly when the generic check rejects the PVM, with its message;
-    # every bivariate stack on a PVM the filter accepts passes the generic check; and on every
-    # 500th phase the sweep's rows or error equal the frozen pipeline's.  The filter's bound is
-    # at least 6 units of 2**-53, so at the two smallest tols it accepts nothing and every
-    # interference_pvm call runs the generic check: every 20th phase keeps the run short.
-    step = 1 if tol > 6 * 2.0**-53 else 20
-    phases = interference_filter_phases.phases[::step]
-    projectors = np.ascontiguousarray(interference_filter_phases.projectors[::step])
-    bounds = interference_filter_phases.bounds[::step]
-    for start in range(0, len(phases), 256):
-        chunk, built = phases[start:start + 256], projectors[start:start + 256]
+def assert_the_filter_decides_as_the_generic_check(half: FilterDraws, tol: float):
+    # Each builder raises exactly when the generic check rejects its PVMs, with its message:
+    # _analyzer_stack on a chunk of 256 angles names the first rejected one, and
+    # interference_pvm is called per phase.  Every bivariate and srt_povm stack on an
+    # interference PVM that the filter accepts passes the generic check, and on every 500th
+    # phase the sweep's rows or error equal the frozen pipeline's.  Where the filter accepts
+    # nothing, every builder call runs the generic check, so every 20th draw keeps the run
+    # short: below the smallest defect plus the margin for the analyzers (1e-300), and below
+    # 6 units of 2**-53 for the interference PVMs, whose defect is at least 2 units.
+    smallest = 1e-300 if half.builder == "analyzer" else 6 * 2.0**-53
+    step = 1 if tol > smallest else 20
+    draws, pvms = half.draws[::step], np.ascontiguousarray(half.pvms[::step])
+    accepts = half.deltas[::step] + QUBIT_PVM_ROUNDING <= tol
+    for start in range(0, len(draws), 256):
+        chunk, built = draws[start:start + 256], pvms[start:start + 256]
         invalid = _stack_violations(built, tol, True)
+        if half.builder == "analyzer":
+            names = [repr(theta) for theta in chunk]
+            want = None
+            if invalid:
+                index, lines = next(iter(invalid.items()))
+                want = f"angle {names[index[0]]}: " + "; ".join(lines)
+            assert raised(lambda: _analyzer_stack(chunk, names, tol)) == want
+            continue
         for i, chi in enumerate(chunk):
             assert raised(lambda: interference_pvm(chi, tol)) == ("; ".join(invalid[(i,)]) if (i,) in invalid
                                                                     else None)
-        accepted = built[bounds[start:start + 256] <= tol]
+        accepted = built[accepts[start:start + 256]]
         # The builder is elementwise, so one call builds every accepted PVM's stack at once, one
         # projector pair per absorber on the last axis; the check reads them grid-first, as the sweep does.
         stacks = srt._bivariate_stack(FILTER_ABSORBERS * len(accepted),
@@ -1752,17 +1733,49 @@ def test_the_interference_filter_decides_as_the_generic_check(interference_filte
         assert _stack_violations(stacks, tol) == {}
         # srt_povm's stack: the two detector cells and twice an absorption cell.
         assert _stack_violations(np.concatenate([stacks[:, :2], 2.0 * stacks[:, 2:3]], axis=1), tol) == {}
-    for chi in interference_filter_phases.phases[::500]:
-        got, want = (sweep_outcome(functools.partial(sweep, tol=tol), FILTER_ABSORBERS, chi)
-                     for sweep in (tradeoff_sweep, oracle_tradeoff_sweep))
-        assert got == want
+    if half.builder == "interference":
+        for chi in half.draws[::500]:
+            got, want = (sweep_outcome(functools.partial(sweep, tol=tol), FILTER_ABSORBERS, chi)
+                         for sweep in (tradeoff_sweep, oracle_tradeoff_sweep))
+            assert got == want
+
+
+@pytest.mark.parametrize("tol", QUBIT_FILTER_TOLS.values(), ids=QUBIT_FILTER_TOLS.keys())
+def test_the_analyzer_filter_decides_as_the_generic_check(analyzer_filter_angles, tol):
+    assert_the_filter_decides_as_the_generic_check(analyzer_filter_angles, tol)
+
+
+@pytest.mark.parametrize("tol", QUBIT_FILTER_TOLS.values(), ids=QUBIT_FILTER_TOLS.keys())
+def test_the_interference_filter_decides_as_the_generic_check(interference_filter_phases, tol):
+    assert_the_filter_decides_as_the_generic_check(interference_filter_phases, tol)
+
+
+@pytest.mark.parametrize("builder", ["analyzer", "interference"])
+def test_the_filter_accepts_up_to_its_bound_and_no_further(monkeypatch, builder):
+    # At tol = delta + QUBIT_PVM_ROUNDING the filter accepts with no generic check; one float
+    # below, the generic check runs once and decides, with the message it gives on its own.
+    if builder == "analyzer":
+        c, s = math.cos(0.25), math.sin(0.25)
+        delta, pvm, build = abs(c * c + s * s - 1.0), oracle_polarization_stack([0.25])[0], polarization_pvm
+    else:
+        (pvm, delta), build = srt._interference_projectors(0.25), interference_pvm
+    assert delta > 0.0
+    calls, validate = [], measures._stack_violations
+    monkeypatch.setattr(measures, "_stack_violations", lambda *args: calls.append(args) or validate(*args))
+    edge = delta + QUBIT_PVM_ROUNDING
+    for tol, count in ((edge, 0), (math.nextafter(edge, 0.0), 1)):
+        calls.clear()
+        got = raised(lambda: build(0.25, tol))
+        assert len(calls) == count
+        lines = validate(pvm, tol, True).get(())
+        assert got == (None if lines is None else ("angle theta: " if builder == "analyzer" else "") + "; ".join(lines))
 
 
 def test_the_sweep_bound_is_martens_bound_bit_for_bit(interference_filter_phases):
     # At the default tol the filter accepts every phase, and the sweep reads the bound off the
     # interference projectors' diagonal; it must equal the generic overlap maximum's bits.
     path = path_pvm()
-    for chi in interference_filter_phases.phases[::10]:
+    for chi in interference_filter_phases.draws[::10]:
         (point,) = tradeoff_sweep([0.5], chi)
         assert point.bound.hex() == martens_bound(path, interference_pvm(chi)).hex()
 
@@ -2037,8 +2050,8 @@ def test_equal_values_in_any_layout_give_equal_bits(entry, seed, edge_share):
 # -- (aa) a value the library wrote loads again, at the tol it carries -----------------
 
 ROUND_TRIP_KINDS = ("matrix", "state", "measure", "table", "marginals")
-#: JSON-safe labels: strings, integers and flat tuples of them.
-ROUND_TRIP_LABELS = ("a", "+", "", 0, 7, -3, ("x", 1), (2, "y", 0))
+#: JSON-safe labels: strings, integers and tuples of them, nested to any depth.
+ROUND_TRIP_LABELS = ("a", "+", "", 0, 7, -3, ("x", 1), (2, "y", 0), (1, (2, 3)), ((), ("z", ((0,), -1))))
 
 
 def round_trip_value(seed: int, kind: str):

@@ -58,6 +58,20 @@ def test_an_empty_index_shape_round_trips_through_a_file(tmp_path):
     assert np.array_equal(recovered.stack(), measure.stack())
 
 
+def test_labels_that_hold_tuples_round_trip_through_json():
+    # Each tuple in a label, at any depth, is written as a list and read back as a tuple
+    # (only the outer tuple was, so (1, (2, 3)) came back as the unhashable (1, [2, 3])).
+    from povmkit import PovmMeasure, ProbabilityTable
+
+    labels = ((1, (2, 3)), "b")
+    measure = PovmMeasure([np.eye(2) / 2, np.eye(2) / 2], labels=labels)
+    data = json.loads(json.dumps(serialize.measure_to_dict(measure)))
+    assert data["labels"] == [[1, [2, 3]], "b"]
+    assert serialize.measure_from_dict(data).labels == labels
+    table = ProbabilityTable([0.5, 0.5], axis_labels=[labels])
+    assert serialize.table_from_dict(through_json(serialize.table_to_dict(table))).axis_labels == (labels,)
+
+
 def test_pvm_round_trip_preserves_kind(rng):
     pvm = random_basis_pvm(2, rng)
     data = through_json(serialize.measure_to_dict(pvm))
@@ -122,7 +136,7 @@ def test_dump_and_load_file(tmp_path, rng):
     [
         ("labels", 5, "'labels' must be a list"),
         ("labels", "abcd", "'labels' must be a list"),
-        ("labels", [[0, [1]], [1], [2], [3]], "one hashable label is required per element"),
+        ("labels", [{"a": 0}, [1], [2], [3]], "one hashable label is required per element"),
         ("index_shape", ["a"], "index_shape ['a'] does not match 4 elements"),
         ("index_shape", 4, "'index_shape' must be a list"),
         ("index_shape", [2.0, 2.0], "index_shape [2.0, 2.0] does not match 4 elements"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from povmkit import InternalConsistencyError, ValidationError, martens_bound
-from povmkit import srt
+from povmkit import measures, srt
 from povmkit.srt import (
     SrtConfig,
     interference_nonideality_entropy,
@@ -238,7 +238,7 @@ class TestTradeoffSweep:
         # The closed-form filter vouches for the real builder only, so it is
         # turned off here and the generic check finds the defect and words it.
         build = srt._bivariate_stack
-        monkeypatch.setattr(srt, "INTERFERENCE_ROUNDING", math.inf)
+        monkeypatch.setattr(measures, "QUBIT_PVM_ROUNDING", math.inf)
 
         def corrupted(absorbers, projectors):
             cells = build(absorbers, projectors)  # (cell, 2, 2, absorber)
@@ -352,13 +352,13 @@ class TestInterferenceFilter:
     def validations(monkeypatch, chi, tol):
         """Generic-check calls made by the sweep, ``interference_pvm``, ``srt_bivariate`` and ``srt_povm`` at ``tol``."""
         calls = []
-        validate = srt._stack_violations
+        validate = measures._stack_violations
 
         def spy(*args):
             calls.append(args)
             return validate(*args)
 
-        monkeypatch.setattr(srt, "_stack_violations", spy)
+        monkeypatch.setattr(measures, "_stack_violations", spy)
         counts = []
         for build in (lambda: tradeoff_sweep(np.linspace(0.0, 1.0, 101), chi, tol=tol),
                       lambda: interference_pvm(chi, tol),
@@ -376,7 +376,8 @@ class TestInterferenceFilter:
     def test_closed_form_pvms_and_stacks_take_no_generic_check(self, monkeypatch, chi):
         assert self.validations(monkeypatch, chi, 1e-9) == [0, 0, 0, 0]
         # The filter's bound is reached exactly: still accepted.
-        assert self.validations(monkeypatch, chi, srt._interference_projectors(chi)[1]) == [0, 0, 0, 0]
+        bound = srt._interference_projectors(chi)[1] + measures.QUBIT_PVM_ROUNDING
+        assert self.validations(monkeypatch, chi, bound) == [0, 0, 0, 0]
 
     def test_a_tol_below_the_filter_bound_runs_the_generic_check(self, monkeypatch):
         # At chi = 0 every defect is within 2 units of 2**-53, so at 5 units the filter
@@ -396,7 +397,7 @@ class TestInterferenceFilter:
     def test_a_generic_route_sweep_gives_the_rows_of_the_filter_route(self, monkeypatch):
         grid = np.linspace(0.0, 1.0, 101)
         want = [tuple(map(float.hex, row)) for row in tradeoff_sweep(grid, 0.7)]
-        monkeypatch.setattr(srt, "INTERFERENCE_ROUNDING", math.inf)
+        monkeypatch.setattr(measures, "QUBIT_PVM_ROUNDING", math.inf)
         assert [tuple(map(float.hex, row)) for row in tradeoff_sweep(grid, 0.7)] == want
 
     def test_a_sweep_at_two_ulps_reads_the_bound_off_the_diagonal(self):

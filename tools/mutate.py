@@ -15,8 +15,8 @@ exit code is 1 when any other mutant survives, so a new gap shows up as a
 failed run.  It is also 1, before any tier-1 run, when an ``ALLOWED`` entry of
 a named module matches no mutant because its source line changed or went
 away; each such entry is printed as ``STALE``.  The run is not part of tier-1:
-each surviving mutant costs one full tier-1 run (75-85 s for 803 tests on 2
-vCPU; five modules, 185 mutants, took 36 minutes).  At most ``JOBS`` tier-1
+each surviving mutant costs one full tier-1 run (85-89 s for 806 tests on 2
+vCPU; four modules, 142 mutants, took 22 minutes).  At most ``JOBS`` tier-1
 runs go at once, each in its own copy, so the run stays small in memory.
 """
 
